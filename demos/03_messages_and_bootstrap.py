@@ -34,27 +34,22 @@ print("\n=== Bootstrap: 8 cards, random serials ===")
 serials = make_serials(42, 8)
 cards = {port: fe.FrontEndCard(serials[port]) for port in range(8)}
 
-
-def broadcast_b(txn):
-    return {p: r for p, card in cards.items() if (r := card.on_channel_b(txn)) is not None}
-
-
-def targeted_read(port, address):
-    t = m.ChannelBTransaction(read=True, target_id=port, address=address)
-    for card in cards.values():
-        if (resp := card.on_channel_b(t)) is not None:
-            return resp
-    return None
-
-
-result = be.bootstrap_sequence(broadcast_b, targeted_read, sorted(cards))
+exchange = be.untimed_exchange(cards)
+result = be.bootstrap_sequence(exchange, sorted(cards))
 print(f"verified: {result.verified}, absent ports: {result.absent_ports}")
 for port in sorted(cards):
     print(f"  port {port}: serial {cards[port].serial_number:014x} -> ID {cards[port].assigned_id}")
 
 print("\n=== Register bus after bootstrap ===")
+
+
+def targeted_read(port, address):
+    # The response must arrive on the addressed card's own return link.
+    return exchange(m.ChannelBTransaction(read=True, target_id=port, address=address)).get(port)
+
+
 resp = targeted_read(3, fe.REG_ASSIGNED_ID)
 print(f"targeted read of card 3's ID register -> {resp.data}")
 w = m.ChannelBTransaction(write=True, target_id=3, address=0x0100, data=0xCAFE0003)
-cards[3].on_channel_b(w)
+exchange(w)
 print(f"scratch write/read on card 3 -> {targeted_read(3, 0x0100).data:#010x}")

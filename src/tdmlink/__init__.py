@@ -17,7 +17,10 @@ Layer map:
     frontend      emulated front-end card
     backend       DataPump, EventBuilder, PacketMover, bootstrap, triggers
     transport     credit-controlled DAQ transfer and the throughput model
-    sim           scenario configs, both engines, BER tester
+    system        back-end, cards and transport, built once for both engines
+    message_engine, symbol_engine
+                  how frames cross the links and how time advances
+    sim           scenario configs, metrics, BER tester
     vectors       golden line-coding and frame vectors
 """
 

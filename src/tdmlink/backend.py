@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .messages import FragmentPacket
 
@@ -36,6 +37,8 @@ __all__ = [
     "EventBuilder",
     "TriggerUnit",
     "LinkCounters",
+    "bootstrap_sequence",
+    "untimed_exchange",
 ]
 
 FE_FIFO_BYTES = 2048
@@ -492,21 +495,33 @@ class BootstrapResult:
     verified: bool
 
 
-def bootstrap_sequence(broadcast_b, targeted_read, ports: list[int]) -> BootstrapResult:
+def untimed_exchange(cards: dict) -> Callable:
+    """Channel B exchange without line timing, for `bootstrap_sequence`:
+    every card sees the request at once and answers on its own port."""
+
+    def exchange(txn):
+        return {
+            port: resp for port, card in cards.items() if (resp := card.on_channel_b(txn)) is not None
+        }
+
+    return exchange
+
+
+def bootstrap_sequence(exchange, ports: list[int]) -> BootstrapResult:
     """ID assignment at system start.
 
-    `broadcast_b(txn)` sends one broadcast transaction down the fanout and
-    returns {port: response} gathered from the per-port return links;
-    `targeted_read(port, address)` reads one register from one card after
-    IDs exist. Step 1 learns serial <-> port from the broadcast serial reads;
-    step 2 broadcasts the mapping; step 3 verifies every card's ID register.
+    `exchange(txn)` sends one channel B transaction down the fanout and
+    returns {port: response} gathered from the per-port return links. Step 1
+    learns serial <-> port from the broadcast serial reads; step 2
+    broadcasts the mapping; step 3 verifies every card's ID register with a
+    targeted read, whose response must come back on the card's own port.
     """
     from .frontend import REG_ASSIGNED_ID, REG_MAP_PORT, REG_MAP_SERIAL_HI, REG_MAP_SERIAL_LO
     from .frontend import REG_SERIAL_HI, REG_SERIAL_LO
     from .messages import ChannelBTransaction
 
-    hi = broadcast_b(ChannelBTransaction(broadcast=True, read=True, address=REG_SERIAL_HI))
-    lo = broadcast_b(ChannelBTransaction(broadcast=True, read=True, address=REG_SERIAL_LO))
+    hi = exchange(ChannelBTransaction(broadcast=True, read=True, address=REG_SERIAL_HI))
+    lo = exchange(ChannelBTransaction(broadcast=True, read=True, address=REG_SERIAL_LO))
     serials: dict[int, int] = {}
     absent = []
     for port in ports:
@@ -518,15 +533,15 @@ def bootstrap_sequence(broadcast_b, targeted_read, ports: list[int]) -> Bootstra
     if len(set(values)) != len(values):
         raise RuntimeError("duplicate front-end serial numbers detected")
     for port, serial in serials.items():
-        broadcast_b(ChannelBTransaction(
+        exchange(ChannelBTransaction(
             broadcast=True, write=True, address=REG_MAP_SERIAL_HI, data=(serial >> 32) & 0x1FFFFF))
-        broadcast_b(ChannelBTransaction(
+        exchange(ChannelBTransaction(
             broadcast=True, write=True, address=REG_MAP_SERIAL_LO, data=serial & 0xFFFFFFFF))
-        broadcast_b(ChannelBTransaction(
+        exchange(ChannelBTransaction(
             broadcast=True, write=True, address=REG_MAP_PORT, data=port))
     verified = True
     for port in serials:
-        resp = targeted_read(port, REG_ASSIGNED_ID)
+        resp = exchange(ChannelBTransaction(read=True, target_id=port, address=REG_ASSIGNED_ID)).get(port)
         if resp is None or resp.data != port:
             verified = False
     return BootstrapResult(id_map=serials, absent_ports=absent, verified=verified)

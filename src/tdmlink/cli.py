@@ -112,32 +112,15 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_bootstrap_check(args) -> int:
-    from .backend import bootstrap_sequence
+    from .backend import bootstrap_sequence, untimed_exchange
     from .frontend import FrontEndCard
-    from .messages import ChannelBTransaction
     from .sim import make_serials
 
     failures = 0
     for rep in range(args.repetitions):
         serials = make_serials(args.seed + rep, args.cards)
         cards = {port: FrontEndCard(serials[port]) for port in range(args.cards)}
-
-        def broadcast_b(txn):
-            return {
-                port: resp
-                for port, card in cards.items()
-                if (resp := card.on_channel_b(txn)) is not None
-            }
-
-        def targeted_read(port, address):
-            txn = ChannelBTransaction(read=True, target_id=port, address=address)
-            for card in cards.values():
-                resp = card.on_channel_b(txn)
-                if resp is not None:
-                    return resp
-            return None
-
-        result = bootstrap_sequence(broadcast_b, targeted_read, sorted(cards))
+        result = bootstrap_sequence(untimed_exchange(cards), sorted(cards))
         good = result.verified and len(result.id_map) == args.cards
         if not good:
             failures += 1

@@ -13,23 +13,10 @@ from __future__ import annotations
 import heapq
 
 from . import timebase
-from .backend import (
-    BufferPool,
-    DataPump,
-    EventBuilder,
-    PacketMover,
-    TriggerUnit,
-    bootstrap_sequence,
-)
-from .frontend import FrontEndCard
+from .backend import untimed_exchange
 from .messages import CHANNEL_C_REQUEST_BITS, ChannelAMessageDown, ChannelCRequest
-from .transport import (
-    FLAG_FIRST_OF_BURST,
-    FRAME_OVERHEAD_BYTES,
-    CreditGrant,
-    TransportClient,
-    TransportServer,
-)
+from .system import System
+from .transport import FLAG_FIRST_OF_BURST, FRAME_OVERHEAD_BYTES, CreditGrant
 
 __all__ = ["MessageEngine"]
 
@@ -51,45 +38,14 @@ def _eth_wire_ticks(payload_bytes: int) -> int:
     return -(-bits * 2 // 5)  # ceil(bits / 2.5)
 
 
-class MessageEngine:
-    def __init__(self, config, rng):
-        self.config = config
-        self.rng = rng
-        self.now = 0
+class MessageEngine(System):
+    LINK_FAULTS = frozenset({"drop_packet"})
+
+    def __init__(self, config):
+        super().__init__(config)
         self._heap = []
         self._seq = 0
         self._stopped = False
-
-        gen = config.generator_config()
-        self.cards = {
-            port: FrontEndCard(
-                serial_number=config.serial_for(port),
-                generator=gen,
-                buffering_depth=config.buffering_depth,
-                clear_busy_on=config.clear_busy_on,
-            )
-            for port in range(config.num_frontends)
-        }
-        self.pumps = {port: DataPump(port) for port in self.cards}
-        self.pool = BufferPool(
-            size=config.buffer_pool,
-            capacity=config.mtu,
-            header_reserve=FRAME_OVERHEAD_BYTES,
-        )
-        self.mover = PacketMover(self.pool)
-        self.builder = EventBuilder(sorted(self.cards), self.mover)
-        self.server = TransportServer(self.pool)
-        self.client = TransportClient(
-            expected_word_fn=config.expected_word_fn(),
-            keep_events=config.keep_client_events,
-        )
-        self.trigger_unit = TriggerUnit(
-            mode=config.trigger_mode,
-            count=config.trigger_count,
-            period_ticks=config.trigger_period_ticks,
-            start_tick=config.trigger_start_tick,
-            max_in_flight=config.buffering_depth,
-        )
         self.latency = config.link_latency_ticks
         self.rtt_ticks = config.request_rtt_ticks
 
@@ -102,16 +58,11 @@ class MessageEngine:
 
         self._token_check_scheduled = False
         self._trigger_check_scheduled = False
-        self.violations: list[str] = []
-        self.bootstrap_result = None
         # Scripted packet loss: {link: set of arrival indices to drop}.
         self._drop_plan: dict[int, set[int]] = {}
+        for fault in self.link_faults:
+            self._drop_plan.setdefault(fault["link"], set()).add(fault["index"])
         self._arrival_index: dict[int, int] = {port: 0 for port in self.cards}
-
-        # Measurement window snapshots.
-        self.measure_start_tick = 0
-        self._payload_snapshot = {}
-        self._client_payload_snapshot = 0
 
     # -- scheduling -----------------------------------------------------------
 
@@ -120,9 +71,10 @@ class MessageEngine:
         heapq.heappush(self._heap, (max(tick, self.now), self._seq, fn, args))
 
     def run(self):
-        self._bootstrap()
-        for fault in self.config.faults:
-            self._apply_static_fault(fault)
+        # ID assignment runs before data taking; its register traffic is
+        # exchanged directly (not timed) and is not part of any measurement.
+        self._bootstrap(untimed_exchange(self.cards))
+        self._schedule_token_check()
         self.client_grant()
         self._schedule_trigger_check()
         if self.config.measure_warmup_ticks:
@@ -135,63 +87,11 @@ class MessageEngine:
                 break
             self.now = tick
             fn(*args)
-        if not self.pool.audit():
-            self.violations.append("buffer descriptor conservation broken")
-        if self.server.max_burst_violation:
-            self.violations.append("transport server exceeded granted credit")
+        self._audit()
 
     def _stop_if_done(self):
-        if self.config.run_ticks is not None:
-            return
-        if (
-            self.trigger_unit.issued >= self.trigger_unit.count
-            and self.client.stats.events >= self.trigger_unit.count
-        ):
+        if self.config.run_ticks is None and self._plan_delivered():
             self._stopped = True
-
-    # -- bootstrap -------------------------------------------------------------
-
-    def _bootstrap(self):
-        """ID assignment runs before data taking; its register traffic is
-        exchanged directly (not timed) and is not part of any measurement."""
-
-        def broadcast_b(txn):
-            out = {}
-            for port, card in self.cards.items():
-                resp = card.on_channel_b(txn)
-                if resp is not None:
-                    out[port] = resp
-            return out
-
-        def targeted_read(port, address):
-            from .messages import ChannelBTransaction
-
-            txn = ChannelBTransaction(read=True, target_id=port, address=address)
-            for card in self.cards.values():
-                resp = card.on_channel_b(txn)
-                if resp is not None:
-                    return resp
-            return None
-
-        self.bootstrap_result = bootstrap_sequence(
-            broadcast_b, targeted_read, sorted(self.cards)
-        )
-        for port in self.bootstrap_result.id_map:
-            self.pumps[port].enabled = True
-        self._schedule_token_check()
-
-    def _apply_static_fault(self, fault):
-        kind = fault.get("type")
-        if kind == "corrupt_fragment":
-            self.cards[fault["link"]].corrupt_fragments.add(
-                (fault["event"], fault["channel"])
-            )
-        elif kind == "soe_skew":
-            self.cards[fault["link"]].event_number_offset = fault.get("delta", 1)
-        elif kind == "drop_packet":
-            self._drop_plan.setdefault(fault["link"], set()).add(fault["index"])
-        else:
-            raise ValueError(f"fault type {kind!r} not supported at message level")
 
     # -- triggers ---------------------------------------------------------------
 
@@ -209,12 +109,9 @@ class MessageEngine:
             self._stop_if_done()
             return
         if tick > self.now:
-            self._at(tick, self._schedule_trigger_check_now)
+            self._at(tick, self._schedule_trigger_check)
             return
         self._issue_trigger()
-
-    def _schedule_trigger_check_now(self):
-        self._schedule_trigger_check()
 
     def _issue_trigger(self):
         # Align to the TDM cycle; the A queue is drained cycle by cycle.
@@ -273,11 +170,7 @@ class MessageEngine:
 
     def _token_check(self):
         self._token_check_scheduled = False
-        mask = 0
-        for port in sorted(self.pumps):
-            if self.pumps[port].wants_request():
-                mask |= 1 << port
-                self.pumps[port].request_posted()
+        mask = self._request_mask()
         if mask == 0:
             return
         start = max(self.now, self._down_c_busy)
@@ -296,21 +189,10 @@ class MessageEngine:
     # -- builder / transport ---------------------------------------------------------
 
     def _progress(self):
-        self.builder.run(self.pumps)
-        self._maybe_flush()
+        self._build()
         self._schedule_token_check()
         self._schedule_trigger_check()
         self._server_kick()
-
-    def _maybe_flush(self):
-        """Event-count runs push the last partially filled buffer out once
-        the whole trigger plan has been built."""
-        if (
-            self.config.run_ticks is None
-            and self.trigger_unit.issued >= self.trigger_unit.count
-            and self.builder.events_built >= self.trigger_unit.count
-        ):
-            self.mover.flush()
 
     def _server_kick(self):
         if self.now < self._eth_busy:
@@ -341,24 +223,3 @@ class MessageEngine:
     def _grant_arrives(self):
         self.server.on_grant(CreditGrant(self.config.credit))
         self._server_kick()
-
-    # -- measurement -----------------------------------------------------------------
-
-    def _snapshot_measurement(self):
-        self.measure_start_tick = self.now
-        self._payload_snapshot = {
-            port: c.payload_bytes for port, c in self.builder.counters.items()
-        }
-        self._client_payload_snapshot = self.client.stats.payload_bytes
-
-    def measured_link_payload(self) -> dict[int, int]:
-        return {
-            port: c.payload_bytes - self._payload_snapshot.get(port, 0)
-            for port, c in self.builder.counters.items()
-        }
-
-    def measured_client_payload(self) -> int:
-        return self.client.stats.payload_bytes - self._client_payload_snapshot
-
-    def measured_ticks(self) -> int:
-        return max(self.now - self.measure_start_tick, 1)

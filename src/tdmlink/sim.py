@@ -32,7 +32,8 @@ __all__ = [
 
 TICKS_PER_US = 400  # 2.5 ns ticks
 
-_ABSTRACTIONS = ("message_level", "symbol_level")
+_ENGINES = {"message_level": MessageEngine, "symbol_level": SymbolEngine}
+_ABSTRACTIONS = tuple(_ENGINES)
 
 
 def _us_to_cycle_ticks(us: float) -> int:
@@ -253,22 +254,14 @@ class ScenarioResult:
 
 
 def run_scenario(config: SimConfig) -> ScenarioResult:
-    rng = np.random.default_rng(config.seed)
-    if config.abstraction == "message_level":
-        engine = MessageEngine(config, rng)
-    else:
-        engine = SymbolEngine(config, rng)
+    engine = _ENGINES[config.abstraction](config)
     engine.run()
 
     builder = engine.builder
     client_stats = asdict(engine.client.stats)
-    measured_ticks = getattr(engine, "measured_ticks", lambda: max(engine.now, 1))()
-    if hasattr(engine, "measured_client_payload"):
-        payload = engine.measured_client_payload()
-        link_payload = engine.measured_link_payload()
-    else:
-        payload = engine.client.stats.payload_bytes
-        link_payload = {p: c.payload_bytes for p, c in builder.counters.items()}
+    measured_ticks = engine.measured_ticks()
+    payload = engine.measured_client_payload()
+    link_payload = engine.measured_link_payload()
     seconds = measured_ticks * timebase.TICK_SECONDS
     per_link = {}
     for port, counters in builder.counters.items():
@@ -278,7 +271,7 @@ def run_scenario(config: SimConfig) -> ScenarioResult:
             "payload_bytes": counters.payload_bytes,
             "crc_drops": counters.crc_drops,
             "pump_faults": pump.counters.faults,
-            "lost_triggers": _card_lost_triggers(engine, port),
+            "lost_triggers": engine.cards[port].lost_triggers,
             # Fraction of the 200 Mbps channel C data share actually filled
             # with delivered event payload during the measurement window.
             "utilization_c": (8 * link_payload.get(port, 0)) / (seconds * 200e6),
@@ -308,12 +301,6 @@ def run_scenario(config: SimConfig) -> ScenarioResult:
         violations=list(engine.violations),
     )
     return ScenarioResult(config=config, metrics=metrics, engine=engine)
-
-
-def _card_lost_triggers(engine, port: int) -> int:
-    if hasattr(engine, "cards"):
-        return engine.cards[port].lost_triggers
-    return engine.links[port].card.lost_triggers
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,20 @@ class FrameScanner:
         return out
 
 
+def _decode_frames(scanner: FrameScanner, bits: BitArray, decode, errors: dict, channel: str) -> list:
+    """Scan whole frames out of one channel's bits and decode each. Returns
+    (message, index of the frame's last bit) pairs; a frame that fails its
+    parity check gives None and is counted in `errors[channel]`."""
+    out = []
+    for frame, end_index in scanner.feed(bits):
+        try:
+            out.append((decode(frame), end_index))
+        except ParityError:
+            errors[channel] += 1
+            out.append((None, end_index))
+    return out
+
+
 class PacketScanner:
     """Extract fragment packets (start bit, then self-sized bytes) from the
     upstream channel C bit stream."""
@@ -247,27 +261,13 @@ class DownstreamReceiver:
         self.coding_violations += int(np.count_nonzero(firsts == seconds))
         a_bits, b_inv, c_bits = tdm_deinterleave(DOWNSTREAM_SCHEDULE, firsts, 0)
         b_bits = invert_channel_b(b_inv)
-        for frame, end_index in self.scanners["A"].feed(a_bits):
-            try:
-                msg = decode_channel_a_down(frame)
-            except ParityError:
-                self.parity_errors["A"] += 1
-                msg = None
-            events.a.append((msg, self.a_bit_arrival_tick(end_index)))
-        for frame, _ in self.scanners["B"].feed(b_bits):
-            try:
-                txn = decode_channel_b(frame)
-            except ParityError:
-                self.parity_errors["B"] += 1
-                txn = None
-            events.b.append(txn)
-        for frame, _ in self.scanners["C"].feed(c_bits):
-            try:
-                req = decode_channel_c_request(frame)
-            except ParityError:
-                self.parity_errors["C"] += 1
-                req = None
-            events.c.append(req)
+        scan, errors = self.scanners, self.parity_errors
+        a = _decode_frames(scan["A"], a_bits, decode_channel_a_down, errors, "A")
+        b = _decode_frames(scan["B"], b_bits, decode_channel_b, errors, "B")
+        c = _decode_frames(scan["C"], c_bits, decode_channel_c_request, errors, "C")
+        events.a = [(msg, self.a_bit_arrival_tick(end)) for msg, end in a]
+        events.b = [msg for msg, _ in b]
+        events.c = [msg for msg, _ in c]
         return events
 
 
@@ -370,19 +370,9 @@ class UpstreamReceiver:
         decoded = self.descrambler.descramble(chunk)
         a_bits, b_inv, c_bits = tdm_deinterleave(UPSTREAM_SCHEDULE, decoded, 0)
         b_bits = invert_channel_b(b_inv)
-        for frame, _ in self.a_scanner.feed(a_bits):
-            try:
-                msg = decode_channel_a_up(frame)
-            except ParityError:
-                self.parity_errors["A"] += 1
-                msg = None
-            events.a.append(msg)
-        for frame, _ in self.b_scanner.feed(b_bits):
-            try:
-                txn = decode_channel_b(frame)
-            except ParityError:
-                self.parity_errors["B"] += 1
-                txn = None
-            events.b.append(txn)
+        a = _decode_frames(self.a_scanner, a_bits, decode_channel_a_up, self.parity_errors, "A")
+        b = _decode_frames(self.b_scanner, b_bits, decode_channel_b, self.parity_errors, "B")
+        events.a = [msg for msg, _ in a]
+        events.b = [msg for msg, _ in b]
         events.packets.extend(self.c_scanner.feed(c_bits))
         return events

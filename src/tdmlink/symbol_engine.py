@@ -14,15 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import timebase
-from .backend import (
-    BufferPool,
-    DataPump,
-    EventBuilder,
-    PacketMover,
-    TriggerUnit,
-    bootstrap_sequence,
-)
-from .frontend import FrontEndCard
 from .messages import (
     ChannelAMessageDown,
     ChannelCRequest,
@@ -31,81 +22,48 @@ from .messages import (
     encode_channel_c_request,
 )
 from .streams import DownstreamReceiver, DownstreamTransmitter, UpstreamReceiver, UpstreamTransmitter
-from .transport import FRAME_OVERHEAD_BYTES, CreditGrant, TransportClient, TransportServer
+from .system import System
+from .transport import CreditGrant
 
 __all__ = ["SymbolEngine"]
 
 
-class _CardLink:
-    """One front-end card with its line interfaces."""
+class SymbolEngine(System):
+    LINK_FAULTS = frozenset({"line_flip", "link_reset"})
 
-    def __init__(self, port, card, training_bits, lock_threshold):
-        self.port = port
-        self.card = card
-        self.down_rx = DownstreamReceiver(origin_tick=0, lock_threshold=lock_threshold)
-        self.up_tx = UpstreamTransmitter(training_bits=training_bits)
-
-
-class SymbolEngine:
-    def __init__(self, config, rng):
+    def __init__(self, config):
         if config.link_latency_ticks:
             raise ValueError("symbol-level runs model zero link latency")
-        self.config = config
-        self.now = 0
+        super().__init__(config)
         self.slice_ticks = config.slice_cycles * timebase.TICKS_PER_DOWN_CYCLE
-
-        gen = config.generator_config()
-        self.links: dict[int, _CardLink] = {}
+        rng = np.random.default_rng(config.seed)
+        # Line interfaces, per port: the card's fanout receiver and return
+        # transmitter, and the back-end's return receiver.
+        self.down_rx: dict[int, DownstreamReceiver] = {}
+        self.up_tx: dict[int, UpstreamTransmitter] = {}
         self.backend_rx: dict[int, UpstreamReceiver] = {}
-        self.pumps: dict[int, DataPump] = {}
         self._link_rngs: dict[int, tuple] = {}
-        for port in range(config.num_frontends):
-            card = FrontEndCard(
-                serial_number=config.serial_for(port),
-                generator=gen,
-                buffering_depth=config.buffering_depth,
-                clear_busy_on=config.clear_busy_on,
-            )
-            self.links[port] = _CardLink(port, card, config.training_bits, config.lock_threshold)
+        for port in self.cards:
+            self.down_rx[port] = DownstreamReceiver(origin_tick=0, lock_threshold=config.lock_threshold)
+            self.up_tx[port] = UpstreamTransmitter(training_bits=config.training_bits)
             self.backend_rx[port] = UpstreamReceiver(training_bits=config.training_bits)
-            self.pumps[port] = DataPump(port)
             self._link_rngs[port] = (
                 np.random.default_rng(rng.integers(1 << 63)),  # downstream at this card
                 np.random.default_rng(rng.integers(1 << 63)),  # upstream from this card
             )
 
         self.down_tx = DownstreamTransmitter()
-        self.pool = BufferPool(
-            size=config.buffer_pool, capacity=config.mtu, header_reserve=FRAME_OVERHEAD_BYTES
-        )
-        self.mover = PacketMover(self.pool)
-        self.builder = EventBuilder(sorted(self.links), self.mover)
-        self.server = TransportServer(self.pool)
-        self.client = TransportClient(
-            expected_word_fn=config.expected_word_fn(),
-            keep_events=config.keep_client_events,
-        )
-        self.trigger_unit = TriggerUnit(
-            mode=config.trigger_mode,
-            count=config.trigger_count,
-            period_ticks=config.trigger_period_ticks,
-            start_tick=config.trigger_start_tick,
-            max_in_flight=config.buffering_depth,
-        )
-        self._b_inbox: dict[int, list] = {port: [] for port in self.links}
-        self.violations: list[str] = []
-        self.bootstrap_result = None
-        self._line_flips = [f for f in config.faults if f.get("type") == "line_flip"]
-        self._link_resets = [f for f in config.faults if f.get("type") == "link_reset"]
+        self._b_inbox: dict[int, list] = {port: [] for port in self.cards}
+        self._line_flips = [f for f in self.link_faults if f["type"] == "line_flip"]
+        # Resets still to apply; the config's fault list is never written.
+        self._pending_resets = [f for f in self.link_faults if f["type"] == "link_reset"]
 
     # -- slice processing -------------------------------------------------------
 
     def _advance_one_slice(self):
         t0 = self.now
         t1 = t0 + self.slice_ticks
-        pending = self.trigger_unit.next_issue_tick(
-            t0, self.builder.events_built, len(self.links)
-        )
+        pending = self.trigger_unit.next_issue_tick(t0, self.builder.events_built, len(self.cards))
         if pending is not None and t0 < pending < t1:
             t1 = pending  # clip so issue happens exactly on a boundary
         if pending is not None and pending <= t0:
@@ -115,16 +73,13 @@ class SymbolEngine:
         # Downstream: one fanout stream, per-receiver corruption.
         cycles = (t1 - t0) // timebase.TICKS_PER_DOWN_CYCLE
         symbols = self.down_tx.produce_cycles(cycles)
-        for port in sorted(self.links):
-            link = self.links[port]
+        for port in sorted(self.cards):
             received = self._corrupt(symbols, self._link_rngs[port][0], port, "down", t0, 2)
-            events = link.down_rx.feed(received)
-            self._handle_down_events(link, events)
+            self._handle_down_events(port, self.down_rx[port].feed(received))
 
         # Upstream: one independent stream per link.
-        for port in sorted(self.links):
-            link = self.links[port]
-            bits = link.up_tx.produce(t1 - t0)
+        for port in sorted(self.cards):
+            bits = self.up_tx[port].produce(t1 - t0)
             received = self._corrupt(bits, self._link_rngs[port][1], port, "up", t0, 1)
             events = self.backend_rx[port].feed(received)
             self._handle_up_events(port, events)
@@ -147,42 +102,35 @@ class SymbolEngine:
         return out
 
     def _apply_link_resets(self, t0, t1):
-        for fault in self._link_resets:
-            if t0 <= fault["tick"] < t1 and not fault.get("done"):
-                port = fault["link"]
-                self.links[port].up_tx.reset()
-                self.backend_rx[port].reset()
-                fault["done"] = True
+        for fault in list(self._pending_resets):
+            if t0 <= fault["tick"] < t1:
+                self.up_tx[fault["link"]].reset()
+                self.backend_rx[fault["link"]].reset()
+                self._pending_resets.remove(fault)
 
     # -- card side ---------------------------------------------------------------
 
-    def _handle_down_events(self, link: _CardLink, events):
+    def _handle_down_events(self, port, events):
+        card = self.cards[port]
         for msg, arrival_tick in events.a:
-            if msg is None:
-                continue
-            out = link.card.on_channel_a(msg, arrival_tick)
-            self._emit_card_output(link, out)
+            if msg is not None:
+                self._emit_card_output(port, card.on_channel_a(msg, arrival_tick))
         for txn in events.b:
-            if txn is None:
-                resp = link.card.on_channel_b_parity_error()
-            else:
-                resp = link.card.on_channel_b(txn)
+            resp = card.on_channel_b_parity_error() if txn is None else card.on_channel_b(txn)
             if resp is not None:
-                link.up_tx.enqueue("B", encode_channel_b(resp))
+                self.up_tx[port].enqueue("B", encode_channel_b(resp))
         for req in events.c:
-            if req is None:
-                continue
-            out = link.card.on_channel_c(req)
-            self._emit_card_output(link, out)
+            if req is not None:
+                self._emit_card_output(port, card.on_channel_c(req))
 
-    def _emit_card_output(self, link: _CardLink, out):
+    def _emit_card_output(self, port, out):
         for reply in out.a_replies:
-            link.up_tx.enqueue("A", encode_channel_a(reply))
+            self.up_tx[port].enqueue("A", encode_channel_a(reply))
         for data in out.packets:
             bits = np.concatenate(
                 [np.ones(1, dtype=np.uint8), np.unpackbits(np.frombuffer(data, dtype=np.uint8))]
             )
-            link.up_tx.enqueue("C", bits)
+            self.up_tx[port].enqueue("C", bits)
 
     # -- backend side ---------------------------------------------------------------
 
@@ -197,20 +145,10 @@ class SymbolEngine:
             self.pumps[port].on_packet(data)
 
     def _backend_logic(self):
-        mask = 0
-        for port in sorted(self.pumps):
-            if self.pumps[port].wants_request():
-                mask |= 1 << port
-                self.pumps[port].request_posted()
+        mask = self._request_mask()
         if mask:
             self.down_tx.enqueue("C", encode_channel_c_request(ChannelCRequest(target_mask=mask)))
-        self.builder.run(self.pumps)
-        if (
-            self.config.run_ticks is None
-            and self.trigger_unit.issued >= self.trigger_unit.count
-            and self.builder.events_built >= self.trigger_unit.count
-        ):
-            self.mover.flush()
+        self._build()
         # Transport: the Ethernet side is not symbol-timed; frames leave as
         # soon as credit allows and grants renew immediately.
         while True:
@@ -230,56 +168,39 @@ class SymbolEngine:
 
     # -- bootstrap --------------------------------------------------------------------
 
-    def _run_slices(self, n):
-        for _ in range(n):
-            self._advance_one_slice()
-
     def _wait_links_ready(self):
         """Idle until every front-end receiver locked onto the idle pattern
         and every return link finished its training sequence (bootstrap
         precondition: links trained and locked)."""
         for _ in range(200):
-            if all(l.down_rx.locked for l in self.links.values()) and all(
+            if all(rx.locked for rx in self.down_rx.values()) and all(
                 rx._training_left == 0 for rx in self.backend_rx.values()
             ):
                 return
             self._advance_one_slice()
         raise RuntimeError("links failed to train and lock")
 
-    def _bootstrap(self):
-        timeout_slices = 400
-
-        def exchange(txn, expected_ports):
-            start_counts = {port: len(inbox) for port, inbox in self._b_inbox.items()}
-            self.down_tx.enqueue("B", encode_channel_b(txn))
-            for _ in range(timeout_slices):
-                self._advance_one_slice()
-                if all(len(self._b_inbox[p]) > start_counts[p] for p in expected_ports):
-                    break
-            return {
-                port: self._b_inbox[port][-1]
-                for port in self._b_inbox
-                if len(self._b_inbox[port]) > start_counts[port]
-            }
-
-        def broadcast_b(txn):
-            return exchange(txn, list(self._b_inbox))
-
-        def targeted_read(port, address):
-            from .messages import ChannelBTransaction
-
-            txn = ChannelBTransaction(read=True, target_id=port, address=address)
-            return exchange(txn, [port]).get(port)
-
-        self.bootstrap_result = bootstrap_sequence(broadcast_b, targeted_read, sorted(self.links))
-        for port in self.bootstrap_result.id_map:
-            self.pumps[port].enabled = True
+    def _exchange(self, txn):
+        """Send one channel B request down the fanout and advance until every
+        addressed port answered (or a timeout); returns {port: response}."""
+        expected = list(self._b_inbox) if txn.broadcast else [txn.target_id]
+        start_counts = {port: len(inbox) for port, inbox in self._b_inbox.items()}
+        self.down_tx.enqueue("B", encode_channel_b(txn))
+        for _ in range(400):
+            self._advance_one_slice()
+            if all(len(self._b_inbox[p]) > start_counts[p] for p in expected):
+                break
+        return {
+            port: inbox[-1]
+            for port, inbox in self._b_inbox.items()
+            if len(inbox) > start_counts[port]
+        }
 
     # -- run ---------------------------------------------------------------------------
 
     def run(self):
         self._wait_links_ready()
-        self._bootstrap()
+        self._bootstrap(self._exchange)
         if self.now >= self.config.trigger_start_tick:
             raise RuntimeError(
                 f"bootstrap finished at tick {self.now}, after the configured "
@@ -288,30 +209,24 @@ class SymbolEngine:
         max_ticks = self.config.run_ticks
         idle_slices = 0
         while True:
-            before = (
-                self.client.stats.events,
-                self.trigger_unit.issued,
-                self.builder.events_built,
-                sum(len(p.fifo) for p in self.pumps.values()),
-            )
+            before = self._progress_state()
             self._advance_one_slice()
-            if max_ticks is not None and self.now >= max_ticks:
+            if max_ticks is not None:
+                if self.now >= max_ticks:
+                    break
+                continue
+            if self._plan_delivered():
                 break
-            if max_ticks is None:
-                if (
-                    self.trigger_unit.issued >= self.trigger_unit.count
-                    and self.client.stats.events >= self.trigger_unit.count
-                ):
-                    break
-                after = (
-                    self.client.stats.events,
-                    self.trigger_unit.issued,
-                    self.builder.events_built,
-                    sum(len(p.fifo) for p in self.pumps.values()),
-                )
-                idle_slices = idle_slices + 1 if after == before else 0
-                if idle_slices > 2000:
-                    self.violations.append("symbol engine stalled before completion")
-                    break
-        if not self.pool.audit():
-            self.violations.append("buffer descriptor conservation broken")
+            idle_slices = idle_slices + 1 if self._progress_state() == before else 0
+            if idle_slices > 2000:
+                self.violations.append("symbol engine stalled before completion")
+                break
+        self._audit()
+
+    def _progress_state(self):
+        return (
+            self.client.stats.events,
+            self.trigger_unit.issued,
+            self.builder.events_built,
+            sum(len(p.fifo) for p in self.pumps.values()),
+        )

@@ -1,0 +1,137 @@
+"""One back-end with its front-end cards and DAQ transport.
+
+The back-end, the cards and the transport are the same system whatever the
+links are made of. `System` builds them once and owns the rules that do not
+depend on the link model: fault application, request tokens, the
+event-count flush, the stop test, the end-of-run audit and the measurement
+window. The engines subclass it and supply only how a frame crosses a link
+and how time advances.
+"""
+
+from __future__ import annotations
+
+from .backend import BufferPool, DataPump, EventBuilder, PacketMover, TriggerUnit, bootstrap_sequence
+from .frontend import FrontEndCard
+from .transport import FRAME_OVERHEAD_BYTES, TransportClient, TransportServer
+
+__all__ = ["System"]
+
+CARD_FAULTS = frozenset({"corrupt_fragment", "soe_skew"})
+
+
+class System:
+    # Fault types the link model applies itself; every other type outside
+    # CARD_FAULTS is rejected.
+    LINK_FAULTS: frozenset = frozenset()
+
+    def __init__(self, config):
+        self.config = config
+        self.now = 0
+        self.violations: list[str] = []
+        self.bootstrap_result = None
+
+        gen = config.generator_config()
+        self.cards = {
+            port: FrontEndCard(
+                serial_number=config.serial_for(port),
+                generator=gen,
+                buffering_depth=config.buffering_depth,
+                clear_busy_on=config.clear_busy_on,
+            )
+            for port in range(config.num_frontends)
+        }
+        self.pumps = {port: DataPump(port) for port in self.cards}
+        self.pool = BufferPool(
+            size=config.buffer_pool, capacity=config.mtu, header_reserve=FRAME_OVERHEAD_BYTES
+        )
+        self.mover = PacketMover(self.pool)
+        self.builder = EventBuilder(sorted(self.cards), self.mover)
+        self.server = TransportServer(self.pool)
+        self.client = TransportClient(
+            expected_word_fn=config.expected_word_fn(),
+            keep_events=config.keep_client_events,
+        )
+        self.trigger_unit = TriggerUnit(
+            mode=config.trigger_mode,
+            count=config.trigger_count,
+            period_ticks=config.trigger_period_ticks,
+            start_tick=config.trigger_start_tick,
+            max_in_flight=config.buffering_depth,
+        )
+
+        self.link_faults = []
+        for fault in config.faults:
+            kind = fault.get("type")
+            if kind == "corrupt_fragment":
+                self.cards[fault["link"]].corrupt_fragments.add((fault["event"], fault["channel"]))
+            elif kind == "soe_skew":
+                self.cards[fault["link"]].event_number_offset = fault.get("delta", 1)
+            elif kind in self.LINK_FAULTS:
+                self.link_faults.append(fault)
+            else:
+                raise ValueError(f"fault type {kind!r} not supported at {config.abstraction}")
+
+        self.measure_start_tick = 0
+        self._payload_snapshot = {}
+        self._client_payload_snapshot = 0
+
+    def _bootstrap(self, exchange):
+        """ID assignment over `exchange(txn) -> {port: response}`; enables the
+        pump of every card that received its ID."""
+        self.bootstrap_result = bootstrap_sequence(exchange, sorted(self.cards))
+        for port in self.bootstrap_result.id_map:
+            self.pumps[port].enabled = True
+
+    def _request_mask(self) -> int:
+        """Post a data request for every pump with room for a packet; returns
+        the channel C target mask, 0 when no pump wants one."""
+        mask = 0
+        for port in sorted(self.pumps):
+            if self.pumps[port].wants_request():
+                mask |= 1 << port
+                self.pumps[port].request_posted()
+        return mask
+
+    def _build(self):
+        """Run the event builder. Event-count runs then push the last
+        partially filled buffer out once the whole trigger plan is built."""
+        self.builder.run(self.pumps)
+        if (
+            self.config.run_ticks is None
+            and self.trigger_unit.issued >= self.trigger_unit.count
+            and self.builder.events_built >= self.trigger_unit.count
+        ):
+            self.mover.flush()
+
+    def _plan_delivered(self) -> bool:
+        return (
+            self.trigger_unit.issued >= self.trigger_unit.count
+            and self.client.stats.events >= self.trigger_unit.count
+        )
+
+    def _audit(self):
+        if not self.pool.audit():
+            self.violations.append("buffer descriptor conservation broken")
+        if self.server.max_burst_violation:
+            self.violations.append("transport server exceeded granted credit")
+
+    # -- measurement -----------------------------------------------------------------
+
+    def _snapshot_measurement(self):
+        self.measure_start_tick = self.now
+        self._payload_snapshot = {
+            port: c.payload_bytes for port, c in self.builder.counters.items()
+        }
+        self._client_payload_snapshot = self.client.stats.payload_bytes
+
+    def measured_link_payload(self) -> dict[int, int]:
+        return {
+            port: c.payload_bytes - self._payload_snapshot.get(port, 0)
+            for port, c in self.builder.counters.items()
+        }
+
+    def measured_client_payload(self) -> int:
+        return self.client.stats.payload_bytes - self._client_payload_snapshot
+
+    def measured_ticks(self) -> int:
+        return max(self.now - self.measure_start_tick, 1)

@@ -45,7 +45,6 @@ __all__ = [
     "parse_records",
     "throughput_model",
     "saturation_credit",
-    "UdpFramePipe",
 ]
 
 TRANSPORT_MAGIC = 0xAA55
@@ -311,31 +310,3 @@ def saturation_credit(mtu_bytes: int, link_rate_bps: float = 1e9,
     """Smallest credit at which the model reaches the payload cap."""
     t_frame = mtu_bytes * 8 / link_rate_bps
     return math.ceil(1 + request_rtt_s / t_frame)
-
-
-class UdpFramePipe:
-    """Loopback datagram path for integration runs.
-
-    One transport frame per datagram, same wire format as the in-process
-    deterministic channel. In-order delivery on loopback is assumed;
-    reordering handling is out of scope.
-    """
-
-    def __init__(self, host: str = "127.0.0.1", timeout_s: float = 2.0):
-        import socket
-
-        self._rx = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self._rx.bind((host, 0))
-        self._rx.settimeout(timeout_s)
-        self.address = self._rx.getsockname()
-        self._tx = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-
-    def send(self, frame_bytes: bytes):
-        self._tx.sendto(frame_bytes, self.address)
-
-    def recv(self) -> bytes:
-        return self._rx.recvfrom(65536)[0]
-
-    def close(self):
-        self._rx.close()
-        self._tx.close()

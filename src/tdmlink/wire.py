@@ -148,12 +148,12 @@ def tdm_deinterleave(schedule: TdmSchedule, line, offset: int = 0):
         raise WireFormatError(f"trailing partial cycle of {len(line) % 4} symbols")
     if not 0 <= offset <= 3:
         raise WireFormatError(f"slot offset {offset} outside 0..3")
-    slots = (offset + np.arange(len(line))) % 4
-    out = []
-    for tag in ("A", "B", "C"):
-        mask = np.isin(slots, schedule.slots_of(tag))
-        out.append(line[mask])
-    return tuple(out)
+    # Column j of the (cycles, 4) view holds slot (offset + j) mod 4.
+    rows = line.reshape(-1, 4)
+    return tuple(
+        rows[:, sorted((s - offset) % 4 for s in schedule.slots_of(tag))].ravel()
+        for tag in ("A", "B", "C")
+    )
 
 
 def invert_channel_b(bits) -> BitArray:

@@ -167,23 +167,7 @@ def test_criterion_5_bootstrap_100_seeded_repetitions():
     for rep in range(100):
         serials = make_serials(1000 + rep, 32)
         cards = {port: fe.FrontEndCard(serials[port]) for port in range(32)}
-
-        def broadcast_b(txn):
-            return {
-                port: resp
-                for port, card in cards.items()
-                if (resp := card.on_channel_b(txn)) is not None
-            }
-
-        def targeted_read(port, address):
-            txn = m.ChannelBTransaction(read=True, target_id=port, address=address)
-            for card in cards.values():
-                resp = card.on_channel_b(txn)
-                if resp is not None:
-                    return resp
-            return None
-
-        result = be.bootstrap_sequence(broadcast_b, targeted_read, sorted(cards))
+        result = be.bootstrap_sequence(be.untimed_exchange(cards), sorted(cards))
         assert result.verified, f"repetition {rep}: verification failed"
         assert len(result.id_map) == 32
         assert all(cards[port].assigned_id == port for port in cards)

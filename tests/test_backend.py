@@ -307,30 +307,11 @@ class TestEventBuilder:
 
 
 class TestBootstrap:
-    def _glue(self, cards):
-        def broadcast_b(txn):
-            out = {}
-            for link, card in cards.items():
-                resp = card.on_channel_b(txn)
-                if resp is not None:
-                    out[link] = resp
-            return out
-
-        def targeted_read(port, address):
-            txn = m.ChannelBTransaction(read=True, target_id=port, address=address)
-            for card in cards.values():
-                resp = card.on_channel_b(txn)
-                if resp is not None:
-                    return resp
-            return None
-
-        return broadcast_b, targeted_read
-
     def test_32_cards_all_verified(self):
         rng = np.random.default_rng(123)
         serials = rng.integers(0, 1 << 53, size=32)
         cards = {port: fe.FrontEndCard(int(serials[port])) for port in range(32)}
-        result = be.bootstrap_sequence(*self._glue(cards), ports=list(range(32)))
+        result = be.bootstrap_sequence(be.untimed_exchange(cards), ports=list(range(32)))
         assert result.verified
         assert result.absent_ports == []
         for port, card in cards.items():
@@ -338,15 +319,27 @@ class TestBootstrap:
 
     def test_unconnected_port_reported_absent(self):
         cards = {port: fe.FrontEndCard(port + 1) for port in range(5) if port != 3}
-        result = be.bootstrap_sequence(*self._glue(cards), ports=list(range(5)))
+        result = be.bootstrap_sequence(be.untimed_exchange(cards), ports=list(range(5)))
         assert result.verified
         assert result.absent_ports == [3]
         assert len(result.id_map) == 4
 
+    def test_targeted_reply_must_arrive_on_the_cards_own_port(self):
+        cards = {port: fe.FrontEndCard(port + 1) for port in range(3)}
+        exchange = be.untimed_exchange(cards)
+
+        def crossed(txn):
+            # Targeted replies come back on the neighbouring port.
+            out = exchange(txn)
+            return out if txn.broadcast else {(p + 1) % 3: r for p, r in out.items()}
+
+        assert not be.bootstrap_sequence(crossed, ports=[0, 1, 2]).verified
+        assert be.bootstrap_sequence(be.untimed_exchange(cards), ports=[0, 1, 2]).verified
+
     def test_duplicate_serials_fatal(self):
         cards = {0: fe.FrontEndCard(7), 1: fe.FrontEndCard(7)}
         with pytest.raises(RuntimeError, match="duplicate"):
-            be.bootstrap_sequence(*self._glue(cards), ports=[0, 1])
+            be.bootstrap_sequence(be.untimed_exchange(cards), ports=[0, 1])
 
 
 class TestTriggerUnit:

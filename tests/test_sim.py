@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdmlink import wire
 from tdmlink.sim import SimConfig, ber_test, make_serials, run_scenario
@@ -86,6 +88,29 @@ class TestAbstractionEquivalence:
             res_s = run_scenario(small_scenario("symbol_level", **cfg_kw))
             assert res_m.client_digest() == res_s.client_digest()
 
+    # Periodic plans only: gated triggers issue on slice boundaries at
+    # symbol level, so their timestamps differ from the message level.
+    @settings(max_examples=8, deadline=None)
+    @given(
+        cards=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+        channels=st.integers(1, 4),
+        words=st.sampled_from([2, 4, 6, 8]),
+        triggers=st.integers(2, 4),
+    )
+    def test_equivalence_over_random_scenarios(self, cards, seed, channels, words, triggers):
+        kw = dict(
+            num_frontends=cards, seed=seed, channels_per_event=channels,
+            words_per_channel=words, trigger_count=triggers,
+            trigger_start_us=360.0, trigger_period_us=100.0,
+        )
+        res_m = run_scenario(small_scenario("message_level", **kw))
+        res_s = run_scenario(small_scenario("symbol_level", **kw))
+        assert res_m.metrics.violations == []
+        assert res_s.metrics.violations == []
+        assert [ev.key() for ev in res_m.client.events] == [ev.key() for ev in res_s.client.events]
+        assert res_m.client_digest() == res_s.client_digest()
+
 
 class TestFaultInjection:
     def test_corrupt_fragment_one_incomplete_event(self):
@@ -101,6 +126,14 @@ class TestFaultInjection:
         flagged = [ev for ev in res.client.events if ev.incomplete]
         assert len(flagged) == 1 and flagged[0].event_number == 2
 
+    def test_corrupt_fragment_symbol_level_matches_message_level(self):
+        faults = [{"type": "corrupt_fragment", "link": 1, "event": 2, "channel": 1}]
+        res_m = run_scenario(small_scenario("message_level", faults=faults))
+        res_s = run_scenario(small_scenario("symbol_level", faults=faults))
+        assert res_s.metrics.client["incomplete_events"] == 1
+        assert res_s.metrics.events_incomplete == 1
+        assert res_s.client_digest() == res_m.client_digest()
+
     def test_soe_skew_halts_builder(self):
         cfg = small_scenario(
             "message_level",
@@ -111,6 +144,13 @@ class TestFaultInjection:
         assert res.metrics.halt_reason is not None
         assert "mismatch" in res.metrics.halt_reason
         assert res.metrics.events_built == 0
+
+    def test_soe_skew_symbol_level_matches_message_level(self):
+        kw = dict(run_ms=1.2, faults=[{"type": "soe_skew", "link": 0, "delta": 1}])
+        res_m = run_scenario(small_scenario("message_level", **kw))
+        res_s = run_scenario(small_scenario("symbol_level", **kw))
+        assert "mismatch" in res_s.metrics.halt_reason
+        assert res_s.metrics.halt_reason == res_m.metrics.halt_reason
 
     def test_link_reset_mid_run_retrains_without_affecting_others(self):
         reset_tick = SimConfig(trigger_start_us=1000.0).trigger_start_tick + 40_000
@@ -127,6 +167,20 @@ class TestFaultInjection:
         assert res.engine.backend_rx[1]._training_left == 0
         assert res.metrics.per_link[0]["packets"] == res.metrics.per_link[1]["packets"]
 
+    def test_rerun_of_one_config_repeats_the_link_reset(self):
+        reset_tick = SimConfig(trigger_start_us=1000.0).trigger_start_tick + 40_000
+        cfg = small_scenario(
+            "symbol_level",
+            trigger_count=3,
+            faults=[{"type": "link_reset", "link": 1, "tick": reset_tick}],
+        )
+        before = cfg.to_dict()
+        first = run_scenario(cfg)
+        assert cfg.to_dict() == before
+        second = run_scenario(cfg)
+        assert cfg.to_dict() == before
+        assert first.metrics.to_json_lines() == second.metrics.to_json_lines()
+
     def test_line_flip_during_idle_is_harmless(self):
         cfg = small_scenario(
             "symbol_level",
@@ -135,9 +189,18 @@ class TestFaultInjection:
         res = run_scenario(cfg)
         assert res.metrics.client["events"] == 10
 
-    def test_unknown_fault_type_rejected(self):
-        cfg = small_scenario("message_level", faults=[{"type": "meteor_strike"}])
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize(
+        "abstraction, kind",
+        [
+            ("message_level", "meteor_strike"),
+            ("symbol_level", "meteor_strike"),
+            ("message_level", "line_flip"),
+            ("symbol_level", "drop_packet"),
+        ],
+    )
+    def test_unknown_fault_type_rejected(self, abstraction, kind):
+        cfg = small_scenario(abstraction, faults=[{"type": kind}])
+        with pytest.raises(ValueError, match="not supported"):
             run_scenario(cfg)
 
 

@@ -196,28 +196,3 @@ class TestRecordWalker:
     def test_truncated_record_raises(self):
         with pytest.raises(tp.TransportError):
             tp.parse_records(b"\xe5\x01\x00")
-
-
-class TestUdpLoopbackIntegration:
-    def test_frames_over_real_datagram_sockets(self):
-        pool, _ = fill_buffers(n_events=4, links=(0, 1), pool_size=16)
-        server = tp.TransportServer(pool)
-        server.on_grant(tp.CreditGrant(100))
-        pipe = tp.UdpFramePipe()
-        try:
-            sent = 0
-            while (out := server.next_frame()) is not None:
-                pipe.send(out[0].serialize())
-                pool.release(out[1])
-                sent += 1
-            client = tp.TransportClient(
-                expected_word_fn=lambda link, ch, k: fe.generator_word(link, ch, k)
-            )
-            for _ in range(sent):
-                client.receive(pipe.recv())
-        finally:
-            pipe.close()
-        assert client.stats.frames == sent
-        assert client.stats.events == 4
-        assert client.stats.gaps == 0
-        assert client.stats.provenance_errors == 0
