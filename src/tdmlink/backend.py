@@ -70,7 +70,9 @@ class DataPump:
 
     A data request is posted only while the FIFO has room for a complete
     maximum-size packet; with a 2 KB FIFO that means the FIFO is empty, so
-    at most one packet is in flight per link and overflow is impossible.
+    at most one packet is in flight per link and a requested packet always
+    fits. A packet that arrives while the FIFO is occupied was never
+    requested; it is dropped and counted in `counters.faults`.
     """
 
     def __init__(self, link_id: int):
@@ -107,7 +109,8 @@ class DataPump:
             self.counters.faults += 1
             return
         if len(data) > self.free_bytes:
-            raise AssertionError("FE-FIFO overflow: request-token discipline broken")
+            self.counters.faults += 1
+            return
         self.fifo.append(data)
         self.fifo_used += len(data)
         self.request_outstanding = False
@@ -417,18 +420,6 @@ class EventBuilder:
         self._eoe_done = set()
         self._turn = 0
         return True
-
-    def reset_after_halt(self):
-        """Operator reset: drop the partial event, resume waiting for SOEs."""
-        self.phase = self.AWAIT_SOE
-        self.halt_reason = None
-        self.current_event_number = None
-        self.current_timestamp = None
-        self._soe_records = []
-        self._event_incomplete = False
-        self._eoe_done = set()
-        self._turn = 0
-        self._pending.clear()
 
 
 # ---------------------------------------------------------------------------

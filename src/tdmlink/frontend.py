@@ -105,7 +105,6 @@ class CardOutput:
     """What a card wants to transmit as a result of one input."""
 
     a_replies: list[ChannelAMessageUp] = field(default_factory=list)
-    b_response: ChannelBTransaction | None = None
     packets: list[bytes] = field(default_factory=list)
 
 
@@ -226,29 +225,26 @@ class FrontEndCard:
 
     def on_channel_b(self, txn: ChannelBTransaction) -> ChannelBTransaction | None:
         """Execute a register transaction; every request addressed to this
-        card is echoed by exactly one response on the card's own link."""
+        card is echoed by exactly one response on the card's own link. A
+        request that is not exactly one of read and write is counted in
+        `request_errors` and answered with a bus error."""
         if not self._addressed(txn):
             return None
-        txn.require_request()
-        if txn.read:
+        if txn.read == txn.write:
+            self.request_errors += 1
+            data, ok = 0, False
+        elif txn.read:
             data, ok = self._read_register(txn.address)
-            return ChannelBTransaction(
-                broadcast=txn.broadcast,
-                target_id=txn.target_id,
-                read=True,
-                byte_enable=txn.byte_enable,
-                address=txn.address,
-                data=data if ok else 0,
-                bus_error=not ok,
-            )
-        ok = self._write_register(txn.address, txn.data, txn.byte_enable)
+        else:
+            data, ok = txn.data, self._write_register(txn.address, txn.data, txn.byte_enable)
         return ChannelBTransaction(
             broadcast=txn.broadcast,
             target_id=txn.target_id,
-            write=True,
+            read=txn.read,
+            write=txn.write,
             byte_enable=txn.byte_enable,
             address=txn.address,
-            data=txn.data,
+            data=data,
             bus_error=not ok,
         )
 

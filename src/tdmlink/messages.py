@@ -8,7 +8,9 @@ docs/wire-format.md and mirrored by the golden vectors.
 
 Event fragments ride upstream on channel C as 16-bit words (MSB first):
 a header word with SOE/EOE flags and the byte size, an even number of
-payload words, and CRC-32 over header plus payload.
+payload words, and CRC-32 over header plus payload. On the link a packet
+is framed by one start bit; its header word alone fixes its length
+(`fragment_length`).
 """
 
 from __future__ import annotations
@@ -34,6 +36,10 @@ __all__ = [
     "ChannelBTransaction",
     "ChannelCRequest",
     "FragmentPacket",
+    "fragment_length",
+    "frame_fragment",
+    "FRAGMENT_HEAD_BITS",
+    "fragment_frame_bits",
     "crc32",
     "encode_channel_a",
     "decode_channel_a_down",
@@ -86,12 +92,17 @@ def _frame(payload: BitArray) -> BitArray:
 
 
 def _unframe(bits, expected_len: int) -> BitArray:
+    """Payload of a start-bit/payload/parity frame; raises ParityError when
+    the parity bit disagrees."""
     bits = as_bits(bits)
     if len(bits) != expected_len:
         raise MessageFormatError(f"frame is {len(bits)} bits, expected {expected_len}")
     if bits[0] != 1:
         raise MessageFormatError("missing start bit")
-    return bits[1:-1], int(bits[-1])
+    payload = bits[1:-1]
+    if int(bits[-1]) != _even_parity(payload):
+        raise ParityError(payload)
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +170,7 @@ def encode_channel_a(msg) -> BitArray:
 
 
 def decode_channel_a_down(bits) -> ChannelAMessageDown:
-    payload, parity = _unframe(bits, CHANNEL_A_FRAME_BITS)
-    if parity != _even_parity(payload):
-        raise ParityError(payload)
+    payload = _unframe(bits, CHANNEL_A_FRAME_BITS)
     return ChannelAMessageDown(
         sampling_stop=bool(payload[0]),
         event_type=bits_to_int(payload[1:3]),
@@ -173,9 +182,7 @@ def decode_channel_a_down(bits) -> ChannelAMessageDown:
 
 
 def decode_channel_a_up(bits) -> ChannelAMessageUp:
-    payload, parity = _unframe(bits, CHANNEL_A_FRAME_BITS)
-    if parity != _even_parity(payload):
-        raise ParityError(payload)
+    payload = _unframe(bits, CHANNEL_A_FRAME_BITS)
     return ChannelAMessageUp(
         set_busy=bool(payload[0]),
         clear_busy=bool(payload[1]),
@@ -209,11 +216,6 @@ class ChannelBTransaction:
         if not 0 <= self.data <= 0xFFFFFFFF:
             raise MessageFormatError("data outside 32 bits")
 
-    def require_request(self):
-        if self.read == self.write:
-            raise MessageFormatError("request needs exactly one of read/write")
-        return self
-
 
 def encode_channel_b(txn: ChannelBTransaction) -> BitArray:
     """64-bit frame: ST + BC TID RD WR BE PE FE ADDR DATA + PA."""
@@ -232,9 +234,7 @@ def encode_channel_b(txn: ChannelBTransaction) -> BitArray:
 
 
 def decode_channel_b(bits) -> ChannelBTransaction:
-    payload, parity = _unframe(bits, CHANNEL_B_FRAME_BITS)
-    if parity != _even_parity(payload):
-        raise ParityError(payload)
+    payload = _unframe(bits, CHANNEL_B_FRAME_BITS)
     return ChannelBTransaction(
         broadcast=bool(payload[0]),
         target_id=bits_to_int(payload[1:6]),
@@ -274,9 +274,7 @@ def encode_channel_c_request(req: ChannelCRequest) -> BitArray:
 
 
 def decode_channel_c_request(bits) -> ChannelCRequest:
-    payload, parity = _unframe(bits, CHANNEL_C_REQUEST_BITS)
-    if parity != _even_parity(payload):
-        raise ParityError(payload)
+    payload = _unframe(bits, CHANNEL_C_REQUEST_BITS)
     return ChannelCRequest(
         opcode=bits_to_int(payload[0:8]),
         target_mask=bits_to_int(payload[8:40]),
@@ -285,6 +283,35 @@ def decode_channel_c_request(bits) -> ChannelCRequest:
 
 # ---------------------------------------------------------------------------
 # Event fragment packets (upstream channel C)
+
+
+def fragment_length(header_word: int) -> int | None:
+    """Total wire bytes (header, payload, CRC) of the packet that opens with
+    `header_word`, or None when no packet of this format has that header:
+    a size that is not a whole number of word pairs, an SOE packet too
+    short for its event header, or a packet over MAX_PACKET_BYTES."""
+    size = header_word & 0x3FFF  # bit 15 SOE, bit 14 EOE, bits 13..0 size
+    if size % 4 or size > 2 * MAX_PAYLOAD_WORDS:
+        return None
+    if header_word & 0x8000 and size < 2 * EVENT_HEADER_WORDS:
+        return None
+    return 2 + size + 4
+
+
+def frame_fragment(data: bytes) -> BitArray:
+    """Channel C link framing: one start bit, then the packet bytes."""
+    return np.concatenate([as_bits([1]), bits_from_bytes(data)])
+
+
+# A framed packet opens with its start bit and header word.
+FRAGMENT_HEAD_BITS = 1 + 16
+
+
+def fragment_frame_bits(head: BitArray) -> int | None:
+    """Length in bits of the framed packet whose first FRAGMENT_HEAD_BITS
+    bits are `head`, or None as for `fragment_length`."""
+    total = fragment_length(bits_to_int(head[1:]))
+    return None if total is None else 1 + 8 * total
 
 
 @dataclass
@@ -296,14 +323,11 @@ class FragmentPacket:
     crc: int = field(default=0)
 
     def __post_init__(self):
-        if len(self.payload_words) % 2:
-            raise MessageFormatError("payload word count must be even")
-        if len(self.payload_words) > MAX_PAYLOAD_WORDS:
+        n = len(self.payload_words)
+        if n > MAX_PAYLOAD_WORDS or fragment_length(self.header_word) is None:
             raise MessageFormatError(
-                f"packet exceeds {MAX_PACKET_BYTES} bytes on the wire"
+                f"{'SOE ' if self.soe else ''}packet of {n} payload words breaks the length rule"
             )
-        if self.soe and len(self.payload_words) < EVENT_HEADER_WORDS:
-            raise MessageFormatError("SOE packet too short for event header")
         for w in self.payload_words:
             if not 0 <= w <= 0xFFFF:
                 raise MessageFormatError("payload word outside 16 bits")
@@ -377,11 +401,14 @@ class FragmentPacket:
         if len(data) < 6:
             raise MessageFormatError("packet shorter than header plus CRC")
         header = int.from_bytes(data[0:2], "big")
-        size = header & 0x3FFF
-        if len(data) != 2 + size + 4:
+        total = fragment_length(header)
+        if total is None:
+            raise MessageFormatError(f"header word {header:#06x} opens no fragment packet")
+        if len(data) != total:
             raise MessageFormatError(
-                f"packet length {len(data)} does not match size field {size}"
+                f"packet length {len(data)} does not match its header's {total}"
             )
+        size = total - 6
         words = tuple(
             int.from_bytes(data[2 + 2 * i : 4 + 2 * i], "big") for i in range(size // 2)
         )
@@ -395,7 +422,3 @@ class FragmentPacket:
             crc=received_crc,
         )
         return pkt
-
-    def to_wire_bits(self) -> BitArray:
-        """Channel C link framing: one start bit, then the packet bytes."""
-        return np.concatenate([as_bits([1]), bits_from_bytes(self.serialize())])

@@ -18,6 +18,7 @@ from . import timebase
 from .frontend import EventGeneratorConfig, generator_word
 from .message_engine import MessageEngine
 from .symbol_engine import SymbolEngine
+from .system import CARD_FAULTS
 from .wire import PRBS_TAPS, PrbsGenerator, inject_bit_error, prbs_verify
 
 __all__ = [
@@ -93,23 +94,25 @@ class SimConfig:
             raise ValueError("mtu too small for the frame overhead")
         if self.credit < 1:
             raise ValueError("credit must be >= 1")
+        if self.warmup_ms > 0 and self.abstraction == "symbol_level":
+            raise ValueError("a measurement warm-up is a message-level feature")
         if self.keep_client_events is None:
             self.keep_client_events = self.run_ms is None
-        EventGeneratorConfig(
-            channels_per_event=self.channels_per_event,
-            words_per_channel=self.words_per_channel,
-            fill_pattern=self.fill_pattern,
-            constant_word=self.constant_word,
-        )
+        self.generator_config()
         if self.serials is not None and len(self.serials) < self.num_frontends:
             raise ValueError("serial list shorter than num_frontends")
+        fault_keys = {**CARD_FAULTS, **_ENGINES[self.abstraction].LINK_FAULTS}
+        for fault in self.faults:
+            kind = fault.get("type")
+            if kind not in fault_keys:
+                raise ValueError(f"fault type {kind!r} not supported at {self.abstraction}")
+            missing = [key for key in fault_keys[kind] if key not in fault]
+            if missing:
+                raise ValueError(f"{kind} fault lacks {missing}")
+            if not 0 <= fault["link"] < self.num_frontends:
+                raise ValueError(f"{kind} fault names link {fault['link']}, outside the cards")
 
     # -- derived values --------------------------------------------------------
-
-    @property
-    def aggregate_upstream_bps(self) -> float:
-        """Total return-link capacity: 400 Mbps per card, 12.8 Gbps at 32."""
-        return self.num_frontends * 400e6
 
     @property
     def trigger_period_ticks(self) -> int:

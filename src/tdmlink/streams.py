@@ -19,30 +19,30 @@ from .messages import (
     CHANNEL_A_FRAME_BITS,
     CHANNEL_B_FRAME_BITS,
     CHANNEL_C_REQUEST_BITS,
-    MAX_PACKET_BYTES,
-    ParityError,
+    FRAGMENT_HEAD_BITS,
+    MessageFormatError,
     decode_channel_a_down,
     decode_channel_a_up,
     decode_channel_b,
     decode_channel_c_request,
+    fragment_frame_bits,
 )
 from .wire import (
     DOWNSTREAM_SCHEDULE,
-    UPSTREAM_SCHEDULE,
     Descrambler,
     Scrambler,
     bit_slip_sync,
+    downstream_rx,
     downstream_tx,
-    invert_channel_b,
-    tdm_deinterleave,
-    tdm_interleave,
+    manchester_violations,
     training_pattern,
+    upstream_rx,
+    upstream_tx,
 )
 
 __all__ = [
     "BitQueue",
     "FrameScanner",
-    "PacketScanner",
     "DownstreamTransmitter",
     "DownstreamReceiver",
     "UpstreamTransmitter",
@@ -85,10 +85,19 @@ class BitQueue:
 
 
 class FrameScanner:
-    """Extract fixed-length frames (start bit 1) from a channel bit stream."""
+    """Extract frames that open with a start bit (1) from one channel's bit
+    stream; the zeros of an idle channel are skipped.
 
-    def __init__(self, frame_bits: int):
-        self.frame_bits = frame_bits
+    A fixed-length frame is `head_bits` long. With `length` given, the
+    first `head_bits` bits are a header and `length(head)` is the whole
+    frame's length, or None for a header that opens no frame of the format;
+    such a start bit is counted in `faults` and scanning resumes after it.
+    """
+
+    def __init__(self, head_bits: int, length=None):
+        self.head_bits = head_bits
+        self.length = length
+        self.faults = 0
         self._buf = np.empty(0, dtype=np.uint8)
         self._base = 0  # global channel-bit index of _buf[0]
 
@@ -103,12 +112,21 @@ class FrameScanner:
                 pos = len(self._buf)
                 break
             start = pos + int(ones[0])
-            if start + self.frame_bits > len(self._buf):
+            n = self.head_bits
+            if start + n > len(self._buf):
                 pos = start
                 break
-            frame = self._buf[start : start + self.frame_bits]
-            out.append((frame, self._base + start + self.frame_bits - 1))
-            pos = start + self.frame_bits
+            if self.length is not None:
+                n = self.length(self._buf[start : start + n])
+                if n is None:
+                    self.faults += 1
+                    pos = start + 1
+                    continue
+                if start + n > len(self._buf):
+                    pos = start
+                    break
+            out.append((self._buf[start : start + n], self._base + start + n - 1))
+            pos = start + n
         self._buf = self._buf[pos:]
         self._base += pos
         return out
@@ -117,56 +135,16 @@ class FrameScanner:
 def _decode_frames(scanner: FrameScanner, bits: BitArray, decode, errors: dict, channel: str) -> list:
     """Scan whole frames out of one channel's bits and decode each. Returns
     (message, index of the frame's last bit) pairs; a frame that fails its
-    parity check gives None and is counted in `errors[channel]`."""
+    parity check, or whose fields its message type forbids, gives None and
+    is counted in `errors[channel]`."""
     out = []
     for frame, end_index in scanner.feed(bits):
         try:
             out.append((decode(frame), end_index))
-        except ParityError:
+        except MessageFormatError:
             errors[channel] += 1
             out.append((None, end_index))
     return out
-
-
-class PacketScanner:
-    """Extract fragment packets (start bit, then self-sized bytes) from the
-    upstream channel C bit stream."""
-
-    def __init__(self):
-        self._buf = np.empty(0, dtype=np.uint8)
-        self.faults = 0
-
-    def feed(self, bits: BitArray) -> list[bytes]:
-        self._buf = np.concatenate([self._buf, as_bits(bits)])
-        out = []
-        pos = 0
-        while True:
-            ones = np.flatnonzero(self._buf[pos:])
-            if len(ones) == 0:
-                pos = len(self._buf)
-                break
-            start = pos + int(ones[0])
-            if start + 17 > len(self._buf):
-                pos = start
-                break
-            header = self._buf[start + 1 : start + 17]
-            size = 0
-            for b in header[2:16]:
-                size = (size << 1) | int(b)
-            if size % 2 or size > MAX_PACKET_BYTES - 6:
-                # Unusable size field: skip the bogus start bit and count it.
-                self.faults += 1
-                pos = start + 1
-                continue
-            total_bits = 8 * (2 + size + 4)
-            if start + 1 + total_bits > len(self._buf):
-                pos = start
-                break
-            payload = self._buf[start + 1 : start + 1 + total_bits]
-            out.append(np.packbits(payload).tobytes())
-            pos = start + 1 + total_bits
-        self._buf = self._buf[pos:]
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +234,8 @@ class DownstreamReceiver:
         chunk = self._pending[:usable]
         self._pending = self._pending[usable:]
         self._consumed += usable
-        firsts = chunk[0::2]
-        seconds = chunk[1::2]
-        self.coding_violations += int(np.count_nonzero(firsts == seconds))
-        a_bits, b_inv, c_bits = tdm_deinterleave(DOWNSTREAM_SCHEDULE, firsts, 0)
-        b_bits = invert_channel_b(b_inv)
+        self.coding_violations += len(manchester_violations(chunk))
+        a_bits, b_bits, c_bits = downstream_rx(chunk)
         scan, errors = self.scanners, self.parity_errors
         a = _decode_frames(scan["A"], a_bits, decode_channel_a_down, errors, "A")
         b = _decode_frames(scan["B"], b_bits, decode_channel_b, errors, "B")
@@ -314,9 +289,7 @@ class UpstreamTransmitter:
             a = self.queues["A"].pull(cycles)
             b = self.queues["B"].pull(cycles)
             c = self.queues["C"].pull(2 * cycles)
-            line = self.scrambler.scramble(
-                tdm_interleave(UPSTREAM_SCHEDULE, a, invert_channel_b(b), c)
-            )
+            line = upstream_tx(a, b, c, self.scrambler)
             self._out = np.concatenate([self._out, line])
         out = self._out[:nbits]
         self._out = self._out[nbits:]
@@ -344,7 +317,7 @@ class UpstreamReceiver:
         self._pending = np.empty(0, dtype=np.uint8)
         self.a_scanner = FrameScanner(CHANNEL_A_FRAME_BITS)
         self.b_scanner = FrameScanner(CHANNEL_B_FRAME_BITS)
-        self.c_scanner = PacketScanner()
+        self.c_scanner = FrameScanner(FRAGMENT_HEAD_BITS, fragment_frame_bits)
         self.parity_errors = {"A": 0, "B": 0}
         self.training_errors = 0
         self._train_phase = 0
@@ -367,12 +340,10 @@ class UpstreamReceiver:
             return events
         chunk = self._pending[:usable]
         self._pending = self._pending[usable:]
-        decoded = self.descrambler.descramble(chunk)
-        a_bits, b_inv, c_bits = tdm_deinterleave(UPSTREAM_SCHEDULE, decoded, 0)
-        b_bits = invert_channel_b(b_inv)
+        a_bits, b_bits, c_bits = upstream_rx(chunk, self.descrambler)
         a = _decode_frames(self.a_scanner, a_bits, decode_channel_a_up, self.parity_errors, "A")
         b = _decode_frames(self.b_scanner, b_bits, decode_channel_b, self.parity_errors, "B")
         events.a = [msg for msg, _ in a]
         events.b = [msg for msg, _ in b]
-        events.packets.extend(self.c_scanner.feed(c_bits))
+        events.packets = [np.packbits(frame[1:]).tobytes() for frame, _ in self.c_scanner.feed(c_bits)]
         return events

@@ -20,6 +20,7 @@ from .messages import (
     encode_channel_a,
     encode_channel_b,
     encode_channel_c_request,
+    frame_fragment,
 )
 from .streams import DownstreamReceiver, DownstreamTransmitter, UpstreamReceiver, UpstreamTransmitter
 from .system import System
@@ -29,7 +30,7 @@ __all__ = ["SymbolEngine"]
 
 
 class SymbolEngine(System):
-    LINK_FAULTS = frozenset({"line_flip", "link_reset"})
+    LINK_FAULTS = {"line_flip": ("link", "direction", "tick"), "link_reset": ("link", "tick")}
 
     def __init__(self, config):
         if config.link_latency_ticks:
@@ -127,10 +128,7 @@ class SymbolEngine(System):
         for reply in out.a_replies:
             self.up_tx[port].enqueue("A", encode_channel_a(reply))
         for data in out.packets:
-            bits = np.concatenate(
-                [np.ones(1, dtype=np.uint8), np.unpackbits(np.frombuffer(data, dtype=np.uint8))]
-            )
-            self.up_tx[port].enqueue("C", bits)
+            self.up_tx[port].enqueue("C", frame_fragment(data))
 
     # -- backend side ---------------------------------------------------------------
 

@@ -14,15 +14,17 @@ from .backend import BufferPool, DataPump, EventBuilder, PacketMover, TriggerUni
 from .frontend import FrontEndCard
 from .transport import FRAME_OVERHEAD_BYTES, TransportClient, TransportServer
 
-__all__ = ["System"]
+__all__ = ["CARD_FAULTS", "System"]
 
-CARD_FAULTS = frozenset({"corrupt_fragment", "soe_skew"})
+# Fault types applied to the cards, each with the keys it needs besides
+# "type" ("soe_skew" may also give "delta", default 1).
+CARD_FAULTS = {"corrupt_fragment": ("link", "event", "channel"), "soe_skew": ("link",)}
 
 
 class System:
-    # Fault types the link model applies itself; every other type outside
-    # CARD_FAULTS is rejected.
-    LINK_FAULTS: frozenset = frozenset()
+    # Fault types the link model applies itself, with the keys each needs;
+    # every other type outside CARD_FAULTS is rejected.
+    LINK_FAULTS: dict = {}
 
     def __init__(self, config):
         self.config = config

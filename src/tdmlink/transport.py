@@ -26,7 +26,7 @@ from .backend import (
     BufferPool,
     record_tag_link,
 )
-from .messages import FragmentPacket
+from .messages import FragmentPacket, fragment_length
 
 __all__ = [
     "TRANSPORT_MAGIC",
@@ -156,8 +156,9 @@ def parse_records(payload: bytes) -> list[tuple[int, bytes]]:
         pos += 2
         if pos + 2 > len(payload):
             raise TransportError("record truncated before packet header")
-        size = int.from_bytes(payload[pos : pos + 2], "big") & 0x3FFF
-        total = 2 + size + 4
+        total = fragment_length(int.from_bytes(payload[pos : pos + 2], "big"))
+        if total is None:
+            raise TransportError("record holds no fragment packet")
         if pos + total > len(payload):
             raise TransportError("record truncated")
         out.append((tag, payload[pos : pos + total]))

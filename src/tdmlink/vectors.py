@@ -39,10 +39,9 @@ from .wire import (
     DOWNSTREAM_SCHEDULE,
     UPSTREAM_SCHEDULE,
     Scrambler,
-    invert_channel_b,
-    manchester_encode,
+    downstream_tx,
     tdm_deinterleave,
-    tdm_interleave,
+    upstream_tx,
 )
 
 __all__ = [
@@ -61,16 +60,11 @@ VECTOR_FILENAME = "golden_vectors.txt"
 FRAME_VECTOR_FILENAME = "frame_vectors.json"
 
 
-def _invert_b_slots(cycles_bits, schedule):
-    a, b, c = tdm_deinterleave(schedule, cycles_bits, 0)
-    return tdm_interleave(schedule, a, invert_channel_b(b), c)
-
-
 def apply_direction(direction: str, bits):
     if direction == "down":
-        return manchester_encode(_invert_b_slots(bits, DOWNSTREAM_SCHEDULE))
+        return downstream_tx(*tdm_deinterleave(DOWNSTREAM_SCHEDULE, bits))
     if direction == "up":
-        return Scrambler(0).scramble(_invert_b_slots(bits, UPSTREAM_SCHEDULE))
+        return upstream_tx(*tdm_deinterleave(UPSTREAM_SCHEDULE, bits), Scrambler(0))
     if direction == "scramble":
         return Scrambler(0).scramble(bits)
     raise ValueError(f"unknown vector direction {direction!r}")

@@ -14,14 +14,12 @@ scrambler.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .bits import BitArray, as_bits, bits_from_int, bits_from_str
 
 __all__ = [
-    "Direction",
     "TdmSchedule",
     "DOWNSTREAM_SCHEDULE",
     "UPSTREAM_SCHEDULE",
@@ -39,6 +37,7 @@ __all__ = [
     "infer_slot_offset_from_idle",
     "manchester_encode",
     "manchester_decode",
+    "manchester_violations",
     "resolve_phase",
     "bit_slip_sync",
     "LineSyncState",
@@ -73,24 +72,18 @@ class SyncError(RuntimeError):
     """Receiver could not achieve or keep synchronization."""
 
 
-class Direction(Enum):
-    DOWNSTREAM = "down"
-    UPSTREAM = "up"
-
-
 @dataclass(frozen=True)
 class TdmSchedule:
     """Fixed cyclic slot assignment of one link direction."""
 
-    direction: Direction
     slot_sequence: tuple[str, ...]
 
     def slots_of(self, tag: str) -> tuple[int, ...]:
         return tuple(i for i, t in enumerate(self.slot_sequence) if t == tag)
 
 
-DOWNSTREAM_SCHEDULE = TdmSchedule(Direction.DOWNSTREAM, ("A", "B", "A", "C"))
-UPSTREAM_SCHEDULE = TdmSchedule(Direction.UPSTREAM, ("A", "B", "C", "C"))
+DOWNSTREAM_SCHEDULE = TdmSchedule(("A", "B", "A", "C"))
+UPSTREAM_SCHEDULE = TdmSchedule(("A", "B", "C", "C"))
 
 # Channel B occupies slot 1 in both directions; its inversion makes the
 # idle cycle 0100 instead of 0000, which is what delineation keys on.
@@ -190,6 +183,13 @@ def manchester_encode(bits) -> BitArray:
     return out
 
 
+def manchester_violations(symbols) -> np.ndarray:
+    """Symbol positions of the pairs (0,0) and (1,1), which the encoder never
+    sends; pairs start at even positions."""
+    symbols = as_bits(symbols)
+    return 2 * np.flatnonzero(symbols[0::2] == symbols[1::2])
+
+
 def manchester_decode(symbols, half_bit_phase: int, check: bool = True) -> BitArray:
     """Recover bits by sampling one symbol of every pair.
 
@@ -204,13 +204,11 @@ def manchester_decode(symbols, half_bit_phase: int, check: bool = True) -> BitAr
         raise WireFormatError(f"half-bit phase {half_bit_phase} outside 0..1")
     if len(symbols) % 2:
         raise WireFormatError("symbol count must be even")
-    firsts = symbols[0::2]
-    seconds = symbols[1::2]
     if check:
-        bad = np.flatnonzero(firsts == seconds)
+        bad = manchester_violations(symbols)
         if len(bad):
-            raise CodingViolationError(2 * int(bad[0]))
-    return (firsts if half_bit_phase == 0 else seconds).copy()
+            raise CodingViolationError(int(bad[0]))
+    return symbols[half_bit_phase::2].copy()
 
 
 def _matches_idle_rotation(decoded: BitArray) -> bool:
@@ -436,8 +434,10 @@ def downstream_tx(a, b, c) -> BitArray:
 
 
 def downstream_rx(symbols, half_bit_phase: int = 0, slot_offset: int = 0):
-    """Inverse of downstream_tx for an aligned symbol stream."""
-    line = manchester_decode(symbols, half_bit_phase)
+    """Inverse of downstream_tx for an aligned symbol stream. A pair that
+    breaks Manchester coding does not raise: its sampled half is taken as
+    the bit (`manchester_violations` counts such pairs)."""
+    line = manchester_decode(symbols, half_bit_phase, check=False)
     a, b_inv, c = tdm_deinterleave(DOWNSTREAM_SCHEDULE, line, slot_offset)
     return a, invert_channel_b(b_inv), c
 

@@ -87,7 +87,7 @@ class TestDataPump:
     def test_slow_consumer_never_overflows_over_1e6_packets(self):
         # Request-token discipline: however slow the consumer, a request is
         # posted only when the FIFO can hold a whole maximum-size packet, so
-        # overflow is impossible (on_packet asserts it). The producer stalls
+        # overflow is impossible (on_packet counts one as a fault). The producer stalls
         # instead of pushing: the request rate throttles to the consumption
         # rate by construction.
         rng = np.random.default_rng(17)
@@ -98,7 +98,7 @@ class TestDataPump:
         while delivered < 1_000_000:
             if pump.wants_request():
                 pump.request_posted()
-                pump.on_packet(packet)  # raises on any overflow
+                pump.on_packet(packet)
                 delivered += 1
                 if delivered % 100_000 == 0:
                     packet = b"\x00" * (2 * int(rng.integers(3, 1024)))
@@ -106,7 +106,21 @@ class TestDataPump:
                 assert pump.fifo, "pump neither requesting nor holding data"
                 pump.unload()
         assert pump.counters.packets == 1_000_000
+        assert pump.counters.faults == 0
         assert pump.fault is None
+
+    def test_unrequested_packet_into_occupied_fifo_is_dropped_and_counted(self):
+        # A line error can forge a data request or a start bit; the packet
+        # that follows finds the FIFO occupied.
+        pump = be.DataPump(2)
+        pump.enabled = True
+        pump.request_posted()
+        pump.on_packet(b"\x01" * 1030)
+        pump.on_packet(b"\x02" * 1030)
+        assert pump.counters.faults == 1
+        assert pump.counters.packets == 1
+        assert list(pump.fifo) == [b"\x01" * 1030]
+        assert pump.fault is None and pump.enabled
 
 
 class TestBufferPool:

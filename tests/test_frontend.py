@@ -137,6 +137,19 @@ class TestRegisterBus:
         )
         assert ((hi.data << 32) | lo.data) == card.serial_number
 
+    def test_request_neither_read_nor_write_gets_bus_error(self):
+        # One flipped start bit on an idle channel B gives an all-zero frame
+        # with valid parity: a request to port 0 that neither reads nor writes.
+        card = make_card()
+        for rd_wr in (False, True):
+            resp = card.on_channel_b(
+                m.ChannelBTransaction(target_id=0, read=rd_wr, write=rd_wr, address=0x0100, data=7)
+            )
+            assert resp.bus_error and resp.data == 0
+            assert (resp.target_id, resp.address) == (0, 0x0100)
+        assert card.request_errors == 2
+        assert card._scratch == {}
+
     def test_parity_error_response(self):
         card = make_card()
         resp = card.on_channel_b_parity_error()

@@ -147,10 +147,6 @@ class TestChannelB:
             with pytest.raises(m.ParityError):
                 m.decode_channel_b(bad)
 
-    def test_request_validation(self):
-        with pytest.raises(m.MessageFormatError):
-            m.ChannelBTransaction(read=True, write=True).require_request()
-
 
 class TestChannelC:
     def test_all_cards_one_frame(self):
@@ -275,8 +271,31 @@ class TestFragmentPacket:
                 continue
             assert not back.crc_ok
 
+    @pytest.mark.parametrize(
+        "header, total",
+        [
+            (0x0000, 6),  # empty, neither flag
+            (0x4000, 6),  # empty EOE
+            (0x8000 | 12, 18),  # SOE with just its event header
+            (0xC000 | 2040, 2046),  # largest packet
+            (0x0002, None),  # odd word count
+            (0x0006, None),
+            (0x8000 | 8, None),  # SOE too short for its event header
+            (0x0000 | 2044, None),  # over 2048 bytes on the wire
+            (0x3FFC, None),
+        ],
+    )
+    def test_fragment_length_rule(self, header, total):
+        assert m.fragment_length(header) == total
+        data = header.to_bytes(2, "big") + bytes(max(total or 0, 6) - 2)
+        if total is None:
+            with pytest.raises(m.MessageFormatError):
+                m.FragmentPacket.deserialize(data)
+        else:
+            assert not m.FragmentPacket.deserialize(data).crc_ok
+
     def test_wire_bits_have_start_bit(self):
         pkt = m.FragmentPacket.build(soe=False, eoe=True, payload_words=(7, 9))
-        bits = pkt.to_wire_bits()
+        bits = m.frame_fragment(pkt.serialize())
         assert bits[0] == 1
         assert len(bits) == 1 + 8 * len(pkt.serialize())

@@ -46,6 +46,35 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config keys"):
             SimConfig.from_dict({"bogus_key": 1})
 
+    @pytest.mark.parametrize(
+        "abstraction, fault",
+        [
+            ("message_level", {"type": "corrupt_fragment", "link": 1}),  # no event, channel
+            ("symbol_level", {"type": "line_flip", "link": 0, "tick": 600_000}),  # no direction
+            ("message_level", {"type": "drop_packet", "index": 0}),  # no link
+        ],
+    )
+    def test_fault_missing_a_key_rejected(self, abstraction, fault):
+        with pytest.raises(ValueError, match="lacks"):
+            small_scenario(abstraction, faults=[fault])
+
+    @pytest.mark.parametrize(
+        "abstraction, fault",
+        [
+            ("message_level", {"type": "soe_skew", "link": 2}),
+            ("symbol_level", {"type": "link_reset", "link": 5, "tick": 600_000}),
+            ("symbol_level", {"type": "line_flip", "link": -1, "direction": "up", "tick": 0}),
+        ],
+    )
+    def test_fault_on_a_link_outside_the_cards_rejected(self, abstraction, fault):
+        with pytest.raises(ValueError, match="outside the cards"):
+            small_scenario(abstraction, faults=[fault])
+
+    def test_warmup_rejected_at_symbol_level(self):
+        with pytest.raises(ValueError, match="warm-up"):
+            small_scenario("symbol_level", run_ms=1.2, warmup_ms=0.5)
+        small_scenario("message_level", run_ms=1.2, warmup_ms=0.5)
+
     def test_serials_distinct_and_deterministic(self):
         a = make_serials(5, 32)
         b = make_serials(5, 32)
@@ -199,9 +228,61 @@ class TestFaultInjection:
         ],
     )
     def test_unknown_fault_type_rejected(self, abstraction, kind):
-        cfg = small_scenario(abstraction, faults=[{"type": kind}])
         with pytest.raises(ValueError, match="not supported"):
-            run_scenario(cfg)
+            run_scenario(small_scenario(abstraction, faults=[{"type": kind}]))
+
+
+def line_error_scenario(**overrides):
+    kw = dict(
+        num_frontends=2,
+        abstraction="symbol_level",
+        trigger_mode="periodic",
+        trigger_count=4,
+        trigger_period_us=50,
+        trigger_start_us=400,
+        channels_per_event=2,
+        words_per_channel=4,
+    )
+    kw.update(overrides)
+    return SimConfig(**kw)
+
+
+class TestLineErrors:
+    """Nothing that arrives on a line raises out of an engine; corrupt input
+    is counted."""
+
+    @staticmethod
+    def run_and_audit(cfg):
+        res = run_scenario(cfg)
+        assert res.engine.pool.audit()
+        assert not res.engine.server.max_burst_violation
+        return res
+
+    @pytest.mark.parametrize("seed", [1, 4, 6])
+    def test_channel_b_request_neither_read_nor_write(self, seed):
+        res = self.run_and_audit(line_error_scenario(ber=1e-5, seed=seed))
+        assert sum(card.request_errors for card in res.engine.cards.values()) > 0
+
+    def test_packet_header_outside_the_length_rule(self):
+        res = self.run_and_audit(line_error_scenario(ber=1e-5, seed=7))
+        assert sum(rx.c_scanner.faults for rx in res.engine.backend_rx.values()) > 0
+
+    def test_unrequested_packet_into_occupied_fifo(self):
+        res = self.run_and_audit(line_error_scenario(ber=1e-3, seed=3))
+        assert sum(link["pump_faults"] for link in res.metrics.per_link.values()) > 0
+
+    # A fixed 0.6 ms window covers bootstrap, the four triggers and their
+    # readout (the plan completes at 0.56 ms at BER 0). An event-count run
+    # whose builder halts on a line error can instead go on for a minute:
+    # packets born of line errors keep the stall detector from firing.
+    @settings(max_examples=10, deadline=None)
+    @given(
+        cards=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+        ber=st.sampled_from([0.0, 1e-6, 1e-5]),
+    )
+    def test_no_engine_raises_at_low_ber(self, cards, seed, ber):
+        self.run_and_audit(line_error_scenario(num_frontends=cards, seed=seed, ber=ber, run_ms=0.6))
 
 
 class TestBerTester:

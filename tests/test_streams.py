@@ -10,7 +10,6 @@ from tdmlink.streams import (
     DownstreamReceiver,
     DownstreamTransmitter,
     FrameScanner,
-    PacketScanner,
     UpstreamReceiver,
     UpstreamTransmitter,
 )
@@ -50,19 +49,31 @@ class TestScanners:
 
     def test_packet_scanner_round_trip(self):
         pkt = m.FragmentPacket.build(soe=False, eoe=True, payload_words=(1, 2, 3, 4))
+        framed = m.frame_fragment(pkt.serialize())
         stream = np.concatenate(
-            [np.zeros(5, dtype=np.uint8), pkt.to_wire_bits(), np.zeros(9, dtype=np.uint8), pkt.to_wire_bits()]
+            [np.zeros(5, dtype=np.uint8), framed, np.zeros(9, dtype=np.uint8), framed]
         )
-        sc = PacketScanner()
+        sc = FrameScanner(m.FRAGMENT_HEAD_BITS, m.fragment_frame_bits)
         got = []
         rng = np.random.default_rng(0)
         pos = 0
         while pos < len(stream):
             n = int(rng.integers(1, 33))
-            got.extend(sc.feed(stream[pos : pos + n]))
+            got.extend(np.packbits(frame[1:]).tobytes() for frame, _ in sc.feed(stream[pos : pos + n]))
             pos += n
         assert got == [pkt.serialize(), pkt.serialize()]
         assert sc.faults == 0
+
+
+    def test_packet_scanner_emits_only_headers_the_rule_accepts(self):
+        # Sparse line errors on an idle channel C: every frame the scanner
+        # lets through must parse, and the headers it rejects are counted.
+        noise = (np.random.default_rng(3).random(20_000) < 0.01).astype(np.uint8)
+        sc = FrameScanner(m.FRAGMENT_HEAD_BITS, m.fragment_frame_bits)
+        packets = [np.packbits(frame[1:]).tobytes() for frame, _ in sc.feed(noise)]
+        assert packets and sc.faults > 0
+        for data in packets:
+            m.FragmentPacket.deserialize(data)
 
 
 class TestDownstreamChain:
@@ -170,7 +181,7 @@ class TestUpstreamChain:
         pkt = m.FragmentPacket.build(soe=False, eoe=True, payload_words=(10, 20))
         tx.enqueue("A", m.encode_channel_a(reply))
         tx.enqueue("B", m.encode_channel_b(resp))
-        tx.enqueue("C", pkt.to_wire_bits())
+        tx.enqueue("C", m.frame_fragment(pkt.serialize()))
 
         got_a, got_b, got_p = [], [], []
         line = tx.produce(64 + 400)
@@ -182,6 +193,19 @@ class TestUpstreamChain:
         assert got_a == [reply]
         assert got_b == [resp]
         assert got_p == [pkt.serialize()]
+
+    def test_forbidden_field_combination_counted_like_parity_error(self):
+        # SET_BUSY and CLEAR_BUSY both set, with valid parity.
+        frame = np.array([1, 1, 1, 0, 0, 0, 0, 0, 0, 0], dtype=np.uint8)
+        with pytest.raises(m.MessageFormatError):
+            m.decode_channel_a_up(frame)
+        tx = UpstreamTransmitter(training_bits=0)
+        rx = UpstreamReceiver(training_bits=0)
+        tx.enqueue("A", frame)
+        tx.enqueue("A", m.encode_channel_a(m.ChannelAMessageUp(clear_busy=True)))
+        ev = rx.feed(tx.produce(200))
+        assert ev.a == [None, m.ChannelAMessageUp(clear_busy=True)]
+        assert rx.parity_errors == {"A": 1, "B": 0}
 
     def test_idle_upstream_line_is_scrambled_not_zero(self):
         tx = UpstreamTransmitter(training_bits=0)
@@ -200,7 +224,7 @@ class TestUpstreamChain:
         rx.reset()
         pkt = m.FragmentPacket.build(soe=True, eoe=True,
                                      payload_words=m.FragmentPacket.event_header_payload(7, 1000))
-        tx.enqueue("C", pkt.to_wire_bits())
+        tx.enqueue("C", m.frame_fragment(pkt.serialize()))
         got = []
         for _ in range(4):
             got.extend(rx.feed(tx.produce(100)).packets)

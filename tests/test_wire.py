@@ -133,6 +133,17 @@ class TestManchester:
         assert err.value.position == 4
 
 
+    def test_downstream_rx_counts_violations_instead_of_raising(self):
+        symbols = wire.downstream_tx([1, 0, 1, 1], [0, 1], [1, 0])
+        symbols[3] ^= 1  # pair 1 (channel B) becomes (1,1)
+        symbols[12] ^= 1  # pair 6 (channel A) becomes (0,0)
+        assert wire.manchester_violations(symbols).tolist() == [2, 12]
+        a, b, c = wire.downstream_rx(symbols)
+        # Phase 0 samples the first symbol of each pair: pair 1 reads the
+        # bit that was sent, pair 6 reads 0 where 1 was sent.
+        assert (a.tolist(), b.tolist(), c.tolist()) == ([1, 0, 1, 0], [0, 1], [1, 0])
+
+
 class TestResolvePhase:
     def test_aligned_stream_is_phase0(self):
         assert wire.resolve_phase(wire.downstream_idle_symbols(4)) == 0
