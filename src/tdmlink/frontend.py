@@ -69,9 +69,10 @@ ID_UNASSIGNED = 0xFFFFFFFF
 SERIAL_BITS = 53
 
 
-def generator_word(port_id: int, channel: int, k: int) -> int:
+def generator_word(port_id: int, channel: int, k):
     """Counter fill pattern, stamped with the card and channel identity so
-    the DAQ client can verify provenance bit-exactly."""
+    the DAQ client can verify provenance bit-exactly. Elementwise: `k` may
+    be a word index or an integer array of them."""
     return ((port_id << 11) ^ (channel << 2) ^ k) & 0xFFFF
 
 
@@ -169,7 +170,7 @@ class FrontEndCard:
                 if self.clear_busy_on == "buffered":
                     self.busy = False
                     out.a_replies.append(ChannelAMessageUp(clear_busy=True))
-                out.packets.extend(self._drain_pending_requests())
+                self._drain_pending_requests(out)
         return out
 
     # -- channel B ----------------------------------------------------------
@@ -268,16 +269,15 @@ class FrontEndCard:
             out.packets.append(packet)
         return out
 
-    def _drain_pending_requests(self) -> list[bytes]:
-        sent = []
+    def _drain_pending_requests(self, out: CardOutput):
+        """Answer request tokens held while no data existed; replies the
+        packets cause (CLEAR_BUSY in readout mode) go to `out` too."""
         while self.pending_requests:
-            out = CardOutput()
             packet = self._take_packet(out)
             if packet is None:
                 break
             self.pending_requests -= 1
-            sent.append(packet)
-        return sent
+            out.packets.append(packet)
 
     def _take_packet(self, out: CardOutput) -> bytes | None:
         if not self.event_queue:
@@ -294,29 +294,26 @@ class FrontEndCard:
 
     # -- event payload generation -------------------------------------------
 
-    def _channel_words(self, event_number: int, channel: int) -> tuple[int, ...]:
+    def _channel_words(self, event_number: int, channel: int) -> np.ndarray:
         cfg = self.generator
+        n = cfg.words_per_channel
         port = self.assigned_id if self.assigned_id is not None else 0
         if cfg.fill_pattern == "counter":
-            return tuple(
-                generator_word(port, channel, k) for k in range(cfg.words_per_channel)
-            )
+            return generator_word(port, channel, np.arange(n))
         if cfg.fill_pattern == "constant":
-            return (cfg.constant_word,) * cfg.words_per_channel
+            return np.full(n, cfg.constant_word)
         seed = ((self.serial_number ^ (event_number * 2654435761) ^ channel) % 32766) + 1
-        bits = PrbsGenerator(15, seed=seed).stream(16 * cfg.words_per_channel)
-        packed = np.packbits(bits)
-        return tuple(
-            (int(packed[2 * i]) << 8) | int(packed[2 * i + 1])
-            for i in range(cfg.words_per_channel)
-        )
+        bits = PrbsGenerator(15, seed=seed).stream(16 * n)
+        return np.frombuffer(np.packbits(bits), ">u2")
 
     def _fragment_bytes(self, ev: _QueuedEvent, channel: int) -> bytes:
         soe = channel == 0
         eoe = channel == self.generator.channels_per_event - 1
         words = self._channel_words(ev.event_number, channel)
         if soe:
-            words = FragmentPacket.event_header_payload(ev.event_number, ev.timestamp) + words
+            words = np.concatenate(
+                [FragmentPacket.event_header_payload(ev.event_number, ev.timestamp), words]
+            )
         data = FragmentPacket.build(soe=soe, eoe=eoe, payload_words=words).serialize()
         if (ev.event_number, channel) in self.corrupt_fragments:
             corrupted = bytearray(data)

@@ -15,8 +15,9 @@ is framed by one start bit; its header word alone fixes its length
 
 from __future__ import annotations
 
+import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -314,47 +315,69 @@ def fragment_frame_bits(head: BitArray) -> int | None:
     return None if total is None else 1 + 8 * total
 
 
-@dataclass
 class FragmentPacket:
-    soe: bool
-    eoe: bool
-    payload_words: tuple[int, ...]
-    crc_ok: bool = True
-    crc: int = field(default=0)
+    """One fragment packet held as its wire bytes: header word, payload
+    words and CRC-32, all big-endian. Fields are read from fixed offsets
+    and payload words are decoded only when asked for. `crc_ok` records
+    whether the CRC matched the bytes when they were parsed; packets made
+    by `build` always match."""
 
-    def __post_init__(self):
-        n = len(self.payload_words)
-        if n > MAX_PAYLOAD_WORDS or fragment_length(self.header_word) is None:
-            raise MessageFormatError(
-                f"{'SOE ' if self.soe else ''}packet of {n} payload words breaks the length rule"
-            )
-        for w in self.payload_words:
-            if not 0 <= w <= 0xFFFF:
-                raise MessageFormatError("payload word outside 16 bits")
-        self.payload_words = tuple(int(w) for w in self.payload_words)
-        if self.crc == 0 and self.crc_ok:
-            self.crc = crc32(self._body_bytes())
+    __slots__ = ("data", "crc_ok")
+
+    def __init__(self, data: bytes, crc_ok: bool):
+        self.data = data
+        self.crc_ok = crc_ok
+
+    @property
+    def soe(self) -> bool:
+        return bool(self.data[0] & 0x80)
+
+    @property
+    def eoe(self) -> bool:
+        return bool(self.data[0] & 0x40)
 
     @property
     def size_bytes(self) -> int:
-        return 2 * len(self.payload_words)
+        return len(self.data) - 6
 
     @property
-    def header_word(self) -> int:
-        return (int(self.soe) << 15) | (int(self.eoe) << 14) | self.size_bytes
+    def crc(self) -> int:
+        return int.from_bytes(self.data[-4:], "big")
 
-    def _body_bytes(self) -> bytes:
-        body = bytearray(self.header_word.to_bytes(2, "big"))
-        for w in self.payload_words:
-            body += w.to_bytes(2, "big")
-        return bytes(body)
+    @property
+    def payload_words(self) -> tuple[int, ...]:
+        return struct.unpack(f">{self.size_bytes // 2}H", self.data[2:-4])
+
+    @property
+    def data_bytes(self) -> bytes:
+        """Payload bytes without the SOE event-header prefix."""
+        return self.data[2 + 2 * EVENT_HEADER_WORDS if self.soe else 2 : -4]
+
+    @property
+    def data_words(self) -> tuple[int, ...]:
+        """Payload without the SOE event-header prefix."""
+        data = self.data_bytes
+        return struct.unpack(f">{len(data) // 2}H", data)
 
     def serialize(self) -> bytes:
-        return self._body_bytes() + self.crc.to_bytes(4, "big")
+        return self.data
 
     @classmethod
     def build(cls, soe: bool, eoe: bool, payload_words) -> "FragmentPacket":
-        return cls(soe=soe, eoe=eoe, payload_words=tuple(int(w) for w in payload_words))
+        try:
+            words = np.asarray(payload_words, dtype=np.int64)
+        except OverflowError:
+            raise MessageFormatError("payload word outside 16 bits") from None
+        n = len(words)
+        header = (int(soe) << 15) | (int(eoe) << 14) | (2 * n)
+        if n > MAX_PAYLOAD_WORDS or fragment_length(header) is None:
+            raise MessageFormatError(
+                f"{'SOE ' if soe else ''}packet of {n} payload words breaks the length rule"
+            )
+        if n and (words.min() < 0 or words.max() > 0xFFFF):
+            raise MessageFormatError("payload word outside 16 bits")
+        body = header.to_bytes(2, "big") + words.astype(">u2").tobytes()
+        return cls(body + crc32(body).to_bytes(4, "big"), True)
 
     @classmethod
     def event_header_payload(cls, event_number: int, timestamp: int) -> tuple[int, ...]:
@@ -377,22 +400,13 @@ class FragmentPacket:
     def event_number(self) -> int:
         if not self.soe:
             raise MessageFormatError("event number only present in SOE packets")
-        return (self.payload_words[0] << 16) | self.payload_words[1]
+        return int.from_bytes(self.data[2:6], "big")
 
     @property
     def timestamp(self) -> int:
         if not self.soe:
             raise MessageFormatError("timestamp only present in SOE packets")
-        return (
-            (self.payload_words[2] << 32)
-            | (self.payload_words[3] << 16)
-            | self.payload_words[4]
-        )
-
-    @property
-    def data_words(self) -> tuple[int, ...]:
-        """Payload without the SOE event-header prefix."""
-        return self.payload_words[EVENT_HEADER_WORDS:] if self.soe else self.payload_words
+        return int.from_bytes(self.data[6:12], "big")
 
     @classmethod
     def deserialize(cls, data: bytes) -> "FragmentPacket":
@@ -408,17 +422,5 @@ class FragmentPacket:
             raise MessageFormatError(
                 f"packet length {len(data)} does not match its header's {total}"
             )
-        size = total - 6
-        words = tuple(
-            int.from_bytes(data[2 + 2 * i : 4 + 2 * i], "big") for i in range(size // 2)
-        )
-        received_crc = int.from_bytes(data[-4:], "big")
-        ok = received_crc == crc32(data[:-4])
-        pkt = cls(
-            soe=bool(header & 0x8000),
-            eoe=bool(header & 0x4000),
-            payload_words=words,
-            crc_ok=ok,
-            crc=received_crc,
-        )
-        return pkt
+        data = bytes(data)
+        return cls(data, int.from_bytes(data[-4:], "big") == crc32(data[:-4]))

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import timebase
 from .messages import (
+    CHANNEL_B_FRAME_BITS,
     ChannelAMessageDown,
     ChannelCRequest,
     encode_channel_a,
@@ -27,6 +28,12 @@ from .system import System
 from .transport import CreditGrant
 
 __all__ = ["SymbolEngine"]
+
+# A card answers a channel B request once, one frame time each way after
+# the request goes out. A reply lost to a line error never comes, so an
+# exchange waits four downstream frame times and no longer; waiting longer
+# would only push bootstrap past the data-taking start.
+EXCHANGE_TIMEOUT_TICKS = 4 * CHANNEL_B_FRAME_BITS * timebase.DOWN_TICKS_PER_CHANNEL_BIT["B"]
 
 
 class SymbolEngine(System):
@@ -184,7 +191,8 @@ class SymbolEngine(System):
         expected = list(self._b_inbox) if txn.broadcast else [txn.target_id]
         start_counts = {port: len(inbox) for port, inbox in self._b_inbox.items()}
         self.down_tx.enqueue("B", encode_channel_b(txn))
-        for _ in range(400):
+        deadline = self.now + EXCHANGE_TIMEOUT_TICKS
+        while self.now < deadline:
             self._advance_one_slice()
             if all(len(self._b_inbox[p]) > start_counts[p] for p in expected):
                 break
@@ -213,12 +221,11 @@ class SymbolEngine(System):
                 if self.now >= max_ticks:
                     break
                 continue
-            if self._plan_delivered():
+            if self._plan_delivered() or self.builder.halt_reason is not None:
                 break
             idle_slices = idle_slices + 1 if self._progress_state() == before else 0
             if idle_slices > 2000:
-                self.violations.append("symbol engine stalled before completion")
-                break
+                break  # stalled; the audit reports the undelivered plan
         self._audit()
 
     def _progress_state(self):

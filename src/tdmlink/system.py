@@ -116,6 +116,17 @@ class System:
             self.violations.append("buffer descriptor conservation broken")
         if self.server.max_burst_violation:
             self.violations.append("transport server exceeded granted credit")
+        # An event-count run owes the whole plan unless the builder halted,
+        # which the metrics report on their own.
+        if (
+            self.config.run_ticks is None
+            and not self._plan_delivered()
+            and self.builder.halt_reason is None
+        ):
+            self.violations.append(
+                f"run ended with {self.client.stats.events} of "
+                f"{self.trigger_unit.count} planned events delivered"
+            )
 
     # -- measurement -----------------------------------------------------------------
 

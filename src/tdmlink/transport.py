@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .backend import (
     RECORD_EVENT_HEADER,
     RECORD_GLOBAL_EOE,
@@ -201,7 +203,9 @@ class TransportClient:
     """Reassembles events from the record stream and keeps statistics.
 
     `expected_word_fn(link, channel_index, k)` enables bit-exact provenance
-    verification of generator payloads.
+    verification of generator payloads. It is evaluated elementwise over an
+    integer array `k` of word indices and must return the expected 16-bit
+    words as an array of the same length.
     """
 
     def __init__(self, expected_word_fn=None, keep_events: bool = True):
@@ -269,10 +273,10 @@ class TransportClient:
             return
         channel = self._frag_index.get(link, 0)
         self._frag_index[link] = channel + 1
-        for k, word in enumerate(packet.data_words):
-            if word != self.expected_word_fn(link, channel, k):
-                self.stats.provenance_errors += 1
-                break
+        data = packet.data_bytes
+        expected = self.expected_word_fn(link, channel, np.arange(len(data) // 2))
+        if data != np.asarray(expected).astype(">u2").tobytes():
+            self.stats.provenance_errors += 1
 
     def _close(self, event: ClientEvent):
         self.stats.events += 1

@@ -1,7 +1,10 @@
 """Front-end card behavior: triggers, register bus, request tokens, bootstrap."""
 
+import numpy as np
+
 from tdmlink import frontend as fe
 from tdmlink import messages as m
+from tdmlink.wire import PrbsGenerator
 
 TRIGGER = m.ChannelAMessageDown(sampling_stop=True)
 
@@ -69,6 +72,19 @@ class TestTriggerHandling:
             m.ChannelBTransaction(read=True, target_id=0, address=fe.REG_LOST_TRIGGERS)
         )
         assert resp.data == 1
+
+    def test_readout_mode_held_token_answered_with_clear_busy(self):
+        # A token held while no data existed is answered by the trigger; the
+        # packet finishes the one-channel event, so CLEAR_BUSY goes out too.
+        card = make_card(
+            clear_busy_on="readout",
+            generator=fe.EventGeneratorConfig(channels_per_event=1, words_per_channel=4),
+        )
+        assert card.on_channel_c(m.ChannelCRequest(target_mask=1)).packets == []
+        out = card.on_channel_a(TRIGGER, 0)
+        assert len(out.packets) == 1
+        assert [(r.set_busy, r.clear_busy) for r in out.a_replies] == [(True, False), (False, True)]
+        assert not card.busy and card.pending_requests == 0
 
     def test_clear_busy_on_readout_mode(self):
         card = make_card(clear_busy_on="readout")
@@ -238,6 +254,24 @@ class TestDataRequests:
         parsed = [m.FragmentPacket.deserialize(p) for p in pkts]
         assert [p.crc_ok for p in parsed] == [True, False, True]
         assert parsed[1].eoe is False  # header flags untouched
+
+    def test_fill_patterns_match_per_word_reference(self):
+        card = assign(make_card(serial_number=0x1F2E3D4C5B6A7), 5)
+        for pattern in ("counter", "prbs", "constant"):
+            card.generator = fe.EventGeneratorConfig(
+                channels_per_event=2, words_per_channel=16, fill_pattern=pattern, constant_word=0x1234
+            )
+            for event_number, channel in ((0, 0), (3, 1), (70000, 1)):
+                words = card._channel_words(event_number, channel)
+                if pattern == "counter":
+                    expected = [fe.generator_word(5, channel, k) for k in range(16)]
+                elif pattern == "constant":
+                    expected = [0x1234] * 16
+                else:
+                    seed = ((card.serial_number ^ (event_number * 2654435761) ^ channel) % 32766) + 1
+                    packed = np.packbits(PrbsGenerator(15, seed=seed).stream(256))
+                    expected = [(int(packed[2 * i]) << 8) | int(packed[2 * i + 1]) for i in range(16)]
+                assert [int(w) for w in words] == expected
 
     def test_prbs_and_constant_fill_patterns(self):
         for pattern in ("prbs", "constant"):

@@ -198,7 +198,52 @@ class TestCrc32:
             assert m.crc32(bytes(mutable)) != base
 
 
+def reference_fragment_bytes(soe: bool, eoe: bool, words) -> bytes:
+    """Per-word packet encoder: header word, each payload word big-endian,
+    then the bit-serial CRC-32 of both."""
+    body = bytearray(((int(soe) << 15) | (int(eoe) << 14) | 2 * len(words)).to_bytes(2, "big"))
+    for w in words:
+        body += int(w).to_bytes(2, "big")
+    return bytes(body) + reference_crc32(bytes(body)).to_bytes(4, "big")
+
+
 class TestFragmentPacket:
+    def test_build_matches_per_word_encoder(self):
+        rng = np.random.default_rng(10)
+        cases = [(False, False, ()), (False, True, ())]
+        for _ in range(200):
+            soe, eoe = bool(rng.integers(2)), bool(rng.integers(2))
+            words = tuple(int(w) for w in rng.integers(0, 1 << 16, size=2 * int(rng.integers(0, 40))))
+            if soe:
+                number, ts = int(rng.integers(1 << 32)), int(rng.integers(1 << 48))
+                words = m.FragmentPacket.event_header_payload(number, ts) + words
+            cases.append((soe, eoe, words))
+        for soe, eoe, words in cases:
+            data = m.FragmentPacket.build(soe=soe, eoe=eoe, payload_words=words).serialize()
+            assert data == reference_fragment_bytes(soe, eoe, words)
+            back = m.FragmentPacket.deserialize(data)
+            assert back.crc_ok and back.serialize() == data
+            assert (back.soe, back.eoe) == (soe, eoe)
+            assert back.size_bytes == 2 * len(words)
+            assert back.crc == int.from_bytes(data[-4:], "big")
+            assert back.payload_words == words
+            data_words = words[m.EVENT_HEADER_WORDS:] if soe else words
+            assert back.data_words == data_words
+            assert back.data_bytes == b"".join(w.to_bytes(2, "big") for w in data_words)
+            if soe:
+                assert back.event_number == (words[0] << 16) | words[1]
+                assert back.timestamp == (words[2] << 32) | (words[3] << 16) | words[4]
+            else:
+                with pytest.raises(m.MessageFormatError):
+                    back.event_number
+                with pytest.raises(m.MessageFormatError):
+                    back.timestamp
+
+    @pytest.mark.parametrize("bad", [-1, 0x10000, 2**70])
+    def test_build_rejects_words_outside_16_bits(self, bad):
+        with pytest.raises(m.MessageFormatError, match="outside 16 bits"):
+            m.FragmentPacket.build(soe=False, eoe=False, payload_words=(1, 2, bad, 4))
+
     def test_empty_eoe_round_trip(self):
         pkt = m.FragmentPacket.build(soe=False, eoe=True, payload_words=())
         assert pkt.size_bytes == 0

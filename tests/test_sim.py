@@ -141,6 +141,27 @@ class TestAbstractionEquivalence:
         assert res_m.client_digest() == res_s.client_digest()
 
 
+class TestReadoutMode:
+    @pytest.mark.parametrize("abstraction", ["message_level", "symbol_level"])
+    def test_held_token_answer_clears_busy(self, abstraction):
+        # One channel per event: a request token the card holds before the
+        # trigger is answered with the whole event, and the CLEAR_BUSY that
+        # completing it causes must reach the gated trigger unit.
+        cfg = SimConfig(
+            num_frontends=2,
+            abstraction=abstraction,
+            trigger_mode="gated",
+            trigger_count=4,
+            channels_per_event=1,
+            words_per_channel=4,
+            clear_busy_on="readout",
+        )
+        res = run_scenario(cfg)
+        assert res.metrics.events_built == 4
+        assert res.metrics.client["events"] == 4
+        assert res.metrics.violations == []
+
+
 class TestFaultInjection:
     def test_corrupt_fragment_one_incomplete_event(self):
         cfg = small_scenario(
@@ -218,6 +239,24 @@ class TestFaultInjection:
         res = run_scenario(cfg)
         assert res.metrics.client["events"] == 10
 
+    @pytest.mark.parametrize("index, halted", [(1, True), (3, False)])
+    def test_plan_left_undelivered_without_a_halt_is_a_violation(self, index, halted):
+        # Two packets per event and link: index 1 and 3 are the EOE packets
+        # of events 0 and 1. Losing the first halts the builder at event 1's
+        # start; losing the second lets it build event 1 from event 2's
+        # packets and then wait for a start-of-event that never comes.
+        cfg = small_scenario(
+            "message_level",
+            trigger_count=3,
+            channels_per_event=2,
+            faults=[{"type": "drop_packet", "link": 1, "index": index}],
+        )
+        res = run_scenario(cfg)
+        assert res.metrics.client["events"] == 0
+        assert (res.metrics.halt_reason is not None) == halted
+        expected = [] if halted else ["run ended with 0 of 3 planned events delivered"]
+        assert res.metrics.violations == expected
+
     @pytest.mark.parametrize(
         "abstraction, kind",
         [
@@ -271,10 +310,25 @@ class TestLineErrors:
         res = self.run_and_audit(line_error_scenario(ber=1e-3, seed=3))
         assert sum(link["pump_faults"] for link in res.metrics.per_link.values()) > 0
 
+    def test_event_count_run_ends_when_the_builder_halts(self):
+        # The builder halts by 0.6 ms on a start-of-event mismatch; packets
+        # born of line errors on idle channel C would keep the stall detector
+        # from ever firing.
+        res = self.run_and_audit(line_error_scenario(num_frontends=4, ber=1e-5, seed=23))
+        assert res.metrics.halt_reason is not None
+        assert res.metrics.elapsed_ticks < 400_000
+
+    def test_lost_channel_b_reply_does_not_delay_bootstrap(self):
+        # A line error destroys link 1's reply to a bootstrap write; the
+        # exchange gives up on it after a few frame times, not after 400
+        # slices, so bootstrap still ends before data taking starts.
+        res = self.run_and_audit(line_error_scenario(num_frontends=3, ber=1e-5, seed=116, run_ms=0.6))
+        assert res.metrics.bootstrap["verified"]
+        assert res.engine.backend_rx[1].parity_errors["B"] > 0
+
     # A fixed 0.6 ms window covers bootstrap, the four triggers and their
-    # readout (the plan completes at 0.56 ms at BER 0). An event-count run
-    # whose builder halts on a line error can instead go on for a minute:
-    # packets born of line errors keep the stall detector from firing.
+    # readout (the plan completes at 0.56 ms at BER 0), and it bounds each
+    # example's length whatever the line errors do to the plan.
     @settings(max_examples=10, deadline=None)
     @given(
         cards=st.integers(1, 4),

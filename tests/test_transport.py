@@ -137,6 +137,32 @@ class TestClientReassembly:
         for ev in client.events:
             assert {link for link, _ in ev.fragments} == {0, 1, 2}
 
+    @pytest.mark.parametrize(
+        "flip, errors", [(None, 0), ((0, 0), 1), ((1, 7), 1), ((2, 3), 1)]
+    )
+    def test_one_flipped_data_word_is_one_provenance_error(self, flip, errors):
+        """Three counter-fill fragments of link 1; `flip` = (channel, word)
+        gets one bit flipped under a valid CRC."""
+        def record(tag, soe, eoe, words):
+            return tag.to_bytes(2, "big") + m.FragmentPacket.build(soe, eoe, words).serialize()
+
+        head = m.FragmentPacket.event_header_payload(5, 1000)
+        payload = record(be.RECORD_EVENT_HEADER, True, False, head)
+        for channel in range(3):
+            words = [fe.generator_word(1, channel, k) for k in range(8)]
+            if flip is not None and flip[0] == channel:
+                words[flip[1]] ^= 0x0100
+            soe = channel == 0
+            payload += record(
+                be.RECORD_FRAGMENT_BASE + 1, soe, channel == 2, (head if soe else ()) + tuple(words)
+            )
+        payload += record(be.RECORD_GLOBAL_EOE, False, True, ())
+        client = tp.TransportClient(expected_word_fn=fe.generator_word)
+        client.receive(tp.TransportFrame(0, 0, payload).serialize())
+        assert client.stats.events == 1
+        assert client.stats.crc_failures == 0 and client.stats.structure_errors == 0
+        assert client.stats.provenance_errors == errors
+
     def test_dropped_frame_counted_and_event_flagged(self):
         pool, _ = fill_buffers(n_events=6, pool_size=32)
         server = tp.TransportServer(pool)
