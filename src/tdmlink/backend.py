@@ -275,7 +275,9 @@ class EventBuilder:
         self._turn = 0
         self._soe_records: list[tuple[int, bytes]] = []
         self._event_incomplete = False
-        self._eoe_done: set[int] = set()
+        # Links still owing body packets this event, in round-robin order;
+        # a link leaves when it delivers its EOE packet.
+        self._body: list[int] = []
         # Records accepted but not yet written to a buffer (mover stalled).
         self._pending: deque[tuple[int, bytes, bool]] = deque()
 
@@ -323,8 +325,8 @@ class EventBuilder:
             # as having delivered its SOE with unknown values.
             self.counters[link].crc_drops += 1
             self._event_incomplete = True
-            if packet.eoe:
-                self._eoe_done.add(link)
+            if not packet.eoe:
+                self._body.append(link)
             self._advance_await(pumps, link, None)
             return True
         if not packet.soe:
@@ -343,8 +345,8 @@ class EventBuilder:
                 f"expected {self.current_event_number}/ts {self.current_timestamp}"
             )
             return False
-        if packet.eoe:
-            self._eoe_done.add(link)
+        if not packet.eoe:
+            self._body.append(link)
         self.counters[link].packets += 1
         self.counters[link].payload_bytes += packet.size_bytes
         self._advance_await(pumps, link, data)
@@ -373,15 +375,10 @@ class EventBuilder:
 
     # -- Body phase -----------------------------------------------------------
 
-    def _body_links(self) -> list[int]:
-        return [l for l in self.active_links if l not in self._eoe_done]
-
     def _step_body(self, pumps: dict[int, DataPump]) -> bool:
-        remaining = self._body_links()
+        remaining = self._body
         if not remaining:
             return self._finish_event()
-        if self._turn >= len(remaining):
-            self._turn = 0
         link = remaining[self._turn]
         pump = pumps[link]
         if pump.peek() is None:
@@ -391,8 +388,8 @@ class EventBuilder:
         if packet.eoe:
             # The link leaves the rotation; the next link slides into this
             # turn index, so only wrap-around needs handling.
-            self._eoe_done.add(link)
-            if self._turn >= len(remaining) - 1:
+            del remaining[self._turn]
+            if self._turn >= len(remaining):
                 self._turn = 0
         else:
             self._turn = (self._turn + 1) % len(remaining)
@@ -417,7 +414,6 @@ class EventBuilder:
         self.current_event_number = None
         self.current_timestamp = None
         self._event_incomplete = False
-        self._eoe_done = set()
         self._turn = 0
         return True
 
@@ -498,11 +494,20 @@ def untimed_exchange(cards: dict) -> Callable:
     return exchange
 
 
-def bootstrap_sequence(exchange, ports: list[int]) -> BootstrapResult:
+# Times bootstrap sends one transaction while an addressed card answers it
+# with the parity-error flag, i.e. the request reached that card corrupted.
+# A card answers every request it receives corrupted, since it cannot tell
+# whom it addressed, so only the addressed ports' answers count.
+BOOTSTRAP_ATTEMPTS = 3
+
+
+def bootstrap_sequence(send, ports: list[int]) -> BootstrapResult:
     """ID assignment at system start.
 
-    `exchange(txn)` sends one channel B transaction down the fanout and
-    returns {port: response} gathered from the per-port return links. Step 1
+    `send(txn)` sends one channel B transaction down the fanout and returns
+    {port: response} gathered from the per-port return links. A transaction
+    is resent while an addressed port's response flags a parity error, up to
+    BOOTSTRAP_ATTEMPTS sends; responses that flag one are dropped. Step 1
     learns serial <-> port from the broadcast serial reads; step 2
     broadcasts the mapping; step 3 verifies every card's ID register with a
     targeted read, whose response must come back on the card's own port.
@@ -510,6 +515,16 @@ def bootstrap_sequence(exchange, ports: list[int]) -> BootstrapResult:
     from .frontend import REG_ASSIGNED_ID, REG_MAP_PORT, REG_MAP_SERIAL_HI, REG_MAP_SERIAL_LO
     from .frontend import REG_SERIAL_HI, REG_SERIAL_LO
     from .messages import ChannelBTransaction
+
+    def exchange(txn):
+        addressed = ports if txn.broadcast else [txn.target_id]
+        answers = {}
+        for _ in range(BOOTSTRAP_ATTEMPTS):
+            replies = send(txn)
+            answers.update({port: r for port, r in replies.items() if not r.parity_error})
+            if not any(replies[p].parity_error for p in addressed if p in replies):
+                break
+        return answers
 
     hi = exchange(ChannelBTransaction(broadcast=True, read=True, address=REG_SERIAL_HI))
     lo = exchange(ChannelBTransaction(broadcast=True, read=True, address=REG_SERIAL_LO))

@@ -3,8 +3,9 @@
 Framing on channels A, B and C-down is a start bit (1), a fixed payload,
 and one even-parity bit; an idle channel carries zeros, so no start bit
 means no message. Frame lengths are exactly 10 (A), 64 (B) and 42
-(C request) bits. The normative field order is documented in
-docs/wire-format.md and mirrored by the golden vectors.
+(C request) bits. Each message class lists its fields once, in its
+`LAYOUT`; one codec and one range check follow every layout, and
+docs/wire-format.md section 2 documents the same bit tables.
 
 Event fragments ride upstream on channel C as 16-bit words (MSB first):
 a header word with SOE/EOE flags and the byte size, an even number of
@@ -18,10 +19,11 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .bits import BitArray, as_bits, bits_from_bytes, bits_from_int, bits_to_int
+from .bits import BitArray, as_bits, bits_from_bytes, bits_to_int
 
 __all__ = [
     "CHANNEL_A_FRAME_BITS",
@@ -74,36 +76,65 @@ class MessageFormatError(ValueError):
 class ParityError(MessageFormatError):
     """Frame parity check failed; the receiver must not act on the frame."""
 
-    def __init__(self, payload_bits=None):
-        super().__init__("frame parity mismatch")
-        self.payload_bits = payload_bits
-
 
 def crc32(data: bytes) -> int:
     """IEEE 802.3 CRC-32 (reflected, init and final XOR all-ones)."""
     return zlib.crc32(data) & 0xFFFFFFFF
 
 
-def _even_parity(payload: BitArray) -> int:
-    return int(np.bitwise_xor.reduce(payload))
+class _Frame:
+    """A fixed-length frame: start bit, the `LAYOUT` fields, even parity.
 
+    `LAYOUT` lists (field name, width) pairs in wire order, each field
+    MSB-first; a None name is a spare field, sent as zeros and ignored on
+    receipt. Width-1 fields are flags and decode as bool. Every field must
+    fit its width; a subclass adds only the rules that tie fields together.
+    """
 
-def _frame(payload: BitArray) -> BitArray:
-    return np.concatenate([as_bits([1]), payload, as_bits([_even_parity(payload)])])
+    LAYOUT: ClassVar[tuple] = ()
+    PAYLOAD_BITS: ClassVar[int] = 0
 
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls.PAYLOAD_BITS = sum(width for _, width in cls.LAYOUT)
 
-def _unframe(bits, expected_len: int) -> BitArray:
-    """Payload of a start-bit/payload/parity frame; raises ParityError when
-    the parity bit disagrees."""
-    bits = as_bits(bits)
-    if len(bits) != expected_len:
-        raise MessageFormatError(f"frame is {len(bits)} bits, expected {expected_len}")
-    if bits[0] != 1:
-        raise MessageFormatError("missing start bit")
-    payload = bits[1:-1]
-    if int(bits[-1]) != _even_parity(payload):
-        raise ParityError(payload)
-    return payload
+    def __post_init__(self):
+        for name, width in self.LAYOUT:
+            if name is not None and not 0 <= getattr(self, name) < 1 << width:
+                raise MessageFormatError(f"{name} outside {width} bits")
+
+    def encode(self) -> BitArray:
+        """The frame's bits in transmission order."""
+        payload = 0
+        for name, width in self.LAYOUT:
+            payload = payload << width | (int(getattr(self, name)) if name else 0)
+        nbits = self.PAYLOAD_BITS + 2
+        frame = (1 << self.PAYLOAD_BITS | payload) << 1 | payload.bit_count() & 1
+        nbytes = -(-nbits // 8)
+        data = (frame << (8 * nbytes - nbits)).to_bytes(nbytes, "big")
+        return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=nbits)
+
+    @classmethod
+    def decode(cls, bits):
+        """Message of one frame; raises ParityError when the parity bit
+        disagrees and MessageFormatError for a malformed frame."""
+        bits = as_bits(bits)
+        nbits = cls.PAYLOAD_BITS + 2
+        if len(bits) != nbits:
+            raise MessageFormatError(f"frame is {len(bits)} bits, expected {nbits}")
+        if bits[0] != 1:
+            raise MessageFormatError("missing start bit")
+        frame = int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-nbits % 8)
+        payload = frame >> 1 & ((1 << cls.PAYLOAD_BITS) - 1)
+        if payload.bit_count() & 1 != frame & 1:
+            raise ParityError("frame parity mismatch")
+        fields = {}
+        for name, width in reversed(cls.LAYOUT):
+            if name is not None:
+                value = payload & ((1 << width) - 1)
+                fields[name] = bool(value) if width == 1 else value
+            payload >>= width
+        return cls(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -111,84 +142,53 @@ def _unframe(bits, expected_len: int) -> BitArray:
 
 
 @dataclass(frozen=True)
-class ChannelAMessageDown:
+class ChannelAMessageDown(_Frame):
     sampling_stop: bool = False  # the trigger
-    event_type: int = 0  # 0..3
+    event_type: int = 0
     sampling_start: bool = False
     clear_event_counter: bool = False
     clear_timestamp: bool = False
     sync_sampling_clock: bool = False
 
+    LAYOUT = (
+        ("sampling_stop", 1), ("event_type", 2), ("sampling_start", 1),
+        ("clear_event_counter", 1), ("clear_timestamp", 1),
+        ("sync_sampling_clock", 1), (None, 1),
+    )
+
     def __post_init__(self):
-        if not 0 <= self.event_type <= 3:
-            raise MessageFormatError("event_type outside 0..3")
+        super().__post_init__()
         if self.sampling_stop and self.sampling_start:
             raise MessageFormatError("sampling_stop and sampling_start both set")
 
 
 @dataclass(frozen=True)
-class ChannelAMessageUp:
+class ChannelAMessageUp(_Frame):
     set_busy: bool = False
     clear_busy: bool = False
-    trigger_primitives: int = 0  # 4 bits
+    trigger_primitives: int = 0
+
+    LAYOUT = (("set_busy", 1), ("clear_busy", 1), ("trigger_primitives", 4), (None, 2))
 
     def __post_init__(self):
-        if not 0 <= self.trigger_primitives <= 0xF:
-            raise MessageFormatError("trigger_primitives outside 4 bits")
+        super().__post_init__()
         if self.set_busy and self.clear_busy:
             raise MessageFormatError("set_busy and clear_busy both set")
 
 
 def encode_channel_a(msg) -> BitArray:
     """10-bit frame for either direction of channel A."""
-    if isinstance(msg, ChannelAMessageDown):
-        payload = np.concatenate(
-            [
-                as_bits([int(msg.sampling_stop)]),
-                bits_from_int(msg.event_type, 2),
-                as_bits(
-                    [
-                        int(msg.sampling_start),
-                        int(msg.clear_event_counter),
-                        int(msg.clear_timestamp),
-                        int(msg.sync_sampling_clock),
-                        0,  # spare
-                    ]
-                ),
-            ]
-        )
-    elif isinstance(msg, ChannelAMessageUp):
-        payload = np.concatenate(
-            [
-                as_bits([int(msg.set_busy), int(msg.clear_busy)]),
-                bits_from_int(msg.trigger_primitives, 4),
-                as_bits([0, 0]),  # spare
-            ]
-        )
-    else:
+    if not isinstance(msg, (ChannelAMessageDown, ChannelAMessageUp)):
         raise TypeError(f"not a channel A message: {type(msg).__name__}")
-    return _frame(payload)
+    return msg.encode()
 
 
 def decode_channel_a_down(bits) -> ChannelAMessageDown:
-    payload = _unframe(bits, CHANNEL_A_FRAME_BITS)
-    return ChannelAMessageDown(
-        sampling_stop=bool(payload[0]),
-        event_type=bits_to_int(payload[1:3]),
-        sampling_start=bool(payload[3]),
-        clear_event_counter=bool(payload[4]),
-        clear_timestamp=bool(payload[5]),
-        sync_sampling_clock=bool(payload[6]),
-    )
+    return ChannelAMessageDown.decode(bits)
 
 
 def decode_channel_a_up(bits) -> ChannelAMessageUp:
-    payload = _unframe(bits, CHANNEL_A_FRAME_BITS)
-    return ChannelAMessageUp(
-        set_busy=bool(payload[0]),
-        clear_busy=bool(payload[1]),
-        trigger_primitives=bits_to_int(payload[2:6]),
-    )
+    return ChannelAMessageUp.decode(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +196,9 @@ def decode_channel_a_up(bits) -> ChannelAMessageUp:
 
 
 @dataclass(frozen=True)
-class ChannelBTransaction:
+class ChannelBTransaction(_Frame):
     broadcast: bool = False
-    target_id: int = 0  # 5-bit port number, ignored when broadcast
+    target_id: int = 0  # port number, ignored when broadcast
     read: bool = False
     write: bool = False
     byte_enable: int = 0xF  # byte 0 is the least significant
@@ -207,46 +207,19 @@ class ChannelBTransaction:
     parity_error: bool = False  # response only
     bus_error: bool = False  # response only
 
-    def __post_init__(self):
-        if not 0 <= self.target_id <= 31:
-            raise MessageFormatError("target_id outside 0..31")
-        if not 0 <= self.byte_enable <= 0xF:
-            raise MessageFormatError("byte_enable outside 4 bits")
-        if not 0 <= self.address <= 0xFFFF:
-            raise MessageFormatError("address outside 16 bits")
-        if not 0 <= self.data <= 0xFFFFFFFF:
-            raise MessageFormatError("data outside 32 bits")
+    LAYOUT = (
+        ("broadcast", 1), ("target_id", 5), ("read", 1), ("write", 1),
+        ("byte_enable", 4), ("parity_error", 1), ("bus_error", 1),
+        ("address", 16), ("data", 32),
+    )
 
 
 def encode_channel_b(txn: ChannelBTransaction) -> BitArray:
-    """64-bit frame: ST + BC TID RD WR BE PE FE ADDR DATA + PA."""
-    payload = np.concatenate(
-        [
-            as_bits([int(txn.broadcast)]),
-            bits_from_int(txn.target_id, 5),
-            as_bits([int(txn.read), int(txn.write)]),
-            bits_from_int(txn.byte_enable, 4),
-            as_bits([int(txn.parity_error), int(txn.bus_error)]),
-            bits_from_int(txn.address, 16),
-            bits_from_int(txn.data, 32),
-        ]
-    )
-    return _frame(payload)
+    return txn.encode()
 
 
 def decode_channel_b(bits) -> ChannelBTransaction:
-    payload = _unframe(bits, CHANNEL_B_FRAME_BITS)
-    return ChannelBTransaction(
-        broadcast=bool(payload[0]),
-        target_id=bits_to_int(payload[1:6]),
-        read=bool(payload[6]),
-        write=bool(payload[7]),
-        byte_enable=bits_to_int(payload[8:12]),
-        parity_error=bool(payload[12]),
-        bus_error=bool(payload[13]),
-        address=bits_to_int(payload[14:30]),
-        data=bits_to_int(payload[30:62]),
-    )
+    return ChannelBTransaction.decode(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -254,32 +227,24 @@ def decode_channel_b(bits) -> ChannelBTransaction:
 
 
 @dataclass(frozen=True)
-class ChannelCRequest:
+class ChannelCRequest(_Frame):
     opcode: int = OPCODE_SEND_NEXT_PACKET
     target_mask: int = 0  # bit i set: front-end with ID i executes
 
-    def __post_init__(self):
-        if not 0 <= self.opcode <= 0xFF:
-            raise MessageFormatError("opcode outside 8 bits")
-        if not 0 <= self.target_mask <= 0xFFFFFFFF:
-            raise MessageFormatError("target_mask outside 32 bits")
+    LAYOUT = (("opcode", 8), ("target_mask", 32))
+
+    def encode(self) -> BitArray:
+        if self.target_mask == 0:
+            raise MessageFormatError("request addresses no front-end")
+        return super().encode()
 
 
 def encode_channel_c_request(req: ChannelCRequest) -> BitArray:
-    if req.target_mask == 0:
-        raise MessageFormatError("request addresses no front-end")
-    payload = np.concatenate(
-        [bits_from_int(req.opcode, 8), bits_from_int(req.target_mask, 32)]
-    )
-    return _frame(payload)
+    return req.encode()
 
 
 def decode_channel_c_request(bits) -> ChannelCRequest:
-    payload = _unframe(bits, CHANNEL_C_REQUEST_BITS)
-    return ChannelCRequest(
-        opcode=bits_to_int(payload[0:8]),
-        target_mask=bits_to_int(payload[8:40]),
-    )
+    return ChannelCRequest.decode(bits)
 
 
 # ---------------------------------------------------------------------------

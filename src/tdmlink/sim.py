@@ -109,6 +109,12 @@ class SimConfig:
             missing = [key for key in fault_keys[kind] if key not in fault]
             if missing:
                 raise ValueError(f"{kind} fault lacks {missing}")
+            optional = ("delta",) if kind == "soe_skew" else ()
+            extra = sorted(set(fault) - {"type", *fault_keys[kind], *optional})
+            if extra:
+                raise ValueError(f"{kind} fault does not take {extra}")
+            if kind == "line_flip" and fault["direction"] not in ("up", "down"):
+                raise ValueError(f"line_flip direction {fault['direction']!r} is not 'up' or 'down'")
             if not 0 <= fault["link"] < self.num_frontends:
                 raise ValueError(f"{kind} fault names link {fault['link']}, outside the cards")
 

@@ -189,8 +189,7 @@ class DownstreamReceiver:
     """Front-end side: bit-slip lock on the idle pattern, then Manchester
     decode, channel delineation and frame extraction."""
 
-    def __init__(self, origin_tick: int = 0, lock_threshold: int = 4):
-        self.origin_tick = origin_tick
+    def __init__(self, lock_threshold: int = 4):
         self.lock_threshold = lock_threshold
         self.locked = False
         self.sync = None
@@ -223,7 +222,7 @@ class DownstreamReceiver:
                 return events
             self.locked = True
             self.sync = state
-            self._aligned_base_tick = self.origin_tick + timebase.TICKS_PER_DOWN_SYMBOL * (
+            self._aligned_base_tick = timebase.TICKS_PER_DOWN_SYMBOL * (
                 self._consumed + state.aligned_index
             )
             self._consumed += state.aligned_index
@@ -321,6 +320,12 @@ class UpstreamReceiver:
         self.parity_errors = {"A": 0, "B": 0}
         self.training_errors = 0
         self._train_phase = 0
+
+    @property
+    def trained(self) -> bool:
+        """True once the whole training sequence since the last reset has
+        been consumed."""
+        return self._training_left == 0
 
     def feed(self, bits: BitArray) -> UpRxEvents:
         events = UpRxEvents()

@@ -52,7 +52,7 @@ class SymbolEngine(System):
         self.backend_rx: dict[int, UpstreamReceiver] = {}
         self._link_rngs: dict[int, tuple] = {}
         for port in self.cards:
-            self.down_rx[port] = DownstreamReceiver(origin_tick=0, lock_threshold=config.lock_threshold)
+            self.down_rx[port] = DownstreamReceiver(lock_threshold=config.lock_threshold)
             self.up_tx[port] = UpstreamTransmitter(training_bits=config.training_bits)
             self.backend_rx[port] = UpstreamReceiver(training_bits=config.training_bits)
             self._link_rngs[port] = (
@@ -61,7 +61,11 @@ class SymbolEngine(System):
             )
 
         self.down_tx = DownstreamTransmitter()
-        self._b_inbox: dict[int, list] = {port: [] for port in self.cards}
+        # The channel B request in flight and the first answer to it on each
+        # port: a response that echoes its address, read and write, or one
+        # that flags a parity error. Any other frame answers nothing.
+        self._b_request = None
+        self._b_answers: dict = {}
         self._line_flips = [f for f in self.link_faults if f["type"] == "line_flip"]
         # Resets still to apply; the config's fault list is never written.
         self._pending_resets = [f for f in self.link_faults if f["type"] == "link_reset"]
@@ -143,9 +147,14 @@ class SymbolEngine(System):
         for msg in events.a:
             if msg is not None:
                 self.trigger_unit.on_ack(msg)
+        req = self._b_request
         for txn in events.b:
-            if txn is not None:
-                self._b_inbox[port].append(txn)
+            if txn is None or req is None or port in self._b_answers:
+                continue
+            if txn.parity_error or (txn.address, txn.read, txn.write) == (
+                req.address, req.read, req.write
+            ):
+                self._b_answers[port] = txn
         for data in events.packets:
             self.pumps[port].on_packet(data)
 
@@ -179,7 +188,7 @@ class SymbolEngine(System):
         precondition: links trained and locked)."""
         for _ in range(200):
             if all(rx.locked for rx in self.down_rx.values()) and all(
-                rx._training_left == 0 for rx in self.backend_rx.values()
+                rx.trained for rx in self.backend_rx.values()
             ):
                 return
             self._advance_one_slice()
@@ -188,19 +197,14 @@ class SymbolEngine(System):
     def _exchange(self, txn):
         """Send one channel B request down the fanout and advance until every
         addressed port answered (or a timeout); returns {port: response}."""
-        expected = list(self._b_inbox) if txn.broadcast else [txn.target_id]
-        start_counts = {port: len(inbox) for port, inbox in self._b_inbox.items()}
+        expected = list(self.cards) if txn.broadcast else [txn.target_id]
+        self._b_request = txn
+        self._b_answers = {}
         self.down_tx.enqueue("B", encode_channel_b(txn))
         deadline = self.now + EXCHANGE_TIMEOUT_TICKS
-        while self.now < deadline:
+        while self.now < deadline and not all(p in self._b_answers for p in expected):
             self._advance_one_slice()
-            if all(len(self._b_inbox[p]) > start_counts[p] for p in expected):
-                break
-        return {
-            port: inbox[-1]
-            for port, inbox in self._b_inbox.items()
-            if len(inbox) > start_counts[port]
-        }
+        return self._b_answers
 
     # -- run ---------------------------------------------------------------------------
 

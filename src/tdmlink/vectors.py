@@ -129,23 +129,11 @@ def _frame_to_hex(bits) -> str:
     return bits_to_hex(np.concatenate([bits, np.zeros(pad, dtype=np.uint8)]))
 
 
-_FRAME_CODECS = {
-    "a_down": (
-        lambda f: msg.encode_channel_a(msg.ChannelAMessageDown(**f)),
-        lambda bits: msg.decode_channel_a_down(bits).__dict__,
-    ),
-    "a_up": (
-        lambda f: msg.encode_channel_a(msg.ChannelAMessageUp(**f)),
-        lambda bits: msg.decode_channel_a_up(bits).__dict__,
-    ),
-    "b": (
-        lambda f: msg.encode_channel_b(msg.ChannelBTransaction(**f)),
-        lambda bits: msg.decode_channel_b(bits).__dict__,
-    ),
-    "c_request": (
-        lambda f: msg.encode_channel_c_request(msg.ChannelCRequest(**f)),
-        lambda bits: msg.decode_channel_c_request(bits).__dict__,
-    ),
+_FRAME_TYPES = {
+    "a_down": msg.ChannelAMessageDown,
+    "a_up": msg.ChannelAMessageUp,
+    "b": msg.ChannelBTransaction,
+    "c_request": msg.ChannelCRequest,
 }
 
 
@@ -171,8 +159,7 @@ def default_frame_vectors() -> list[dict]:
     ]
     out = []
     for kind, fields in cases:
-        encode, _ = _FRAME_CODECS[kind]
-        bits = encode(fields)
+        bits = _FRAME_TYPES[kind](**fields).encode()
         out.append(
             {"type": kind, "bits": len(bits), "frame_hex": _frame_to_hex(bits), "fields": fields}
         )
@@ -225,12 +212,13 @@ def verify_frame_vectors(text: str) -> list[str]:
                     and rebuilt.serialize() == data
                 )
             else:
-                encode, decode = _FRAME_CODECS[kind]
-                bits = encode(fields)
+                frame_type = _FRAME_TYPES[kind]
+                bits = frame_type(**fields).encode()
+                frame = bits_from_hex(entry["frame_hex"])[: entry["bits"]]
                 ok = (
                     len(bits) == entry["bits"]
                     and _frame_to_hex(bits) == entry["frame_hex"].lower()
-                    and decode(bits_from_hex(entry["frame_hex"])[: entry["bits"]]) == fields
+                    and frame_type.decode(frame).__dict__ == fields
                 )
         except Exception as exc:  # malformed entry is a failure, not a crash
             failures.append(f"{kind} {entry.get('frame_hex')}: {exc}")

@@ -433,12 +433,13 @@ def downstream_tx(a, b, c) -> BitArray:
     return manchester_encode(line)
 
 
-def downstream_rx(symbols, half_bit_phase: int = 0, slot_offset: int = 0):
-    """Inverse of downstream_tx for an aligned symbol stream. A pair that
+def downstream_rx(symbols):
+    """Inverse of downstream_tx for a symbol stream that starts on a cycle
+    boundary. A pair that
     breaks Manchester coding does not raise: its sampled half is taken as
     the bit (`manchester_violations` counts such pairs)."""
-    line = manchester_decode(symbols, half_bit_phase, check=False)
-    a, b_inv, c = tdm_deinterleave(DOWNSTREAM_SCHEDULE, line, slot_offset)
+    line = manchester_decode(symbols, 0, check=False)
+    a, b_inv, c = tdm_deinterleave(DOWNSTREAM_SCHEDULE, line)
     return a, invert_channel_b(b_inv), c
 
 
@@ -452,10 +453,10 @@ def upstream_tx(a, b, c, scrambler: Scrambler) -> BitArray:
     return scrambler.scramble(line)
 
 
-def upstream_rx(line, descrambler: Descrambler, slot_offset: int = 0):
+def upstream_rx(line, descrambler: Descrambler):
     """Inverse of upstream_tx."""
     bits = descrambler.descramble(line)
-    a, b_inv, c = tdm_deinterleave(UPSTREAM_SCHEDULE, bits, slot_offset)
+    a, b_inv, c = tdm_deinterleave(UPSTREAM_SCHEDULE, bits)
     return a, invert_channel_b(b_inv), c
 
 

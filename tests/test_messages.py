@@ -1,5 +1,9 @@
 """Message codecs: layouts, parity, round trips, fragment CRC."""
 
+import dataclasses
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -171,6 +175,125 @@ class TestChannelC:
     def test_empty_mask_rejected(self):
         with pytest.raises(m.MessageFormatError):
             m.encode_channel_c_request(m.ChannelCRequest(target_mask=0))
+
+
+FRAME_TYPES = [
+    (m.ChannelAMessageDown, m.CHANNEL_A_FRAME_BITS),
+    (m.ChannelAMessageUp, m.CHANNEL_A_FRAME_BITS),
+    (m.ChannelBTransaction, m.CHANNEL_B_FRAME_BITS),
+    (m.ChannelCRequest, m.CHANNEL_C_REQUEST_BITS),
+]
+LAYOUT_FIELDS = [(cls, name, width) for cls, _ in FRAME_TYPES for name, width in cls.LAYOUT if name]
+
+
+def random_message(cls, rng):
+    """A message of `cls` with every field drawn at random, then the flags
+    that may not be set together, and an empty C-request mask, mended."""
+    fields = {
+        name: (bool if width == 1 else int)(rng.integers(1 << width))
+        for name, width in cls.LAYOUT
+        if name
+    }
+    if cls is m.ChannelAMessageDown and fields["sampling_stop"]:
+        fields["sampling_start"] = False
+    if cls is m.ChannelAMessageUp and fields["set_busy"]:
+        fields["clear_busy"] = False
+    if cls is m.ChannelCRequest:
+        fields["target_mask"] |= 1 << int(rng.integers(32))
+    return cls(**fields)
+
+
+def reference_frame(msg) -> list[int]:
+    """Bit-by-bit framing: start bit, each layout field MSB-first, even
+    parity over the payload."""
+    bits = [1]
+    for name, width in type(msg).LAYOUT:
+        value = int(getattr(msg, name)) if name else 0
+        bits += [(value >> (width - 1 - i)) & 1 for i in range(width)]
+    return bits + [sum(bits[1:]) % 2]
+
+
+class TestLayouts:
+    @pytest.mark.parametrize("cls, frame_bits", FRAME_TYPES)
+    def test_frame_length_is_start_fields_and_parity(self, cls, frame_bits):
+        assert 2 + sum(width for _, width in cls.LAYOUT) == frame_bits
+        assert len(random_message(cls, np.random.default_rng(0)).encode()) == frame_bits
+
+    @pytest.mark.parametrize("cls, frame_bits", FRAME_TYPES)
+    def test_layout_names_every_field_once(self, cls, frame_bits):
+        named = [name for name, _ in cls.LAYOUT if name]
+        assert sorted(named) == sorted(f.name for f in dataclasses.fields(cls))
+
+    @pytest.mark.parametrize(
+        "cls, name, width", LAYOUT_FIELDS, ids=[f"{c.__name__}.{n}" for c, n, _ in LAYOUT_FIELDS]
+    )
+    def test_field_rejects_values_outside_its_width(self, cls, name, width):
+        for bad in (-1, 1 << width):
+            with pytest.raises(m.MessageFormatError, match=f"{name} outside {width} bits"):
+                cls(**{name: bad})
+        cls(**{name: (1 << width) - 1})
+
+    @pytest.mark.parametrize("cls, frame_bits", FRAME_TYPES)
+    def test_random_fields_round_trip(self, cls, frame_bits):
+        rng = np.random.default_rng(frame_bits)
+        for _ in range(500):
+            msg = random_message(cls, rng)
+            frame = msg.encode()
+            assert frame.tolist() == reference_frame(msg)
+            assert cls.decode(frame) == msg
+
+    @pytest.mark.parametrize("cls, frame_bits", FRAME_TYPES[:2])
+    def test_spare_bits_sent_as_zero_and_ignored(self, cls, frame_bits):
+        msg = random_message(cls, np.random.default_rng(7))
+        frame = msg.encode()
+        spare, pos = [], 1
+        for name, width in cls.LAYOUT:
+            if name is None:
+                spare.extend(range(pos, pos + width))
+            pos += width
+        assert spare and not frame[spare].any()
+        frame[spare] = 1
+        frame[-1] ^= len(spare) & 1  # keep the parity even
+        assert cls.decode(frame) == msg
+
+
+def wire_format_tables() -> dict[str, list[tuple[int, int, str]]]:
+    """Bit tables of wire-format.md section 2: {subsection: [(first bit,
+    last bit, field text), ...]} in table order."""
+    text = (Path(__file__).parents[1] / "docs" / "wire-format.md").read_text()
+    tables, section = {}, None
+    for line in text.splitlines():
+        if heading := re.match(r"### (2\.\d) ", line):
+            section = heading.group(1)
+            tables[section] = []
+        elif line.startswith("## "):
+            section = None
+        elif section and (row := re.match(r"\| (\d+)(?:\.\.(\d+))? \| (.+) \|$", line)):
+            first, last, field = row.groups()
+            tables[section].append((int(first), int(last or first), field))
+    return tables
+
+
+@pytest.mark.parametrize(
+    "section, cls",
+    [
+        ("2.1", m.ChannelAMessageDown),
+        ("2.2", m.ChannelAMessageUp),
+        ("2.3", m.ChannelBTransaction),
+        ("2.4", m.ChannelCRequest),
+    ],
+)
+def test_wire_format_doc_matches_layout(section, cls):
+    rows = wire_format_tables()[section]
+    assert rows[0][:2] == (0, 0) and rows[0][2].startswith("start")
+    assert "parity" in rows[-1][2]
+    expected, pos = [], 1
+    for name, width in cls.LAYOUT:
+        expected.append((pos, pos + width - 1, name is None))
+        pos += width
+    assert rows[-1][:2] == (pos, pos)
+    got = [(first, last, field.startswith("spare")) for first, last, field in rows[1:-1]]
+    assert got == expected
 
 
 class TestCrc32:

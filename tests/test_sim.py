@@ -9,7 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdmlink import wire
+from tdmlink.frontend import REG_LOST_TRIGGERS, REG_SERIAL_LO
+from tdmlink.messages import ChannelBTransaction, encode_channel_b
 from tdmlink.sim import SimConfig, ber_test, make_serials, run_scenario
+from tdmlink.symbol_engine import SymbolEngine
 
 
 def small_scenario(abstraction, **overrides):
@@ -68,6 +71,23 @@ class TestConfig:
     )
     def test_fault_on_a_link_outside_the_cards_rejected(self, abstraction, fault):
         with pytest.raises(ValueError, match="outside the cards"):
+            small_scenario(abstraction, faults=[fault])
+
+    @pytest.mark.parametrize(
+        "abstraction, fault, match",
+        [
+            ("symbol_level",
+             {"type": "line_flip", "link": 0, "direction": "upstream", "tick": 300_000},
+             "direction"),
+            ("message_level", {"type": "soe_skew", "link": 0, "delat": 3}, "does not take"),
+            ("symbol_level", {"type": "link_reset", "link": 0, "tick": 0, "direction": "up"},
+             "does not take"),
+            ("message_level", {"type": "drop_packet", "link": 0, "index": 0, "delta": 1},
+             "does not take"),
+        ],
+    )
+    def test_fault_that_would_be_ignored_rejected(self, abstraction, fault, match):
+        with pytest.raises(ValueError, match=match):
             small_scenario(abstraction, faults=[fault])
 
     def test_warmup_rejected_at_symbol_level(self):
@@ -214,7 +234,7 @@ class TestFaultInjection:
         assert res.metrics.violations == []
         # The reset link retrained (training fully consumed again) and both
         # links delivered every packet.
-        assert res.engine.backend_rx[1]._training_left == 0
+        assert res.engine.backend_rx[1].trained
         assert res.metrics.per_link[0]["packets"] == res.metrics.per_link[1]["packets"]
 
     def test_rerun_of_one_config_repeats_the_link_reset(self):
@@ -317,6 +337,28 @@ class TestLineErrors:
         res = self.run_and_audit(line_error_scenario(num_frontends=4, ber=1e-5, seed=23))
         assert res.metrics.halt_reason is not None
         assert res.metrics.elapsed_ticks < 400_000
+
+    def test_request_with_a_parity_error_is_resent(self):
+        # Line errors corrupt one broadcast write of the serial-to-port map;
+        # the card answers with PE set and latches nothing, so bootstrap
+        # must send the write again for the card to get its ID.
+        res = self.run_and_audit(line_error_scenario(num_frontends=1, ber=1e-5, seed=43607))
+        assert res.engine.down_rx[0].parity_errors["B"] > 0
+        assert res.metrics.bootstrap["verified"]
+        assert res.engine.cards[0].assigned_id == 0
+        assert res.metrics.client["events"] == 4
+
+    def test_exchange_takes_only_a_frame_that_echoes_the_request(self):
+        # A frame already queued on the return link (here a stale read of
+        # another register) reaches the back-end before the card's answer.
+        engine = SymbolEngine(line_error_scenario(num_frontends=1))
+        engine._wait_links_ready()
+        stray = ChannelBTransaction(read=True, address=REG_LOST_TRIGGERS, data=7)
+        engine.up_tx[0].enqueue("B", encode_channel_b(stray))
+        request = ChannelBTransaction(broadcast=True, read=True, address=REG_SERIAL_LO)
+        answer = engine._exchange(request)[0]
+        assert answer.address == REG_SERIAL_LO
+        assert answer.data == engine.cards[0].serial_number & 0xFFFFFFFF
 
     def test_lost_channel_b_reply_does_not_delay_bootstrap(self):
         # A line error destroys link 1's reply to a bootstrap write; the
