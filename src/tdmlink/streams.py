@@ -1,20 +1,24 @@
 """Streaming serializers and deserializers for the symbol-level simulator.
 
-Transmitters hold per-channel frame queues and emit line symbols on demand,
-filling idle slots with zeros. Receivers consume arbitrary chunks of line
-symbols, keep their synchronization state across calls, and emit decoded
-frames together with diagnostic counters.
+Links are rows: every link of one direction is one row of a (links, bits)
+array, and each stage of a direction's chain runs once per chunk on the
+whole array. A single link is the one-row case. Transmitters hold per-row
+channel frame queues and emit line bits on demand, filling idle slots with
+zeros. Receivers consume chunks of line bits, keep each row's
+synchronization state across calls, and emit decoded frames tagged with
+their row, together with per-row diagnostic counters.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import timebase
-from .bits import BitArray, as_bits
+from .bits import BitArray
 from .messages import (
     CHANNEL_A_FRAME_BITS,
     CHANNEL_B_FRAME_BITS,
@@ -29,12 +33,13 @@ from .messages import (
 )
 from .wire import (
     DOWNSTREAM_SCHEDULE,
+    SCRAMBLER_ORDER,
     Descrambler,
     Scrambler,
     bit_slip_sync,
+    count_manchester_violations,
     downstream_rx,
     downstream_tx,
-    manchester_violations,
     training_pattern,
     upstream_rx,
     upstream_tx,
@@ -49,113 +54,198 @@ __all__ = [
     "UpstreamReceiver",
 ]
 
+_NO_BITS = np.empty(0, dtype=np.uint8)
+
+
+def _row_order(*event_lists):
+    """Sort lists of (row, ...) tuples by row, keeping each row's own order."""
+    for events in event_lists:
+        events.sort(key=lambda e: e[0])
+
+
+def _whole_cycles(carry: BitArray, tail: np.ndarray, bits: BitArray, live, skip=0):
+    """Cut whole cycles out of each live row's unread tail and new bits.
+
+    `carry` holds the last bits each row was fed, right-aligned, of which
+    the last `tail[row]` are unread; a cycle is as long as `carry` is wide.
+    The first `skip[row]` new bits are read elsewhere. Returns the groups of
+    rows whose cycles start at the same column, each as (rows, cycles), and
+    the new carry and tail.
+    """
+    width = carry.shape[1]
+    ext = np.concatenate([carry, bits], axis=1)
+    starts = width - tail + skip
+    usable = np.where(live, (ext.shape[1] - starts) // width * width, 0)
+    groups = []
+    for start in sorted(set(starts[usable > 0].tolist())):
+        rows = np.flatnonzero((starts == start) & (usable > 0))
+        groups.append((rows, ext[rows, start : start + usable[rows[0]]]))
+    return groups, ext[:, -width:], np.where(live, ext.shape[1] - starts - usable, 0)
+
 
 class BitQueue:
-    """FIFO of bit arrays drained bit by bit; zero-filled when empty.
+    """Per-row FIFOs of bit arrays, drained in lockstep; a row with nothing
+    queued reads zeros.
 
     Whole frames are enqueued atomically, so a frame's bits are contiguous
     on its channel; idle fill only ever appears between frames.
     """
 
-    def __init__(self):
-        self._chunks: deque[BitArray] = deque()
-        self._offset = 0
-        self.pending_bits = 0
+    def __init__(self, rows: int):
+        self._chunks = [deque() for _ in range(rows)]
+        self._offset = [0] * rows
+        self.pending_bits = np.zeros(rows, dtype=np.int64)
 
-    def push(self, bits: BitArray):
-        bits = as_bits(bits)
+    def push(self, row: int, bits: BitArray):
         if len(bits):
-            self._chunks.append(bits)
-            self.pending_bits += len(bits)
+            self._chunks[row].append(bits)
+            self.pending_bits[row] += len(bits)
 
-    def pull(self, n: int) -> BitArray:
-        out = np.zeros(n, dtype=np.uint8)
-        pos = 0
-        while pos < n and self._chunks:
-            head = self._chunks[0]
-            take = min(n - pos, len(head) - self._offset)
-            out[pos : pos + take] = head[self._offset : self._offset + take]
-            pos += take
-            self._offset += take
-            self.pending_bits -= take
-            if self._offset == len(head):
-                self._chunks.popleft()
-                self._offset = 0
+    def clear(self, row: int):
+        self._chunks[row].clear()
+        self._offset[row] = 0
+        self.pending_bits[row] = 0
+
+    def pull(self, n: int, rows=None) -> BitArray:
+        """The next n bits of each of `rows` (default: every row), one row
+        each."""
+        if rows is None:
+            rows = range(len(self._chunks))
+        out = np.zeros((len(rows), n), dtype=np.uint8)
+        for i in np.flatnonzero(self.pending_bits[rows]):
+            row = rows[i]
+            chunks = self._chunks[row]
+            pos, offset = 0, self._offset[row]
+            while pos < n and chunks:
+                head = chunks[0]
+                take = min(n - pos, len(head) - offset)
+                out[i, pos : pos + take] = head[offset : offset + take]
+                pos += take
+                offset += take
+                if offset == len(head):
+                    chunks.popleft()
+                    offset = 0
+            self._offset[row] = offset
+            self.pending_bits[row] -= pos
         return out
 
 
 class FrameScanner:
-    """Extract frames that open with a start bit (1) from one channel's bit
-    stream; the zeros of an idle channel are skipped.
+    """Extract frames that open with a start bit (1) from each row's channel
+    bit stream; the zeros of an idle channel are skipped.
 
     A fixed-length frame is `head_bits` long. With `length` given, the
     first `head_bits` bits are a header and `length(head)` is the whole
     frame's length, or None for a header that opens no frame of the format;
-    such a start bit is counted in `faults` and scanning resumes after it.
+    such a start bit is counted in the row's `faults` and scanning resumes
+    after it.
     """
 
-    def __init__(self, head_bits: int, length=None):
+    def __init__(self, rows: int, head_bits: int, length=None):
         self.head_bits = head_bits
         self.length = length
-        self.faults = 0
-        self._buf = np.empty(0, dtype=np.uint8)
-        self._base = 0  # global channel-bit index of _buf[0]
+        self.faults = np.zeros(rows, dtype=np.int64)
+        self._buf = [_NO_BITS] * rows  # a partial frame, from its start bit
+        self._held = np.zeros(rows, dtype=bool)  # _buf[row] is not empty
+        self._base = np.zeros(rows, dtype=np.int64)  # channel-bit index of _buf[row][0]
 
-    def feed(self, bits: BitArray) -> list[tuple[BitArray, int]]:
-        """Returns (frame, global index of the frame's last bit) pairs."""
-        self._buf = np.concatenate([self._buf, as_bits(bits)])
+    def reset(self, row: int):
+        self.faults[row] = 0
+        self._buf[row] = _NO_BITS
+        self._held[row] = False
+        self._base[row] = 0
+
+    def feed(self, bits: BitArray, rows=None) -> list[tuple[int, BitArray, int]]:
+        """Scan the next channel bits of each of `rows` (default: every
+        row), one row of `bits` each. Returns (row, frame, channel-bit index
+        of the frame's last bit) in row order. Only a row whose new bits
+        hold a 1 or that holds a partial frame is scanned; the others just
+        advance their index."""
+        if rows is None:
+            rows = np.arange(len(self._buf))
+        n = bits.shape[1]
+        scan = bits.any(axis=1) | self._held[rows]
+        busy = rows[scan]
+        self._base[rows] += n
+        if not len(busy):
+            return []
+        # The busy rows side by side, each partial frame left-padded with
+        # zeros, which the scan skips like idle bits.
+        held = [self._buf[row] for row in busy]
+        pad = max(len(h) for h in held)
+        width = pad + n
+        buf = np.zeros((len(busy), width), dtype=np.uint8)
+        for i, h in enumerate(held):
+            buf[i, pad - len(h) : pad] = h
+        buf[:, pad:] = bits[scan]
+        hit_rows, hit_cols = np.nonzero(buf)
+        bounds = np.searchsorted(hit_rows, np.arange(len(busy) + 1)).tolist()
+        hit_cols = hit_cols.tolist()
+        first = (self._base[busy] - n - pad).tolist()
+        origins, ends = [], []
         out = []
-        pos = 0
-        while True:
-            ones = np.flatnonzero(self._buf[pos:])
-            if len(ones) == 0:
-                pos = len(self._buf)
-                break
-            start = pos + int(ones[0])
-            n = self.head_bits
-            if start + n > len(self._buf):
-                pos = start
-                break
-            if self.length is not None:
-                n = self.length(self._buf[start : start + n])
-                if n is None:
-                    self.faults += 1
-                    pos = start + 1
-                    continue
-                if start + n > len(self._buf):
-                    pos = start
+        for i, row in enumerate(busy.tolist()):
+            ones = hit_cols[bounds[i] : bounds[i + 1]]
+            origin = first[i] + len(held[i])  # channel-bit index of buf[i, 0]
+            end, k = width, 0  # scanned up to end; ones[k] is the next candidate start
+            while k < len(ones):
+                start = ones[k]
+                size = self.head_bits
+                if start + size > width:
+                    end = start
                     break
-            out.append((self._buf[start : start + n], self._base + start + n - 1))
-            pos = start + n
-        self._buf = self._buf[pos:]
-        self._base += pos
+                if self.length is not None:
+                    size = self.length(buf[i, start : start + size])
+                    if size is None:
+                        self.faults[row] += 1
+                        k += 1
+                        continue
+                    if start + size > width:
+                        end = start
+                        break
+                out.append((row, buf[i, start : start + size], origin + start + size - 1))
+                k = bisect_left(ones, start + size, k)
+            self._buf[row] = buf[i, end:] if end < width else _NO_BITS
+            origins.append(origin)
+            ends.append(end)
+        ends = np.array(ends)
+        self._held[busy] = ends < width
+        self._base[busy] = np.array(origins) + ends
         return out
 
 
-def _decode_frames(scanner: FrameScanner, bits: BitArray, decode, errors: dict, channel: str) -> list:
-    """Scan whole frames out of one channel's bits and decode each. Returns
-    (message, index of the frame's last bit) pairs; a frame that fails its
-    parity check, or whose fields its message type forbids, gives None and
-    is counted in `errors[channel]`."""
+def _decode_frames(scanner: FrameScanner, bits: BitArray, rows, decode, errors: np.ndarray) -> list:
+    """Scan whole frames out of the channel bits of `rows` and decode each.
+    Returns (row, message, index of the frame's last bit); a frame that
+    fails its parity check, or whose fields its message type forbids, gives
+    None and is counted in `errors[row]`. Rows that received the same frame
+    (a fanout frame, or the same answer from several cards) share one
+    decode; messages are immutable."""
     out = []
-    for frame, end_index in scanner.feed(bits):
-        try:
-            out.append((decode(frame), end_index))
-        except MessageFormatError:
-            errors[channel] += 1
-            out.append((None, end_index))
+    decoded = {}
+    for row, frame, end_index in scanner.feed(bits, rows):
+        key = frame.tobytes()
+        if key not in decoded:
+            try:
+                decoded[key] = decode(frame)
+            except MessageFormatError:
+                decoded[key] = None
+        if decoded[key] is None:
+            errors[row] += 1
+        out.append((row, decoded[key], end_index))
     return out
 
 
 # ---------------------------------------------------------------------------
-# Downstream: back-end transmitter, front-end receiver
+# Downstream: back-end transmitter, front-end receivers
 
 
 class DownstreamTransmitter:
-    """Continuous fanout transmitter; produces 8 line symbols per TDM cycle."""
+    """Continuous fanout transmitter; produces 8 line symbols per TDM cycle,
+    one stream that every card receives."""
 
     def __init__(self):
-        self.queues = {"A": BitQueue(), "B": BitQueue(), "C": BitQueue()}
+        self.queues = {"A": BitQueue(1), "B": BitQueue(1), "C": BitQueue(1)}
         self.cycles_produced = 0
 
     def enqueue(self, channel: str, frame_bits: BitArray) -> int:
@@ -166,189 +256,239 @@ class DownstreamTransmitter:
         """
         q = self.queues[channel]
         per_cycle = len(DOWNSTREAM_SCHEDULE.slots_of(channel))
-        start = per_cycle * self.cycles_produced + q.pending_bits
-        q.push(frame_bits)
+        start = per_cycle * self.cycles_produced + int(q.pending_bits[0])
+        q.push(0, frame_bits)
         return start
 
     def produce_cycles(self, cycles: int) -> BitArray:
-        a = self.queues["A"].pull(2 * cycles)
-        b = self.queues["B"].pull(cycles)
-        c = self.queues["C"].pull(cycles)
+        a = self.queues["A"].pull(2 * cycles)[0]
+        b = self.queues["B"].pull(cycles)[0]
+        c = self.queues["C"].pull(cycles)[0]
         self.cycles_produced += cycles
         return downstream_tx(a, b, c)
 
 
 @dataclass
 class DownRxEvents:
-    a: list = field(default_factory=list)  # (ChannelAMessageDown | None, arrival_tick)
-    b: list = field(default_factory=list)  # ChannelBTransaction | None
-    c: list = field(default_factory=list)  # ChannelCRequest | None
+    a: list = field(default_factory=list)  # (row, ChannelAMessageDown | None, arrival_tick)
+    b: list = field(default_factory=list)  # (row, ChannelBTransaction | None)
+    c: list = field(default_factory=list)  # (row, ChannelCRequest | None)
 
 
 class DownstreamReceiver:
-    """Front-end side: bit-slip lock on the idle pattern, then Manchester
-    decode, channel delineation and frame extraction."""
+    """Front-end side, one row per card: bit-slip lock on the idle pattern,
+    then Manchester decode, channel delineation and frame extraction.
 
-    def __init__(self, lock_threshold: int = 4):
+    Each row locks on its own. A locked row decodes whole 8-symbol cycles
+    from its lock point on and carries the fewer than 8 symbols left over
+    to the next chunk; fed whole cycles, that tail keeps its length.
+    """
+
+    def __init__(self, rows: int, lock_threshold: int = 4):
         self.lock_threshold = lock_threshold
-        self.locked = False
-        self.sync = None
-        self._pending = np.empty(0, dtype=np.uint8)
-        self._consumed = 0  # symbols consumed before _pending[0]
-        self._aligned_base_tick = None
+        self.locked = np.zeros(rows, dtype=bool)
+        self.sync: list = [None] * rows
+        self._search = [_NO_BITS] * rows  # symbols kept while not locked
+        self._consumed = [0] * rows  # symbols dropped before _search[row][0]
+        self._aligned_base_tick = [0] * rows
+        self._carry = np.zeros((rows, 8), dtype=np.uint8)  # tail, right-aligned
+        self._tail = np.zeros(rows, dtype=np.int64)
         self.scanners = {
-            "A": FrameScanner(CHANNEL_A_FRAME_BITS),
-            "B": FrameScanner(CHANNEL_B_FRAME_BITS),
-            "C": FrameScanner(CHANNEL_C_REQUEST_BITS),
+            "A": FrameScanner(rows, CHANNEL_A_FRAME_BITS),
+            "B": FrameScanner(rows, CHANNEL_B_FRAME_BITS),
+            "C": FrameScanner(rows, CHANNEL_C_REQUEST_BITS),
         }
-        self.coding_violations = 0
-        self.parity_errors = {"A": 0, "B": 0, "C": 0}
+        self.coding_violations = np.zeros(rows, dtype=np.int64)
+        self.parity_errors = {ch: np.zeros(rows, dtype=np.int64) for ch in "ABC"}
 
-    def a_bit_arrival_tick(self, index: int) -> int:
-        return self._aligned_base_tick + timebase.down_a_bit_end_tick(index)
+    def a_bit_arrival_tick(self, row: int, index: int) -> int:
+        return self._aligned_base_tick[row] + timebase.down_a_bit_end_tick(index)
 
     def feed(self, symbols: BitArray) -> DownRxEvents:
+        """Consume the next symbols of every row: a (rows, n) array, or one
+        stream of n symbols that every row receives."""
+        symbols = np.broadcast_to(symbols, (len(self.locked), symbols.shape[-1]))
         events = DownRxEvents()
-        self._pending = np.concatenate([self._pending, as_bits(symbols)])
-        if not self.locked:
-            state = bit_slip_sync(self._pending, self.lock_threshold)
-            if not state.locked:
-                # Bound the search buffer; keep enough context to lock later.
-                keep = 16 * self.lock_threshold
-                if len(self._pending) > keep:
-                    drop = len(self._pending) - keep
-                    self._pending = self._pending[drop:]
-                    self._consumed += drop
-                return events
-            self.locked = True
-            self.sync = state
-            self._aligned_base_tick = timebase.TICKS_PER_DOWN_SYMBOL * (
-                self._consumed + state.aligned_index
-            )
-            self._consumed += state.aligned_index
-            self._pending = self._pending[state.aligned_index :]
-        usable = len(self._pending) - len(self._pending) % 8
-        if usable == 0:
-            return events
-        chunk = self._pending[:usable]
-        self._pending = self._pending[usable:]
-        self._consumed += usable
-        self.coding_violations += len(manchester_violations(chunk))
+        searching = np.flatnonzero(~self.locked)
+        groups, self._carry, self._tail = _whole_cycles(self._carry, self._tail, symbols, self.locked)
+        for rows, cycles in groups:
+            self._decode(rows, cycles, events)
+        for row in searching:
+            self._acquire(row, symbols[row], events)
+        _row_order(events.a, events.b, events.c)
+        return events
+
+    def _acquire(self, row: int, symbols: BitArray, events: DownRxEvents):
+        """Search one unlocked row for the idle pattern; once locked, decode
+        what follows the lock point."""
+        pending = np.concatenate([self._search[row], symbols])
+        state = bit_slip_sync(pending, self.lock_threshold)
+        if not state.locked:
+            # Bound the search buffer; keep enough context to lock later.
+            keep = 16 * self.lock_threshold
+            if len(pending) > keep:
+                self._consumed[row] += len(pending) - keep
+                pending = pending[-keep:]
+            self._search[row] = pending
+            return
+        self.locked[row] = True
+        self.sync[row] = state
+        self._aligned_base_tick[row] = timebase.TICKS_PER_DOWN_SYMBOL * (
+            self._consumed[row] + state.aligned_index
+        )
+        self._search[row] = _NO_BITS
+        rest = pending[state.aligned_index :]
+        usable = len(rest) - len(rest) % 8
+        if usable:
+            self._decode(np.array([row]), rest[None, :usable], events)
+        tail = len(rest) - usable
+        self._carry[row] = 0
+        self._carry[row, 8 - tail :] = rest[usable:]
+        self._tail[row] = tail
+
+    def _decode(self, rows: np.ndarray, chunk: BitArray, events: DownRxEvents):
+        """Decode whole cycles, one row of `chunk` for each of `rows`."""
+        self.coding_violations[rows] += count_manchester_violations(chunk)
         a_bits, b_bits, c_bits = downstream_rx(chunk)
         scan, errors = self.scanners, self.parity_errors
-        a = _decode_frames(scan["A"], a_bits, decode_channel_a_down, errors, "A")
-        b = _decode_frames(scan["B"], b_bits, decode_channel_b, errors, "B")
-        c = _decode_frames(scan["C"], c_bits, decode_channel_c_request, errors, "C")
-        events.a = [(msg, self.a_bit_arrival_tick(end)) for msg, end in a]
-        events.b = [msg for msg, _ in b]
-        events.c = [msg for msg, _ in c]
-        return events
+        for row, msg, end in _decode_frames(scan["A"], a_bits, rows, decode_channel_a_down, errors["A"]):
+            events.a.append((row, msg, self.a_bit_arrival_tick(row, end)))
+        for row, msg, _ in _decode_frames(scan["B"], b_bits, rows, decode_channel_b, errors["B"]):
+            events.b.append((row, msg))
+        for row, msg, _ in _decode_frames(scan["C"], c_bits, rows, decode_channel_c_request, errors["C"]):
+            events.c.append((row, msg))
 
 
 # ---------------------------------------------------------------------------
-# Upstream: front-end transmitter, back-end receiver
+# Upstream: front-end transmitters, back-end receivers
 
 
 class UpstreamTransmitter:
-    """Per-card return-link transmitter: training pattern after reset, then
-    scrambled interleaved virtual channels."""
+    """Return-link transmitters, one row per card: training pattern after
+    reset, then scrambled interleaved virtual channels."""
 
-    def __init__(self, training_bits: int = 1000):
+    def __init__(self, rows: int, training_bits: int = 1000):
         self.training_bits = training_bits
-        self.reset()
+        self.queues = {"A": BitQueue(rows), "B": BitQueue(rows), "C": BitQueue(rows)}
+        self._register = np.zeros((rows, SCRAMBLER_ORDER), dtype=np.uint8)
+        self._training_left = np.full(rows, training_bits, dtype=np.int64)
+        # Line bits made but not sent yet: the rest of a partly sent cycle.
+        self._out = [_NO_BITS] * rows
 
-    def reset(self):
-        self._training_left = self.training_bits
-        self._train_phase = 0
-        self.scrambler = Scrambler(0)
-        self.queues = {"A": BitQueue(), "B": BitQueue(), "C": BitQueue()}
-        self._out = np.empty(0, dtype=np.uint8)
+    def reset(self, row: int):
+        self._training_left[row] = self.training_bits
+        self._register[row] = 0
+        for q in self.queues.values():
+            q.clear(row)
+        self._out[row] = _NO_BITS
 
-    def enqueue(self, channel: str, frame_bits: BitArray):
-        self.queues[channel].push(frame_bits)
-
-    @property
-    def idle(self) -> bool:
-        return (
-            self._training_left == 0
-            and len(self._out) == 0
-            and all(q.pending_bits == 0 for q in self.queues.values())
-        )
+    def enqueue(self, row: int, channel: str, frame_bits: BitArray):
+        self.queues[channel].push(row, frame_bits)
 
     def produce(self, nbits: int) -> BitArray:
-        while len(self._out) < nbits:
-            if self._training_left > 0:
-                take = min(self._training_left, nbits - len(self._out))
-                pat = training_pattern(take + self._train_phase)[self._train_phase :]
-                self._train_phase = (self._train_phase + take) % 2
-                self._training_left -= take
-                self._out = np.concatenate([self._out, pat])
-                continue
-            cycles = max(1, -(-(nbits - len(self._out)) // 4))
-            a = self.queues["A"].pull(cycles)
-            b = self.queues["B"].pull(cycles)
-            c = self.queues["C"].pull(2 * cycles)
-            line = upstream_tx(a, b, c, self.scrambler)
-            self._out = np.concatenate([self._out, line])
-        out = self._out[:nbits]
-        self._out = self._out[nbits:]
+        """The next nbits line bits of every row, as a (rows, nbits) array."""
+        out = np.empty((len(self._out), nbits), dtype=np.uint8)
+        sent = np.zeros(len(self._out), dtype=np.int64)
+        for row in np.flatnonzero([len(bits) > 0 for bits in self._out] | (self._training_left > 0)):
+            sent[row] = self._lead_in(row, out[row])
+        need = nbits - sent
+        for n in sorted(set(need[need > 0].tolist())):
+            rows = np.flatnonzero(need == n)
+            cycles = -(-n // 4)
+            a = self.queues["A"].pull(cycles, rows)
+            b = self.queues["B"].pull(cycles, rows)
+            c = self.queues["C"].pull(2 * cycles, rows)
+            scrambler = Scrambler(self._register[rows])
+            line = upstream_tx(a, b, c, scrambler)
+            self._register[rows] = scrambler.register
+            out[rows, nbits - n :] = line[:, :n]
+            if 4 * cycles > n:
+                for i, row in enumerate(rows):
+                    self._out[row] = line[i, n:]
         return out
+
+    def _lead_in(self, row: int, dest: BitArray) -> int:
+        """Write the row's unsent line bits and then its training bits to the
+        start of `dest`; returns how many were written."""
+        nbits = len(dest)
+        done = min(nbits, len(self._out[row]))
+        dest[:done] = self._out[row][:done]
+        self._out[row] = self._out[row][done:]
+        left = int(self._training_left[row])
+        take = min(left, nbits - done)
+        if take > 0:
+            phase = (self.training_bits - left) % 2
+            dest[done : done + take] = training_pattern(take + phase)[phase:]
+            self._training_left[row] -= take
+            done += take
+        return done
 
 
 @dataclass
 class UpRxEvents:
-    a: list = field(default_factory=list)  # ChannelAMessageUp | None
-    b: list = field(default_factory=list)  # ChannelBTransaction | None
-    packets: list = field(default_factory=list)  # raw fragment packet bytes
+    a: list = field(default_factory=list)  # (row, ChannelAMessageUp | None)
+    b: list = field(default_factory=list)  # (row, ChannelBTransaction | None)
+    packets: list = field(default_factory=list)  # (row, raw fragment packet bytes)
 
 
 class UpstreamReceiver:
-    """Back-end side of one return link: consume the training sequence, then
-    descramble and delineate channels by slot counting."""
+    """Back-end side of the return links, one row per card: consume the
+    training sequence, then descramble and delineate channels by slot
+    counting."""
 
-    def __init__(self, training_bits: int = 1000):
+    def __init__(self, rows: int, training_bits: int = 1000):
         self.training_bits = training_bits
-        self.reset()
+        self._training_left = np.full(rows, training_bits, dtype=np.int64)
+        self._register = np.zeros((rows, SCRAMBLER_ORDER), dtype=np.uint8)
+        self._carry = np.zeros((rows, 4), dtype=np.uint8)  # partial cycle, right-aligned
+        self._tail = np.zeros(rows, dtype=np.int64)
+        self.a_scanner = FrameScanner(rows, CHANNEL_A_FRAME_BITS)
+        self.b_scanner = FrameScanner(rows, CHANNEL_B_FRAME_BITS)
+        self.c_scanner = FrameScanner(rows, FRAGMENT_HEAD_BITS, fragment_frame_bits)
+        self.parity_errors = {"A": np.zeros(rows, dtype=np.int64), "B": np.zeros(rows, dtype=np.int64)}
+        self.training_errors = np.zeros(rows, dtype=np.int64)
 
-    def reset(self):
-        self._training_left = self.training_bits
-        self.descrambler = Descrambler(0)
-        self._pending = np.empty(0, dtype=np.uint8)
-        self.a_scanner = FrameScanner(CHANNEL_A_FRAME_BITS)
-        self.b_scanner = FrameScanner(CHANNEL_B_FRAME_BITS)
-        self.c_scanner = FrameScanner(FRAGMENT_HEAD_BITS, fragment_frame_bits)
-        self.parity_errors = {"A": 0, "B": 0}
-        self.training_errors = 0
-        self._train_phase = 0
+    def reset(self, row: int):
+        """Start the row over, counters included, as a reset link does."""
+        self._training_left[row] = self.training_bits
+        self._register[row] = 0
+        self._tail[row] = 0
+        for scanner in (self.a_scanner, self.b_scanner, self.c_scanner):
+            scanner.reset(row)
+        for errors in self.parity_errors.values():
+            errors[row] = 0
+        self.training_errors[row] = 0
 
     @property
-    def trained(self) -> bool:
-        """True once the whole training sequence since the last reset has
-        been consumed."""
+    def trained(self) -> np.ndarray:
+        """Per row, True once the whole training sequence since the last
+        reset has been consumed."""
         return self._training_left == 0
 
     def feed(self, bits: BitArray) -> UpRxEvents:
+        """Consume the next line bits of every row, a (rows, n) array."""
+        n = bits.shape[1]
+        skip = np.zeros(len(self._tail), dtype=np.int64)
+        for row in np.flatnonzero(self._training_left > 0):
+            left = int(self._training_left[row])
+            take = min(left, n)
+            phase = (self.training_bits - left) % 2
+            expect = training_pattern(take + phase)[phase:]
+            self.training_errors[row] += int(np.count_nonzero(bits[row, :take] != expect))
+            self._training_left[row] -= take
+            skip[row] = take
         events = UpRxEvents()
-        bits = as_bits(bits)
-        if self._training_left > 0:
-            take = min(self._training_left, len(bits))
-            expect = training_pattern(take + self._train_phase)[self._train_phase :]
-            self.training_errors += int(np.count_nonzero(bits[:take] != expect))
-            self._train_phase = (self._train_phase + take) % 2
-            self._training_left -= take
-            bits = bits[take:]
-            if len(bits) == 0:
-                return events
-        self._pending = np.concatenate([self._pending, bits])
-        usable = len(self._pending) - len(self._pending) % 4
-        if usable == 0:
-            return events
-        chunk = self._pending[:usable]
-        self._pending = self._pending[usable:]
-        a_bits, b_bits, c_bits = upstream_rx(chunk, self.descrambler)
-        a = _decode_frames(self.a_scanner, a_bits, decode_channel_a_up, self.parity_errors, "A")
-        b = _decode_frames(self.b_scanner, b_bits, decode_channel_b, self.parity_errors, "B")
-        events.a = [msg for msg, _ in a]
-        events.b = [msg for msg, _ in b]
-        events.packets = [np.packbits(frame[1:]).tobytes() for frame, _ in self.c_scanner.feed(c_bits)]
+        groups, self._carry, self._tail = _whole_cycles(self._carry, self._tail, bits, True, skip)
+        for rows, cycles in groups:
+            descrambler = Descrambler(self._register[rows])
+            a_bits, b_bits, c_bits = upstream_rx(cycles, descrambler)
+            self._register[rows] = descrambler.register
+            errors = self.parity_errors
+            for row, msg, _ in _decode_frames(self.a_scanner, a_bits, rows, decode_channel_a_up, errors["A"]):
+                events.a.append((row, msg))
+            for row, msg, _ in _decode_frames(self.b_scanner, b_bits, rows, decode_channel_b, errors["B"]):
+                events.b.append((row, msg))
+            for row, frame, _ in self.c_scanner.feed(c_bits, rows):
+                events.packets.append((row, np.packbits(frame[1:]).tobytes()))
+        _row_order(events.a, events.b, events.packets)
         return events

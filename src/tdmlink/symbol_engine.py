@@ -3,7 +3,10 @@
 Every line symbol is materialized: the downstream fanout runs the full
 interleave / B-inversion / Manchester chain and each front-end receiver
 acquires lock by bit slip; return links carry the training sequence and the
-scrambled interleaved channels. Time advances in slices of whole TDM
+scrambled interleaved channels. Links are rows: each direction holds every
+card's link as one row of a (links, bits) array, so a slice runs each stage
+of a chain once for all cards, and each link still takes its own line
+errors from its own random streams. Time advances in slices of whole TDM
 cycles, clipped so trigger issue ticks land exactly on slice boundaries
 (that keeps channel A latency accounting identical to the message-level
 engine).
@@ -44,21 +47,21 @@ class SymbolEngine(System):
             raise ValueError("symbol-level runs model zero link latency")
         super().__init__(config)
         self.slice_ticks = config.slice_cycles * timebase.TICKS_PER_DOWN_CYCLE
+        # Line interfaces, one row per port: the cards' fanout receivers and
+        # return transmitters, and the back-end's return receivers.
+        links = len(self.cards)
+        self.down_rx = DownstreamReceiver(links, lock_threshold=config.lock_threshold)
+        self.up_tx = UpstreamTransmitter(links, training_bits=config.training_bits)
+        self.backend_rx = UpstreamReceiver(links, training_bits=config.training_bits)
+        # Each link draws its line errors from its own two streams.
         rng = np.random.default_rng(config.seed)
-        # Line interfaces, per port: the card's fanout receiver and return
-        # transmitter, and the back-end's return receiver.
-        self.down_rx: dict[int, DownstreamReceiver] = {}
-        self.up_tx: dict[int, UpstreamTransmitter] = {}
-        self.backend_rx: dict[int, UpstreamReceiver] = {}
-        self._link_rngs: dict[int, tuple] = {}
-        for port in self.cards:
-            self.down_rx[port] = DownstreamReceiver(lock_threshold=config.lock_threshold)
-            self.up_tx[port] = UpstreamTransmitter(training_bits=config.training_bits)
-            self.backend_rx[port] = UpstreamReceiver(training_bits=config.training_bits)
-            self._link_rngs[port] = (
+        self._link_rngs = [
+            (
                 np.random.default_rng(rng.integers(1 << 63)),  # downstream at this card
                 np.random.default_rng(rng.integers(1 << 63)),  # upstream from this card
             )
+            for _ in range(links)
+        ]
 
         self.down_tx = DownstreamTransmitter()
         # The channel B request in flight and the first answer to it on each
@@ -82,80 +85,89 @@ class SymbolEngine(System):
             self._issue_trigger()
         self._apply_link_resets(t0, t1)
 
-        # Downstream: one fanout stream, per-receiver corruption.
+        # Downstream: one fanout stream; each card's row takes its own errors.
         cycles = (t1 - t0) // timebase.TICKS_PER_DOWN_CYCLE
         symbols = self.down_tx.produce_cycles(cycles)
-        for port in sorted(self.cards):
-            received = self._corrupt(symbols, self._link_rngs[port][0], port, "down", t0, 2)
-            self._handle_down_events(port, self.down_rx[port].feed(received))
+        self._handle_down_events(self.down_rx.feed(self._corrupt(symbols, 0, "down", t0, 2)))
 
-        # Upstream: one independent stream per link.
-        for port in sorted(self.cards):
-            bits = self.up_tx[port].produce(t1 - t0)
-            received = self._corrupt(bits, self._link_rngs[port][1], port, "up", t0, 1)
-            events = self.backend_rx[port].feed(received)
-            self._handle_up_events(port, events)
+        # Upstream: one independent stream per link, one row each.
+        bits = self.up_tx.produce(t1 - t0)
+        self._handle_up_events(self.backend_rx.feed(self._corrupt(bits, 1, "up", t0, 1)))
 
         self.now = t1
         self._backend_logic()
 
-    def _corrupt(self, bits, rng, port, direction, t0, ticks_per_symbol):
-        out = bits
-        if self.config.ber > 0.0 and len(bits):
-            mask = rng.random(len(bits)) < self.config.ber
-            if mask.any():
-                out = out ^ mask.astype(np.uint8)
-        for fault in self._line_flips:
-            if fault.get("link") == port and fault.get("direction") == direction:
-                pos = (fault["tick"] - t0) // ticks_per_symbol
-                if 0 <= pos < len(out):
-                    out = out.copy()
-                    out[pos] ^= 1
+    def _corrupt(self, bits, stream, direction, t0, ticks_per_symbol):
+        """Apply each link's line errors to its row. `bits` holds one row per
+        link, or one row that every link receives; `stream` picks the link's
+        random stream of the direction."""
+        n = bits.shape[-1]
+        flips = [
+            (fault["link"], (fault["tick"] - t0) // ticks_per_symbol)
+            for fault in self._line_flips
+            if fault["direction"] == direction
+        ]
+        flips = [(link, pos) for link, pos in flips if 0 <= pos < n]
+        if not flips and not (self.config.ber > 0.0 and n):
+            return bits
+        out = np.array(np.broadcast_to(bits, (len(self._link_rngs), n)))
+        if self.config.ber > 0.0 and n:
+            for row, rngs in zip(out, self._link_rngs):
+                row ^= rngs[stream].random(n) < self.config.ber
+        for link, pos in flips:
+            out[link, pos] ^= 1
         return out
 
     def _apply_link_resets(self, t0, t1):
         for fault in list(self._pending_resets):
             if t0 <= fault["tick"] < t1:
-                self.up_tx[fault["link"]].reset()
-                self.backend_rx[fault["link"]].reset()
+                self.up_tx.reset(fault["link"])
+                self.backend_rx.reset(fault["link"])
                 self._pending_resets.remove(fault)
 
     # -- card side ---------------------------------------------------------------
 
-    def _handle_down_events(self, port, events):
-        card = self.cards[port]
-        for msg, arrival_tick in events.a:
+    def _handle_down_events(self, events):
+        # Each card and its return row are its own, so the events go
+        # channel by channel; within a card, A before B before C as received.
+        for port, msg, arrival_tick in events.a:
             if msg is not None:
-                self._emit_card_output(port, card.on_channel_a(msg, arrival_tick))
-        for txn in events.b:
+                self._emit_card_output(port, self.cards[port].on_channel_a(msg, arrival_tick))
+        # Cards answering one broadcast mostly answer alike: each distinct
+        # answer is encoded once (messages are immutable).
+        answers = {}
+        for port, txn in events.b:
+            card = self.cards[port]
             resp = card.on_channel_b_parity_error() if txn is None else card.on_channel_b(txn)
             if resp is not None:
-                self.up_tx[port].enqueue("B", encode_channel_b(resp))
-        for req in events.c:
+                if resp not in answers:
+                    answers[resp] = encode_channel_b(resp)
+                self.up_tx.enqueue(port, "B", answers[resp])
+        for port, req in events.c:
             if req is not None:
-                self._emit_card_output(port, card.on_channel_c(req))
+                self._emit_card_output(port, self.cards[port].on_channel_c(req))
 
     def _emit_card_output(self, port, out):
         for reply in out.a_replies:
-            self.up_tx[port].enqueue("A", encode_channel_a(reply))
+            self.up_tx.enqueue(port, "A", encode_channel_a(reply))
         for data in out.packets:
-            self.up_tx[port].enqueue("C", frame_fragment(data))
+            self.up_tx.enqueue(port, "C", frame_fragment(data))
 
     # -- backend side ---------------------------------------------------------------
 
-    def _handle_up_events(self, port, events):
-        for msg in events.a:
+    def _handle_up_events(self, events):
+        for _, msg in events.a:
             if msg is not None:
                 self.trigger_unit.on_ack(msg)
         req = self._b_request
-        for txn in events.b:
+        for port, txn in events.b:
             if txn is None or req is None or port in self._b_answers:
                 continue
             if txn.parity_error or (txn.address, txn.read, txn.write) == (
                 req.address, req.read, req.write
             ):
                 self._b_answers[port] = txn
-        for data in events.packets:
+        for port, data in events.packets:
             self.pumps[port].on_packet(data)
 
     def _backend_logic(self):
@@ -187,9 +199,7 @@ class SymbolEngine(System):
         and every return link finished its training sequence (bootstrap
         precondition: links trained and locked)."""
         for _ in range(200):
-            if all(rx.locked for rx in self.down_rx.values()) and all(
-                rx.trained for rx in self.backend_rx.values()
-            ):
+            if self.down_rx.locked.all() and self.backend_rx.trained.all():
                 return
             self._advance_one_slice()
         raise RuntimeError("links failed to train and lock")

@@ -9,11 +9,16 @@ selection and channel delineation.
 Upstream (point-to-point, 400 Mbps, zero coding overhead): interleave
 A, B, C, C; invert channel B; pass through the x^43+1 self-synchronizing
 scrambler.
+
+The line codecs take the bit axis last: a 1-D array is one stream, and a
+(links, bits) array codes every link's row at once. Each public function
+checks its bit input once with `as_bits`; the private kernels it is built
+from do not check again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,6 +43,7 @@ __all__ = [
     "manchester_encode",
     "manchester_decode",
     "manchester_violations",
+    "count_manchester_violations",
     "resolve_phase",
     "bit_slip_sync",
     "LineSyncState",
@@ -77,9 +83,15 @@ class TdmSchedule:
     """Fixed cyclic slot assignment of one link direction."""
 
     slot_sequence: tuple[str, ...]
+    _slots: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        slots = {tag: tuple(i for i, t in enumerate(self.slot_sequence) if t == tag)
+                 for tag in self.slot_sequence}
+        object.__setattr__(self, "_slots", slots)
 
     def slots_of(self, tag: str) -> tuple[int, ...]:
-        return tuple(i for i, t in enumerate(self.slot_sequence) if t == tag)
+        return self._slots.get(tag, ())
 
 
 DOWNSTREAM_SCHEDULE = TdmSchedule(("A", "B", "A", "C"))
@@ -99,16 +111,15 @@ DEFAULT_LOCK_THRESHOLD = 4
 
 
 def _channel_cycles(schedule: TdmSchedule, a: BitArray, b: BitArray, c: BitArray) -> int:
-    streams = {"A": a, "B": b, "C": c}
     cycles = None
-    for tag, stream in streams.items():
+    for tag, stream in (("A", a), ("B", b), ("C", c)):
         per_cycle = len(schedule.slots_of(tag))
-        if len(stream) % per_cycle:
+        if stream.shape[-1] % per_cycle:
             raise WireFormatError(
-                f"channel {tag} supplies {len(stream)} bits, not a multiple of "
+                f"channel {tag} supplies {stream.shape[-1]} bits, not a multiple of "
                 f"{per_cycle} per cycle"
             )
-        n = len(stream) // per_cycle
+        n = stream.shape[-1] // per_cycle
         if cycles is None:
             cycles = n
         elif n != cycles:
@@ -122,36 +133,49 @@ def tdm_interleave(schedule: TdmSchedule, a, b, c) -> BitArray:
     """Merge per-channel bit streams into the line order of the schedule.
 
     Each channel must supply exactly as many bits as it has slots per cycle
-    times the common cycle count; idle channels supply zeros.
+    times the common cycle count; idle channels supply zeros. The bit axis
+    is the last one; leading axes (one row per link) must agree.
     """
-    a, b, c = as_bits(a), as_bits(b), as_bits(c)
+    return _interleave(schedule, as_bits(a), as_bits(b), as_bits(c))
+
+
+def _interleave(schedule: TdmSchedule, a: BitArray, b: BitArray, c: BitArray) -> BitArray:
     cycles = _channel_cycles(schedule, a, b, c)
-    out = np.empty(4 * cycles, dtype=np.uint8)
+    out = np.empty(a.shape[:-1] + (4 * cycles,), dtype=np.uint8)
     for tag, stream in (("A", a), ("B", b), ("C", c)):
         positions = schedule.slots_of(tag)
         for i, slot in enumerate(positions):
-            out[slot::4] = stream[i :: len(positions)]
+            out[..., slot::4] = stream[..., i :: len(positions)]
     return out
 
 
 def tdm_deinterleave(schedule: TdmSchedule, line, offset: int = 0):
-    """Split a line stream back into (a, b, c); line[i] sits in slot (offset+i) mod 4."""
-    line = as_bits(line)
-    if len(line) % 4:
-        raise WireFormatError(f"trailing partial cycle of {len(line) % 4} symbols")
+    """Split a line stream back into (a, b, c); line[..., i] sits in slot
+    (offset+i) mod 4."""
+    return _deinterleave(schedule, as_bits(line), offset)
+
+
+def _deinterleave(schedule: TdmSchedule, line: BitArray, offset: int = 0):
+    if line.shape[-1] % 4:
+        raise WireFormatError(f"trailing partial cycle of {line.shape[-1] % 4} symbols")
     if not 0 <= offset <= 3:
         raise WireFormatError(f"slot offset {offset} outside 0..3")
-    # Column j of the (cycles, 4) view holds slot (offset + j) mod 4.
-    rows = line.reshape(-1, 4)
-    return tuple(
-        rows[:, sorted((s - offset) % 4 for s in schedule.slots_of(tag))].ravel()
-        for tag in ("A", "B", "C")
-    )
+    cycles = line.shape[-1] // 4
+    out = []
+    for tag in ("A", "B", "C"):
+        # line[..., j::4] holds slot (offset + j) mod 4; a channel takes its
+        # slots in line order within each cycle.
+        columns = sorted((s - offset) % 4 for s in schedule.slots_of(tag))
+        bits = np.empty(line.shape[:-1] + (len(columns) * cycles,), dtype=np.uint8)
+        for i, j in enumerate(columns):
+            bits[..., i :: len(columns)] = line[..., j::4]
+        out.append(bits)
+    return tuple(out)
 
 
 def invert_channel_b(bits) -> BitArray:
     """Complement every bit; applied to the channel B stream before interleaving."""
-    return (1 - as_bits(bits)).astype(np.uint8)
+    return as_bits(bits) ^ 1
 
 
 def infer_slot_offset_from_idle(line) -> int:
@@ -176,18 +200,30 @@ def infer_slot_offset_from_idle(line) -> int:
 
 def manchester_encode(bits) -> BitArray:
     """Each bit b becomes the symbol pair (b, not b); doubles the baud rate."""
-    bits = as_bits(bits)
-    out = np.empty(2 * len(bits), dtype=np.uint8)
-    out[0::2] = bits
-    out[1::2] = 1 - bits
+    return _manchester_encode(as_bits(bits))
+
+
+def _manchester_encode(bits: BitArray) -> BitArray:
+    out = np.empty(bits.shape[:-1] + (2 * bits.shape[-1],), dtype=np.uint8)
+    out[..., 0::2] = bits
+    out[..., 1::2] = bits ^ 1
     return out
 
 
 def manchester_violations(symbols) -> np.ndarray:
     """Symbol positions of the pairs (0,0) and (1,1), which the encoder never
     sends; pairs start at even positions."""
-    symbols = as_bits(symbols)
-    return 2 * np.flatnonzero(symbols[0::2] == symbols[1::2])
+    return 2 * np.flatnonzero(_broken_pairs(as_bits(symbols)))
+
+
+def count_manchester_violations(symbols) -> np.ndarray:
+    """Number of pairs that break Manchester coding along the last axis: one
+    count per row of a (links, symbols) array."""
+    return np.count_nonzero(_broken_pairs(as_bits(symbols)), axis=-1)
+
+
+def _broken_pairs(symbols: BitArray) -> np.ndarray:
+    return symbols[..., 0::2] == symbols[..., 1::2]
 
 
 def manchester_decode(symbols, half_bit_phase: int, check: bool = True) -> BitArray:
@@ -202,13 +238,13 @@ def manchester_decode(symbols, half_bit_phase: int, check: bool = True) -> BitAr
     symbols = as_bits(symbols)
     if half_bit_phase not in (0, 1):
         raise WireFormatError(f"half-bit phase {half_bit_phase} outside 0..1")
-    if len(symbols) % 2:
+    if symbols.shape[-1] % 2:
         raise WireFormatError("symbol count must be even")
     if check:
         bad = manchester_violations(symbols)
         if len(bad):
             raise CodingViolationError(int(bad[0]))
-    return symbols[half_bit_phase::2].copy()
+    return symbols[..., half_bit_phase::2].copy()
 
 
 def _matches_idle_rotation(decoded: BitArray) -> bool:
@@ -308,7 +344,7 @@ def _seed_register(state) -> BitArray:
     if isinstance(state, (int, np.integer)):
         return bits_from_int(int(state), SCRAMBLER_ORDER)
     reg = as_bits(state)
-    if len(reg) != SCRAMBLER_ORDER:
+    if reg.shape[-1:] != (SCRAMBLER_ORDER,):
         raise WireFormatError(f"scrambler register needs {SCRAMBLER_ORDER} bits")
     return reg.copy()
 
@@ -317,25 +353,30 @@ class Scrambler:
     """Encoder: out[i] = in[i] xor out[i-43], fed back from its own output."""
 
     def __init__(self, state=0):
-        self.register = _seed_register(state)  # register[0] is the oldest bit
+        self.register = _seed_register(state)  # register[..., 0] is the oldest bit
 
     def scramble(self, bits) -> BitArray:
-        bits = as_bits(bits)
-        n = len(bits)
-        out = bits.copy()
-        if n == 0:
-            return out
-        # Within each residue class mod 43 the recurrence is a running XOR.
-        k = SCRAMBLER_ORDER
-        for r in range(min(k, n)):
-            seq = out[r::k]
-            seq[0] ^= self.register[r]
-            np.bitwise_xor.accumulate(seq, out=seq)
-        if n >= k:
-            self.register = out[-k:].copy()
-        else:
-            self.register = np.concatenate([self.register[n:], out])
+        out, self.register = _scramble(as_bits(bits), self.register)
         return out
+
+
+def _scramble(bits: BitArray, register: BitArray) -> tuple[BitArray, BitArray]:
+    """Scramble along the last axis from `register` (one row per leading
+    index); returns the line bits and the register after them."""
+    k = SCRAMBLER_ORDER
+    n = bits.shape[-1]
+    lead = bits.shape[:-1]
+    # Laid out as (..., blocks, 43), column r holds residue class r mod 43,
+    # where the recurrence is a running XOR down the blocks.
+    blocks = -(-n // k)
+    buf = np.zeros(lead + (blocks * k,), dtype=np.uint8)
+    buf[..., :n] = bits
+    if blocks:
+        grid = buf.reshape(lead + (blocks, k))
+        grid[..., 0, :] ^= register
+        np.bitwise_xor.accumulate(grid, axis=-2, out=grid)
+    out = buf[..., :n]
+    return out, np.concatenate([register, out[..., -k:]], axis=-1)[..., -k:]
 
 
 class Descrambler:
@@ -343,17 +384,17 @@ class Descrambler:
     regardless of the initial register (self-synchronization)."""
 
     def __init__(self, state=0):
-        self.register = _seed_register(state)  # register[0] is the oldest bit
+        self.register = _seed_register(state)  # register[..., 0] is the oldest bit
 
     def descramble(self, bits) -> BitArray:
-        bits = as_bits(bits)
-        n = len(bits)
-        if n == 0:
-            return bits.copy()
-        hist = np.concatenate([self.register, bits])
-        out = bits ^ hist[:n]
-        self.register = hist[n : n + SCRAMBLER_ORDER].copy()
+        out, self.register = _descramble(as_bits(bits), self.register)
         return out
+
+
+def _descramble(bits: BitArray, register: BitArray) -> tuple[BitArray, BitArray]:
+    n = bits.shape[-1]
+    hist = np.concatenate([register, bits], axis=-1)
+    return bits ^ hist[..., :n], hist[..., n:].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -429,18 +470,18 @@ def inject_bit_error(bits, position: int) -> BitArray:
 
 def downstream_tx(a, b, c) -> BitArray:
     """Interleave A,B,A,C; invert B; Manchester-encode."""
-    line = tdm_interleave(DOWNSTREAM_SCHEDULE, a, invert_channel_b(b), c)
-    return manchester_encode(line)
+    a, b, c = as_bits(a), as_bits(b), as_bits(c)
+    return _manchester_encode(_interleave(DOWNSTREAM_SCHEDULE, a, b ^ 1, c))
 
 
 def downstream_rx(symbols):
     """Inverse of downstream_tx for a symbol stream that starts on a cycle
-    boundary. A pair that
-    breaks Manchester coding does not raise: its sampled half is taken as
-    the bit (`manchester_violations` counts such pairs)."""
+    boundary. A pair that breaks Manchester coding does not raise: its
+    sampled half is taken as the bit (`manchester_violations` counts such
+    pairs)."""
     line = manchester_decode(symbols, 0, check=False)
-    a, b_inv, c = tdm_deinterleave(DOWNSTREAM_SCHEDULE, line)
-    return a, invert_channel_b(b_inv), c
+    a, b_inv, c = _deinterleave(DOWNSTREAM_SCHEDULE, line)
+    return a, b_inv ^ 1, c
 
 
 def downstream_idle_symbols(cycles: int) -> BitArray:
@@ -449,15 +490,16 @@ def downstream_idle_symbols(cycles: int) -> BitArray:
 
 def upstream_tx(a, b, c, scrambler: Scrambler) -> BitArray:
     """Interleave A,B,C,C; invert B; scramble. Zero coding overhead."""
-    line = tdm_interleave(UPSTREAM_SCHEDULE, a, invert_channel_b(b), c)
-    return scrambler.scramble(line)
+    a, b, c = as_bits(a), as_bits(b), as_bits(c)
+    line, scrambler.register = _scramble(_interleave(UPSTREAM_SCHEDULE, a, b ^ 1, c), scrambler.register)
+    return line
 
 
 def upstream_rx(line, descrambler: Descrambler):
     """Inverse of upstream_tx."""
-    bits = descrambler.descramble(line)
-    a, b_inv, c = tdm_deinterleave(UPSTREAM_SCHEDULE, bits)
-    return a, invert_channel_b(b_inv), c
+    bits, descrambler.register = _descramble(as_bits(line), descrambler.register)
+    a, b_inv, c = _deinterleave(UPSTREAM_SCHEDULE, bits)
+    return a, b_inv ^ 1, c
 
 
 def training_pattern(n: int) -> BitArray:

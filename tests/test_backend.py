@@ -334,9 +334,23 @@ class TestBootstrap:
     def test_unconnected_port_reported_absent(self):
         cards = {port: fe.FrontEndCard(port + 1) for port in range(5) if port != 3}
         result = be.bootstrap_sequence(be.untimed_exchange(cards), ports=list(range(5)))
-        assert result.verified
+        assert not result.verified
         assert result.absent_ports == [3]
         assert len(result.id_map) == 4
+
+    def test_port_that_never_answers_leaves_bootstrap_unverified(self):
+        # The card on port 1 is there, but every answer it sends is lost
+        # on its return link; the other ports' IDs all check out.
+        cards = {port: fe.FrontEndCard(port + 1) for port in range(3)}
+        exchange = be.untimed_exchange(cards)
+
+        def lossy(txn):
+            return {port: r for port, r in exchange(txn).items() if port != 1}
+
+        result = be.bootstrap_sequence(lossy, ports=[0, 1, 2])
+        assert result.absent_ports == [1]
+        assert sorted(result.id_map) == [0, 2]
+        assert not result.verified
 
     def test_targeted_reply_must_arrive_on_the_cards_own_port(self):
         cards = {port: fe.FrontEndCard(port + 1) for port in range(3)}

@@ -96,3 +96,22 @@ def test_scrambled_density_near_half():
 def test_register_width_checked():
     with pytest.raises(Exception):
         Scrambler(np.zeros(10, dtype=np.uint8))
+
+
+def test_rows_match_bit_serial_reference_in_chunks():
+    # One register per row; rows scrambled together in uneven chunks, some
+    # shorter than the register.
+    rng = np.random.default_rng(27)
+    states = random_bits(rng, 4 * SCRAMBLER_ORDER).reshape(4, SCRAMBLER_ORDER)
+    x = random_bits(rng, 4 * 700).reshape(4, 700)
+    tx, rx = Scrambler(states), Descrambler(states)
+    out, back = [], []
+    pos = 0
+    for n in (5, 43, 1, 200, 97, 354):
+        out.append(tx.scramble(x[:, pos : pos + n]))
+        back.append(rx.descramble(out[-1]))
+        pos += n
+    out, back = np.concatenate(out, axis=1), np.concatenate(back, axis=1)
+    for row in range(4):
+        assert np.array_equal(out[row], reference_scramble(states[row], x[row]))
+    assert np.array_equal(back, x)

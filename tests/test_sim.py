@@ -137,11 +137,25 @@ class TestAbstractionEquivalence:
             res_s = run_scenario(small_scenario("symbol_level", **cfg_kw))
             assert res_m.client_digest() == res_s.client_digest()
 
+    def test_equivalence_at_32_cards(self):
+        # The paper's scale: 32 cards, a periodic plan shaped like the
+        # benchmark's 32-card symbol-level workload, at another seed.
+        kw = dict(
+            num_frontends=32, seed=2018, trigger_count=3,
+            trigger_period_us=100.0, trigger_start_us=360.0,
+        )
+        res_m = run_scenario(small_scenario("message_level", **kw))
+        res_s = run_scenario(small_scenario("symbol_level", **kw))
+        assert res_s.metrics.client["events"] == 3
+        assert res_s.metrics.violations == []
+        assert res_s.metrics.bootstrap["mapped_ports"] == 32
+        assert res_m.client_digest() == res_s.client_digest()
+
     # Periodic plans only: gated triggers issue on slice boundaries at
     # symbol level, so their timestamps differ from the message level.
     @settings(max_examples=8, deadline=None)
     @given(
-        cards=st.integers(1, 4),
+        cards=st.integers(1, 8),
         seed=st.integers(0, 2**16),
         channels=st.integers(1, 4),
         words=st.sampled_from([2, 4, 6, 8]),
@@ -234,7 +248,7 @@ class TestFaultInjection:
         assert res.metrics.violations == []
         # The reset link retrained (training fully consumed again) and both
         # links delivered every packet.
-        assert res.engine.backend_rx[1].trained
+        assert res.engine.backend_rx.trained[1]
         assert res.metrics.per_link[0]["packets"] == res.metrics.per_link[1]["packets"]
 
     def test_rerun_of_one_config_repeats_the_link_reset(self):
@@ -324,7 +338,7 @@ class TestLineErrors:
 
     def test_packet_header_outside_the_length_rule(self):
         res = self.run_and_audit(line_error_scenario(ber=1e-5, seed=7))
-        assert sum(rx.c_scanner.faults for rx in res.engine.backend_rx.values()) > 0
+        assert res.engine.backend_rx.c_scanner.faults.sum() > 0
 
     def test_unrequested_packet_into_occupied_fifo(self):
         res = self.run_and_audit(line_error_scenario(ber=1e-3, seed=3))
@@ -343,7 +357,7 @@ class TestLineErrors:
         # the card answers with PE set and latches nothing, so bootstrap
         # must send the write again for the card to get its ID.
         res = self.run_and_audit(line_error_scenario(num_frontends=1, ber=1e-5, seed=43607))
-        assert res.engine.down_rx[0].parity_errors["B"] > 0
+        assert res.engine.down_rx.parity_errors["B"][0] > 0
         assert res.metrics.bootstrap["verified"]
         assert res.engine.cards[0].assigned_id == 0
         assert res.metrics.client["events"] == 4
@@ -354,7 +368,7 @@ class TestLineErrors:
         engine = SymbolEngine(line_error_scenario(num_frontends=1))
         engine._wait_links_ready()
         stray = ChannelBTransaction(read=True, address=REG_LOST_TRIGGERS, data=7)
-        engine.up_tx[0].enqueue("B", encode_channel_b(stray))
+        engine.up_tx.enqueue(0, "B", encode_channel_b(stray))
         request = ChannelBTransaction(broadcast=True, read=True, address=REG_SERIAL_LO)
         answer = engine._exchange(request)[0]
         assert answer.address == REG_SERIAL_LO
@@ -366,7 +380,34 @@ class TestLineErrors:
         # slices, so bootstrap still ends before data taking starts.
         res = self.run_and_audit(line_error_scenario(num_frontends=3, ber=1e-5, seed=116, run_ms=0.6))
         assert res.metrics.bootstrap["verified"]
-        assert res.engine.backend_rx[1].parity_errors["B"] > 0
+        assert res.engine.backend_rx.parity_errors["B"][1] > 0
+
+    def test_line_errors_and_link_faults_pinned(self):
+        # Random line errors on every link, plus a downstream flip inside a
+        # bootstrap write to card 2 (a parity error, then a resend), and a
+        # reset of link 3 whose retraining takes an upstream flip. The
+        # digest and every link's counters are pinned, so each link must
+        # draw its line errors from its own random stream in a fixed order.
+        res = self.run_and_audit(line_error_scenario(
+            num_frontends=4, ber=1e-5, seed=7,
+            faults=[
+                {"type": "line_flip", "link": 2, "direction": "down", "tick": 1124},
+                {"type": "link_reset", "link": 3, "tick": 150_000},
+                {"type": "line_flip", "link": 3, "direction": "up", "tick": 150_400},
+            ],
+        ))
+        assert res.client_digest() == "c76094a615b49d531f1b8fc3fcc2f2dd181ae02c4dbde411c99200d7249af085"
+        assert res.metrics.client["events"] == 4
+        assert res.metrics.bootstrap["verified"]
+        down, up = res.engine.down_rx, res.engine.backend_rx
+        assert down.coding_violations.tolist() == [1, 1, 3, 1]
+        assert down.parity_errors["A"].tolist() == [0, 0, 0, 0]
+        assert down.parity_errors["B"].tolist() == [0, 0, 1, 1]
+        assert down.parity_errors["C"].tolist() == [0, 0, 0, 0]
+        assert up.parity_errors["A"].tolist() == [0, 0, 0, 0]
+        assert up.parity_errors["B"].tolist() == [0, 0, 0, 0]
+        assert up.training_errors.tolist() == [0, 0, 0, 1]
+        assert up.c_scanner.faults.tolist() == [26, 0, 0, 0]
 
     # A fixed 0.6 ms window covers bootstrap, the four triggers and their
     # readout (the plan completes at 0.56 ms at BER 0), and it bounds each

@@ -18,34 +18,34 @@ from tdmlink.streams import (
 def feed_in_chunks(rx, stream, rng, lo=1, hi=97):
     events = []
     pos = 0
-    while pos < len(stream):
+    while pos < stream.shape[-1]:
         n = int(rng.integers(lo, hi))
-        events.append(rx.feed(stream[pos : pos + n]))
+        events.append(rx.feed(stream[..., pos : pos + n]))
         pos += n
     return events
 
 
 class TestBitQueue:
     def test_zero_fill_and_frame_continuity(self):
-        q = BitQueue()
-        q.push([1, 0, 1])
+        q = BitQueue(1)
+        q.push(0, [1, 0, 1])
         out = q.pull(2)
-        assert list(out) == [1, 0]
-        q.push([1, 1])
-        assert list(q.pull(5)) == [1, 1, 1, 0, 0]
+        assert list(out[0]) == [1, 0]
+        q.push(0, [1, 1])
+        assert list(q.pull(5)[0]) == [1, 1, 1, 0, 0]
 
 
 class TestScanners:
     def test_frames_across_chunk_boundaries(self):
         frame = m.encode_channel_a(m.ChannelAMessageDown(sampling_stop=True))
         stream = np.concatenate([np.zeros(7, dtype=np.uint8), frame, np.zeros(3, dtype=np.uint8), frame])
-        sc = FrameScanner(10)
+        sc = FrameScanner(1, 10)
         got = []
         for i in range(0, len(stream), 4):
-            got.extend(sc.feed(stream[i : i + 4]))
+            got.extend(sc.feed(stream[None, i : i + 4]))
         assert len(got) == 2
-        assert got[0][1] == 7 + 9  # global index of last bit
-        assert np.array_equal(got[0][0], frame)
+        assert got[0][2] == 7 + 9  # global index of last bit
+        assert np.array_equal(got[0][1], frame)
 
     def test_packet_scanner_round_trip(self):
         pkt = m.FragmentPacket.build(soe=False, eoe=True, payload_words=(1, 2, 3, 4))
@@ -53,25 +53,25 @@ class TestScanners:
         stream = np.concatenate(
             [np.zeros(5, dtype=np.uint8), framed, np.zeros(9, dtype=np.uint8), framed]
         )
-        sc = FrameScanner(m.FRAGMENT_HEAD_BITS, m.fragment_frame_bits)
+        sc = FrameScanner(1, m.FRAGMENT_HEAD_BITS, m.fragment_frame_bits)
         got = []
         rng = np.random.default_rng(0)
         pos = 0
         while pos < len(stream):
             n = int(rng.integers(1, 33))
-            got.extend(np.packbits(frame[1:]).tobytes() for frame, _ in sc.feed(stream[pos : pos + n]))
+            got.extend(np.packbits(frame[1:]).tobytes() for _, frame, _ in sc.feed(stream[None, pos : pos + n]))
             pos += n
         assert got == [pkt.serialize(), pkt.serialize()]
-        assert sc.faults == 0
+        assert sc.faults[0] == 0
 
 
     def test_packet_scanner_emits_only_headers_the_rule_accepts(self):
         # Sparse line errors on an idle channel C: every frame the scanner
         # lets through must parse, and the headers it rejects are counted.
         noise = (np.random.default_rng(3).random(20_000) < 0.01).astype(np.uint8)
-        sc = FrameScanner(m.FRAGMENT_HEAD_BITS, m.fragment_frame_bits)
-        packets = [np.packbits(frame[1:]).tobytes() for frame, _ in sc.feed(noise)]
-        assert packets and sc.faults > 0
+        sc = FrameScanner(1, m.FRAGMENT_HEAD_BITS, m.fragment_frame_bits)
+        packets = [np.packbits(frame[1:]).tobytes() for _, frame, _ in sc.feed(noise[None])]
+        assert packets and sc.faults[0] > 0
         for data in packets:
             m.FragmentPacket.deserialize(data)
 
@@ -79,11 +79,11 @@ class TestScanners:
 class TestDownstreamChain:
     def test_idle_then_frames_all_channels(self):
         tx = DownstreamTransmitter()
-        rx = DownstreamReceiver()
+        rx = DownstreamReceiver(1)
         rng = np.random.default_rng(1)
 
         rx.feed(tx.produce_cycles(8))  # idle preamble: lock
-        assert rx.locked and rx.sync.bit_slip_offset == 0
+        assert rx.locked[0] and rx.sync[0].bit_slip_offset == 0
 
         a_msg = m.ChannelAMessageDown(sampling_stop=True, event_type=1)
         b_txn = m.ChannelBTransaction(write=True, target_id=9, address=0x20, data=0x1234ABCD)
@@ -98,10 +98,10 @@ class TestDownstreamChain:
             got_a.extend(ev.a)
             got_b.extend(ev.b)
             got_c.extend(ev.c)
-        assert [msg for msg, _ in got_a] == [a_msg]
-        assert got_b == [b_txn]
-        assert got_c == [c_req]
-        assert rx.coding_violations == 0
+        assert [msg for _, msg, _ in got_a] == [a_msg]
+        assert got_b == [(0, b_txn)]
+        assert got_c == [(0, c_req)]
+        assert rx.coding_violations[0] == 0
 
     @pytest.mark.parametrize("offset", range(8))
     def test_lock_from_any_starting_offset(self, offset):
@@ -111,14 +111,14 @@ class TestDownstreamChain:
         tx.enqueue("A", m.encode_channel_a(msg))
         stream = np.concatenate([stream, tx.produce_cycles(10)])
 
-        rx = DownstreamReceiver()
+        rx = DownstreamReceiver(1)
         ev_all = []
         rng = np.random.default_rng(offset)
         for ev in feed_in_chunks(rx, stream[offset:], rng):
             ev_all.extend(ev.a)
-        assert rx.locked
-        assert rx.sync.bit_slip_offset == offset
-        assert [msg for msg, _ in ev_all] == [msg]
+        assert rx.locked[0]
+        assert rx.sync[0].bit_slip_offset == offset
+        assert [msg for _, msg, _ in ev_all] == [msg]
 
     def test_b_saturation_does_not_delay_channel_a(self):
         # Slots are fixed: A bits flow every cycle no matter how much B
@@ -127,24 +127,24 @@ class TestDownstreamChain:
         arrivals = {}
         for saturate_b in (False, True):
             tx = DownstreamTransmitter()
-            rx = DownstreamReceiver()
+            rx = DownstreamReceiver(1)
             rx.feed(tx.produce_cycles(8))
             if saturate_b:
                 for _ in range(50):
                     tx.enqueue("B", b_txn)
             tx.enqueue("A", m.encode_channel_a(m.ChannelAMessageDown(sampling_stop=True)))
             ev = rx.feed(tx.produce_cycles(64))
-            arrivals[saturate_b] = ev.a[0][1]
+            arrivals[saturate_b] = ev.a[0][2]
         assert arrivals[True] == arrivals[False]
 
     def test_a_frame_arrival_tick_formula(self):
         tx = DownstreamTransmitter()
-        rx = DownstreamReceiver()
+        rx = DownstreamReceiver(1)
         rx.feed(tx.produce_cycles(8))
         msg = m.ChannelAMessageDown(sampling_stop=True)
         first_bit = tx.enqueue("A", m.encode_channel_a(msg))
         ev = rx.feed(tx.produce_cycles(8))
-        (decoded, tick), = ev.a
+        (_, decoded, tick), = ev.a
         assert decoded == msg
         assert tick == timebase.down_a_frame_arrival_tick(first_bit)
 
@@ -153,7 +153,7 @@ class TestDownstreamChain:
         # the frame length in A slots, with no drift over a long run.
         n = 100_000
         tx = DownstreamTransmitter()
-        rx = DownstreamReceiver()
+        rx = DownstreamReceiver(1)
         rx.feed(tx.produce_cycles(8))
         frame = m.encode_channel_a(m.ChannelAMessageDown(sampling_stop=True))
         starts = [tx.enqueue("A", frame) for _ in range(n)]
@@ -161,7 +161,7 @@ class TestDownstreamChain:
         remaining = 5 * n + 16
         while remaining > 0:
             take = min(4096, remaining)
-            arrivals.extend(t for _, t in rx.feed(tx.produce_cycles(take)).a)
+            arrivals.extend(t for _, _, t in rx.feed(tx.produce_cycles(take)).a)
             remaining -= take
         assert len(arrivals) == n
         latencies = {t - timebase.down_a_bit_end_tick(s) for s, t in zip(starts, arrivals)}
@@ -172,16 +172,16 @@ class TestDownstreamChain:
 
 class TestUpstreamChain:
     def test_training_then_traffic(self):
-        tx = UpstreamTransmitter(training_bits=64)
-        rx = UpstreamReceiver(training_bits=64)
+        tx = UpstreamTransmitter(1, training_bits=64)
+        rx = UpstreamReceiver(1, training_bits=64)
         rng = np.random.default_rng(5)
 
         reply = m.ChannelAMessageUp(set_busy=True)
         resp = m.ChannelBTransaction(read=True, target_id=3, address=0x0, data=0xFEED)
         pkt = m.FragmentPacket.build(soe=False, eoe=True, payload_words=(10, 20))
-        tx.enqueue("A", m.encode_channel_a(reply))
-        tx.enqueue("B", m.encode_channel_b(resp))
-        tx.enqueue("C", m.frame_fragment(pkt.serialize()))
+        tx.enqueue(0, "A", m.encode_channel_a(reply))
+        tx.enqueue(0, "B", m.encode_channel_b(resp))
+        tx.enqueue(0, "C", m.frame_fragment(pkt.serialize()))
 
         got_a, got_b, got_p = [], [], []
         line = tx.produce(64 + 400)
@@ -189,43 +189,125 @@ class TestUpstreamChain:
             got_a.extend(ev.a)
             got_b.extend(ev.b)
             got_p.extend(ev.packets)
-        assert rx.training_errors == 0
-        assert got_a == [reply]
-        assert got_b == [resp]
-        assert got_p == [pkt.serialize()]
+        assert rx.training_errors[0] == 0
+        assert got_a == [(0, reply)]
+        assert got_b == [(0, resp)]
+        assert got_p == [(0, pkt.serialize())]
 
     def test_forbidden_field_combination_counted_like_parity_error(self):
         # SET_BUSY and CLEAR_BUSY both set, with valid parity.
         frame = np.array([1, 1, 1, 0, 0, 0, 0, 0, 0, 0], dtype=np.uint8)
         with pytest.raises(m.MessageFormatError):
             m.decode_channel_a_up(frame)
-        tx = UpstreamTransmitter(training_bits=0)
-        rx = UpstreamReceiver(training_bits=0)
-        tx.enqueue("A", frame)
-        tx.enqueue("A", m.encode_channel_a(m.ChannelAMessageUp(clear_busy=True)))
+        tx = UpstreamTransmitter(1, training_bits=0)
+        rx = UpstreamReceiver(1, training_bits=0)
+        tx.enqueue(0, "A", frame)
+        tx.enqueue(0, "A", m.encode_channel_a(m.ChannelAMessageUp(clear_busy=True)))
         ev = rx.feed(tx.produce(200))
-        assert ev.a == [None, m.ChannelAMessageUp(clear_busy=True)]
-        assert rx.parity_errors == {"A": 1, "B": 0}
+        assert ev.a == [(0, None), (0, m.ChannelAMessageUp(clear_busy=True))]
+        assert {ch: errors.tolist() for ch, errors in rx.parity_errors.items()} == {"A": [1], "B": [0]}
 
     def test_idle_upstream_line_is_scrambled_not_zero(self):
-        tx = UpstreamTransmitter(training_bits=0)
+        tx = UpstreamTransmitter(1, training_bits=0)
         line = tx.produce(400)
         # Scrambler spreads the B-inversion marker; line is not the raw 0100.
         assert line.any()
-        rx = UpstreamReceiver(training_bits=0)
+        rx = UpstreamReceiver(1, training_bits=0)
         ev = rx.feed(line)
         assert ev.a == [] and ev.b == [] and ev.packets == []
 
     def test_reset_retrains_and_recovers(self):
-        tx = UpstreamTransmitter(training_bits=32)
-        rx = UpstreamReceiver(training_bits=32)
+        tx = UpstreamTransmitter(1, training_bits=32)
+        rx = UpstreamReceiver(1, training_bits=32)
         rx.feed(tx.produce(200))
-        tx.reset()
-        rx.reset()
+        tx.reset(0)
+        rx.reset(0)
         pkt = m.FragmentPacket.build(soe=True, eoe=True,
                                      payload_words=m.FragmentPacket.event_header_payload(7, 1000))
-        tx.enqueue("C", m.frame_fragment(pkt.serialize()))
+        tx.enqueue(0, "C", m.frame_fragment(pkt.serialize()))
         got = []
         for _ in range(4):
-            got.extend(rx.feed(tx.produce(100)).packets)
+            got.extend(data for _, data in rx.feed(tx.produce(100)).packets)
         assert got == [pkt.serialize()]
+
+
+class TestRows:
+    """A row of a many-link object behaves as a one-link object does."""
+
+    def test_return_links_match_one_link_each(self):
+        # Three links with different traffic in uneven chunks (some not
+        # whole cycles), link 1 reset and retrained half way.
+        frames = {
+            0: [("A", m.encode_channel_a(m.ChannelAMessageUp(set_busy=True))),
+                ("C", m.frame_fragment(m.FragmentPacket.build(
+                    soe=False, eoe=True, payload_words=(1, 2, 3, 4)).serialize()))],
+            1: [("B", m.encode_channel_b(m.ChannelBTransaction(read=True, address=0x10, data=5)))],
+            2: [],
+        }
+        many_tx, many_rx = UpstreamTransmitter(3, training_bits=50), UpstreamReceiver(3, training_bits=50)
+        one = [(UpstreamTransmitter(1, training_bits=50), UpstreamReceiver(1, training_bits=50)) for _ in range(3)]
+        got_many, got_one = [], []
+        rng = np.random.default_rng(8)
+        for step in range(12):
+            if step == 6:
+                many_tx.reset(1)
+                many_rx.reset(1)
+                one[1][0].reset(0)
+                one[1][1].reset(0)
+            if step in (2, 7):
+                for row, queued in frames.items():
+                    for channel, bits in queued:
+                        many_tx.enqueue(row, channel, bits)
+                        one[row][0].enqueue(0, channel, bits)
+            n = int(rng.integers(1, 120))
+            line = many_tx.produce(n)
+            ev = many_rx.feed(line)
+            got_many.append((ev.a, ev.b, ev.packets))
+            rows = []
+            for row, (tx, rx) in enumerate(one):
+                single = tx.produce(n)
+                assert np.array_equal(single[0], line[row])
+                ev = rx.feed(single)
+                rows.append([[(row, x) for _, x in part] for part in (ev.a, ev.b, ev.packets)])
+            got_one.append(tuple(sum((r[i] for r in rows), []) for i in range(3)))
+        assert got_many == got_one
+        assert sum(len(packets) for _, _, packets in got_many) == 2
+        for name in ("training_errors", "trained"):
+            assert getattr(many_rx, name).tolist() == [getattr(rx, name)[0] for _, rx in one]
+        assert many_rx.c_scanner.faults.tolist() == [rx.c_scanner.faults[0] for _, rx in one]
+
+    def test_fanout_receivers_match_one_link_each(self):
+        # One fanout stream; card 1 takes a flipped symbol inside a frame and
+        # card 2 starts listening 5 symbols late, so it locks at another
+        # offset and carries another tail.
+        tx = DownstreamTransmitter()
+        stream = [tx.produce_cycles(10)]
+        for i in range(6):
+            tx.enqueue("A", m.encode_channel_a(m.ChannelAMessageDown(sampling_stop=True)))
+            tx.enqueue("B", m.encode_channel_b(m.ChannelBTransaction(write=True, target_id=i, address=1)))
+            tx.enqueue("C", m.encode_channel_c_request(m.ChannelCRequest(target_mask=1 << i)))
+            stream.append(tx.produce_cycles(90))
+        stream = np.concatenate(stream)
+        rows = np.array([stream, stream, np.concatenate([stream[5:], np.zeros(5, np.uint8)])])
+        rows[1, 12 * 8] ^= 1  # a bit of the first A frame
+        many = DownstreamReceiver(3)
+        one = [DownstreamReceiver(1) for _ in range(3)]
+        got_many, got_one = [], []
+        rng = np.random.default_rng(9)
+        pos = 0
+        while pos < rows.shape[1]:
+            n = int(rng.integers(1, 200))
+            ev = many.feed(rows[:, pos : pos + n])
+            got_many.append((ev.a, ev.b, ev.c))
+            parts = [[], [], []]
+            for row, rx in enumerate(one):
+                ev = rx.feed(rows[row, pos : pos + n])
+                for part, events in zip(parts, (ev.a, ev.b, ev.c)):
+                    part.extend((row,) + e[1:] for e in events)
+            got_one.append(tuple(parts))
+            pos += n
+        assert got_many == got_one
+        assert [msg is None for a, _, _ in got_many for _, msg, _ in a].count(False) == 3 * 6 - 1
+        assert [s.bit_slip_offset for s in many.sync] == [0, 0, 5]
+        assert many.coding_violations.tolist() == [rx.coding_violations[0] for rx in one]
+        assert many.parity_errors["A"].tolist() == [0, 1, 0]

@@ -232,3 +232,32 @@ class TestFullChain:
 
     def test_training_pattern(self):
         assert bits_to_str(wire.training_pattern(8)) == "10101010"
+
+
+class TestRows:
+    """A (links, bits) array codes each row as a 1-D stream of its own."""
+
+    def test_chains_code_each_row_like_one_stream(self):
+        rng = np.random.default_rng(13)
+        links, cycles = 3, 40
+        a = rng.integers(0, 2, (links, cycles), dtype=np.uint8)
+        b = rng.integers(0, 2, (links, cycles), dtype=np.uint8)
+        c = rng.integers(0, 2, (links, 2 * cycles), dtype=np.uint8)
+        symbols = wire.downstream_tx(c, b, a)
+        assert np.array_equal(wire.count_manchester_violations(symbols), [0, 0, 0])
+        states = rng.integers(0, 2, (links, wire.SCRAMBLER_ORDER), dtype=np.uint8)
+        tx, rx = wire.Scrambler(states), wire.Descrambler(states)
+        line = wire.upstream_tx(a, b, c, tx)
+        channels = wire.upstream_rx(line, rx)
+        for row in range(links):
+            assert np.array_equal(symbols[row], wire.downstream_tx(c[row], b[row], a[row]))
+            for x, y in zip(wire.downstream_rx(symbols), wire.downstream_rx(symbols[row])):
+                assert np.array_equal(x[row], y)
+            one = wire.Scrambler(states[row])
+            assert np.array_equal(line[row], wire.upstream_tx(a[row], b[row], c[row], one))
+            assert np.array_equal(tx.register[row], one.register)
+            for x, y in zip(channels, (a, b, c)):
+                assert np.array_equal(x[row], y[row])
+        broken = symbols.copy()
+        broken[1, [4, 10, 11, 15]] ^= 1  # pair 5 flips whole and stays valid
+        assert wire.count_manchester_violations(broken).tolist() == [0, 2, 0]
