@@ -134,7 +134,6 @@ class BufferDescriptor:
     buffer_id: int
     capacity: int = 8192
     header_reserve: int = 66
-    fill_level: int = 0
     payload: bytearray = field(default_factory=bytearray)
     incomplete_event: bool = False
     has_event_end: bool = False
@@ -144,11 +143,14 @@ class BufferDescriptor:
         return self.capacity - self.header_reserve
 
     @property
+    def fill_level(self) -> int:
+        return len(self.payload)
+
+    @property
     def free(self) -> int:
-        return self.usable - self.fill_level
+        return self.usable - len(self.payload)
 
     def reset(self):
-        self.fill_level = 0
         self.payload = bytearray()
         self.incomplete_event = False
         self.has_event_end = False
@@ -208,7 +210,6 @@ class PacketMover:
         self.pool = pool
         self.current: BufferDescriptor | None = None
         self.stalls = 0
-        self.records_written = 0
 
     def write_record(self, tag: int, packet_bytes: bytes, incomplete: bool = False) -> bool:
         """True when the record was written; False when stalled (retry later,
@@ -228,16 +229,14 @@ class PacketMover:
                 self.stalls += 1
                 return False
         self.current.payload += record
-        self.current.fill_level += len(record)
         self.current.incomplete_event |= incomplete
         if tag in (RECORD_GLOBAL_EOE, RECORD_GLOBAL_EOE_INCOMPLETE):
             self.current.has_event_end = True
-        self.records_written += 1
         return True
 
     def flush(self):
         """Push a partially filled buffer out (end of run)."""
-        if self.current is not None and self.current.fill_level > 0:
+        if self.current is not None and self.current.payload:
             self.pool.push_filled(self.current)
             self.current = None
 
@@ -494,10 +493,11 @@ def untimed_exchange(cards: dict) -> Callable:
     return exchange
 
 
-# Times bootstrap sends one transaction while an addressed card answers it
-# with the parity-error flag, i.e. the request reached that card corrupted.
-# A card answers every request it receives corrupted, since it cannot tell
-# whom it addressed, so only the addressed ports' answers count.
+# Times bootstrap sends one transaction while an addressed card has not
+# answered it, or answered with the parity-error flag, i.e. the request or
+# the answer was lost or reached its end corrupted. A card answers every
+# request it receives corrupted, since it cannot tell whom it addressed, so
+# only the addressed ports' answers count.
 BOOTSTRAP_ATTEMPTS = 3
 
 
@@ -506,11 +506,12 @@ def bootstrap_sequence(send, ports: list[int]) -> BootstrapResult:
 
     `send(txn)` sends one channel B transaction down the fanout and returns
     {port: response} gathered from the per-port return links. A transaction
-    is resent while an addressed port's response flags a parity error, up to
-    BOOTSTRAP_ATTEMPTS sends; responses that flag one are dropped. Step 1
-    learns serial <-> port from the broadcast serial reads; step 2
-    broadcasts the mapping; step 3 verifies every card's ID register with a
-    targeted read, whose response must come back on the card's own port.
+    is resent until every addressed port has given an answer that flags no
+    parity error, up to BOOTSTRAP_ATTEMPTS sends; answers that flag one are
+    dropped. Step 1 learns serial <-> port from the broadcast serial reads;
+    step 2 broadcasts the mapping; step 3 verifies every card's ID register
+    with a targeted read, whose response must come back on the card's own
+    port.
     The result is verified only when every port got its ID and step 3
     confirmed each one; a port that never answered leaves it unverified.
     """
@@ -524,7 +525,7 @@ def bootstrap_sequence(send, ports: list[int]) -> BootstrapResult:
         for _ in range(BOOTSTRAP_ATTEMPTS):
             replies = send(txn)
             answers.update({port: r for port, r in replies.items() if not r.parity_error})
-            if not any(replies[p].parity_error for p in addressed if p in replies):
+            if all(p in answers for p in addressed):
                 break
         return answers
 

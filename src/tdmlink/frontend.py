@@ -49,6 +49,7 @@ __all__ = [
     "SCRATCH_WORDS",
     "ID_UNASSIGNED",
     "EventGeneratorConfig",
+    "check_card_settings",
     "generator_word",
     "CardOutput",
     "FrontEndCard",
@@ -94,6 +95,14 @@ class EventGeneratorConfig:
             raise ValueError(f"unknown fill pattern {self.fill_pattern!r}")
 
 
+def check_card_settings(buffering_depth: int, clear_busy_on: str):
+    """Reject a buffering depth or busy-clearing mode no card can run with."""
+    if buffering_depth < 1:
+        raise ValueError("buffering_depth must be >= 1")
+    if clear_busy_on not in ("buffered", "readout"):
+        raise ValueError("clear_busy_on must be 'buffered' or 'readout'")
+
+
 @dataclass
 class _QueuedEvent:
     event_number: int
@@ -121,8 +130,7 @@ class FrontEndCard:
     ):
         if not 0 <= serial_number < (1 << SERIAL_BITS):
             raise ValueError("serial number must fit 53 bits")
-        if clear_busy_on not in ("buffered", "readout"):
-            raise ValueError("clear_busy_on must be 'buffered' or 'readout'")
+        check_card_settings(buffering_depth, clear_busy_on)
         self.serial_number = serial_number
         self.generator = generator or EventGeneratorConfig()
         self.buffering_depth = buffering_depth
@@ -130,7 +138,6 @@ class FrontEndCard:
 
         self.assigned_id: int | None = None
         self.busy = False
-        self.sampling_active = True
         self.event_counter = 0
         self.timestamp_clear_tick = 0
         self.lost_triggers = 0
@@ -154,10 +161,7 @@ class FrontEndCard:
             self.event_counter = 0
         if msg.clear_timestamp:
             self.timestamp_clear_tick = arrival_tick
-        if msg.sampling_start:
-            self.sampling_active = True
         if msg.sampling_stop:
-            self.sampling_active = False
             if len(self.event_queue) >= self.buffering_depth:
                 self.lost_triggers += 1
             else:

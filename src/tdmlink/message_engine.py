@@ -46,7 +46,6 @@ class MessageEngine(System):
         self._heap = []
         self._seq = 0
         self._stopped = False
-        self.latency = config.link_latency_ticks
         self.rtt_ticks = config.request_rtt_ticks
 
         # Channel pacing state.
@@ -118,7 +117,7 @@ class MessageEngine(System):
         issue = -(-self.now // timebase.TICKS_PER_DOWN_CYCLE) * timebase.TICKS_PER_DOWN_CYCLE
         k_start = max(self._next_a_bit, 2 * (issue // timebase.TICKS_PER_DOWN_CYCLE))
         self._next_a_bit = k_start + 10
-        arrival = timebase.down_a_frame_arrival_tick(k_start) + self.latency
+        arrival = timebase.down_a_frame_arrival_tick(k_start)
         self.trigger_unit.on_issued()
         msg = ChannelAMessageDown(sampling_stop=True)
         self._at(arrival, self._deliver_trigger, msg)
@@ -135,7 +134,7 @@ class MessageEngine(System):
             start = max(self.now, self._up_a_busy[port])
             finish = start + UP_A_FRAME_TICKS
             self._up_a_busy[port] = finish
-            self._at(finish + self.latency, self._on_ack, reply)
+            self._at(finish, self._on_ack, reply)
         for data in out.packets:
             self._send_packet_up(port, data)
 
@@ -147,7 +146,7 @@ class MessageEngine(System):
         start = max(self.now, self._up_c_busy[port])
         finish = start + _up_c_packet_ticks(len(data))
         self._up_c_busy[port] = finish
-        self._at(finish + self.latency, self._packet_arrived, port, data)
+        self._at(finish, self._packet_arrived, port, data)
 
     def _packet_arrived(self, port, data: bytes):
         index = self._arrival_index[port]
@@ -177,7 +176,7 @@ class MessageEngine(System):
         finish = start + DOWN_C_FRAME_TICKS
         self._down_c_busy = finish
         req = ChannelCRequest(target_mask=mask)
-        self._at(finish + self.latency, self._deliver_request, req)
+        self._at(finish, self._deliver_request, req)
 
     def _deliver_request(self, req):
         for port in sorted(self.cards):

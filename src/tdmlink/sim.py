@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import timebase
-from .frontend import EventGeneratorConfig, generator_word
+from .frontend import EventGeneratorConfig, check_card_settings, generator_word
 from .message_engine import MessageEngine
 from .symbol_engine import SymbolEngine
 from .system import CARD_FAULTS
@@ -68,11 +68,7 @@ class SimConfig:
     buffer_pool: int = 64
     request_rtt_us: float = 300.0
     # Links.
-    link_latency_ticks: int = 0
     ber: float = 0.0
-    training_bits: int = 1000
-    lock_threshold: int = 4
-    slice_cycles: int = 64
     # Run control: duration-based (run_ms set) or event-count based.
     run_ms: float | None = None
     warmup_ms: float = 0.0
@@ -99,6 +95,7 @@ class SimConfig:
         if self.keep_client_events is None:
             self.keep_client_events = self.run_ms is None
         self.generator_config()
+        check_card_settings(self.buffering_depth, self.clear_busy_on)
         if self.serials is not None and len(self.serials) < self.num_frontends:
             raise ValueError("serial list shorter than num_frontends")
         fault_keys = {**CARD_FAULTS, **_ENGINES[self.abstraction].LINK_FAULTS}
@@ -217,24 +214,13 @@ class Metrics:
 
     def to_json_lines(self) -> str:
         """Machine-readable diagnostics, one JSON object per line."""
+        # client, per_link and bootstrap get lines of their own; measured_ticks is not reported.
+        run = {k: v for k, v in asdict(self).items()
+               if k not in ("measured_ticks", "client", "per_link", "bootstrap")}
+        run.update(kind="run", event_rate_hz=round(self.event_rate_hz, 6),
+                   throughput_MB_s=round(self.throughput_MB_s, 6))
         lines = [
-            json.dumps(
-                {
-                    "kind": "run",
-                    "abstraction": self.abstraction,
-                    "seed": self.seed,
-                    "num_frontends": self.num_frontends,
-                    "elapsed_ticks": self.elapsed_ticks,
-                    "triggers_issued": self.triggers_issued,
-                    "events_built": self.events_built,
-                    "events_incomplete": self.events_incomplete,
-                    "halt_reason": self.halt_reason,
-                    "event_rate_hz": round(self.event_rate_hz, 6),
-                    "throughput_MB_s": round(self.throughput_MB_s, 6),
-                    "violations": self.violations,
-                },
-                sort_keys=True,
-            ),
+            json.dumps(run, sort_keys=True),
             json.dumps({"kind": "client", **self.client}, sort_keys=True),
             json.dumps({"kind": "bootstrap", **self.bootstrap}, sort_keys=True),
         ]

@@ -32,6 +32,7 @@ from .messages import (
     fragment_frame_bits,
 )
 from .wire import (
+    DEFAULT_LOCK_THRESHOLD,
     DOWNSTREAM_SCHEDULE,
     SCRAMBLER_ORDER,
     Descrambler,
@@ -284,8 +285,7 @@ class DownstreamReceiver:
     to the next chunk; fed whole cycles, that tail keeps its length.
     """
 
-    def __init__(self, rows: int, lock_threshold: int = 4):
-        self.lock_threshold = lock_threshold
+    def __init__(self, rows: int):
         self.locked = np.zeros(rows, dtype=bool)
         self.sync: list = [None] * rows
         self._search = [_NO_BITS] * rows  # symbols kept while not locked
@@ -322,10 +322,10 @@ class DownstreamReceiver:
         """Search one unlocked row for the idle pattern; once locked, decode
         what follows the lock point."""
         pending = np.concatenate([self._search[row], symbols])
-        state = bit_slip_sync(pending, self.lock_threshold)
+        state = bit_slip_sync(pending)
         if not state.locked:
             # Bound the search buffer; keep enough context to lock later.
-            keep = 16 * self.lock_threshold
+            keep = 16 * DEFAULT_LOCK_THRESHOLD
             if len(pending) > keep:
                 self._consumed[row] += len(pending) - keep
                 pending = pending[-keep:]
@@ -364,8 +364,8 @@ class DownstreamReceiver:
 
 
 class UpstreamTransmitter:
-    """Return-link transmitters, one row per card: training pattern after
-    reset, then scrambled interleaved virtual channels."""
+    """Return-link transmitters, one row per card: `training_bits` of the
+    training pattern after reset, then scrambled interleaved channels."""
 
     def __init__(self, rows: int, training_bits: int = 1000):
         self.training_bits = training_bits

@@ -6,10 +6,10 @@ acquires lock by bit slip; return links carry the training sequence and the
 scrambled interleaved channels. Links are rows: each direction holds every
 card's link as one row of a (links, bits) array, so a slice runs each stage
 of a chain once for all cards, and each link still takes its own line
-errors from its own random streams. Time advances in slices of whole TDM
-cycles, clipped so trigger issue ticks land exactly on slice boundaries
-(that keeps channel A latency accounting identical to the message-level
-engine).
+errors from its own random streams. Links have zero latency, as at
+message level. Time advances in slices of SLICE_CYCLES whole TDM cycles,
+clipped so trigger issue ticks land exactly on slice boundaries (that keeps
+channel A latency accounting identical to the message-level engine).
 """
 
 from __future__ import annotations
@@ -38,21 +38,22 @@ __all__ = ["SymbolEngine"]
 # would only push bootstrap past the data-taking start.
 EXCHANGE_TIMEOUT_TICKS = 4 * CHANNEL_B_FRAME_BITS * timebase.DOWN_TICKS_PER_CHANNEL_BIT["B"]
 
+# Downstream TDM cycles per slice. BER > 0 runs depend on it: each link
+# draws its line errors one slice at a time.
+SLICE_CYCLES = 64
+
 
 class SymbolEngine(System):
     LINK_FAULTS = {"line_flip": ("link", "direction", "tick"), "link_reset": ("link", "tick")}
 
     def __init__(self, config):
-        if config.link_latency_ticks:
-            raise ValueError("symbol-level runs model zero link latency")
         super().__init__(config)
-        self.slice_ticks = config.slice_cycles * timebase.TICKS_PER_DOWN_CYCLE
         # Line interfaces, one row per port: the cards' fanout receivers and
         # return transmitters, and the back-end's return receivers.
         links = len(self.cards)
-        self.down_rx = DownstreamReceiver(links, lock_threshold=config.lock_threshold)
-        self.up_tx = UpstreamTransmitter(links, training_bits=config.training_bits)
-        self.backend_rx = UpstreamReceiver(links, training_bits=config.training_bits)
+        self.down_rx = DownstreamReceiver(links)
+        self.up_tx = UpstreamTransmitter(links)
+        self.backend_rx = UpstreamReceiver(links)
         # Each link draws its line errors from its own two streams.
         rng = np.random.default_rng(config.seed)
         self._link_rngs = [
@@ -77,7 +78,7 @@ class SymbolEngine(System):
 
     def _advance_one_slice(self):
         t0 = self.now
-        t1 = t0 + self.slice_ticks
+        t1 = t0 + SLICE_CYCLES * timebase.TICKS_PER_DOWN_CYCLE
         pending = self.trigger_unit.next_issue_tick(t0, self.builder.events_built, len(self.cards))
         if pending is not None and t0 < pending < t1:
             t1 = pending  # clip so issue happens exactly on a boundary

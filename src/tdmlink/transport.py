@@ -110,7 +110,6 @@ class TransportServer:
         self.pool = pool
         self.credit = 0
         self.sequence = 0
-        self.frames_sent = 0
         self.frames_since_grant = 0
         self.last_grant = 0
         self.max_burst_violation = False
@@ -140,7 +139,6 @@ class TransportServer:
         frame = TransportFrame(self.sequence, flags, bytes(desc.payload))
         self.sequence += 1
         self.credit -= 1
-        self.frames_sent += 1
         self.frames_since_grant += 1
         if self.frames_since_grant > self.last_grant:
             self.max_burst_violation = True

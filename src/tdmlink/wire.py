@@ -30,7 +30,6 @@ __all__ = [
     "UPSTREAM_SCHEDULE",
     "DOWNSTREAM_IDLE_SYMBOLS",
     "IDLE_CYCLE_BITS",
-    "B_SLOT_INDEX",
     "SCRAMBLER_ORDER",
     "DEFAULT_LOCK_THRESHOLD",
     "WireFormatError",
@@ -39,7 +38,6 @@ __all__ = [
     "tdm_interleave",
     "tdm_deinterleave",
     "invert_channel_b",
-    "infer_slot_offset_from_idle",
     "manchester_encode",
     "manchester_decode",
     "manchester_violations",
@@ -99,7 +97,6 @@ UPSTREAM_SCHEDULE = TdmSchedule(("A", "B", "C", "C"))
 
 # Channel B occupies slot 1 in both directions; its inversion makes the
 # idle cycle 0100 instead of 0000, which is what delineation keys on.
-B_SLOT_INDEX = 1
 IDLE_CYCLE_BITS = as_bits([0, 1, 0, 0])
 DOWNSTREAM_IDLE_SYMBOLS = bits_from_str("01100101")
 
@@ -149,26 +146,21 @@ def _interleave(schedule: TdmSchedule, a: BitArray, b: BitArray, c: BitArray) ->
     return out
 
 
-def tdm_deinterleave(schedule: TdmSchedule, line, offset: int = 0):
-    """Split a line stream back into (a, b, c); line[..., i] sits in slot
-    (offset+i) mod 4."""
-    return _deinterleave(schedule, as_bits(line), offset)
+def tdm_deinterleave(schedule: TdmSchedule, line):
+    """Split a line stream that starts on a cycle boundary back into (a, b, c)."""
+    return _deinterleave(schedule, as_bits(line))
 
 
-def _deinterleave(schedule: TdmSchedule, line: BitArray, offset: int = 0):
+def _deinterleave(schedule: TdmSchedule, line: BitArray):
     if line.shape[-1] % 4:
         raise WireFormatError(f"trailing partial cycle of {line.shape[-1] % 4} symbols")
-    if not 0 <= offset <= 3:
-        raise WireFormatError(f"slot offset {offset} outside 0..3")
     cycles = line.shape[-1] // 4
     out = []
     for tag in ("A", "B", "C"):
-        # line[..., j::4] holds slot (offset + j) mod 4; a channel takes its
-        # slots in line order within each cycle.
-        columns = sorted((s - offset) % 4 for s in schedule.slots_of(tag))
-        bits = np.empty(line.shape[:-1] + (len(columns) * cycles,), dtype=np.uint8)
-        for i, j in enumerate(columns):
-            bits[..., i :: len(columns)] = line[..., j::4]
+        slots = schedule.slots_of(tag)
+        bits = np.empty(line.shape[:-1] + (len(slots) * cycles,), dtype=np.uint8)
+        for i, slot in enumerate(slots):
+            bits[..., i :: len(slots)] = line[..., slot::4]
         out.append(bits)
     return tuple(out)
 
@@ -176,22 +168,6 @@ def _deinterleave(schedule: TdmSchedule, line: BitArray, offset: int = 0):
 def invert_channel_b(bits) -> BitArray:
     """Complement every bit; applied to the channel B stream before interleaving."""
     return as_bits(bits) ^ 1
-
-
-def infer_slot_offset_from_idle(line) -> int:
-    """Recover the slot offset of an idle line segment (post B-inversion).
-
-    During idle the only 1-bits are channel B's inverted zeros, so their
-    position mod 4 pins down the cycle alignment.
-    """
-    line = as_bits(line)
-    ones = np.flatnonzero(line)
-    if len(ones) == 0:
-        raise SyncError("no B-channel marker bit in window")
-    residues = np.unique(ones % 4)
-    if len(residues) != 1:
-        raise SyncError("window is not idle traffic: 1-bits in several slots")
-    return (B_SLOT_INDEX - int(residues[0])) % 4
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +259,6 @@ class LineSyncState:
     locked: bool
     bit_slip_offset: int = 0
     half_bit_phase: int = 0
-    consecutive_matches: int = 0
     # Index into the scanned stream of the first symbol that starts a full
     # cycle (idle-pattern position 0); decoding proceeds from here.
     aligned_index: int = 0
@@ -328,10 +303,9 @@ def bit_slip_sync(line, lock_threshold: int = DEFAULT_LOCK_THRESHOLD) -> LineSyn
                 locked=True,
                 bit_slip_offset=offset,
                 half_bit_phase=offset % 2,
-                consecutive_matches=consecutive,
                 aligned_index=aligned,
             )
-    return LineSyncState(locked=False, consecutive_matches=consecutive)
+    return LineSyncState(locked=False)
 
 
 # ---------------------------------------------------------------------------

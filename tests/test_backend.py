@@ -352,6 +352,26 @@ class TestBootstrap:
         assert sorted(result.id_map) == [0, 2]
         assert not result.verified
 
+    def test_missing_answer_is_resent(self):
+        # Port 1's answer to the first send of every transaction is lost on
+        # its return link (a resend passes the same transaction object); the
+        # resend brings it, so every ID is assigned and verified.
+        cards = {port: fe.FrontEndCard(port + 1) for port in range(3)}
+        exchange = be.untimed_exchange(cards)
+        sent = [None]
+
+        def lossy_once(txn):
+            out = exchange(txn)
+            if txn is not sent[-1]:
+                out.pop(1, None)
+            sent.append(txn)
+            return out
+
+        result = be.bootstrap_sequence(lossy_once, ports=[0, 1, 2])
+        assert result.verified
+        assert result.absent_ports == []
+        assert sorted(result.id_map) == [0, 1, 2]
+
     def test_targeted_reply_must_arrive_on_the_cards_own_port(self):
         cards = {port: fe.FrontEndCard(port + 1) for port in range(3)}
         exchange = be.untimed_exchange(cards)

@@ -41,13 +41,20 @@ class TestConfig:
             SimConfig(ber=1e-9)  # bit errors need the symbol engine
         with pytest.raises(ValueError):
             SimConfig(credit=0)
+        with pytest.raises(ValueError, match="buffering_depth"):
+            SimConfig(buffering_depth=0)
+        with pytest.raises(ValueError, match="clear_busy_on"):
+            SimConfig(clear_busy_on="sometimes")
 
     def test_json_round_trip(self):
         cfg = small_scenario("message_level")
         again = SimConfig.from_json(json.dumps(cfg.to_dict()))
         assert again == cfg
-        with pytest.raises(ValueError, match="unknown config keys"):
-            SimConfig.from_dict({"bogus_key": 1})
+        # The link settings the simulator fixes are not config keys; a config
+        # that still carries one is rejected, not silently run without it.
+        for key in ("bogus_key", "link_latency_ticks", "slice_cycles", "training_bits", "lock_threshold"):
+            with pytest.raises(ValueError, match="unknown config keys"):
+                SimConfig.from_json(json.dumps({**cfg.to_dict(), key: 1}))
 
     @pytest.mark.parametrize(
         "abstraction, fault",
@@ -117,6 +124,17 @@ class TestDeterminism:
         # Serial numbers differ, so bootstrap maps differ even though the
         # counter payloads coincide.
         assert res1.engine.cards[0].serial_number != res2.engine.cards[0].serial_number
+
+
+class TestMetrics:
+    def test_run_line_fields(self):
+        run = json.loads(run_scenario(small_scenario("message_level")).metrics.to_json_lines().splitlines()[0])
+        assert set(run) == {
+            "kind", "abstraction", "seed", "num_frontends", "elapsed_ticks", "triggers_issued",
+            "events_built", "events_incomplete", "halt_reason", "event_rate_hz", "throughput_MB_s",
+            "violations",
+        }
+        assert run["kind"] == "run"
 
 
 class TestAbstractionEquivalence:
@@ -381,6 +399,14 @@ class TestLineErrors:
         res = self.run_and_audit(line_error_scenario(num_frontends=3, ber=1e-5, seed=116, run_ms=0.6))
         assert res.metrics.bootstrap["verified"]
         assert res.engine.backend_rx.parity_errors["B"][1] > 0
+
+    def test_missing_bootstrap_answer_is_resent(self):
+        # At BER 1e-3 line errors on idle return channels B frame stray
+        # frames that swallow answers; bootstrap sends a request again until
+        # every addressed port has answered, so no card is left out.
+        res = self.run_and_audit(line_error_scenario(num_frontends=4, ber=1e-3, seed=11726, run_ms=0.6))
+        assert res.metrics.bootstrap["absent_ports"] == []
+        assert res.metrics.bootstrap["verified"]
 
     def test_line_errors_and_link_faults_pinned(self):
         # Random line errors on every link, plus a downstream flip inside a

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tdmlink.bits import as_bits, bits_from_str, bits_to_str, random_bits
+from tdmlink.bits import bits_from_str, bits_to_str, random_bits
 from tdmlink import wire
 from tdmlink.wire import (
     DOWNSTREAM_SCHEDULE,
@@ -28,7 +28,7 @@ class TestTdm:
         assert bits_to_str(out) == "0000"
 
     def test_deinterleave_inverse_example(self):
-        a, b, c = wire.tdm_deinterleave(DOWNSTREAM_SCHEDULE, [1, 0, 1, 1], 0)
+        a, b, c = wire.tdm_deinterleave(DOWNSTREAM_SCHEDULE, [1, 0, 1, 1])
         assert bits_to_str(a) == "11" and bits_to_str(b) == "0" and bits_to_str(c) == "1"
 
     @pytest.mark.parametrize("schedule", [DOWNSTREAM_SCHEDULE, UPSTREAM_SCHEDULE])
@@ -41,7 +41,7 @@ class TestTdm:
         b = random_bits(rng, cycles)
         c = random_bits(rng, nc * cycles)
         line = wire.tdm_interleave(schedule, a, b, c)
-        a2, b2, c2 = wire.tdm_deinterleave(schedule, line, 0)
+        a2, b2, c2 = wire.tdm_deinterleave(schedule, line)
         assert np.array_equal(a, a2)
         assert np.array_equal(b, b2)
         assert np.array_equal(c, c2)
@@ -61,19 +61,7 @@ class TestTdm:
 
     def test_partial_cycle_reported(self):
         with pytest.raises(WireFormatError, match="partial cycle of 2"):
-            wire.tdm_deinterleave(DOWNSTREAM_SCHEDULE, [0, 1, 0, 0, 0, 1], 0)
-
-    def test_offset_deinterleave_matches_suffix(self):
-        rng = np.random.default_rng(5)
-        a = random_bits(rng, 20)
-        b = random_bits(rng, 10)
-        c = random_bits(rng, 10)
-        line = wire.tdm_interleave(DOWNSTREAM_SCHEDULE, a, b, c)
-        # Cut mid-cycle: line[5] sits in slot 1, 32 symbols remain.
-        a2, b2, c2 = wire.tdm_deinterleave(DOWNSTREAM_SCHEDULE, line[5:37], offset=1)
-        assert np.array_equal(a2, a[3:19])
-        assert np.array_equal(b2, b[1:9])
-        assert np.array_equal(c2, c[1:9])
+            wire.tdm_deinterleave(DOWNSTREAM_SCHEDULE, [0, 1, 0, 0, 0, 1])
 
 
 class TestInvertB:
@@ -91,13 +79,6 @@ class TestInvertB:
         rng = np.random.default_rng(99)
         x = random_bits(rng, 1000)
         assert np.array_equal(wire.invert_channel_b(wire.invert_channel_b(x)), x)
-
-    def test_idle_marker_identifies_slots(self):
-        line = np.tile(as_bits([0, 1, 0, 0]), 13)
-        assert wire.infer_slot_offset_from_idle(line) == 0
-        assert wire.infer_slot_offset_from_idle(line[3:-1]) == 3
-        with pytest.raises(SyncError):
-            wire.infer_slot_offset_from_idle(np.zeros(16, dtype=np.uint8))
 
 
 class TestManchester:
