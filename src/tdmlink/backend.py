@@ -75,8 +75,7 @@ class DataPump:
     requested; it is dropped and counted in `counters.faults`.
     """
 
-    def __init__(self, link_id: int):
-        self.link_id = link_id
+    def __init__(self):
         self.enabled = False
         self.request_outstanding = False
         self.fault: str | None = None

@@ -19,7 +19,7 @@ from .frontend import EventGeneratorConfig, check_card_settings, generator_word
 from .message_engine import MessageEngine
 from .symbol_engine import SymbolEngine
 from .system import CARD_FAULTS
-from .wire import PRBS_TAPS, PrbsGenerator, inject_bit_error, prbs_verify
+from .wire import PRBS_TAPS, PrbsGenerator, prbs_verify
 
 __all__ = [
     "TICKS_PER_US",
@@ -301,6 +301,8 @@ def run_scenario(config: SimConfig) -> ScenarioResult:
 # ---------------------------------------------------------------------------
 # Embedded bit-error-rate tester
 
+BER_DRAW_CHUNK = 1 << 20  # channel-error draws per rng call: 8 MB of float64
+
 
 @dataclass
 class BerResult:
@@ -328,8 +330,9 @@ def ber_test(
 ) -> BerResult:
     """Run the embedded BER tester over `duration_bits` effective bits.
 
-    A window of up to `window_bits` is materialized bit by bit through the
-    generator/verifier pair; the remainder is fast-forwarded: the coding
+    A window of up to `window_bits` is generated as one array, corrupted
+    in place by the channel and the injected flips, and checked by the
+    self-seeding verifier; the remainder is fast-forwarded: the coding
     chain is the identity (scramble then descramble cancels exactly, as the
     codec property tests establish), so an error-free channel contributes
     zero errors at any length, and a channel with bit-error probability p
@@ -344,16 +347,19 @@ def ber_test(
     if duration < order + 1:
         raise ValueError("duration too short for the pattern order")
     window = min(duration, int(window_bits))
+    for pos in inject:
+        if not order <= pos < window:
+            raise ValueError(f"inject position {pos} outside {order}..{window - 1}")
     rng = np.random.default_rng(seed)
 
     bits = PrbsGenerator(order, seed=1).stream(window)
     if ber > 0.0:
-        mask = rng.random(window) < ber
-        bits = bits ^ mask.astype(np.uint8)
+        # Chunked draws give the same values as one draw of `window`.
+        for start in range(0, window, BER_DRAW_CHUNK):
+            draw = rng.random(min(BER_DRAW_CHUNK, window - start))
+            bits[start + np.flatnonzero(draw < ber)] ^= 1
     for pos in inject:
-        if not order <= pos < window:
-            raise ValueError(f"inject position {pos} outside {order}..{window - 1}")
-        bits = inject_bit_error(bits, pos)
+        bits[pos] ^= 1  # a position injected twice cancels itself
     positions = prbs_verify(order, bits)
     window_errors = int(len(positions))
 
@@ -361,7 +367,8 @@ def ber_test(
     remainder_errors = int(rng.binomial(remainder, ber)) if ber > 0.0 and remainder else 0
     errors = window_errors + remainder_errors
 
-    detected = all(int(p) in set(int(x) for x in positions) for p in inject)
+    detected_set = set(positions.tolist())
+    detected = all(int(p) in detected_set for p in inject)
     return BerResult(
         pattern=pattern,
         bits=duration,

@@ -42,7 +42,7 @@ class System:
             )
             for port in range(config.num_frontends)
         }
-        self.pumps = {port: DataPump(port) for port in self.cards}
+        self.pumps = {port: DataPump() for port in self.cards}
         self.pool = BufferPool(
             size=config.buffer_pool, capacity=config.mtu, header_reserve=FRAME_OVERHEAD_BYTES
         )

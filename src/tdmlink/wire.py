@@ -378,17 +378,25 @@ def _descramble(bits: BitArray, register: BitArray) -> tuple[BitArray, BitArray]
 PRBS_TAPS = {7: 6, 15: 14, 23: 18, 31: 28}
 
 
+# Over GF(2), p(x)^2 = p(x^2), so for the feedback polynomial
+# p(x) = 1 + x^tap + x^order, p(x)^(2^k) = p(x^(2^k)): a PRBS sequence also
+# obeys s[i] = s[i - order*2^k] xor s[i - tap*2^k] for every i >= order*2^k.
+# The kernel doubles both lags once the sequence is twice the longer one, so
+# each XOR block (as long as the shorter lag) grows with the sequence and the
+# call count grows with log2(n), not n / tap: 1e7 PRBS31 bits take 25 calls.
 def _prbs_forward(history: BitArray, order: int, count: int) -> BitArray:
     """Extend a PRBS sequence by `count` bits past the given `order`-bit history."""
-    tap = PRBS_TAPS[order]
+    lag, tap = order, PRBS_TAPS[order]
     seq = np.empty(order + count, dtype=np.uint8)
     seq[:order] = history
     pos = order
     end = order + count
     while pos < end:
+        if 2 * lag <= pos:
+            lag, tap = 2 * lag, 2 * tap
         step = min(tap, end - pos)
         np.bitwise_xor(
-            seq[pos - order : pos - order + step],
+            seq[pos - lag : pos - lag + step],
             seq[pos - tap : pos - tap + step],
             out=seq[pos : pos + step],
         )
@@ -427,8 +435,11 @@ def prbs_verify(order: int, bits) -> np.ndarray:
     seed = bits[:order]
     if not seed.any():
         raise ValueError("all-zero verifier seed")
-    expected = _prbs_forward(seed, order, len(bits) - order)
-    return order + np.flatnonzero(bits[order:] != expected[order:])
+    diff = _prbs_forward(seed, order, len(bits) - order)
+    np.bitwise_xor(diff, bits, out=diff)  # the seed bits XOR to 0
+    # Bits are 0 or 1, so a bool view is exact, and nonzero runs about ten
+    # times faster on bool than on uint8.
+    return np.flatnonzero(diff.view(np.bool_))
 
 
 def inject_bit_error(bits, position: int) -> BitArray:

@@ -22,7 +22,7 @@ def make_system(n_links=4, channels=3, words=4, depth=8):
         )
         card.assigned_id = link
         cards[link] = card
-        pump = be.DataPump(link)
+        pump = be.DataPump()
         pump.enabled = True
         pumps[link] = pump
     return cards, pumps
@@ -59,7 +59,7 @@ def drive(cards, pumps, builder, rounds=200):
 
 class TestDataPump:
     def test_requests_only_with_full_free_space(self):
-        pump = be.DataPump(0)
+        pump = be.DataPump()
         pump.enabled = True
         assert pump.wants_request()
         pump.request_posted()
@@ -71,7 +71,7 @@ class TestDataPump:
         assert pump.wants_request()
 
     def test_oversize_packet_faults_link(self):
-        pump = be.DataPump(3)
+        pump = be.DataPump()
         pump.enabled = True
         pump.request_posted()
         pump.on_packet(b"\x00" * 2049)
@@ -79,7 +79,7 @@ class TestDataPump:
         assert pump.counters.faults == 1
 
     def test_disabled_pump_discards_with_counter(self):
-        pump = be.DataPump(1)
+        pump = be.DataPump()
         pump.on_packet(b"\x00" * 10)
         assert pump.counters.lost_tokens == 1
         assert pump.peek() is None
@@ -91,7 +91,7 @@ class TestDataPump:
         # instead of pushing: the request rate throttles to the consumption
         # rate by construction.
         rng = np.random.default_rng(17)
-        pump = be.DataPump(0)
+        pump = be.DataPump()
         pump.enabled = True
         packet = b"\x00" * 2046
         delivered = 0
@@ -112,7 +112,7 @@ class TestDataPump:
     def test_unrequested_packet_into_occupied_fifo_is_dropped_and_counted(self):
         # A line error can forge a data request or a start bit; the packet
         # that follows finds the FIFO occupied.
-        pump = be.DataPump(2)
+        pump = be.DataPump()
         pump.enabled = True
         pump.request_posted()
         pump.on_packet(b"\x01" * 1030)

@@ -273,6 +273,17 @@ class TestDataRequests:
                     expected = [(int(packed[2 * i]) << 8) | int(packed[2 * i + 1]) for i in range(16)]
                 assert [int(w) for w in words] == expected
 
+    def test_prbs_fill_words_pinned(self):
+        card = fe.FrontEndCard(
+            0x1234ABCD,
+            fe.EventGeneratorConfig(channels_per_event=4, words_per_channel=16, fill_pattern="prbs"),
+        )
+        words = card._channel_words(event_number=1, channel=2)
+        assert [int(w) for w in words] == [
+            0x052E, 0x1EE4, 0x4659, 0x95D5, 0x7CFF, 0x0A02, 0x3C0C, 0x882B,
+            0x30FA, 0xA21F, 0xCC40, 0xA983, 0xF508, 0x3E30, 0x84A3, 0x1BCA,
+        ]
+
     def test_prbs_and_constant_fill_patterns(self):
         for pattern in ("prbs", "constant"):
             card = make_card(

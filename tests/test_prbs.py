@@ -27,6 +27,29 @@ def test_matches_bit_serial_reference(order):
     assert np.array_equal(gen.stream(512), lfsr_reference(order, seed, 512))
 
 
+def doubling_lengths(order, doublings=6):
+    """Lengths that end one bit before, on and one bit after each point
+    where the kernel doubles its lags (order * 2**k bits)."""
+    return sorted({order * 2**k + d for k in range(doublings + 1) for d in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("order", sorted(PRBS_TAPS))
+def test_matches_reference_across_lag_doublings(order):
+    seed = (0x5A5A5A5A & ((1 << order) - 1)) | 1
+    reference = lfsr_reference(order, seed, 20_000)
+    for n in doubling_lengths(order) + [20_000]:
+        assert np.array_equal(PrbsGenerator(order, seed=seed).stream(n), reference[:n]), n
+
+
+@pytest.mark.parametrize("order", sorted(PRBS_TAPS))
+def test_streaming_is_continuous_across_lag_doublings(order):
+    ends = doubling_lengths(order)
+    whole = PrbsGenerator(order, seed=7).stream(ends[-1])
+    gen = PrbsGenerator(order, seed=7)
+    parts = [gen.stream(b - a) for a, b in zip([0] + ends, ends)]
+    assert np.array_equal(np.concatenate(parts), whole)
+
+
 def test_prbs7_period_127():
     gen = PrbsGenerator(7, seed=1)
     seq = gen.stream(127 * 3)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdmlink import wire
+from tdmlink import sim, wire
 from tdmlink.frontend import REG_LOST_TRIGGERS, REG_SERIAL_LO
 from tdmlink.messages import ChannelBTransaction, encode_channel_b
 from tdmlink.sim import SimConfig, ber_test, make_serials, run_scenario
@@ -486,6 +486,27 @@ class TestBerTester:
     def test_bad_pattern_rejected(self):
         with pytest.raises(ValueError):
             ber_test("prbs9", duration_bits=1e4)
+
+    def test_channel_errors_pinned(self):
+        # The window's error mask is drawn in chunks; these values come from
+        # a single draw of the whole 3e6-bit window.
+        res = ber_test("prbs23", duration_bits=1e7, ber=1e-6, window_bits=3_000_000, seed=42)
+        assert res.errors == 7
+        assert res.error_positions == [795119]
+
+    def test_repeated_injection_cancels(self):
+        res = ber_test("prbs7", duration_bits=1e5, inject=(500, 900, 500))
+        assert res.error_positions == [900]
+        assert not res.injected_detected
+
+    def test_inject_position_checked_before_generating(self, monkeypatch):
+        def no_generator(*args, **kwargs):
+            raise AssertionError("window generated before the inject check")
+
+        monkeypatch.setattr(sim, "PrbsGenerator", no_generator)
+        for pos in (6, 1000):
+            with pytest.raises(ValueError, match="inject position"):
+                ber_test("prbs7", duration_bits=1000, inject=(100, pos))
 
 
 class TestTimingAudit:

@@ -21,7 +21,7 @@ def fill_buffers(n_events=3, links=(0, 1), channels=2, words=4, pool_size=16, ca
         )
         card.assigned_id = link
         cards[link] = card
-        pump = be.DataPump(link)
+        pump = be.DataPump()
         pump.enabled = True
         pumps[link] = pump
     pool = be.BufferPool(size=pool_size, capacity=capacity, header_reserve=8)
