@@ -26,7 +26,7 @@ print(f"C request      ({m.CHANNEL_C_REQUEST_BITS} bits): one frame triggers all
 
 pkt = m.FragmentPacket.build(
     soe=True, eoe=True,
-    payload_words=m.FragmentPacket.event_header_payload(event_number=7, timestamp=123456),
+    payload_words=m.FragmentPacket.event_header_bytes(event_number=7, timestamp=123456),
 )
 print(f"fragment packet: {pkt.serialize().hex()}  (SOE+EOE, event 7, CRC-32)")
 

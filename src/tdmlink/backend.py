@@ -29,6 +29,7 @@ __all__ = [
     "RECORD_GLOBAL_EOE",
     "RECORD_GLOBAL_EOE_INCOMPLETE",
     "RECORD_FRAGMENT_BASE",
+    "EOE_TRAILER",
     "record_tag_link",
     "DataPump",
     "BufferDescriptor",
@@ -47,6 +48,9 @@ RECORD_EVENT_HEADER = 0xE501
 RECORD_GLOBAL_EOE = 0xE503
 RECORD_GLOBAL_EOE_INCOMPLETE = 0xE507
 RECORD_FRAGMENT_BASE = 0xE520
+
+# Packet of every global end-of-event record: zero payload, EOE flag.
+EOE_TRAILER = FragmentPacket.build(False, True, b"").serialize()
 
 
 def record_tag_link(tag: int) -> int | None:
@@ -213,21 +217,22 @@ class PacketMover:
     def write_record(self, tag: int, packet_bytes: bytes, incomplete: bool = False) -> bool:
         """True when the record was written; False when stalled (retry later,
         nothing is consumed or lost)."""
-        record = tag.to_bytes(2, "big") + packet_bytes
+        size = 2 + len(packet_bytes)
         if self.current is None:
             self.current = self.pool.fetch_free()
             if self.current is None:
                 self.stalls += 1
                 return False
-        if len(record) > self.current.usable:
+        if size > self.current.usable:
             raise AssertionError("record larger than a whole buffer")
-        if len(record) > self.current.free:
+        if size > self.current.free:
             self.pool.push_filled(self.current)
             self.current = self.pool.fetch_free()
             if self.current is None:
                 self.stalls += 1
                 return False
-        self.current.payload += record
+        self.current.payload += tag.to_bytes(2, "big")
+        self.current.payload += packet_bytes
         self.current.incomplete_event |= incomplete
         if tag in (RECORD_GLOBAL_EOE, RECORD_GLOBAL_EOE_INCOMPLETE):
             self.current.has_event_end = True
@@ -360,10 +365,7 @@ class EventBuilder:
         # header, then the SOE packets in link order, then enter Body.
         number = self.current_event_number if self.current_event_number is not None else 0xFFFFFFFF
         ts = self.current_timestamp if self.current_timestamp is not None else 0
-        header = FragmentPacket.build(
-            soe=True, eoe=False,
-            payload_words=FragmentPacket.event_header_payload(number, ts),
-        )
+        header = FragmentPacket.build(True, False, FragmentPacket.event_header_bytes(number, ts))
         self._emit(RECORD_EVENT_HEADER, header.serialize())
         for l, rec in self._soe_records:
             self._emit(RECORD_FRAGMENT_BASE + l, rec)
@@ -402,9 +404,8 @@ class EventBuilder:
         return True
 
     def _finish_event(self) -> bool:
-        trailer = FragmentPacket.build(soe=False, eoe=True, payload_words=())
         tag = RECORD_GLOBAL_EOE_INCOMPLETE if self._event_incomplete else RECORD_GLOBAL_EOE
-        self._emit(tag, trailer.serialize())
+        self._emit(tag, EOE_TRAILER)
         self.events_built += 1
         if self._event_incomplete:
             self.events_incomplete += 1

@@ -19,6 +19,7 @@ Register map (word addresses):
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -51,6 +52,7 @@ __all__ = [
     "EventGeneratorConfig",
     "check_card_settings",
     "generator_word",
+    "generator_bytes",
     "CardOutput",
     "FrontEndCard",
 ]
@@ -77,6 +79,20 @@ def generator_word(port_id: int, channel: int, k):
     return ((port_id << 11) ^ (channel << 2) ^ k) & 0xFFFF
 
 
+# Word indices 0..MAX_PAYLOAD_WORDS-1 stored big-endian and viewed as
+# native uint16, so one XOR with a stamp stored the same way gives wire bytes.
+_WORD_INDEX = np.arange(MAX_PAYLOAD_WORDS, dtype=">u2").view(np.uint16)
+_WORD_INDEX.flags.writeable = False
+
+
+def generator_bytes(port_id: int, channel: int, nwords: int) -> bytes:
+    """Big-endian bytes of the counter fill pattern: `generator_word` of
+    word indices 0..nwords-1, for up to MAX_PAYLOAD_WORDS words."""
+    stamp = ((port_id << 11) ^ (channel << 2)) & 0xFFFF
+    stamp_be = int.from_bytes(stamp.to_bytes(2, "big"), sys.byteorder)
+    return (_WORD_INDEX[:nwords] ^ stamp_be).tobytes()
+
+
 @dataclass
 class EventGeneratorConfig:
     channels_per_event: int = 256  # one fragment packet per channel
@@ -93,6 +109,8 @@ class EventGeneratorConfig:
             raise ValueError("channel payload does not fit one packet")
         if self.fill_pattern not in ("counter", "prbs", "constant"):
             raise ValueError(f"unknown fill pattern {self.fill_pattern!r}")
+        if not 0 <= self.constant_word <= 0xFFFF:
+            raise ValueError("constant_word must fit 16 bits")
 
 
 def check_card_settings(buffering_depth: int, clear_busy_on: str):
@@ -298,27 +316,27 @@ class FrontEndCard:
 
     # -- event payload generation -------------------------------------------
 
-    def _channel_words(self, event_number: int, channel: int) -> np.ndarray:
+    def _channel_bytes(self, event_number: int, channel: int) -> bytes:
+        """Big-endian payload bytes of one channel, event header excluded."""
         cfg = self.generator
         n = cfg.words_per_channel
-        port = self.assigned_id if self.assigned_id is not None else 0
         if cfg.fill_pattern == "counter":
-            return generator_word(port, channel, np.arange(n))
+            port = self.assigned_id if self.assigned_id is not None else 0
+            return generator_bytes(port, channel, n)
         if cfg.fill_pattern == "constant":
-            return np.full(n, cfg.constant_word)
+            return cfg.constant_word.to_bytes(2, "big") * n
+        if n == 0:
+            return b""
         seed = ((self.serial_number ^ (event_number * 2654435761) ^ channel) % 32766) + 1
-        bits = PrbsGenerator(15, seed=seed).stream(16 * n)
-        return np.frombuffer(np.packbits(bits), ">u2")
+        return np.packbits(PrbsGenerator(15, seed=seed).stream(16 * n)).tobytes()
 
     def _fragment_bytes(self, ev: _QueuedEvent, channel: int) -> bytes:
         soe = channel == 0
         eoe = channel == self.generator.channels_per_event - 1
-        words = self._channel_words(ev.event_number, channel)
+        payload = self._channel_bytes(ev.event_number, channel)
         if soe:
-            words = np.concatenate(
-                [FragmentPacket.event_header_payload(ev.event_number, ev.timestamp), words]
-            )
-        data = FragmentPacket.build(soe=soe, eoe=eoe, payload_words=words).serialize()
+            payload = FragmentPacket.event_header_bytes(ev.event_number, ev.timestamp) + payload
+        data = FragmentPacket.build(soe, eoe, payload).serialize()
         if (ev.event_number, channel) in self.corrupt_fragments:
             corrupted = bytearray(data)
             corrupted[2 if not soe else 2 + 2 * EVENT_HEADER_WORDS] ^= 0x01

@@ -329,37 +329,36 @@ class FragmentPacket:
 
     @classmethod
     def build(cls, soe: bool, eoe: bool, payload_words) -> "FragmentPacket":
-        try:
-            words = np.asarray(payload_words, dtype=np.int64)
-        except OverflowError:
-            raise MessageFormatError("payload word outside 16 bits") from None
-        n = len(words)
-        header = (int(soe) << 15) | (int(eoe) << 14) | (2 * n)
-        if n > MAX_PAYLOAD_WORDS or fragment_length(header) is None:
+        """Packet with the given flags and payload. `payload_words` is a
+        sequence of 16-bit words, or the same words as big-endian bytes."""
+        if isinstance(payload_words, bytes):
+            payload = payload_words
+        else:
+            try:
+                words = np.asarray(payload_words, dtype=np.int64)
+            except OverflowError:
+                raise MessageFormatError("payload word outside 16 bits") from None
+            if len(words) and (words.min() < 0 or words.max() > 0xFFFF):
+                raise MessageFormatError("payload word outside 16 bits")
+            payload = words.astype(">u2").tobytes()
+        size = len(payload)
+        header = (int(soe) << 15) | (int(eoe) << 14) | size
+        if size > 2 * MAX_PAYLOAD_WORDS or fragment_length(header) is None:
             raise MessageFormatError(
-                f"{'SOE ' if soe else ''}packet of {n} payload words breaks the length rule"
+                f"{'SOE ' if soe else ''}packet of {size} payload bytes breaks the length rule"
             )
-        if n and (words.min() < 0 or words.max() > 0xFFFF):
-            raise MessageFormatError("payload word outside 16 bits")
-        body = header.to_bytes(2, "big") + words.astype(">u2").tobytes()
+        body = header.to_bytes(2, "big") + payload
         return cls(body + crc32(body).to_bytes(4, "big"), True)
 
-    @classmethod
-    def event_header_payload(cls, event_number: int, timestamp: int) -> tuple[int, ...]:
-        """Leading payload words of a SOE packet: 32-bit event number,
+    @staticmethod
+    def event_header_bytes(event_number: int, timestamp: int) -> bytes:
+        """Leading payload bytes of a SOE packet: 32-bit event number,
         48-bit timestamp, one reserved word."""
         if not 0 <= event_number <= 0xFFFFFFFF:
             raise MessageFormatError("event number outside 32 bits")
         if not 0 <= timestamp <= 0xFFFFFFFFFFFF:
             raise MessageFormatError("timestamp outside 48 bits")
-        return (
-            (event_number >> 16) & 0xFFFF,
-            event_number & 0xFFFF,
-            (timestamp >> 32) & 0xFFFF,
-            (timestamp >> 16) & 0xFFFF,
-            timestamp & 0xFFFF,
-            0,
-        )
+        return struct.pack(">IHIH", event_number, timestamp >> 32, timestamp & 0xFFFFFFFF, 0)
 
     @property
     def event_number(self) -> int:

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import timebase
-from .frontend import EventGeneratorConfig, check_card_settings, generator_word
+from .frontend import EventGeneratorConfig, check_card_settings, generator_bytes
 from .message_engine import MessageEngine
 from .symbol_engine import SymbolEngine
 from .system import CARD_FAULTS
@@ -152,9 +152,9 @@ class SimConfig:
             return int(self.serials[port])
         return make_serials(self.seed, self.num_frontends)[port]
 
-    def expected_word_fn(self):
+    def expected_bytes_fn(self):
         if self.verify_provenance and self.fill_pattern == "counter":
-            return generator_word
+            return generator_bytes
         return None
 
     # -- (de)serialization -------------------------------------------------------
@@ -347,6 +347,8 @@ def ber_test(
     if duration < order + 1:
         raise ValueError("duration too short for the pattern order")
     window = min(duration, int(window_bits))
+    if window < order + 1:
+        raise ValueError("window too short for the pattern order")
     for pos in inject:
         if not order <= pos < window:
             raise ValueError(f"inject position {pos} outside {order}..{window - 1}")

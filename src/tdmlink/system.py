@@ -50,7 +50,7 @@ class System:
         self.builder = EventBuilder(sorted(self.cards), self.mover)
         self.server = TransportServer(self.pool)
         self.client = TransportClient(
-            expected_word_fn=config.expected_word_fn(),
+            expected_bytes_fn=config.expected_bytes_fn(),
             keep_events=config.keep_client_events,
         )
         self.trigger_unit = TriggerUnit(

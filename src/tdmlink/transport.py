@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .backend import (
     RECORD_EVENT_HEADER,
     RECORD_GLOBAL_EOE,
@@ -200,16 +198,19 @@ class ClientStats:
 class TransportClient:
     """Reassembles events from the record stream and keeps statistics.
 
-    `expected_word_fn(link, channel_index, k)` enables bit-exact provenance
-    verification of generator payloads. It is evaluated elementwise over an
-    integer array `k` of word indices and must return the expected 16-bit
-    words as an array of the same length.
+    `expected_bytes_fn(link, channel_index, nwords)` enables bit-exact
+    provenance verification of generator payloads. It is called once per
+    fragment record, with the record's link, the fragment's position among
+    that link's fragments of the event, and its payload length in 16-bit
+    words after any SOE event header. It must return the expected payload
+    as big-endian bytes, which are compared with the record's bytes as
+    they are; any difference counts one provenance error.
     """
 
-    def __init__(self, expected_word_fn=None, keep_events: bool = True):
+    def __init__(self, expected_bytes_fn=None, keep_events: bool = True):
         self.stats = ClientStats()
         self.events: list[ClientEvent] = []
-        self.expected_word_fn = expected_word_fn
+        self.expected_bytes_fn = expected_bytes_fn
         self.keep_events = keep_events
         self._next_sequence = None
         self._open: ClientEvent | None = None
@@ -267,13 +268,12 @@ class TransportClient:
         self._open.fragments.append((link, data))
 
     def _verify_provenance(self, link: int, packet: FragmentPacket):
-        if self.expected_word_fn is None:
+        if self.expected_bytes_fn is None:
             return
         channel = self._frag_index.get(link, 0)
         self._frag_index[link] = channel + 1
         data = packet.data_bytes
-        expected = self.expected_word_fn(link, channel, np.arange(len(data) // 2))
-        if data != np.asarray(expected).astype(">u2").tobytes():
+        if data != self.expected_bytes_fn(link, channel, len(data) // 2):
             self.stats.provenance_errors += 1
 
     def _close(self, event: ClientEvent):

@@ -164,12 +164,12 @@ def default_frame_vectors() -> list[dict]:
             {"type": kind, "bits": len(bits), "frame_hex": _frame_to_hex(bits), "fields": fields}
         )
     # Fragment packets: byte oriented, checked through serialize/deserialize.
-    for soe, eoe, words in (
-        (False, True, []),
-        (True, False, list(msg.FragmentPacket.event_header_payload(0x01020304, 0xAABBCCDDEEFF))),
-        (False, False, [0x1111, 0x2222, 0x3333, 0x4444]),
+    for soe, eoe, payload in (
+        (False, True, ()),
+        (True, False, msg.FragmentPacket.event_header_bytes(0x01020304, 0xAABBCCDDEEFF)),
+        (False, False, (0x1111, 0x2222, 0x3333, 0x4444)),
     ):
-        pkt = msg.FragmentPacket.build(soe=soe, eoe=eoe, payload_words=tuple(words))
+        pkt = msg.FragmentPacket.build(soe=soe, eoe=eoe, payload_words=payload)
         data = pkt.serialize()
         out.append(
             {

@@ -176,6 +176,16 @@ class TestPacketMover:
         pool.release(desc)
         assert mover.write_record(0xE501, pkt)
 
+    def test_records_written_back_to_back(self):
+        pool = be.BufferPool(size=2, capacity=256, header_reserve=0)
+        mover = be.PacketMover(pool)
+        packets = [m.FragmentPacket.build(False, False, tuple(range(4 * i))).serialize() for i in range(4)]
+        for i, pkt in enumerate(packets):
+            assert mover.write_record(0xE520 + i, pkt)
+        assert bytes(mover.current.payload) == b"".join(
+            (0xE520 + i).to_bytes(2, "big") + pkt for i, pkt in enumerate(packets)
+        )
+
     def test_empty_packet_record(self):
         pool = be.BufferPool(size=1)
         mover = be.PacketMover(pool)

@@ -1,6 +1,9 @@
 """Front-end card behavior: triggers, register bus, request tokens, bootstrap."""
 
+import struct
+
 import numpy as np
+import pytest
 
 from tdmlink import frontend as fe
 from tdmlink import messages as m
@@ -22,6 +25,22 @@ def make_card(**kw):
 def assign(card, port):
     card.assigned_id = port
     return card
+
+
+def reference_words(card, event_number, channel):
+    """Channel payload built word by word, independent of the card's bytes."""
+    cfg = card.generator
+    n = cfg.words_per_channel
+    if cfg.fill_pattern == "counter":
+        port = card.assigned_id if card.assigned_id is not None else 0
+        return [fe.generator_word(port, channel, k) for k in range(n)]
+    if cfg.fill_pattern == "constant":
+        return [cfg.constant_word] * n
+    if n == 0:
+        return []
+    seed = ((card.serial_number ^ (event_number * 2654435761) ^ channel) % 32766) + 1
+    packed = np.packbits(PrbsGenerator(15, seed=seed).stream(16 * n))
+    return [(int(packed[2 * i]) << 8) | int(packed[2 * i + 1]) for i in range(n)]
 
 
 class TestTriggerHandling:
@@ -262,27 +281,20 @@ class TestDataRequests:
                 channels_per_event=2, words_per_channel=16, fill_pattern=pattern, constant_word=0x1234
             )
             for event_number, channel in ((0, 0), (3, 1), (70000, 1)):
-                words = card._channel_words(event_number, channel)
-                if pattern == "counter":
-                    expected = [fe.generator_word(5, channel, k) for k in range(16)]
-                elif pattern == "constant":
-                    expected = [0x1234] * 16
-                else:
-                    seed = ((card.serial_number ^ (event_number * 2654435761) ^ channel) % 32766) + 1
-                    packed = np.packbits(PrbsGenerator(15, seed=seed).stream(256))
-                    expected = [(int(packed[2 * i]) << 8) | int(packed[2 * i + 1]) for i in range(16)]
-                assert [int(w) for w in words] == expected
+                expected = reference_words(card, event_number, channel)
+                data = card._channel_bytes(event_number, channel)
+                assert data == b"".join(w.to_bytes(2, "big") for w in expected)
 
     def test_prbs_fill_words_pinned(self):
         card = fe.FrontEndCard(
             0x1234ABCD,
             fe.EventGeneratorConfig(channels_per_event=4, words_per_channel=16, fill_pattern="prbs"),
         )
-        words = card._channel_words(event_number=1, channel=2)
-        assert [int(w) for w in words] == [
+        data = card._channel_bytes(event_number=1, channel=2)
+        assert struct.unpack(">16H", data) == (
             0x052E, 0x1EE4, 0x4659, 0x95D5, 0x7CFF, 0x0A02, 0x3C0C, 0x882B,
             0x30FA, 0xA21F, 0xCC40, 0xA983, 0xF508, 0x3E30, 0x84A3, 0x1BCA,
-        ]
+        )
 
     def test_prbs_and_constant_fill_patterns(self):
         for pattern in ("prbs", "constant"):
@@ -295,3 +307,35 @@ class TestDataRequests:
             out = card.on_channel_c(m.ChannelCRequest(target_mask=1))
             pkt = m.FragmentPacket.deserialize(out.packets[0])
             assert pkt.crc_ok and len(pkt.data_words) == 4
+
+
+class TestPayloadBytes:
+    """Each packet a card makes from bytes equals the packet built from the
+    same payload as a list of words."""
+
+    LAST = 2**14 + 1  # the EOE channel; channels from 2**14 need the stamp masked
+
+    @pytest.mark.parametrize("pattern", ["counter", "constant", "prbs"])
+    @pytest.mark.parametrize("words", [0, 2, m.MAX_PAYLOAD_WORDS - m.EVENT_HEADER_WORDS])
+    def test_packet_bytes_match_word_built_packet(self, pattern, words):
+        gen = fe.EventGeneratorConfig(
+            channels_per_event=self.LAST + 1, words_per_channel=words,
+            fill_pattern=pattern, constant_word=0xC35A,
+        )
+        for port in (None, 0, 5, 31):
+            card = assign(make_card(serial_number=0x1F2E3D4C5B6A7 ^ (port or 0), generator=gen), port)
+            for number, ts in ((0, 0), (70000, 0x123456789ABC), (0xFFFFFFFF, 0xFFFFFFFFFFFF)):
+                ev = fe._QueuedEvent(number, ts)
+                for channel in (0, 1, 2**14, self.LAST):
+                    soe, eoe = channel == 0, channel == self.LAST
+                    head = [number >> 16, number & 0xFFFF, ts >> 32, (ts >> 16) & 0xFFFF, ts & 0xFFFF, 0]
+                    expected = m.FragmentPacket.build(
+                        soe=soe, eoe=eoe,
+                        payload_words=(head if soe else []) + reference_words(card, number, channel),
+                    ).serialize()
+                    assert card._fragment_bytes(ev, channel) == expected
+
+    @pytest.mark.parametrize("word", [-1, 0x10000])
+    def test_constant_word_outside_16_bits_rejected(self, word):
+        with pytest.raises(ValueError, match="constant_word"):
+            fe.EventGeneratorConfig(fill_pattern="constant", constant_word=word)

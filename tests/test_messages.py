@@ -2,6 +2,7 @@
 
 import dataclasses
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -339,7 +340,7 @@ class TestFragmentPacket:
             words = tuple(int(w) for w in rng.integers(0, 1 << 16, size=2 * int(rng.integers(0, 40))))
             if soe:
                 number, ts = int(rng.integers(1 << 32)), int(rng.integers(1 << 48))
-                words = m.FragmentPacket.event_header_payload(number, ts) + words
+                words = struct.unpack(">6H", m.FragmentPacket.event_header_bytes(number, ts)) + words
             cases.append((soe, eoe, words))
         for soe, eoe, words in cases:
             data = m.FragmentPacket.build(soe=soe, eoe=eoe, payload_words=words).serialize()
@@ -377,11 +378,16 @@ class TestFragmentPacket:
         assert back.payload_words == ()
 
     def test_soe_header_fields(self):
-        payload = m.FragmentPacket.event_header_payload(0x01020304, 0xAABBCCDDEEFF)
+        payload = m.FragmentPacket.event_header_bytes(0x01020304, 0xAABBCCDDEEFF)
         pkt = m.FragmentPacket.build(soe=True, eoe=False, payload_words=payload)
         assert pkt.event_number == 0x01020304
         assert pkt.timestamp == 0xAABBCCDDEEFF
         assert pkt.data_words == ()
+
+    @pytest.mark.parametrize("number, ts", [(-1, 0), (1 << 32, 0), (0, -1), (0, 1 << 48)])
+    def test_event_header_fields_range_checked(self, number, ts):
+        with pytest.raises(m.MessageFormatError, match="outside"):
+            m.FragmentPacket.event_header_bytes(number, ts)
 
     def test_max_packet_fits_2048(self):
         words = tuple(range(m.MAX_PAYLOAD_WORDS))
@@ -393,6 +399,31 @@ class TestFragmentPacket:
     def test_odd_word_count_rejected(self):
         with pytest.raises(m.MessageFormatError):
             m.FragmentPacket.build(soe=False, eoe=False, payload_words=(1, 2, 3))
+
+    def test_bytes_and_words_build_one_packet(self):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            soe, eoe = bool(rng.integers(2)), bool(rng.integers(2))
+            words = tuple(int(w) for w in rng.integers(0, 1 << 16, size=2 * int(rng.integers(3, 40))))
+            data = b"".join(w.to_bytes(2, "big") for w in words)
+            assert (
+                m.FragmentPacket.build(soe, eoe, data).serialize()
+                == m.FragmentPacket.build(soe, eoe, words).serialize()
+            )
+
+    @pytest.mark.parametrize(
+        "soe, nbytes",
+        [(False, 1), (False, 5), (False, 6), (True, 8),
+         (False, 2 * m.MAX_PAYLOAD_WORDS + 1), (False, 2 * m.MAX_PAYLOAD_WORDS + 4),
+         (False, 0x4000 + 8)],  # a size that overflows the header's 14-bit field
+    )
+    def test_bytes_break_the_length_rule_as_words_do(self, soe, nbytes):
+        with pytest.raises(m.MessageFormatError, match="breaks the length rule") as from_bytes:
+            m.FragmentPacket.build(soe, False, bytes(nbytes))
+        if nbytes % 2 == 0:
+            with pytest.raises(m.MessageFormatError) as from_words:
+                m.FragmentPacket.build(soe, False, (0,) * (nbytes // 2))
+            assert str(from_words.value) == str(from_bytes.value)
 
     def test_round_trip_randomized(self):
         rng = np.random.default_rng(8)

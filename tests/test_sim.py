@@ -1,5 +1,6 @@
 """Scenario determinism, abstraction equivalence, fault injection, BER."""
 
+import hashlib
 import json
 import math
 
@@ -31,6 +32,32 @@ def small_scenario(abstraction, **overrides):
     return SimConfig(**kw)
 
 
+# Client digests of 8 cards under gated triggers, one per fill pattern, and
+# the digest of their metrics JSON lines (the same for all three). Captured
+# when packets were still built word by word, so they pin the payload bytes.
+PACKET_DIGESTS = {
+    "counter": "00359192c94178e68a116c371ead0427c042d7db1f7fdcb2508842c948841467",
+    "constant": "45f56f9c8bd395d65ba0c4943ac7287a622faadbaf813739e8878405ee35f508",
+    "prbs": "22e5ad3f7d7cb5d04ae9e0fc94d0d6551e3e0cee42948db77942d4cfa0c26de1",
+}
+METRICS_DIGEST = "047345f18a22fd5c16fe07cc0f7d5b3c1bd28e39ca6f2566539b725bcd4c3f48"
+
+
+@pytest.mark.parametrize("fill", sorted(PACKET_DIGESTS))
+def test_message_level_packet_bytes_pinned(fill):
+    cfg = SimConfig(
+        num_frontends=8, seed=5, trigger_mode="gated", trigger_count=4,
+        channels_per_event=6, words_per_channel=24, fill_pattern=fill,
+        constant_word=0x3C5A, verify_provenance=fill == "counter",
+    )
+    res = run_scenario(cfg)
+    assert res.metrics.client["events"] == 4
+    assert res.metrics.client["provenance_errors"] == 0
+    assert res.client_digest() == PACKET_DIGESTS[fill]
+    lines = res.metrics.to_json_lines()
+    assert hashlib.sha256(lines.encode()).hexdigest() == METRICS_DIGEST
+
+
 class TestConfig:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -45,6 +72,8 @@ class TestConfig:
             SimConfig(buffering_depth=0)
         with pytest.raises(ValueError, match="clear_busy_on"):
             SimConfig(clear_busy_on="sometimes")
+        with pytest.raises(ValueError, match="constant_word"):
+            SimConfig(fill_pattern="constant", constant_word=0x1FFFF)
 
     def test_json_round_trip(self):
         cfg = small_scenario("message_level")
@@ -507,6 +536,19 @@ class TestBerTester:
         for pos in (6, 1000):
             with pytest.raises(ValueError, match="inject position"):
                 ber_test("prbs7", duration_bits=1000, inject=(100, pos))
+
+    @pytest.mark.parametrize("window_bits", [10, 23, 0])
+    def test_window_shorter_than_order_rejected_before_generating(self, monkeypatch, window_bits):
+        def no_generator(*args, **kwargs):
+            raise AssertionError("window generated before the window check")
+
+        monkeypatch.setattr(sim, "PrbsGenerator", no_generator)
+        with pytest.raises(ValueError, match="window too short"):
+            ber_test("prbs23", duration_bits=50, window_bits=window_bits)
+
+    def test_shortest_window_verifies(self):
+        res = ber_test("prbs23", duration_bits=50, window_bits=24)
+        assert res.window_bits == 24 and res.errors == 0
 
 
 class TestTimingAudit:

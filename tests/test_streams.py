@@ -223,7 +223,7 @@ class TestUpstreamChain:
         tx.reset(0)
         rx.reset(0)
         pkt = m.FragmentPacket.build(soe=True, eoe=True,
-                                     payload_words=m.FragmentPacket.event_header_payload(7, 1000))
+                                     payload_words=m.FragmentPacket.event_header_bytes(7, 1000))
         tx.enqueue(0, "C", m.frame_fragment(pkt.serialize()))
         got = []
         for _ in range(4):

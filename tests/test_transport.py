@@ -1,5 +1,7 @@
 """Credit-controlled transfer, client reassembly, analytic throughput model."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -120,7 +122,9 @@ class TestClientReassembly:
         server = tp.TransportServer(pool)
         server.on_grant(tp.CreditGrant(1000))
         client = tp.TransportClient(
-            expected_word_fn=lambda link, channel, k: fe.generator_word(link, channel, k)
+            expected_bytes_fn=lambda link, channel, n: b"".join(
+                fe.generator_word(link, channel, k).to_bytes(2, "big") for k in range(n)
+            )
         )
         sent_payload = 0
         while (out := server.next_frame()) is not None:
@@ -146,7 +150,7 @@ class TestClientReassembly:
         def record(tag, soe, eoe, words):
             return tag.to_bytes(2, "big") + m.FragmentPacket.build(soe, eoe, words).serialize()
 
-        head = m.FragmentPacket.event_header_payload(5, 1000)
+        head = struct.unpack(">6H", m.FragmentPacket.event_header_bytes(5, 1000))
         payload = record(be.RECORD_EVENT_HEADER, True, False, head)
         for channel in range(3):
             words = [fe.generator_word(1, channel, k) for k in range(8)]
@@ -157,7 +161,7 @@ class TestClientReassembly:
                 be.RECORD_FRAGMENT_BASE + 1, soe, channel == 2, (head if soe else ()) + tuple(words)
             )
         payload += record(be.RECORD_GLOBAL_EOE, False, True, ())
-        client = tp.TransportClient(expected_word_fn=fe.generator_word)
+        client = tp.TransportClient(expected_bytes_fn=fe.generator_bytes)
         client.receive(tp.TransportFrame(0, 0, payload).serialize())
         assert client.stats.events == 1
         assert client.stats.crc_failures == 0 and client.stats.structure_errors == 0
