@@ -250,7 +250,9 @@ class FrontEndCard:
         """Execute a register transaction; every request addressed to this
         card is echoed by exactly one response on the card's own link. A
         request that is not exactly one of read and write is counted in
-        `request_errors` and answered with a bus error."""
+        `request_errors` and answered with a bus error. A write that succeeds
+        is answered with the request itself when no response flag is set on
+        it, as it equals the response field by field."""
         if not self._addressed(txn):
             return None
         if txn.read == txn.write:
@@ -260,6 +262,8 @@ class FrontEndCard:
             data, ok = self._read_register(txn.address)
         else:
             data, ok = txn.data, self._write_register(txn.address, txn.data, txn.byte_enable)
+            if ok and not (txn.bus_error or txn.parity_error):
+                return txn
         return ChannelBTransaction(
             broadcast=txn.broadcast,
             target_id=txn.target_id,

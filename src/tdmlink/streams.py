@@ -6,7 +6,9 @@ whole array. A single link is the one-row case. Transmitters hold per-row
 channel frame queues and emit line bits on demand, filling idle slots with
 zeros. Receivers consume chunks of line bits, keep each row's
 synchronization state across calls, and emit decoded frames tagged with
-their row, together with per-row diagnostic counters.
+their row, together with per-row diagnostic counters. Fanout receivers in
+step share one decode: rows that have received the same symbols are in the
+same state, so one row decodes for all of them.
 """
 
 from __future__ import annotations
@@ -156,6 +158,13 @@ class FrameScanner:
         self._held[row] = False
         self._base[row] = 0
 
+    def copy_rows(self, rows: np.ndarray, src: int):
+        """Give `rows` the state of row `src`."""
+        for state in (self.faults, self._held, self._base):
+            state[rows] = state[src]
+        for row in rows.tolist():
+            self._buf[row] = self._buf[src]
+
     def feed(self, bits: BitArray, rows=None) -> list[tuple[int, BitArray, int]]:
         """Scan the next channel bits of each of `rows` (default: every
         row), one row of `bits` each. Returns (row, frame, channel-bit index
@@ -283,6 +292,15 @@ class DownstreamReceiver:
     Each row locks on its own. A locked row decodes whole 8-symbol cycles
     from its lock point on and carries the fewer than 8 symbols left over
     to the next chunk; fed whole cycles, that tail keeps its length.
+
+    Receivers in step share one decode. A row's state depends only on the
+    symbols it was fed, so rows that have received the same symbols since
+    they were built are in the same state. Such rows form a group, of which
+    only the lowest row, its representative, is decoded; the other members
+    take its events, lock state and counters. A member fed other symbols
+    than its representative leaves the group with a copy of its state
+    before decoding, along with the members fed the same symbols as it;
+    rows never join a group again.
     """
 
     def __init__(self, rows: int):
@@ -300,23 +318,90 @@ class DownstreamReceiver:
         }
         self.coding_violations = np.zeros(rows, dtype=np.int64)
         self.parity_errors = {ch: np.zeros(rows, dtype=np.int64) for ch in "ABC"}
+        # Counters kept for every row; the rest of a member's state is its
+        # representative's.
+        self._counters = (
+            self.coding_violations,
+            *self.parity_errors.values(),
+            *(scanner.faults for scanner in self.scanners.values()),
+        )
+        self._regroup(np.zeros(rows, dtype=np.intp))  # nothing received yet: one group
 
     def a_bit_arrival_tick(self, row: int, index: int) -> int:
-        return self._aligned_base_tick[row] + timebase.down_a_bit_end_tick(index)
+        rep = self._twin[row]
+        return self._aligned_base_tick[rep] + timebase.down_a_bit_end_tick(index)
 
     def feed(self, symbols: BitArray) -> DownRxEvents:
         """Consume the next symbols of every row: a (rows, n) array, or one
         stream of n symbols that every row receives."""
+        if symbols.ndim > 1 and self._groups:
+            self._split(symbols)
         symbols = np.broadcast_to(symbols, (len(self.locked), symbols.shape[-1]))
         events = DownRxEvents()
-        searching = np.flatnonzero(~self.locked)
-        groups, self._carry, self._tail = _whole_cycles(self._carry, self._tail, symbols, self.locked)
+        searching = np.flatnonzero(self._decoded & ~self.locked)
+        groups, self._carry, self._tail = _whole_cycles(
+            self._carry, self._tail, symbols, self._decoded & self.locked
+        )
         for rows, cycles in groups:
             self._decode(rows, cycles, events)
         for row in searching:
             self._acquire(row, symbols[row], events)
+        if self._groups:
+            self._share(events, len(searching) > 0)
         _row_order(events.a, events.b, events.c)
         return events
+
+    def _regroup(self, twin: np.ndarray):
+        """Make row `twin[row]` the representative of each row."""
+        self._twin = twin
+        self._decoded = twin == np.arange(len(twin))
+        self._members = np.flatnonzero(~self._decoded)
+        groups: dict = {}
+        for row, rep in enumerate(twin.tolist()):
+            groups.setdefault(rep, []).append(row)
+        # The groups of more than one row, by representative.
+        self._groups = {rep: rows for rep, rows in groups.items() if len(rows) > 1}
+
+    def _split(self, symbols: BitArray):
+        """Take each member fed other symbols than its representative out of
+        its group; members of one group fed the same symbols as each other
+        stay together, represented by the lowest of them."""
+        twin = self._twin.copy()
+        moved = np.flatnonzero((symbols != symbols[twin]).any(axis=1))
+        if not len(moved):
+            return
+        while len(moved):
+            rep = moved[0]
+            same = (twin[moved] == twin[rep]) & (symbols[moved] == symbols[rep]).all(axis=1)
+            self._copy_state(moved[same], twin[rep])
+            twin[moved[same]] = rep
+            moved = moved[~same]
+        self._regroup(twin)
+
+    def _copy_state(self, rows: np.ndarray, src: int):
+        """Give `rows` the decoding state of row `src`."""
+        self._carry[rows] = self._carry[src]
+        self._tail[rows] = self._tail[src]
+        for state in (self._search, self._consumed, self._aligned_base_tick):
+            for row in rows.tolist():
+                state[row] = state[src]
+        for scanner in self.scanners.values():
+            scanner.copy_rows(rows, src)
+
+    def _share(self, events: DownRxEvents, acquired: bool):
+        """Give every member its representative's events and counters, and
+        its lock state once a representative searched for lock."""
+        rows = self._members
+        reps = self._twin[rows]
+        for counter in self._counters:
+            counter[rows] = counter[reps]
+        if acquired:
+            self.locked[rows] = self.locked[reps]
+            for row, rep in zip(rows.tolist(), reps.tolist()):
+                self.sync[row] = self.sync[rep]
+        groups = self._groups
+        for part in (events.a, events.b, events.c):
+            part[:] = [(row, *rest) for rep, *rest in part for row in groups.get(rep, (rep,))]
 
     def _acquire(self, row: int, symbols: BitArray, events: DownRxEvents):
         """Search one unlocked row for the idle pattern; once locked, decode
@@ -374,6 +459,7 @@ class UpstreamTransmitter:
         self._training_left = np.full(rows, training_bits, dtype=np.int64)
         # Line bits made but not sent yet: the rest of a partly sent cycle.
         self._out = [_NO_BITS] * rows
+        self._unsent = np.zeros(rows, dtype=np.int64)  # len(_out[row])
 
     def reset(self, row: int):
         self._training_left[row] = self.training_bits
@@ -381,6 +467,7 @@ class UpstreamTransmitter:
         for q in self.queues.values():
             q.clear(row)
         self._out[row] = _NO_BITS
+        self._unsent[row] = 0
 
     def enqueue(self, row: int, channel: str, frame_bits: BitArray):
         self.queues[channel].push(row, frame_bits)
@@ -389,7 +476,7 @@ class UpstreamTransmitter:
         """The next nbits line bits of every row, as a (rows, nbits) array."""
         out = np.empty((len(self._out), nbits), dtype=np.uint8)
         sent = np.zeros(len(self._out), dtype=np.int64)
-        for row in np.flatnonzero([len(bits) > 0 for bits in self._out] | (self._training_left > 0)):
+        for row in np.flatnonzero((self._unsent > 0) | (self._training_left > 0)):
             sent[row] = self._lead_in(row, out[row])
         need = nbits - sent
         for n in sorted(set(need[need > 0].tolist())):
@@ -405,6 +492,7 @@ class UpstreamTransmitter:
             if 4 * cycles > n:
                 for i, row in enumerate(rows):
                     self._out[row] = line[i, n:]
+                self._unsent[rows] = 4 * cycles - n
         return out
 
     def _lead_in(self, row: int, dest: BitArray) -> int:
@@ -414,6 +502,7 @@ class UpstreamTransmitter:
         done = min(nbits, len(self._out[row]))
         dest[:done] = self._out[row][:done]
         self._out[row] = self._out[row][done:]
+        self._unsent[row] -= done
         left = int(self._training_left[row])
         take = min(left, nbits - done)
         if take > 0:

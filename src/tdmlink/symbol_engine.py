@@ -6,8 +6,11 @@ acquires lock by bit slip; return links carry the training sequence and the
 scrambled interleaved channels. Links are rows: each direction holds every
 card's link as one row of a (links, bits) array, so a slice runs each stage
 of a chain once for all cards, and each link still takes its own line
-errors from its own random streams. Links have zero latency, as at
-message level. Time advances in slices of SLICE_CYCLES whole TDM cycles,
+errors from its own random streams. The fanout receivers share one decode
+while they are in step: at BER 0 every card receives the same symbols, so
+one row decodes the broadcast stream for all of them, and a card's row
+decodes on its own from its first line error on. Links have zero latency,
+as at message level. Time advances in slices of SLICE_CYCLES whole TDM cycles,
 clipped so trigger issue ticks land exactly on slice boundaries (that keeps
 channel A latency accounting identical to the message-level engine).
 """
@@ -134,16 +137,17 @@ class SymbolEngine(System):
         for port, msg, arrival_tick in events.a:
             if msg is not None:
                 self._emit_card_output(port, self.cards[port].on_channel_a(msg, arrival_tick))
-        # Cards answering one broadcast mostly answer alike: each distinct
-        # answer is encoded once (messages are immutable).
-        answers = {}
+        # Cards in step receive one request object, and a broadcast write
+        # is answered with the request itself: an answer is encoded once for
+        # the run of cards that give that same object (messages are immutable).
+        last = bits = None
         for port, txn in events.b:
             card = self.cards[port]
             resp = card.on_channel_b_parity_error() if txn is None else card.on_channel_b(txn)
             if resp is not None:
-                if resp not in answers:
-                    answers[resp] = encode_channel_b(resp)
-                self.up_tx.enqueue(port, "B", answers[resp])
+                if resp is not last:
+                    last, bits = resp, encode_channel_b(resp)
+                self.up_tx.enqueue(port, "B", bits)
         for port, req in events.c:
             if req is not None:
                 self._emit_card_output(port, self.cards[port].on_channel_c(req))

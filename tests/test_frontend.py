@@ -1,5 +1,6 @@
 """Front-end card behavior: triggers, register bus, request tokens, bootstrap."""
 
+import dataclasses
 import struct
 
 import numpy as np
@@ -189,6 +190,32 @@ class TestRegisterBus:
         card = make_card()
         resp = card.on_channel_b_parity_error()
         assert resp.parity_error
+        assert resp == m.ChannelBTransaction(read=True, parity_error=True)
+
+    def test_successful_write_is_answered_with_the_request(self):
+        card = make_card()
+        w = m.ChannelBTransaction(
+            broadcast=True, write=True, address=0x0101, data=0xCAFE1234, byte_enable=0b0101
+        )
+        resp = card.on_channel_b(w)
+        assert resp is w
+        assert resp == m.ChannelBTransaction(
+            broadcast=w.broadcast, target_id=w.target_id, read=w.read, write=w.write,
+            byte_enable=w.byte_enable, address=w.address, data=w.data, bus_error=False,
+        )
+        r = card.on_channel_b(m.ChannelBTransaction(read=True, target_id=0, address=0x0101))
+        assert r.data == 0x00FE0034 and not r.bus_error
+
+    def test_write_answer_differs_from_the_request_when_it_must(self):
+        card = make_card()
+        ro = m.ChannelBTransaction(write=True, target_id=0, address=fe.REG_SERIAL_LO, data=1)
+        resp = card.on_channel_b(ro)
+        assert resp is not ro and resp == dataclasses.replace(ro, bus_error=True)
+        # Response flags on a request (line errors can set them) are not echoed.
+        for flag in ("bus_error", "parity_error"):
+            flagged = m.ChannelBTransaction(write=True, target_id=0, address=0x0100, data=5, **{flag: True})
+            resp = card.on_channel_b(flagged)
+            assert resp == dataclasses.replace(flagged, **{flag: False})
 
 
 class TestBootstrapCapture:

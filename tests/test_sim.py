@@ -464,6 +464,36 @@ class TestLineErrors:
         assert up.training_errors.tolist() == [0, 0, 0, 1]
         assert up.c_scanner.faults.tolist() == [26, 0, 0, 0]
 
+    def test_fanout_receivers_split_at_scale_pinned(self):
+        # 32 cards whose downstream rows share one decode until line errors
+        # set them apart: most rows split, the five without a coding
+        # violation still share one. A run of fixed length flushes no last
+        # buffer, so a small MTU makes the frames leave.
+        res = self.run_and_audit(line_error_scenario(
+            num_frontends=32, ber=1e-5, seed=7, run_ms=0.9, trigger_start_us=600,
+            mtu=256, keep_client_events=True,
+        ))
+        assert res.client_digest() == "9cb4901018c3460997d7495f8ac7ca061087110e4d66517769a2ce864a78a682"
+        assert (res.metrics.client["events"], res.metrics.client["frames"]) == (3, 29)
+        assert res.metrics.bootstrap["verified"]
+        down, up = res.engine.down_rx, res.engine.backend_rx
+        zeros = [0] * 32
+        assert down.coding_violations.tolist() == [
+            2, 1, 2, 1, 1, 1, 3, 4, 1, 3, 3, 2, 1, 0, 2, 3, 5, 0, 2, 2, 0, 1, 0, 3, 2, 2, 5, 0, 1, 1, 2, 3,
+        ]
+        assert down.parity_errors["A"].tolist() == zeros
+        assert down.parity_errors["B"].tolist() == [int(row in (6, 14, 16, 26)) for row in range(32)]
+        assert down.parity_errors["C"].tolist() == [int(row == 6) for row in range(32)]
+        assert up.parity_errors["A"].tolist() == zeros
+        assert up.parity_errors["B"].tolist() == [
+            0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 2, 3, 0, 0, 1, 0, 0, 0, 2, 1, 0, 0, 0, 0, 3, 0, 1, 1, 1, 0,
+        ]
+        assert up.training_errors.tolist() == [int(row == 11) for row in range(32)]
+        assert up.c_scanner.faults.tolist() == [9 * (row == 5) for row in range(32)]
+        shared = [row for row in range(32) if down.coding_violations[row] == 0]
+        assert down._twin[shared].tolist() == [13] * 5
+        assert len(set(down._twin.tolist())) == 32 - 4
+
     # A fixed 0.6 ms window covers bootstrap, the four triggers and their
     # readout (the plan completes at 0.56 ms at BER 0), and it bounds each
     # example's length whatever the line errors do to the plan.

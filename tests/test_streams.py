@@ -311,3 +311,57 @@ class TestRows:
         assert [s.bit_slip_offset for s in many.sync] == [0, 0, 5]
         assert many.coding_violations.tolist() == [rx.coding_violations[0] for rx in one]
         assert many.parity_errors["A"].tolist() == [0, 1, 0]
+
+    def test_receivers_in_step_share_one_decode_exactly(self):
+        # Four cards on one fanout. Row 2 takes a flipped symbol while the
+        # rows still search for lock, and row 0 one inside a channel B
+        # frame; every other chunk is one stream that all rows receive, the
+        # last B frame flipped in it. The shared receiver must match four
+        # receivers of one row each.
+        tx = DownstreamTransmitter()
+        stream = [tx.produce_cycles(10)]
+        b_starts = []
+        for i in range(3):
+            tx.enqueue("A", m.encode_channel_a(m.ChannelAMessageDown(sampling_stop=True)))
+            b_starts.append(tx.enqueue("B", m.encode_channel_b(
+                m.ChannelBTransaction(broadcast=True, write=True, address=0x100 + i, data=i))))
+            tx.enqueue("C", m.encode_channel_c_request(m.ChannelCRequest(target_mask=0xF)))
+            stream.append(tx.produce_cycles(90))
+        stream = np.concatenate(stream)
+        rows = np.array([stream] * 4)
+        rows[2, 17] ^= 1  # in the idle preamble, before any row has locked
+        # Channel B is one bit per cycle, in symbols 2 and 3 of the cycle.
+        flip_0 = 8 * (b_starts[1] + 30) + 2
+        rows[0, flip_0] ^= 1
+        rows[:, 8 * (b_starts[2] + 30) + 2] ^= 1
+        many = DownstreamReceiver(4)
+        one = [DownstreamReceiver(1) for _ in range(4)]
+        # Uneven chunks, most not whole cycles.
+        cuts = sorted({0, 6, 12, 20, 35, *range(41, 200, 37), flip_0 - 40, flip_0 + 61, rows.shape[1]})
+        twins, delivered = [], 0
+        for lo, hi in zip(cuts, cuts[1:]):
+            chunk = rows[:, lo:hi]
+            shared = (chunk == chunk[0]).all()
+            if lo == 12:
+                assert not shared and not many.locked.any()
+            ev = many.feed(chunk[0] if shared else chunk)
+            got = [[], [], []]
+            for row, rx in enumerate(one):
+                part = rx.feed(chunk[row])
+                for dest, events in zip(got, (part.a, part.b, part.c)):
+                    dest.extend((row,) + e[1:] for e in events)
+            assert (ev.a, ev.b, ev.c) == tuple(got)
+            twins.append(many._twin.tolist())
+            delivered += sum(msg is not None for part in got for _, msg, *_ in part)
+        assert twins[0] == [0, 0, 0, 0]
+        assert [0, 0, 2, 0] in twins
+        assert twins[-1] == [0, 1, 2, 1]
+        assert many.locked.all()
+        assert many.sync == [rx.sync[0] for rx in one]
+        assert many.coding_violations.tolist() == [rx.coding_violations[0] for rx in one]
+        for ch in "ABC":
+            assert many.parity_errors[ch].tolist() == [rx.parity_errors[ch][0] for rx in one]
+            assert many.scanners[ch].faults.tolist() == [rx.scanners[ch].faults[0] for rx in one]
+        assert delivered == 4 * 3 * 3 - 5
+        assert many.parity_errors["B"].tolist() == [2, 1, 1, 1]
+        assert many.sync[2] != many.sync[1]
