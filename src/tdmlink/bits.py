@@ -57,10 +57,9 @@ def bits_from_int(value: int, width: int) -> BitArray:
 
 
 def bits_to_int(bits: BitArray) -> int:
-    value = 0
-    for b in bits:
-        value = (value << 1) | int(b)
-    return value
+    """The unsigned integer whose MSB-first bits are `bits`."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    return int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-len(bits) % 8)
 
 
 def bits_from_bytes(data: bytes) -> BitArray:

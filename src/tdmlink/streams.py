@@ -8,12 +8,13 @@ zeros. Receivers consume chunks of line bits, keep each row's
 synchronization state across calls, and emit decoded frames tagged with
 their row, together with per-row diagnostic counters. Fanout receivers in
 step share one decode: rows that have received the same symbols are in the
-same state, so one row decodes for all of them.
+same state, so one row decodes for all of them. Frames are scanned per
+frame, not per bit: a byte search finds each start bit, and a frame that
+ends in a later chunk is held with the length it still owes.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -66,24 +67,32 @@ def _row_order(*event_lists):
         events.sort(key=lambda e: e[0])
 
 
-def _whole_cycles(carry: BitArray, tail: np.ndarray, bits: BitArray, live, skip=0):
-    """Cut whole cycles out of each live row's unread tail and new bits.
+def _whole_cycles(carry: BitArray, tail: np.ndarray, rows: np.ndarray, bits: BitArray, skip=0):
+    """Cut whole cycles out of the unread tail and new bits of each of
+    `rows`, whose new bits are the rows of `bits`.
 
     `carry` holds the last bits each row was fed, right-aligned, of which
     the last `tail[row]` are unread; a cycle is as long as `carry` is wide.
-    The first `skip[row]` new bits are read elsewhere. Returns the groups of
-    rows whose cycles start at the same column, each as (rows, cycles), and
-    the new carry and tail.
+    The first `skip[i]` new bits of `rows[i]` are read elsewhere. Updates
+    the carry and tail of `rows` and returns the groups of them whose cycles
+    start at the same column, each as (rows, cycles).
     """
+    if not len(rows):
+        return []
     width = carry.shape[1]
-    ext = np.concatenate([carry, bits], axis=1)
-    starts = width - tail + skip
-    usable = np.where(live, (ext.shape[1] - starts) // width * width, 0)
+    ext = np.concatenate([carry[rows], bits], axis=1)
+    starts = width - tail[rows] + skip
+    usable = (ext.shape[1] - starts) // width * width
+    carry[rows] = ext[:, -width:]
+    tail[rows] = ext.shape[1] - starts - usable
+    first = starts[0]
+    if (starts == first).all():  # usable depends only on the start
+        return [(rows, ext[:, first : first + usable[0]])] if usable[0] else []
     groups = []
     for start in sorted(set(starts[usable > 0].tolist())):
-        rows = np.flatnonzero((starts == start) & (usable > 0))
-        groups.append((rows, ext[rows, start : start + usable[rows[0]]]))
-    return groups, ext[:, -width:], np.where(live, ext.shape[1] - starts - usable, 0)
+        same = np.flatnonzero(starts == start)
+        groups.append((rows[same], ext[same, start : start + usable[same[0]]]))
+    return groups
 
 
 class BitQueue:
@@ -141,86 +150,89 @@ class FrameScanner:
     first `head_bits` bits are a header and `length(head)` is the whole
     frame's length, or None for a header that opens no frame of the format;
     such a start bit is counted in the row's `faults` and scanning resumes
-    after it.
+    at the next bit.
+
+    The scan works per frame, not per bit. A row's bits are held as bytes,
+    one byte per bit, and `bytes.find` jumps from the end of one frame to
+    the next start bit, so only the 1 bits that open frames are visited. A
+    row whose bits end inside a frame holds that partial frame with the
+    length it still owes, once its header has been read: the header is read
+    once however many chunks the frame spans.
     """
 
     def __init__(self, rows: int, head_bits: int, length=None):
         self.head_bits = head_bits
         self.length = length
         self.faults = np.zeros(rows, dtype=np.int64)
-        self._buf = [_NO_BITS] * rows  # a partial frame, from its start bit
-        self._held = np.zeros(rows, dtype=bool)  # _buf[row] is not empty
-        self._base = np.zeros(rows, dtype=np.int64)  # channel-bit index of _buf[row][0]
+        self._buf = [b""] * rows  # a partial frame from its start bit, one byte per bit
+        self._owed = [0] * rows  # its whole length once known, else 0
+        self._base = [0] * rows  # channel-bit index of _buf[row][0], or of the next bit
 
     def reset(self, row: int):
         self.faults[row] = 0
-        self._buf[row] = _NO_BITS
-        self._held[row] = False
+        self._buf[row] = b""
+        self._owed[row] = 0
         self._base[row] = 0
 
     def copy_rows(self, rows: np.ndarray, src: int):
         """Give `rows` the state of row `src`."""
-        for state in (self.faults, self._held, self._base):
-            state[rows] = state[src]
-        for row in rows.tolist():
-            self._buf[row] = self._buf[src]
+        self.faults[rows] = self.faults[src]
+        for state in (self._buf, self._owed, self._base):
+            for row in rows.tolist():
+                state[row] = state[src]
 
     def feed(self, bits: BitArray, rows=None) -> list[tuple[int, BitArray, int]]:
         """Scan the next channel bits of each of `rows` (default: every
         row), one row of `bits` each. Returns (row, frame, channel-bit index
-        of the frame's last bit) in row order. Only a row whose new bits
-        hold a 1 or that holds a partial frame is scanned; the others just
-        advance their index."""
-        if rows is None:
-            rows = np.arange(len(self._buf))
+        of the frame's last bit) in row order; each frame is a read-only
+        view of its own bytes. Only a row whose new bits hold a 1 or that
+        holds a partial frame is scanned; the others just advance their
+        index."""
+        rows = range(len(self._buf)) if rows is None else rows.tolist()
         n = bits.shape[1]
-        scan = bits.any(axis=1) | self._held[rows]
-        busy = rows[scan]
-        self._base[rows] += n
-        if not len(busy):
+        buf, base = self._buf, self._base
+        ones = bits.any(axis=1).tolist()
+        busy = []
+        for i, row in enumerate(rows):
+            if ones[i] or buf[row]:
+                busy.append(i)
+            else:
+                base[row] += n
+        if not busy:
             return []
-        # The busy rows side by side, each partial frame left-padded with
-        # zeros, which the scan skips like idle bits.
-        held = [self._buf[row] for row in busy]
-        pad = max(len(h) for h in held)
-        width = pad + n
-        buf = np.zeros((len(busy), width), dtype=np.uint8)
-        for i, h in enumerate(held):
-            buf[i, pad - len(h) : pad] = h
-        buf[:, pad:] = bits[scan]
-        hit_rows, hit_cols = np.nonzero(buf)
-        bounds = np.searchsorted(hit_rows, np.arange(len(busy) + 1)).tolist()
-        hit_cols = hit_cols.tolist()
-        first = (self._base[busy] - n - pad).tolist()
-        origins, ends = [], []
+        raw = (bits if len(busy) == len(rows) else bits[busy]).tobytes()
+        head, length = self.head_bits, self.length
+        fixed = head if length is None else 0  # a frame's length before its header is read
         out = []
-        for i, row in enumerate(busy.tolist()):
-            ones = hit_cols[bounds[i] : bounds[i + 1]]
-            origin = first[i] + len(held[i])  # channel-bit index of buf[i, 0]
-            end, k = width, 0  # scanned up to end; ones[k] is the next candidate start
-            while k < len(ones):
-                start = ones[k]
-                size = self.head_bits
-                if start + size > width:
-                    end = start
-                    break
-                if self.length is not None:
-                    size = self.length(buf[i, start : start + size])
+        for j, i in enumerate(busy):
+            row = rows[i]
+            data = buf[row] + raw[j * n : (j + 1) * n]
+            origin, stop = base[row], len(data)
+            if buf[row]:
+                start, size = 0, self._owed[row]
+            else:
+                start, size = data.find(1), fixed
+            while start >= 0:
+                if not size:
+                    if start + head > stop:
+                        break
+                    size = length(np.frombuffer(data, np.uint8, head, start))
                     if size is None:
                         self.faults[row] += 1
-                        k += 1
+                        start, size = data.find(1, start + 1), fixed
                         continue
-                    if start + size > width:
-                        end = start
-                        break
-                out.append((row, buf[i, start : start + size], origin + start + size - 1))
-                k = bisect_left(ones, start + size, k)
-            self._buf[row] = buf[i, end:] if end < width else _NO_BITS
-            origins.append(origin)
-            ends.append(end)
-        ends = np.array(ends)
-        self._held[busy] = ends < width
-        self._base[busy] = np.array(origins) + ends
+                if start + size > stop:
+                    break
+                frame = np.frombuffer(data[start : start + size], np.uint8)
+                out.append((row, frame, origin + start + size - 1))
+                start, size = data.find(1, start + size), fixed
+            if start < 0:
+                buf[row] = b""
+                base[row] = origin + stop
+            else:
+                buf[row] = data[start:]
+                self._owed[row] = size
+                base[row] = origin + start
         return out
 
 
@@ -234,7 +246,7 @@ def _decode_frames(scanner: FrameScanner, bits: BitArray, rows, decode, errors: 
     out = []
     decoded = {}
     for row, frame, end_index in scanner.feed(bits, rows):
-        key = frame.tobytes()
+        key = frame.base  # the frame's own bytes
         if key not in decoded:
             try:
                 decoded[key] = decode(frame)
@@ -339,10 +351,8 @@ class DownstreamReceiver:
         symbols = np.broadcast_to(symbols, (len(self.locked), symbols.shape[-1]))
         events = DownRxEvents()
         searching = np.flatnonzero(self._decoded & ~self.locked)
-        groups, self._carry, self._tail = _whole_cycles(
-            self._carry, self._tail, symbols, self._decoded & self.locked
-        )
-        for rows, cycles in groups:
+        decoding = np.flatnonzero(self._decoded & self.locked)
+        for rows, cycles in _whole_cycles(self._carry, self._tail, decoding, symbols[decoding]):
             self._decode(rows, cycles, events)
         for row in searching:
             self._acquire(row, symbols[row], events)
@@ -531,6 +541,7 @@ class UpstreamReceiver:
         self._register = np.zeros((rows, SCRAMBLER_ORDER), dtype=np.uint8)
         self._carry = np.zeros((rows, 4), dtype=np.uint8)  # partial cycle, right-aligned
         self._tail = np.zeros(rows, dtype=np.int64)
+        self._rows = np.arange(rows)
         self.a_scanner = FrameScanner(rows, CHANNEL_A_FRAME_BITS)
         self.b_scanner = FrameScanner(rows, CHANNEL_B_FRAME_BITS)
         self.c_scanner = FrameScanner(rows, FRAGMENT_HEAD_BITS, fragment_frame_bits)
@@ -567,8 +578,7 @@ class UpstreamReceiver:
             self._training_left[row] -= take
             skip[row] = take
         events = UpRxEvents()
-        groups, self._carry, self._tail = _whole_cycles(self._carry, self._tail, bits, True, skip)
-        for rows, cycles in groups:
+        for rows, cycles in _whole_cycles(self._carry, self._tail, self._rows, bits, skip):
             descrambler = Descrambler(self._register[rows])
             a_bits, b_bits, c_bits = upstream_rx(cycles, descrambler)
             self._register[rows] = descrambler.register

@@ -21,6 +21,22 @@ def test_int_field_packing():
         bits.bits_from_int(16, 4)
 
 
+def reference_bits_to_int(seq) -> int:
+    value = 0
+    for b in seq:
+        value = (value << 1) | int(b)
+    return value
+
+
+def test_bits_to_int_matches_per_bit_definition():
+    rng = np.random.default_rng(64)
+    for width in range(65):
+        for seq in (rng.integers(0, 2, size=width, dtype=np.uint8), np.ones(width, np.uint8)):
+            assert bits.bits_to_int(seq) == reference_bits_to_int(seq), width
+            assert bits.bits_to_int(seq.tolist()) == reference_bits_to_int(seq), width
+            assert bits.bits_to_int(seq[1:]) == reference_bits_to_int(seq[1:]), width  # offset view
+
+
 def test_bytes_round_trip():
     rng = np.random.default_rng(7)
     data = rng.integers(0, 256, size=64, dtype=np.uint8).tobytes()

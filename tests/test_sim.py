@@ -198,6 +198,22 @@ class TestAbstractionEquivalence:
         assert res_s.metrics.bootstrap["mapped_ports"] == 32
         assert res_m.client_digest() == res_s.client_digest()
 
+    def test_equivalence_at_payload_load(self):
+        # The sweep's packet size at 4 cards: 262-byte packets span several
+        # symbol-level slices, so the return links carry held packets.
+        kw = dict(
+            num_frontends=4, seed=7, trigger_count=2, trigger_period_us=300.0,
+            trigger_start_us=400.0, channels_per_event=32, words_per_channel=128,
+            credit=8, mtu=8192,
+        )
+        res_m = run_scenario(small_scenario("message_level", **kw))
+        res_s = run_scenario(small_scenario("symbol_level", **kw))
+        for res in (res_m, res_s):
+            assert res.metrics.client["events"] == 2
+            assert res.metrics.client["crc_failures"] == 0
+        assert res_s.engine.backend_rx.c_scanner.faults.tolist() == [0] * 4
+        assert res_m.client_digest() == res_s.client_digest()
+
     # Periodic plans only: gated triggers issue on slice boundaries at
     # symbol level, so their timestamps differ from the message level.
     @settings(max_examples=8, deadline=None)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdmlink import messages as m
 from tdmlink import timebase
@@ -23,6 +25,100 @@ def feed_in_chunks(rx, stream, rng, lo=1, hi=97):
         events.append(rx.feed(stream[..., pos : pos + n]))
         pos += n
     return events
+
+
+class ReferenceScanner:
+    """Per-bit scanner written from docs/wire-format.md sections 2 and 3.
+
+    A 1 on an idle channel opens a frame. A fixed frame is `frame_bits`
+    long. Without `frame_bits`, the frame is a framed fragment packet: its
+    header word follows the start bit and fixes its length, 1 + 8 (2 +
+    size + 4) bits. A header that breaks the length rule counts one fault;
+    its start bit is dropped and the scan resumes at the next bit.
+    """
+
+    HEAD_BITS = 17
+
+    def __init__(self, rows, frame_bits=None):
+        self.frame_bits = frame_bits
+        self.rows = [self.fresh() for _ in range(rows)]
+
+    @staticmethod
+    def fresh():
+        return {"pending": [], "size": 0, "index": 0, "faults": 0}
+
+    @staticmethod
+    def packet_bits(head):
+        word = int("".join(map(str, head[1:17])), 2)
+        size = word & 0x3FFF  # bit 15 SOE, bit 14 EOE, bits 13..0 size
+        if size % 4 or size > 2040 or (word & 0x8000 and size < 12):
+            return None
+        return 1 + 8 * (2 + size + 4)
+
+    def reset(self, row):
+        self.rows[row] = self.fresh()
+
+    def copy_rows(self, rows, src):
+        for row in rows:
+            self.rows[row] = {**self.rows[src], "pending": list(self.rows[src]["pending"])}
+
+    def feed(self, stream_of_row):
+        """Feed each row its bits; returns (row, frame bits, index of the
+        frame's last bit) in row order."""
+        out = []
+        for row, bits in stream_of_row:
+            state = self.rows[row]
+            for bit in bits:
+                self._bit(row, state, bit, out)
+        return out
+
+    def _bit(self, row, state, bit, out):
+        index = state["index"]
+        state["index"] += 1
+        pending = state["pending"]
+        if not pending and not bit:
+            return
+        pending.append(bit)
+        if self.frame_bits is not None:
+            state["size"] = self.frame_bits
+        elif len(pending) == self.HEAD_BITS:
+            state["size"] = self.packet_bits(pending)
+            if state["size"] is None:
+                state["faults"] += 1
+                rest = pending[1:]
+                state["pending"] = rest[rest.index(1):] if 1 in rest else []
+                return  # what is left is shorter than a header
+        if len(pending) == state["size"]:
+            out.append((row, tuple(pending), index))
+            state["pending"] = []
+
+
+def random_frames(rng, frame_bits, nbits):
+    """Real frames of one kind with idle gaps and a few random frames, at
+    least `nbits` bits."""
+    parts, total = [], 0
+    while total < nbits:
+        gap = np.zeros(int(rng.integers(0, 40)), dtype=np.uint8)
+        kind = rng.random()
+        if kind < 0.15:  # a start bit and random bits
+            frame = np.concatenate([[1], rng.integers(0, 2, int(rng.integers(1, 80)))]).astype(np.uint8)
+        elif frame_bits == 10:
+            frame = m.encode_channel_a(m.ChannelAMessageUp(
+                set_busy=bool(rng.integers(2)), trigger_primitives=int(rng.integers(16))))
+        elif frame_bits == 42:
+            frame = m.encode_channel_c_request(m.ChannelCRequest(target_mask=int(rng.integers(1, 1 << 32))))
+        elif frame_bits == 64:
+            frame = m.encode_channel_b(m.ChannelBTransaction(
+                read=True, target_id=int(rng.integers(32)), address=int(rng.integers(1 << 16)),
+                data=int(rng.integers(1 << 32))))
+        else:
+            soe = bool(rng.integers(2))
+            words = rng.integers(0, 1 << 16, 2 * int(rng.integers(3 if soe else 0, 12))).tolist()
+            frame = m.frame_fragment(m.FragmentPacket.build(soe=soe, eoe=bool(rng.integers(2)), payload_words=words).serialize())
+        parts += [gap, frame]
+        total += len(gap) + len(frame)
+    stream = np.concatenate(parts)
+    return stream ^ (rng.random(len(stream)) < 0.01).astype(np.uint8)
 
 
 class TestBitQueue:
@@ -74,6 +170,43 @@ class TestScanners:
         assert packets and sc.faults[0] > 0
         for data in packets:
             m.FragmentPacket.deserialize(data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 5),
+        frame_bits=st.sampled_from([10, 42, 64, None]),
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.lists(
+            st.tuples(st.integers(1, 300), st.integers(1, 31), st.sampled_from(["feed"] * 4 + ["reset", "copy"])),
+            min_size=4, max_size=24,
+        ),
+    )
+    def test_scanner_matches_per_bit_reference(self, rows, frame_bits, seed, steps):
+        # Rows fed unevenly from their own streams; `copy_rows` and `reset`
+        # between chunks. Frames, end indices and faults must match.
+        rng = np.random.default_rng(seed)
+        streams = [random_frames(rng, frame_bits, sum(n for n, _, _ in steps)) for _ in range(rows)]
+        pos = [0] * rows
+        if frame_bits is None:
+            sc = FrameScanner(rows, m.FRAGMENT_HEAD_BITS, m.fragment_frame_bits)
+        else:
+            sc = FrameScanner(rows, frame_bits)
+        ref = ReferenceScanner(rows, frame_bits)
+        for n, mask, op in steps:
+            chosen = [row for row in range(rows) if mask >> row & 1] or [mask % rows]
+            if op == "reset":
+                sc.reset(chosen[0])
+                ref.reset(chosen[0])
+            elif op == "copy" and len(chosen) > 1:
+                sc.copy_rows(np.array(chosen[1:]), chosen[0])
+                ref.copy_rows(chosen[1:], chosen[0])
+            chunk = np.array([streams[row][pos[row] : pos[row] + n] for row in chosen])
+            got = sc.feed(chunk, None if len(chosen) == rows else np.array(chosen))
+            want = ref.feed(zip(chosen, chunk.tolist()))
+            assert [(row, tuple(frame.tolist()), end) for row, frame, end in got] == want
+            assert sc.faults.tolist() == [state["faults"] for state in ref.rows]
+            for row in chosen:
+                pos[row] += n
 
 
 class TestDownstreamChain:
