@@ -15,10 +15,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import timebase
-from .frontend import EventGeneratorConfig, check_card_settings, generator_bytes
+from .frontend import SERIAL_BITS, EventGeneratorConfig, check_card_settings, generator_bytes
+from .messages import EVENT_HEADER_WORDS
 from .message_engine import MessageEngine
 from .symbol_engine import SymbolEngine
 from .system import CARD_FAULTS
+from .transport import FRAME_OVERHEAD_BYTES
 from .wire import PRBS_TAPS, PrbsGenerator, prbs_verify
 
 __all__ = [
@@ -84,10 +86,12 @@ class SimConfig:
             raise ValueError(f"abstraction must be one of {_ABSTRACTIONS}")
         if self.trigger_mode not in ("gated", "periodic"):
             raise ValueError("trigger_mode must be 'gated' or 'periodic'")
+        if self.trigger_mode == "periodic" and self.trigger_period_us <= 0:
+            raise ValueError("a periodic trigger needs trigger_period_us > 0")
+        if not 0.0 <= self.ber <= 1.0:
+            raise ValueError("ber must be within [0, 1]")
         if self.ber and self.abstraction != "symbol_level":
             raise ValueError("bit errors are a symbol-level feature")
-        if self.mtu <= 80:
-            raise ValueError("mtu too small for the frame overhead")
         if self.credit < 1:
             raise ValueError("credit must be >= 1")
         if self.warmup_ms > 0 and self.abstraction == "symbol_level":
@@ -95,11 +99,22 @@ class SimConfig:
         if self.keep_client_events is None:
             self.keep_client_events = self.run_ms is None
         self.generator_config()
+        # A buffer holds the frame overhead and one record: a 2-byte tag and the largest
+        # packet, an SOE packet (header word, event header, one channel's words, CRC-32).
+        record = 2 + 2 + 2 * (EVENT_HEADER_WORDS + self.words_per_channel) + 4
+        if self.mtu < FRAME_OVERHEAD_BYTES + record:
+            raise ValueError(f"mtu must be >= {FRAME_OVERHEAD_BYTES + record} to hold a {record}-byte packet record")
         check_card_settings(self.buffering_depth, self.clear_busy_on)
-        if self.serials is not None and len(self.serials) < self.num_frontends:
-            raise ValueError("serial list shorter than num_frontends")
+        if self.serials is not None:
+            serials = {int(serial) for serial in self.serials[: self.num_frontends]}
+            if len(serials) < self.num_frontends:
+                raise ValueError("serials must give each of num_frontends cards a distinct one")
+            if not all(0 <= serial < 1 << SERIAL_BITS for serial in serials):
+                raise ValueError(f"serials must be {SERIAL_BITS}-bit numbers")
         fault_keys = {**CARD_FAULTS, **_ENGINES[self.abstraction].LINK_FAULTS}
         for fault in self.faults:
+            if not isinstance(fault, dict):
+                raise ValueError(f"fault {fault!r} is not a dict")
             kind = fault.get("type")
             if kind not in fault_keys:
                 raise ValueError(f"fault type {kind!r} not supported at {self.abstraction}")

@@ -10,12 +10,13 @@ their row, together with per-row diagnostic counters. Fanout receivers in
 step share one decode: rows that have received the same symbols are in the
 same state, so one row decodes for all of them. Frames are scanned per
 frame, not per bit: a byte search finds each start bit, and a frame that
-ends in a later chunk is held with the length it still owes.
+ends in a later chunk is held with the length it still owes. Return links
+move whole 4-bit cycles: their training is a whole number of cycles, and
+every chunk produced or fed must be one too.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,7 @@ from .wire import (
     SCRAMBLER_ORDER,
     Descrambler,
     Scrambler,
+    WireFormatError,
     bit_slip_sync,
     count_manchester_violations,
     downstream_rx,
@@ -56,9 +58,13 @@ __all__ = [
     "DownstreamReceiver",
     "UpstreamTransmitter",
     "UpstreamReceiver",
+    "TRAINING_BITS",
 ]
 
 _NO_BITS = np.empty(0, dtype=np.uint8)
+
+# Training pattern bits a return link sends after a reset: 250 whole cycles.
+TRAINING_BITS = 1000
 
 
 def _row_order(*event_lists):
@@ -67,21 +73,20 @@ def _row_order(*event_lists):
         events.sort(key=lambda e: e[0])
 
 
-def _whole_cycles(carry: BitArray, tail: np.ndarray, rows: np.ndarray, bits: BitArray, skip=0):
+def _whole_cycles(carry: BitArray, tail: np.ndarray, rows: np.ndarray, bits: BitArray):
     """Cut whole cycles out of the unread tail and new bits of each of
     `rows`, whose new bits are the rows of `bits`.
 
     `carry` holds the last bits each row was fed, right-aligned, of which
     the last `tail[row]` are unread; a cycle is as long as `carry` is wide.
-    The first `skip[i]` new bits of `rows[i]` are read elsewhere. Updates
-    the carry and tail of `rows` and returns the groups of them whose cycles
-    start at the same column, each as (rows, cycles).
+    Updates the carry and tail of `rows` and returns the groups of them
+    whose cycles start at the same column, each as (rows, cycles).
     """
     if not len(rows):
         return []
     width = carry.shape[1]
     ext = np.concatenate([carry[rows], bits], axis=1)
-    starts = width - tail[rows] + skip
+    starts = width - tail[rows]
     usable = (ext.shape[1] - starts) // width * width
     carry[rows] = ext[:, -width:]
     tail[rows] = ext.shape[1] - starts - usable
@@ -95,50 +100,51 @@ def _whole_cycles(carry: BitArray, tail: np.ndarray, rows: np.ndarray, bits: Bit
     return groups
 
 
+def _whole_upstream_cycles(nbits: int):
+    if nbits % 4:
+        raise WireFormatError(f"{nbits} return-link bits end in a partial cycle of {nbits % 4}")
+
+
+def _row_groups(values: np.ndarray):
+    """The rows of each distinct value, as (value, rows) by value."""
+    return [(value, np.flatnonzero(values == value)) for value in sorted(set(values.tolist()))]
+
+
 class BitQueue:
-    """Per-row FIFOs of bit arrays, drained in lockstep; a row with nothing
+    """Per-row FIFOs of bits, drained in lockstep; a row with nothing
     queued reads zeros.
 
-    Whole frames are enqueued atomically, so a frame's bits are contiguous
-    on its channel; idle fill only ever appears between frames.
+    Each row's queued bits are one byte string, one byte per bit: a push
+    appends to it and a pull cuts from its front. Whole frames are enqueued
+    atomically, so a frame's bits are contiguous on its channel; idle fill
+    only ever appears between frames. The return links pull whole 4-bit
+    cycles' worth of each channel.
     """
 
     def __init__(self, rows: int):
-        self._chunks = [deque() for _ in range(rows)]
-        self._offset = [0] * rows
+        self._bits = [bytearray() for _ in range(rows)]
         self.pending_bits = np.zeros(rows, dtype=np.int64)
 
     def push(self, row: int, bits: BitArray):
-        if len(bits):
-            self._chunks[row].append(bits)
-            self.pending_bits[row] += len(bits)
+        self._bits[row] += np.asarray(bits, dtype=np.uint8).tobytes()
+        self.pending_bits[row] = len(self._bits[row])
 
     def clear(self, row: int):
-        self._chunks[row].clear()
-        self._offset[row] = 0
+        self._bits[row].clear()
         self.pending_bits[row] = 0
 
     def pull(self, n: int, rows=None) -> BitArray:
         """The next n bits of each of `rows` (default: every row), one row
         each."""
         if rows is None:
-            rows = range(len(self._chunks))
+            rows = range(len(self._bits))
         out = np.zeros((len(rows), n), dtype=np.uint8)
         for i in np.flatnonzero(self.pending_bits[rows]):
-            row = rows[i]
-            chunks = self._chunks[row]
-            pos, offset = 0, self._offset[row]
-            while pos < n and chunks:
-                head = chunks[0]
-                take = min(n - pos, len(head) - offset)
-                out[i, pos : pos + take] = head[offset : offset + take]
-                pos += take
-                offset += take
-                if offset == len(head):
-                    chunks.popleft()
-                    offset = 0
-            self._offset[row] = offset
-            self.pending_bits[row] -= pos
+            queued = self._bits[rows[i]]
+            head = queued[:n]
+            del queued[:n]
+            out[i, : len(head)] = np.frombuffer(head, np.uint8)
+            self.pending_bits[rows[i]] = len(queued)
         return out
 
 
@@ -432,14 +438,9 @@ class DownstreamReceiver:
             self._consumed[row] + state.aligned_index
         )
         self._search[row] = _NO_BITS
-        rest = pending[state.aligned_index :]
-        usable = len(rest) - len(rest) % 8
-        if usable:
-            self._decode(np.array([row]), rest[None, :usable], events)
-        tail = len(rest) - usable
-        self._carry[row] = 0
-        self._carry[row, 8 - tail :] = rest[usable:]
-        self._tail[row] = tail
+        rest = pending[None, state.aligned_index :]  # a row holds no tail before it locks
+        for rows, cycles in _whole_cycles(self._carry, self._tail, np.array([row]), rest):
+            self._decode(rows, cycles, events)
 
     def _decode(self, rows: np.ndarray, chunk: BitArray, events: DownRxEvents):
         """Decode whole cycles, one row of `chunk` for each of `rows`."""
@@ -459,68 +460,40 @@ class DownstreamReceiver:
 
 
 class UpstreamTransmitter:
-    """Return-link transmitters, one row per card: `training_bits` of the
+    """Return-link transmitters, one row per card: TRAINING_BITS of the
     training pattern after reset, then scrambled interleaved channels."""
 
-    def __init__(self, rows: int, training_bits: int = 1000):
-        self.training_bits = training_bits
+    def __init__(self, rows: int):
         self.queues = {"A": BitQueue(rows), "B": BitQueue(rows), "C": BitQueue(rows)}
         self._register = np.zeros((rows, SCRAMBLER_ORDER), dtype=np.uint8)
-        self._training_left = np.full(rows, training_bits, dtype=np.int64)
-        # Line bits made but not sent yet: the rest of a partly sent cycle.
-        self._out = [_NO_BITS] * rows
-        self._unsent = np.zeros(rows, dtype=np.int64)  # len(_out[row])
+        self._training_left = np.full(rows, TRAINING_BITS, dtype=np.int64)
 
     def reset(self, row: int):
-        self._training_left[row] = self.training_bits
+        self._training_left[row] = TRAINING_BITS
         self._register[row] = 0
         for q in self.queues.values():
             q.clear(row)
-        self._out[row] = _NO_BITS
-        self._unsent[row] = 0
 
     def enqueue(self, row: int, channel: str, frame_bits: BitArray):
         self.queues[channel].push(row, frame_bits)
 
     def produce(self, nbits: int) -> BitArray:
-        """The next nbits line bits of every row, as a (rows, nbits) array."""
-        out = np.empty((len(self._out), nbits), dtype=np.uint8)
-        sent = np.zeros(len(self._out), dtype=np.int64)
-        for row in np.flatnonzero((self._unsent > 0) | (self._training_left > 0)):
-            sent[row] = self._lead_in(row, out[row])
-        need = nbits - sent
-        for n in sorted(set(need[need > 0].tolist())):
-            rows = np.flatnonzero(need == n)
-            cycles = -(-n // 4)
+        """The next nbits line bits of every row, as a (rows, nbits) array;
+        nbits must be whole cycles."""
+        _whole_upstream_cycles(nbits)
+        trained = np.minimum(self._training_left, nbits)
+        self._training_left -= trained
+        out = np.empty((len(trained), nbits), dtype=np.uint8)
+        for sent, rows in _row_groups(trained):
+            out[rows, :sent] = training_pattern(sent)
+            cycles = (nbits - sent) // 4
             a = self.queues["A"].pull(cycles, rows)
             b = self.queues["B"].pull(cycles, rows)
             c = self.queues["C"].pull(2 * cycles, rows)
             scrambler = Scrambler(self._register[rows])
-            line = upstream_tx(a, b, c, scrambler)
+            out[rows, sent:] = upstream_tx(a, b, c, scrambler)
             self._register[rows] = scrambler.register
-            out[rows, nbits - n :] = line[:, :n]
-            if 4 * cycles > n:
-                for i, row in enumerate(rows):
-                    self._out[row] = line[i, n:]
-                self._unsent[rows] = 4 * cycles - n
         return out
-
-    def _lead_in(self, row: int, dest: BitArray) -> int:
-        """Write the row's unsent line bits and then its training bits to the
-        start of `dest`; returns how many were written."""
-        nbits = len(dest)
-        done = min(nbits, len(self._out[row]))
-        dest[:done] = self._out[row][:done]
-        self._out[row] = self._out[row][done:]
-        self._unsent[row] -= done
-        left = int(self._training_left[row])
-        take = min(left, nbits - done)
-        if take > 0:
-            phase = (self.training_bits - left) % 2
-            dest[done : done + take] = training_pattern(take + phase)[phase:]
-            self._training_left[row] -= take
-            done += take
-        return done
 
 
 @dataclass
@@ -535,13 +508,9 @@ class UpstreamReceiver:
     training sequence, then descramble and delineate channels by slot
     counting."""
 
-    def __init__(self, rows: int, training_bits: int = 1000):
-        self.training_bits = training_bits
-        self._training_left = np.full(rows, training_bits, dtype=np.int64)
+    def __init__(self, rows: int):
+        self._training_left = np.full(rows, TRAINING_BITS, dtype=np.int64)
         self._register = np.zeros((rows, SCRAMBLER_ORDER), dtype=np.uint8)
-        self._carry = np.zeros((rows, 4), dtype=np.uint8)  # partial cycle, right-aligned
-        self._tail = np.zeros(rows, dtype=np.int64)
-        self._rows = np.arange(rows)
         self.a_scanner = FrameScanner(rows, CHANNEL_A_FRAME_BITS)
         self.b_scanner = FrameScanner(rows, CHANNEL_B_FRAME_BITS)
         self.c_scanner = FrameScanner(rows, FRAGMENT_HEAD_BITS, fragment_frame_bits)
@@ -550,9 +519,8 @@ class UpstreamReceiver:
 
     def reset(self, row: int):
         """Start the row over, counters included, as a reset link does."""
-        self._training_left[row] = self.training_bits
+        self._training_left[row] = TRAINING_BITS
         self._register[row] = 0
-        self._tail[row] = 0
         for scanner in (self.a_scanner, self.b_scanner, self.c_scanner):
             scanner.reset(row)
         for errors in self.parity_errors.values():
@@ -566,21 +534,19 @@ class UpstreamReceiver:
         return self._training_left == 0
 
     def feed(self, bits: BitArray) -> UpRxEvents:
-        """Consume the next line bits of every row, a (rows, n) array."""
+        """Consume the next line bits of every row, a (rows, n) array; n
+        must be whole cycles."""
         n = bits.shape[1]
-        skip = np.zeros(len(self._tail), dtype=np.int64)
-        for row in np.flatnonzero(self._training_left > 0):
-            left = int(self._training_left[row])
-            take = min(left, n)
-            phase = (self.training_bits - left) % 2
-            expect = training_pattern(take + phase)[phase:]
-            self.training_errors[row] += int(np.count_nonzero(bits[row, :take] != expect))
-            self._training_left[row] -= take
-            skip[row] = take
+        _whole_upstream_cycles(n)
+        skip = np.minimum(self._training_left, n)
+        self._training_left -= skip
         events = UpRxEvents()
-        for rows, cycles in _whole_cycles(self._carry, self._tail, self._rows, bits, skip):
+        for start, rows in _row_groups(skip):
+            self.training_errors[rows] += np.count_nonzero(bits[rows, :start] != training_pattern(start), axis=1)
+            if start == n:
+                continue
             descrambler = Descrambler(self._register[rows])
-            a_bits, b_bits, c_bits = upstream_rx(cycles, descrambler)
+            a_bits, b_bits, c_bits = upstream_rx(bits[rows, start:], descrambler)
             self._register[rows] = descrambler.register
             errors = self.parity_errors
             for row, msg, _ in _decode_frames(self.a_scanner, a_bits, rows, decode_channel_a_up, errors["A"]):

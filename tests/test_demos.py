@@ -1,4 +1,4 @@
-"""Demos 01-04 print exactly their golden output.
+"""Demos 01-05 print exactly their golden output.
 
 Each golden file under `tests/data/demos/` is the stdout of one demo. A
 change that alters a printed value (a BER count, a frame, a digest) shows
@@ -20,7 +20,13 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "demos"
 # The child gets a minimal environment, so it must be told where the package
 # under test lives, which matters when tdmlink is not pip-installed.
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(tdmlink.__file__)))
-DEMOS = ("01_line_coding", "02_scrambler_and_ber", "03_messages_and_bootstrap", "04_event_building")
+DEMOS = (
+    "01_line_coding",
+    "02_scrambler_and_ber",
+    "03_messages_and_bootstrap",
+    "04_event_building",
+    "05_throughput_sweep",
+)
 
 
 @pytest.mark.parametrize("demo", DEMOS)

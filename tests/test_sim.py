@@ -75,6 +75,39 @@ class TestConfig:
         with pytest.raises(ValueError, match="constant_word"):
             SimConfig(fill_pattern="constant", constant_word=0x1FFFF)
 
+    @pytest.mark.parametrize("words", [0, 4, 512])
+    def test_mtu_must_hold_the_largest_packet_record(self, words):
+        # 66 bytes of frame overhead, the 2-byte record tag and the SOE
+        # packet: header word, 6 event header words, the words, CRC-32.
+        edge = 66 + 2 + 2 + 2 * (6 + words) + 4
+        with pytest.raises(ValueError, match="mtu"):
+            small_scenario("message_level", words_per_channel=words, mtu=edge - 1)
+        cfg = small_scenario("message_level", words_per_channel=words, mtu=edge, trigger_count=3)
+        assert run_scenario(cfg).metrics.client["events"] == 3
+
+    @pytest.mark.parametrize(
+        "abstraction, overrides, match",
+        [
+            ("message_level", {"serials": [5, 5]}, "distinct"),
+            ("message_level", {"serials": [5]}, "distinct"),  # fewer than the cards
+            ("message_level", {"serials": [1, 1 << 53]}, "53-bit"),
+            ("message_level", {"serials": [-1, 2]}, "53-bit"),
+            ("symbol_level", {"ber": 2.0}, "ber"),
+            ("symbol_level", {"ber": -0.1}, "ber"),
+            ("message_level", {"faults": ["link_reset"]}, "not a dict"),
+            ("message_level", {"trigger_period_us": 0.0}, "trigger_period_us"),
+            ("symbol_level", {"trigger_period_us": -5.0}, "trigger_period_us"),
+        ],
+    )
+    def test_config_that_fails_only_once_run_rejected(self, abstraction, overrides, match):
+        with pytest.raises(ValueError, match=match):
+            small_scenario(abstraction, **overrides)
+
+    def test_rules_at_their_edges_accepted(self):
+        small_scenario("message_level", serials=[0, (1 << 53) - 1, 7, 7])  # only two cards use a serial
+        small_scenario("symbol_level", ber=1.0)
+        small_scenario("message_level", trigger_mode="gated", trigger_period_us=0.0)
+
     def test_json_round_trip(self):
         cfg = small_scenario("message_level")
         again = SimConfig.from_json(json.dumps(cfg.to_dict()))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tdmlink import messages as m
 from tdmlink import timebase
 from tdmlink.streams import (
+    TRAINING_BITS,
     BitQueue,
     DownstreamReceiver,
     DownstreamTransmitter,
@@ -15,13 +16,15 @@ from tdmlink.streams import (
     UpstreamReceiver,
     UpstreamTransmitter,
 )
+from tdmlink.wire import WireFormatError
 
 
-def feed_in_chunks(rx, stream, rng, lo=1, hi=97):
+def feed_in_chunks(rx, stream, rng, lo=1, hi=97, step=1):
+    """Feed `stream` in random chunks of `step` times lo..hi-1 bits."""
     events = []
     pos = 0
     while pos < stream.shape[-1]:
-        n = int(rng.integers(lo, hi))
+        n = step * int(rng.integers(lo, hi))
         events.append(rx.feed(stream[..., pos : pos + n]))
         pos += n
     return events
@@ -129,6 +132,41 @@ class TestBitQueue:
         assert list(out[0]) == [1, 0]
         q.push(0, [1, 1])
         assert list(q.pull(5)[0]) == [1, 1, 1, 0, 0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 4),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(["push"] * 3 + ["pull"] * 3 + ["clear"]),
+                st.integers(0, 15),  # a row, or a mask of rows to pull
+                st.lists(st.integers(0, 1), max_size=40),  # pushed bits; its length is a pull's n
+            ),
+            max_size=30,
+        ),
+    )
+    def test_matches_list_of_bits_reference(self, rows, ops):
+        q = BitQueue(rows)
+        ref = [[] for _ in range(rows)]
+        for op, arg, bits in ops:
+            row = arg % rows
+            if op == "push":
+                q.push(row, np.array(bits, dtype=np.uint8))
+                ref[row] += bits
+            elif op == "clear":
+                q.clear(row)
+                ref[row] = []
+            else:
+                chosen = [r for r in range(rows) if arg >> r & 1] or [row]
+                n = len(bits)
+                want = []
+                for r in chosen:
+                    head, ref[r] = ref[r][:n], ref[r][n:]
+                    want.append(head + [0] * (n - len(head)))
+                got = q.pull(n, None if len(chosen) == rows else np.array(chosen))
+                assert got.shape == (len(chosen), n) and got.tolist() == want
+            assert q.pending_bits.tolist() == [len(bits) for bits in ref]
+        assert q.pull(40).tolist() == [(bits + [0] * 40)[:40] for bits in ref]
 
 
 class TestScanners:
@@ -305,8 +343,8 @@ class TestDownstreamChain:
 
 class TestUpstreamChain:
     def test_training_then_traffic(self):
-        tx = UpstreamTransmitter(1, training_bits=64)
-        rx = UpstreamReceiver(1, training_bits=64)
+        tx = UpstreamTransmitter(1)
+        rx = UpstreamReceiver(1)
         rng = np.random.default_rng(5)
 
         reply = m.ChannelAMessageUp(set_busy=True)
@@ -317,8 +355,8 @@ class TestUpstreamChain:
         tx.enqueue(0, "C", m.frame_fragment(pkt.serialize()))
 
         got_a, got_b, got_p = [], [], []
-        line = tx.produce(64 + 400)
-        for ev in feed_in_chunks(rx, line, rng):
+        line = tx.produce(TRAINING_BITS + 400)
+        for ev in feed_in_chunks(rx, line, rng, step=4):  # whole cycles
             got_a.extend(ev.a)
             got_b.extend(ev.b)
             got_p.extend(ev.packets)
@@ -332,8 +370,9 @@ class TestUpstreamChain:
         frame = np.array([1, 1, 1, 0, 0, 0, 0, 0, 0, 0], dtype=np.uint8)
         with pytest.raises(m.MessageFormatError):
             m.decode_channel_a_up(frame)
-        tx = UpstreamTransmitter(1, training_bits=0)
-        rx = UpstreamReceiver(1, training_bits=0)
+        tx = UpstreamTransmitter(1)
+        rx = UpstreamReceiver(1)
+        rx.feed(tx.produce(TRAINING_BITS))
         tx.enqueue(0, "A", frame)
         tx.enqueue(0, "A", m.encode_channel_a(m.ChannelAMessageUp(clear_busy=True)))
         ev = rx.feed(tx.produce(200))
@@ -341,35 +380,116 @@ class TestUpstreamChain:
         assert {ch: errors.tolist() for ch, errors in rx.parity_errors.items()} == {"A": [1], "B": [0]}
 
     def test_idle_upstream_line_is_scrambled_not_zero(self):
-        tx = UpstreamTransmitter(1, training_bits=0)
+        tx = UpstreamTransmitter(1)
+        training = tx.produce(TRAINING_BITS)
         line = tx.produce(400)
         # Scrambler spreads the B-inversion marker; line is not the raw 0100.
         assert line.any()
-        rx = UpstreamReceiver(1, training_bits=0)
+        rx = UpstreamReceiver(1)
+        rx.feed(training)
         ev = rx.feed(line)
         assert ev.a == [] and ev.b == [] and ev.packets == []
 
     def test_reset_retrains_and_recovers(self):
-        tx = UpstreamTransmitter(1, training_bits=32)
-        rx = UpstreamReceiver(1, training_bits=32)
-        rx.feed(tx.produce(200))
+        tx = UpstreamTransmitter(1)
+        rx = UpstreamReceiver(1)
+        rx.feed(tx.produce(TRAINING_BITS + 200))
         tx.reset(0)
         rx.reset(0)
         pkt = m.FragmentPacket.build(soe=True, eoe=True,
                                      payload_words=m.FragmentPacket.event_header_bytes(7, 1000))
         tx.enqueue(0, "C", m.frame_fragment(pkt.serialize()))
         got = []
-        for _ in range(4):
+        for _ in range(14):  # the training again, then the packet
             got.extend(data for _, data in rx.feed(tx.produce(100)).packets)
         assert got == [pkt.serialize()]
+
+
+class TestWholeCycles:
+    """Return links move whole 4-bit cycles: how a run is cut into whole
+    cycles changes nothing on the line or in what is received."""
+
+    @pytest.mark.parametrize("remainder", [1, 2, 3])
+    def test_partial_cycle_raises(self, remainder):
+        tx, rx = UpstreamTransmitter(2), UpstreamReceiver(2)
+        with pytest.raises(WireFormatError):
+            tx.produce(8 + remainder)
+        with pytest.raises(WireFormatError):
+            rx.feed(np.zeros((2, 8 + remainder), dtype=np.uint8))
+        # Nothing was consumed: the link still trains from its first bit.
+        rx.feed(tx.produce(TRAINING_BITS))
+        assert rx.trained.all() and rx.training_errors.tolist() == [0, 0]
+
+    @staticmethod
+    def queue_frames(rng, txs, row):
+        for _ in range(int(rng.integers(0, 3))):
+            frames = [
+                ("A", m.encode_channel_a(m.ChannelAMessageUp(set_busy=bool(rng.integers(2)), clear_busy=False,
+                                                             trigger_primitives=int(rng.integers(16))))),
+                ("B", m.encode_channel_b(m.ChannelBTransaction(read=True, target_id=int(rng.integers(32)),
+                                                               address=int(rng.integers(1 << 16))))),
+                ("C", m.frame_fragment(m.FragmentPacket.build(
+                    soe=False, eoe=bool(rng.integers(2)),
+                    payload_words=rng.integers(0, 1 << 16, 2 * int(rng.integers(0, 8))).tolist()).serialize())),
+            ]
+            channel, bits = frames[int(rng.integers(3))]
+            for tx in txs:
+                tx.enqueue(row, channel, bits)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        segments=st.lists(
+            st.tuples(st.lists(st.integers(1, 200), min_size=1, max_size=6), st.integers(0, 7)),
+            min_size=1, max_size=4,
+        ),
+    )
+    def test_chunking_matches_one_chunk_runs(self, rows, seed, segments):
+        # Each segment is run once in random whole-cycle chunks and once as
+        # one chunk, with the same frames queued and the same line errors;
+        # between segments the rows in the segment's mask are reset on both.
+        rng = np.random.default_rng(seed)
+        chunked = (UpstreamTransmitter(rows), UpstreamReceiver(rows))
+        whole = (UpstreamTransmitter(rows), UpstreamReceiver(rows))
+        for chunks, mask in segments:
+            for row in range(rows):
+                self.queue_frames(rng, (chunked[0], whole[0]), row)
+            nbits = 4 * sum(chunks)
+            noise = (rng.random((rows, nbits)) < 0.002).astype(np.uint8)
+            line = whole[0].produce(nbits)
+            want = whole[1].feed(line ^ noise)
+            pieces, got = [], ([], [], [])
+            pos = 0
+            for cycles in chunks:
+                piece = chunked[0].produce(4 * cycles)
+                ev = chunked[1].feed(piece ^ noise[:, pos : pos + 4 * cycles])
+                for dest, part in zip(got, (ev.a, ev.b, ev.packets)):
+                    dest.extend(part)
+                pieces.append(piece)
+                pos += 4 * cycles
+            assert np.array_equal(np.concatenate(pieces, axis=1), line)
+            for dest in got:
+                dest.sort(key=lambda e: e[0])  # each row's own order kept
+            assert got == (want.a, want.b, want.packets)
+            for row in range(rows):
+                if mask >> row & 1:
+                    for end in chunked + whole:
+                        end.reset(row)
+        rx, ref = chunked[1], whole[1]
+        assert rx.trained.tolist() == ref.trained.tolist()
+        assert rx.training_errors.tolist() == ref.training_errors.tolist()
+        assert {ch: e.tolist() for ch, e in rx.parity_errors.items()} == {
+            ch: e.tolist() for ch, e in ref.parity_errors.items()}
+        assert rx.c_scanner.faults.tolist() == ref.c_scanner.faults.tolist()
 
 
 class TestRows:
     """A row of a many-link object behaves as a one-link object does."""
 
     def test_return_links_match_one_link_each(self):
-        # Three links with different traffic in uneven chunks (some not
-        # whole cycles), link 1 reset and retrained half way.
+        # Three links with different traffic in uneven chunks of whole
+        # cycles, link 1 reset and retrained half way.
         frames = {
             0: [("A", m.encode_channel_a(m.ChannelAMessageUp(set_busy=True))),
                 ("C", m.frame_fragment(m.FragmentPacket.build(
@@ -377,8 +497,8 @@ class TestRows:
             1: [("B", m.encode_channel_b(m.ChannelBTransaction(read=True, address=0x10, data=5)))],
             2: [],
         }
-        many_tx, many_rx = UpstreamTransmitter(3, training_bits=50), UpstreamReceiver(3, training_bits=50)
-        one = [(UpstreamTransmitter(1, training_bits=50), UpstreamReceiver(1, training_bits=50)) for _ in range(3)]
+        many_tx, many_rx = UpstreamTransmitter(3), UpstreamReceiver(3)
+        one = [(UpstreamTransmitter(1), UpstreamReceiver(1)) for _ in range(3)]
         got_many, got_one = [], []
         rng = np.random.default_rng(8)
         for step in range(12):
@@ -392,7 +512,7 @@ class TestRows:
                     for channel, bits in queued:
                         many_tx.enqueue(row, channel, bits)
                         one[row][0].enqueue(0, channel, bits)
-            n = int(rng.integers(1, 120))
+            n = 4 * int(rng.integers(1, 120))
             line = many_tx.produce(n)
             ev = many_rx.feed(line)
             got_many.append((ev.a, ev.b, ev.packets))
