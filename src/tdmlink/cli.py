@@ -56,19 +56,38 @@ def _cmd_ber(args) -> int:
 
 
 def _parse_range(text: str) -> list[int]:
+    """A range like 1..8 or a list like 1,2,4, of values >= 1."""
     if ".." in text:
         lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in text.split(",")]
+        values = list(range(int(lo), int(hi) + 1))
+    else:
+        values = [int(x) for x in text.split(",")]
+    if not values or min(values) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is an empty range or holds a value below 1")
+    return values
+
+
+def _count(text: str) -> int:
+    """A whole number >= 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{n} is below 1")
+    return n
+
+
+def _card_count(text: str) -> int:
+    """A card count, 1..32: the 5-bit ID space."""
+    n = _count(text)
+    if n > 32:
+        raise argparse.ArgumentTypeError(f"{n} cards exceed the 5-bit ID space (1..32)")
+    return n
 
 
 def _cmd_sweep(args) -> int:
-    credits = _parse_range(args.credit)
-    mtus = _parse_range(args.mtu)
     lines = [SWEEP_CSV_HEADER]
     ok = True
-    for mtu in mtus:
-        for credit in credits:
+    for mtu in args.mtu:
+        for credit in args.credit:
             config = SimConfig(
                 num_frontends=args.cards,
                 seed=args.seed,
@@ -187,9 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_ber)
 
     p = sub.add_parser("sweep", help="credit sweep, Fig.-13-style CSV")
-    p.add_argument("--credit", default="1..8", help="range like 1..8 or list 1,2,4")
-    p.add_argument("--mtu", default="8192", help="range or list of MTUs in bytes")
-    p.add_argument("--cards", type=int, default=32)
+    p.add_argument("--credit", type=_parse_range, default="1..8", help="range like 1..8 or list 1,2,4")
+    p.add_argument("--mtu", type=_parse_range, default="8192", help="range or list of MTUs in bytes")
+    p.add_argument("--cards", type=_card_count, default=32)
     p.add_argument("--channels", type=int, default=256)
     p.add_argument("--words", type=int, default=128)
     p.add_argument("--run-ms", type=float, default=30.0)
@@ -199,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("bootstrap-check", help="ID assignment verification")
-    p.add_argument("-n", "--cards", type=int, default=32)
-    p.add_argument("--repetitions", type=int, default=1)
+    p.add_argument("-n", "--cards", type=_card_count, default=32)
+    p.add_argument("--repetitions", type=_count, default=1)
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(fn=_cmd_bootstrap_check)
 

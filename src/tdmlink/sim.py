@@ -94,6 +94,15 @@ class SimConfig:
             raise ValueError("bit errors are a symbol-level feature")
         if self.credit < 1:
             raise ValueError("credit must be >= 1")
+        for name in ("trigger_count", "trigger_start_us", "request_rtt_us", "warmup_ms"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if self.buffer_pool < 1:
+            raise ValueError("buffer_pool must be >= 1")
+        if self.trigger_count == 0 and self.run_ms is None:
+            raise ValueError("trigger_count must be >= 1 in an event-count run (run_ms unset)")
+        if self.run_ms is not None and self.run_ms <= self.warmup_ms:
+            raise ValueError("run_ms must be > 0 and end after warmup_ms")
         if self.warmup_ms > 0 and self.abstraction == "symbol_level":
             raise ValueError("a measurement warm-up is a message-level feature")
         if self.keep_client_events is None:

@@ -6,13 +6,14 @@ whole array. A single link is the one-row case. Transmitters hold per-row
 channel frame queues and emit line bits on demand, filling idle slots with
 zeros. Receivers consume chunks of line bits, keep each row's
 synchronization state across calls, and emit decoded frames tagged with
-their row, together with per-row diagnostic counters. Fanout receivers in
-step share one decode: rows that have received the same symbols are in the
-same state, so one row decodes for all of them. Frames are scanned per
-frame, not per bit: a byte search finds each start bit, and a frame that
-ends in a later chunk is held with the length it still owes. Return links
-move whole 4-bit cycles: their training is a whole number of cycles, and
-every chunk produced or fed must be one too.
+their row, together with per-row diagnostic counters. Fanout receivers
+share one decode until any row's symbols differ: rows that have received the
+same symbols are in the same state, so row 0 decodes for all of them; every
+row then decodes on its own. Frames are scanned per frame, not per bit: a
+byte search finds each start bit, and a frame that ends in a later chunk is
+held with the length it still owes. Return links move whole 4-bit cycles:
+their training is a whole number of cycles, and every chunk produced or fed
+must be one too.
 """
 
 from __future__ import annotations
@@ -311,17 +312,16 @@ class DownstreamReceiver:
     from its lock point on and carries the fewer than 8 symbols left over
     to the next chunk; fed whole cycles, that tail keeps its length.
 
-    Receivers in step share one decode. A row's state depends only on the
-    symbols it was fed, so rows that have received the same symbols since
-    they were built are in the same state. Such rows form a group, of which
-    only the lowest row, its representative, is decoded; the other members
-    take its events, lock state and counters. A member fed other symbols
-    than its representative leaves the group with a copy of its state
-    before decoding, along with the members fed the same symbols as it;
-    rows never join a group again.
+    Rows share one decode until any row's symbols differ. A row's state
+    depends only on the symbols it was fed, so while every row has received
+    the same symbols (`in_step`), only row 0 searches for lock and decodes,
+    and every row takes its events, lock state and counters. The first
+    chunk in which some row differs gives every row a copy of row 0's state
+    and clears `in_step`; from then on every row decodes on its own.
     """
 
     def __init__(self, rows: int):
+        self.in_step = True
         self.locked = np.zeros(rows, dtype=bool)
         self.sync: list = [None] * rows
         self._search = [_NO_BITS] * rows  # symbols kept while not locked
@@ -336,88 +336,57 @@ class DownstreamReceiver:
         }
         self.coding_violations = np.zeros(rows, dtype=np.int64)
         self.parity_errors = {ch: np.zeros(rows, dtype=np.int64) for ch in "ABC"}
-        # Counters kept for every row; the rest of a member's state is its
-        # representative's.
+        # Counters kept for every row; the rest of a row's state is row 0's
+        # while in step.
         self._counters = (
             self.coding_violations,
             *self.parity_errors.values(),
             *(scanner.faults for scanner in self.scanners.values()),
         )
-        self._regroup(np.zeros(rows, dtype=np.intp))  # nothing received yet: one group
 
     def a_bit_arrival_tick(self, row: int, index: int) -> int:
-        rep = self._twin[row]
-        return self._aligned_base_tick[rep] + timebase.down_a_bit_end_tick(index)
+        return self._aligned_base_tick[row] + timebase.down_a_bit_end_tick(index)
 
     def feed(self, symbols: BitArray) -> DownRxEvents:
         """Consume the next symbols of every row: a (rows, n) array, or one
         stream of n symbols that every row receives."""
-        if symbols.ndim > 1 and self._groups:
-            self._split(symbols)
+        if self.in_step and symbols.ndim > 1 and (symbols[1:] != symbols[0]).any():
+            self._leave_step()
         symbols = np.broadcast_to(symbols, (len(self.locked), symbols.shape[-1]))
+        decoded = np.arange(1 if self.in_step else len(self.locked))
         events = DownRxEvents()
-        searching = np.flatnonzero(self._decoded & ~self.locked)
-        decoding = np.flatnonzero(self._decoded & self.locked)
+        searching = decoded[~self.locked[decoded]]
+        decoding = decoded[self.locked[decoded]]
         for rows, cycles in _whole_cycles(self._carry, self._tail, decoding, symbols[decoding]):
             self._decode(rows, cycles, events)
         for row in searching:
             self._acquire(row, symbols[row], events)
-        if self._groups:
-            self._share(events, len(searching) > 0)
+        if self.in_step:
+            self._share(events)
         _row_order(events.a, events.b, events.c)
         return events
 
-    def _regroup(self, twin: np.ndarray):
-        """Make row `twin[row]` the representative of each row."""
-        self._twin = twin
-        self._decoded = twin == np.arange(len(twin))
-        self._members = np.flatnonzero(~self._decoded)
-        groups: dict = {}
-        for row, rep in enumerate(twin.tolist()):
-            groups.setdefault(rep, []).append(row)
-        # The groups of more than one row, by representative.
-        self._groups = {rep: rows for rep, rows in groups.items() if len(rows) > 1}
-
-    def _split(self, symbols: BitArray):
-        """Take each member fed other symbols than its representative out of
-        its group; members of one group fed the same symbols as each other
-        stay together, represented by the lowest of them."""
-        twin = self._twin.copy()
-        moved = np.flatnonzero((symbols != symbols[twin]).any(axis=1))
-        if not len(moved):
-            return
-        while len(moved):
-            rep = moved[0]
-            same = (twin[moved] == twin[rep]) & (symbols[moved] == symbols[rep]).all(axis=1)
-            self._copy_state(moved[same], twin[rep])
-            twin[moved[same]] = rep
-            moved = moved[~same]
-        self._regroup(twin)
-
-    def _copy_state(self, rows: np.ndarray, src: int):
-        """Give `rows` the decoding state of row `src`."""
-        self._carry[rows] = self._carry[src]
-        self._tail[rows] = self._tail[src]
+    def _leave_step(self):
+        """Give every row the decoding state of row 0, then decode each row
+        on its own."""
+        self.in_step = False
+        rows = np.arange(1, len(self.locked))
+        self._carry[1:] = self._carry[0]
+        self._tail[1:] = self._tail[0]
         for state in (self._search, self._consumed, self._aligned_base_tick):
-            for row in rows.tolist():
-                state[row] = state[src]
+            state[1:] = [state[0]] * len(rows)
         for scanner in self.scanners.values():
-            scanner.copy_rows(rows, src)
+            scanner.copy_rows(rows, 0)
 
-    def _share(self, events: DownRxEvents, acquired: bool):
-        """Give every member its representative's events and counters, and
-        its lock state once a representative searched for lock."""
-        rows = self._members
-        reps = self._twin[rows]
+    def _share(self, events: DownRxEvents):
+        """Give every row row 0's events, counters and lock state."""
+        rows = len(self.locked)
         for counter in self._counters:
-            counter[rows] = counter[reps]
-        if acquired:
-            self.locked[rows] = self.locked[reps]
-            for row, rep in zip(rows.tolist(), reps.tolist()):
-                self.sync[row] = self.sync[rep]
-        groups = self._groups
+            counter[1:] = counter[0]
+        self.locked[1:] = self.locked[0]
+        self.sync[1:] = [self.sync[0]] * (rows - 1)
         for part in (events.a, events.b, events.c):
-            part[:] = [(row, *rest) for rep, *rest in part for row in groups.get(rep, (rep,))]
+            part[:] = [(row, *rest) for row in range(rows) for _, *rest in part]
 
     def _acquire(self, row: int, symbols: BitArray, events: DownRxEvents):
         """Search one unlocked row for the idle pattern; once locked, decode

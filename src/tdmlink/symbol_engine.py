@@ -7,9 +7,9 @@ scrambled interleaved channels. Links are rows: each direction holds every
 card's link as one row of a (links, bits) array, so a slice runs each stage
 of a chain once for all cards, and each link still takes its own line
 errors from its own random streams. The fanout receivers share one decode
-while they are in step: at BER 0 every card receives the same symbols, so
-one row decodes the broadcast stream for all of them, and a card's row
-decodes on its own from its first line error on. Links have zero latency,
+until any card's symbols differ: at BER 0 every card receives the same
+symbols, so row 0 decodes the broadcast stream for all of them, and from
+the first line error on any card every card's row decodes on its own. Links have zero latency,
 as at message level. Time advances in slices of SLICE_CYCLES whole TDM cycles,
 clipped so trigger issue ticks land exactly on slice boundaries (that keeps
 channel A latency accounting identical to the message-level engine).

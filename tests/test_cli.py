@@ -85,3 +85,30 @@ def test_sweep_small_grid(tmp_path, capsys):
     rows = [line.split(",") for line in lines[1:]]
     assert [r[0] for r in rows] == ["1", "6"]
     assert float(rows[1][2]) >= float(rows[0][2])  # monotone in credit
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "--credit", "8..1"], "empty range"),
+        (["sweep", "--credit", "0"], "value below 1"),
+        (["sweep", "--mtu", "0..8192"], "value below 1"),
+        (["sweep", "--credit", "1..x"], "invalid"),
+        (["sweep", "--cards", "40"], "1..32"),
+        (["sweep", "--cards", "0"], "below 1"),
+        (["bootstrap-check", "-n", "40"], "1..32"),
+        (["bootstrap-check", "-n", "0"], "below 1"),
+        (["bootstrap-check", "--repetitions", "0"], "below 1"),
+    ],
+)
+def test_inputs_that_run_nothing_or_crash_are_usage_errors(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_card_count_edges_accepted(capsys):
+    assert main(["bootstrap-check", "-n", "1"]) == 0
+    assert main(["bootstrap-check", "-n", "32"]) == 0
+    assert "1/1 repetitions passed" in capsys.readouterr().out

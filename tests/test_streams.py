@@ -591,7 +591,7 @@ class TestRows:
         one = [DownstreamReceiver(1) for _ in range(4)]
         # Uneven chunks, most not whole cycles.
         cuts = sorted({0, 6, 12, 20, 35, *range(41, 200, 37), flip_0 - 40, flip_0 + 61, rows.shape[1]})
-        twins, delivered = [], 0
+        steps, delivered = [], 0
         for lo, hi in zip(cuts, cuts[1:]):
             chunk = rows[:, lo:hi]
             shared = (chunk == chunk[0]).all()
@@ -604,11 +604,9 @@ class TestRows:
                 for dest, events in zip(got, (part.a, part.b, part.c)):
                     dest.extend((row,) + e[1:] for e in events)
             assert (ev.a, ev.b, ev.c) == tuple(got)
-            twins.append(many._twin.tolist())
+            steps.append(many.in_step)
             delivered += sum(msg is not None for part in got for _, msg, *_ in part)
-        assert twins[0] == [0, 0, 0, 0]
-        assert [0, 0, 2, 0] in twins
-        assert twins[-1] == [0, 1, 2, 1]
+        assert steps == [True, True] + [False] * (len(steps) - 2)
         assert many.locked.all()
         assert many.sync == [rx.sync[0] for rx in one]
         assert many.coding_violations.tolist() == [rx.coding_violations[0] for rx in one]
@@ -618,3 +616,65 @@ class TestRows:
         assert delivered == 4 * 3 * 3 - 5
         assert many.parity_errors["B"].tolist() == [2, 1, 1, 1]
         assert many.sync[2] != many.sync[1]
+
+    @staticmethod
+    def _fanout_stream():
+        """A fanout stream of 250 cycles: an idle preamble, then frames on
+        every channel."""
+        tx = DownstreamTransmitter()
+        stream = [tx.produce_cycles(6)]
+        for i in range(20):
+            tx.enqueue("A", m.encode_channel_a(m.ChannelAMessageDown(sampling_stop=True, event_type=i % 4)))
+        for i in range(3):
+            tx.enqueue("B", m.encode_channel_b(m.ChannelBTransaction(write=True, target_id=i, address=i, data=i)))
+        for i in range(5):
+            tx.enqueue("C", m.encode_channel_c_request(m.ChannelCRequest(target_mask=1 << i)))
+        stream.append(tx.produce_cycles(244))
+        return np.concatenate(stream)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 5),
+        chunks=st.lists(st.tuples(st.integers(1, 200), st.booleans()), min_size=1, max_size=25),
+        flips=st.lists(st.tuples(st.integers(0, 1999), st.just(31) | st.integers(1, 31)), max_size=12),
+        late=st.tuples(st.integers(0, 4), st.integers(0, 40)),
+    )
+    def test_shared_decode_matches_one_receiver_per_row(self, rows, chunks, flips, late):
+        # Each chunk is one stream that every row receives (row 0's line),
+        # or every row's own line: the fanout stream with the symbol flips
+        # whose row mask holds the row, one row possibly listening late. A
+        # flip in every row keeps the rows in step.
+        stream = self._fanout_stream()
+        lines = np.array([stream] * rows)
+        late_row, late_by = late
+        if late_row < rows and late_by:
+            lines[late_row] = np.concatenate([stream[late_by:], np.zeros(late_by, np.uint8)])
+        for pos, mask in flips:
+            for row in range(rows):
+                lines[row, pos] ^= mask >> row & 1
+        many = DownstreamReceiver(rows)
+        one = [DownstreamReceiver(1) for _ in range(rows)]
+        in_step, pos = True, 0
+        for n, shared in chunks:
+            chunk = lines[:, pos : pos + n]
+            if shared:
+                ev = many.feed(chunk[0])
+                fed = [chunk[0]] * rows
+            else:
+                ev = many.feed(chunk)
+                fed = list(chunk)
+                in_step = in_step and (chunk == chunk[0]).all()
+            got = [[], [], []]
+            for row, rx in enumerate(one):
+                part = rx.feed(fed[row])
+                for dest, events in zip(got, (part.a, part.b, part.c)):
+                    dest.extend((row,) + e[1:] for e in events)
+            assert (ev.a, ev.b, ev.c) == tuple(got)
+            assert many.in_step == in_step
+            assert many.locked.tolist() == [rx.locked[0] for rx in one]
+            assert many.sync == [rx.sync[0] for rx in one]
+            assert many.coding_violations.tolist() == [rx.coding_violations[0] for rx in one]
+            for ch in "ABC":
+                assert many.parity_errors[ch].tolist() == [rx.parity_errors[ch][0] for rx in one]
+                assert many.scanners[ch].faults.tolist() == [rx.scanners[ch].faults[0] for rx in one]
+            pos += n
