@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import timebase
-from .bits import BitArray
+from .bits import BitArray, as_bits
 from .messages import (
     CHANNEL_A_FRAME_BITS,
     CHANNEL_B_FRAME_BITS,
@@ -74,16 +74,17 @@ def _row_order(*event_lists):
         events.sort(key=lambda e: e[0])
 
 
-def _whole_cycles(carry: BitArray, tail: np.ndarray, rows: np.ndarray, bits: BitArray):
+def _whole_cycles(carry: BitArray, tail: np.ndarray, rows, bits: BitArray):
     """Cut whole cycles out of the unread tail and new bits of each of
-    `rows`, whose new bits are the rows of `bits`.
+    `rows` (an index array or a slice), whose new bits are the rows of
+    `bits`.
 
     `carry` holds the last bits each row was fed, right-aligned, of which
     the last `tail[row]` are unread; a cycle is as long as `carry` is wide.
     Updates the carry and tail of `rows` and returns the groups of them
     whose cycles start at the same column, each as (rows, cycles).
     """
-    if not len(rows):
+    if not len(bits):
         return []
     width = carry.shape[1]
     ext = np.concatenate([carry[rows], bits], axis=1)
@@ -95,6 +96,7 @@ def _whole_cycles(carry: BitArray, tail: np.ndarray, rows: np.ndarray, bits: Bit
     if (starts == first).all():  # usable depends only on the start
         return [(rows, ext[:, first : first + usable[0]])] if usable[0] else []
     groups = []
+    rows = np.arange(len(carry))[rows]
     for start in sorted(set(starts[usable > 0].tolist())):
         same = np.flatnonzero(starts == start)
         groups.append((rows[same], ext[same, start : start + usable[same[0]]]))
@@ -107,7 +109,11 @@ def _whole_upstream_cycles(nbits: int):
 
 
 def _row_groups(values: np.ndarray):
-    """The rows of each distinct value, as (value, rows) by value."""
+    """The rows of each distinct value, as (value, rows) by value; the rows
+    are a slice of all of them when every row holds the same value."""
+    first = values[0]
+    if (values == first).all():
+        return [(int(first), slice(None))]
     return [(value, np.flatnonzero(values == value)) for value in sorted(set(values.tolist()))]
 
 
@@ -123,29 +129,39 @@ class BitQueue:
     """
 
     def __init__(self, rows: int):
-        self._bits = [bytearray() for _ in range(rows)]
+        self._bits = np.empty(rows, dtype=object)
+        self._bits[:] = [bytearray() for _ in range(rows)]
         self.pending_bits = np.zeros(rows, dtype=np.int64)
 
-    def push(self, row: int, bits: BitArray):
-        self._bits[row] += np.asarray(bits, dtype=np.uint8).tobytes()
-        self.pending_bits[row] = len(self._bits[row])
+    def push(self, row: int, bits):
+        """Queue `bits` on `row`: a bit array, or its bytes, one byte per bit."""
+        queued = self._bits[row]
+        queued += bits if isinstance(bits, bytes) else np.asarray(bits, dtype=np.uint8).tobytes()
+        self.pending_bits[row] = len(queued)
 
     def clear(self, row: int):
         self._bits[row].clear()
         self.pending_bits[row] = 0
 
     def pull(self, n: int, rows=None) -> BitArray:
-        """The next n bits of each of `rows` (default: every row), one row
-        each."""
-        if rows is None:
-            rows = range(len(self._bits))
-        out = np.zeros((len(rows), n), dtype=np.uint8)
-        for i in np.flatnonzero(self.pending_bits[rows]):
-            queued = self._bits[rows[i]]
-            head = queued[:n]
+        """The next n bits of each of `rows` (an index array or a slice;
+        default: every row), one row each. The busy rows' heads are cut as
+        bytes, a short one padded with zeros, and joined into one array."""
+        rows = slice(None) if rows is None else rows
+        pending = self.pending_bits[rows]
+        if not np.count_nonzero(pending):
+            return np.zeros((len(pending), n), dtype=np.uint8)
+        busy = np.flatnonzero(pending)
+        heads = []
+        for queued in self._bits[rows][busy]:
+            heads.append(queued[:n].ljust(n, b"\0"))
             del queued[:n]
-            out[i, : len(head)] = np.frombuffer(head, np.uint8)
-            self.pending_bits[rows[i]] = len(queued)
+        self.pending_bits[rows] = np.maximum(pending - n, 0)
+        lines = np.frombuffer(b"".join(heads), np.uint8).reshape(len(busy), n)
+        if len(busy) == len(pending):
+            return lines
+        out = np.zeros((len(pending), n), dtype=np.uint8)
+        out[busy] = lines
         return out
 
 
@@ -189,13 +205,14 @@ class FrameScanner:
                 state[row] = state[src]
 
     def feed(self, bits: BitArray, rows=None) -> list[tuple[int, BitArray, int]]:
-        """Scan the next channel bits of each of `rows` (default: every
-        row), one row of `bits` each. Returns (row, frame, channel-bit index
+        """Scan the next channel bits of each of `rows` (an index array or a
+        slice; default: every row), one row of `bits` each. Returns (row, frame, channel-bit index
         of the frame's last bit) in row order; each frame is a read-only
         view of its own bytes. Only a row whose new bits hold a 1 or that
         holds a partial frame is scanned; the others just advance their
         index."""
-        rows = range(len(self._buf)) if rows is None else rows.tolist()
+        rows = slice(None) if rows is None else rows
+        rows = range(len(self._buf))[rows] if isinstance(rows, slice) else rows.tolist()
         n = bits.shape[1]
         buf, base = self._buf, self._base
         ones = bits.any(axis=1).tolist()
@@ -352,18 +369,24 @@ class DownstreamReceiver:
         stream of n symbols that every row receives."""
         if self.in_step and symbols.ndim > 1 and (symbols[1:] != symbols[0]).any():
             self._leave_step()
-        symbols = np.broadcast_to(symbols, (len(self.locked), symbols.shape[-1]))
-        decoded = np.arange(1 if self.in_step else len(self.locked))
+        if self.in_step:
+            lines = symbols[None] if symbols.ndim == 1 else symbols[:1]
+        else:
+            lines = np.broadcast_to(symbols, (len(self.locked), symbols.shape[-1]))
+        locked = self.locked[: len(lines)]
+        if locked.all():
+            decoding, searching = slice(0, len(lines)), []
+        else:
+            decoding, searching = np.flatnonzero(locked), np.flatnonzero(~locked).tolist()
         events = DownRxEvents()
-        searching = decoded[~self.locked[decoded]]
-        decoding = decoded[self.locked[decoded]]
-        for rows, cycles in _whole_cycles(self._carry, self._tail, decoding, symbols[decoding]):
+        for rows, cycles in _whole_cycles(self._carry, self._tail, decoding, lines[decoding]):
             self._decode(rows, cycles, events)
         for row in searching:
-            self._acquire(row, symbols[row], events)
+            self._acquire(row, lines[row], events)
         if self.in_step:
-            self._share(events)
-        _row_order(events.a, events.b, events.c)
+            self._share(events)  # row by row, in row order
+        else:
+            _row_order(events.a, events.b, events.c)
         return events
 
     def _leave_step(self):
@@ -443,7 +466,8 @@ class UpstreamTransmitter:
         for q in self.queues.values():
             q.clear(row)
 
-    def enqueue(self, row: int, channel: str, frame_bits: BitArray):
+    def enqueue(self, row: int, channel: str, frame_bits):
+        """Queue a frame on a row: a bit array, or its bytes, one byte per bit."""
         self.queues[channel].push(row, frame_bits)
 
     def produce(self, nbits: int) -> BitArray:
@@ -454,14 +478,17 @@ class UpstreamTransmitter:
         self._training_left -= trained
         out = np.empty((len(trained), nbits), dtype=np.uint8)
         for sent, rows in _row_groups(trained):
-            out[rows, :sent] = training_pattern(sent)
             cycles = (nbits - sent) // 4
             a = self.queues["A"].pull(cycles, rows)
             b = self.queues["B"].pull(cycles, rows)
             c = self.queues["C"].pull(2 * cycles, rows)
             scrambler = Scrambler(self._register[rows])
-            out[rows, sent:] = upstream_tx(a, b, c, scrambler)
+            line = upstream_tx(a, b, c, scrambler)
             self._register[rows] = scrambler.register
+            if not sent and isinstance(rows, slice):
+                return line  # every row sends traffic only
+            out[rows, :sent] = training_pattern(sent)
+            out[rows, sent:] = line
         return out
 
 
@@ -505,13 +532,16 @@ class UpstreamReceiver:
     def feed(self, bits: BitArray) -> UpRxEvents:
         """Consume the next line bits of every row, a (rows, n) array; n
         must be whole cycles."""
+        bits = as_bits(bits)
         n = bits.shape[1]
         _whole_upstream_cycles(n)
         skip = np.minimum(self._training_left, n)
         self._training_left -= skip
         events = UpRxEvents()
-        for start, rows in _row_groups(skip):
-            self.training_errors[rows] += np.count_nonzero(bits[rows, :start] != training_pattern(start), axis=1)
+        groups = _row_groups(skip)
+        for start, rows in groups:
+            if start:
+                self.training_errors[rows] += np.count_nonzero(bits[rows, :start] != training_pattern(start), axis=1)
             if start == n:
                 continue
             descrambler = Descrambler(self._register[rows])
@@ -524,5 +554,6 @@ class UpstreamReceiver:
                 events.b.append((row, msg))
             for row, frame, _ in self.c_scanner.feed(c_bits, rows):
                 events.packets.append((row, np.packbits(frame[1:]).tobytes()))
-        _row_order(events.a, events.b, events.packets)
+        if len(groups) > 1:
+            _row_order(events.a, events.b, events.packets)
         return events

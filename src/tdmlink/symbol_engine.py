@@ -138,15 +138,16 @@ class SymbolEngine(System):
             if msg is not None:
                 self._emit_card_output(port, self.cards[port].on_channel_a(msg, arrival_tick))
         # Cards in step receive one request object, and a broadcast write
-        # is answered with the request itself: an answer is encoded once for
-        # the run of cards that give that same object (messages are immutable).
+        # is answered with the request itself: an answer is encoded, as the
+        # bytes a return queue holds, once for the run of cards that give
+        # that same object (messages are immutable).
         last = bits = None
         for port, txn in events.b:
             card = self.cards[port]
             resp = card.on_channel_b_parity_error() if txn is None else card.on_channel_b(txn)
             if resp is not None:
                 if resp is not last:
-                    last, bits = resp, encode_channel_b(resp)
+                    last, bits = resp, encode_channel_b(resp).tobytes()
                 self.up_tx.enqueue(port, "B", bits)
         for port, req in events.c:
             if req is not None:

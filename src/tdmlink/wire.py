@@ -340,17 +340,22 @@ def _scramble(bits: BitArray, register: BitArray) -> tuple[BitArray, BitArray]:
     k = SCRAMBLER_ORDER
     n = bits.shape[-1]
     lead = bits.shape[:-1]
-    # Laid out as (..., blocks, 43), column r holds residue class r mod 43,
-    # where the recurrence is a running XOR down the blocks.
-    blocks = -(-n // k)
-    buf = np.zeros(lead + (blocks * k,), dtype=np.uint8)
-    buf[..., :n] = bits
-    if blocks:
-        grid = buf.reshape(lead + (blocks, k))
-        grid[..., 0, :] ^= register
-        np.bitwise_xor.accumulate(grid, axis=-2, out=grid)
-    out = buf[..., :n]
-    return out, np.concatenate([register, out[..., -k:]], axis=-1)[..., -k:]
+    # The register followed by the bits, zero-padded to whole blocks of 43
+    # and laid out as (..., blocks, 43): column r holds residue class
+    # r mod 43, where the recurrence is a running XOR down the blocks, and
+    # block 0 is the register. Each block is padded to 48 columns, six
+    # 64-bit lanes of 8 residue classes each, so one XOR down the blocks
+    # advances 8 classes per word; the 5 pad columns stay zero.
+    blocks = 1 + -(-n // k)
+    line = np.zeros(lead + (blocks * k,), dtype=np.uint8)
+    line[..., :k] = register
+    line[..., k : k + n] = bits
+    grid = np.zeros(lead + (blocks, 48), dtype=np.uint8)
+    grid[..., :k] = line.reshape(lead + (blocks, k))
+    lanes = grid.view(np.uint64)
+    np.bitwise_xor.accumulate(lanes, axis=-2, out=lanes)
+    line = grid[..., :k].reshape(lead + (blocks * k,))
+    return line[..., k : k + n], line[..., n : n + k].copy()
 
 
 class Descrambler:
