@@ -8,7 +8,8 @@ Subcommands:
     vectors          emit or verify golden line-coding vectors
 
 All outputs are machine readable (CSV or JSON lines); the exit status is
-nonzero when any invariant is violated.
+nonzero when any invariant is violated. Inputs rejected before a run starts
+are usage errors, with exit status 2.
 """
 
 from __future__ import annotations
@@ -18,15 +19,32 @@ import json
 import sys
 from pathlib import Path
 
-from .sim import SimConfig, ber_test, run_scenario
+from .sim import SimConfig, ber_test, check_ber_test, run_scenario
 from .transport import throughput_model
 from . import vectors as vec
 
 SWEEP_CSV_HEADER = "credit,mtu,MB_per_s,events,incomplete,gaps"
 
 
+class _UsageError(Exception):
+    """An input rejected before a run starts."""
+
+
+def _before_run(build, *args):
+    """Build or check a run's inputs; what `build` rejects is a usage error.
+    Errors raised once the run has started are not caught."""
+    try:
+        return build(*args)
+    except (OSError, TypeError, ValueError) as exc:
+        raise _UsageError(str(exc)) from exc
+
+
+def _load_config(path: str) -> SimConfig:
+    return SimConfig.from_json(Path(path).read_text())
+
+
 def _cmd_run(args) -> int:
-    config = SimConfig.from_json(Path(args.config).read_text())
+    config = _before_run(_load_config, args.config)
     result = run_scenario(config)
     out = result.metrics.to_json_lines()
     if args.out:
@@ -39,20 +57,25 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_ber(args) -> int:
-    inject = tuple(int(p) for p in args.inject.split(",")) if args.inject else ()
+    _before_run(check_ber_test, args.pattern, args.bits, args.ber, args.window, args.inject)
     result = ber_test(
         pattern=args.pattern,
-        duration_bits=float(args.bits),
+        duration_bits=args.bits,
         ber=args.ber,
         window_bits=args.window,
-        inject=inject,
+        inject=args.inject,
         seed=args.seed,
     )
     print(result.to_json())
-    if inject and not result.injected_detected:
+    if args.inject and not result.injected_detected:
         print("injected errors escaped detection", file=sys.stderr)
         return 1
     return 0
+
+
+def _positions(text: str) -> tuple[int, ...]:
+    """Comma-separated bit positions, like 1000,2000."""
+    return tuple(int(p) for p in text.split(","))
 
 
 def _parse_range(text: str) -> list[int]:
@@ -83,46 +106,53 @@ def _card_count(text: str) -> int:
     return n
 
 
+def _sweep_configs(args) -> list[SimConfig]:
+    return [
+        SimConfig(
+            num_frontends=args.cards,
+            seed=args.seed,
+            abstraction="message_level",
+            trigger_mode="gated",
+            trigger_count=10**9,
+            channels_per_event=args.channels,
+            words_per_channel=args.words,
+            credit=credit,
+            mtu=mtu,
+            run_ms=args.run_ms,
+            warmup_ms=args.warmup_ms,
+            buffering_depth=4,
+            verify_provenance=False,
+        )
+        for mtu in args.mtu
+        for credit in args.credit
+    ]
+
+
 def _cmd_sweep(args) -> int:
     lines = [SWEEP_CSV_HEADER]
     ok = True
-    for mtu in args.mtu:
-        for credit in args.credit:
-            config = SimConfig(
-                num_frontends=args.cards,
-                seed=args.seed,
-                abstraction="message_level",
-                trigger_mode="gated",
-                trigger_count=10**9,
-                channels_per_event=args.channels,
-                words_per_channel=args.words,
-                credit=credit,
-                mtu=mtu,
-                run_ms=args.run_ms,
-                warmup_ms=args.warmup_ms,
-                buffering_depth=4,
-                verify_provenance=False,
+    for config in _before_run(_sweep_configs, args):
+        credit, mtu = config.credit, config.mtu
+        result = run_scenario(config)
+        m = result.metrics
+        model = throughput_model(credit, mtu, request_rtt_s=config.request_rtt_us * 1e-6)
+        # The model predicts the transport bottleneck; it only binds when
+        # the front-end side (200 Mbps data share per link) can outrun it.
+        source_MB_s = args.cards * 25.0
+        if source_MB_s >= 1.3 * model and abs(m.throughput_MB_s - model) > 0.10 * model:
+            ok = False
+            print(
+                f"model deviation at credit={credit} mtu={mtu}: "
+                f"simulated {m.throughput_MB_s:.2f} vs model {model:.2f} MB/s",
+                file=sys.stderr,
             )
-            result = run_scenario(config)
-            m = result.metrics
-            model = throughput_model(credit, mtu, request_rtt_s=config.request_rtt_us * 1e-6)
-            # The model predicts the transport bottleneck; it only binds when
-            # the front-end side (200 Mbps data share per link) can outrun it.
-            source_MB_s = args.cards * 25.0
-            if source_MB_s >= 1.3 * model and abs(m.throughput_MB_s - model) > 0.10 * model:
-                ok = False
-                print(
-                    f"model deviation at credit={credit} mtu={mtu}: "
-                    f"simulated {m.throughput_MB_s:.2f} vs model {model:.2f} MB/s",
-                    file=sys.stderr,
-                )
-            if m.violations:
-                ok = False
-                print(f"violations at credit={credit} mtu={mtu}: {m.violations}", file=sys.stderr)
-            lines.append(
-                f"{credit},{mtu},{m.throughput_MB_s:.3f},{m.client['events']},"
-                f"{m.client['incomplete_events']},{m.client['gaps']}"
-            )
+        if m.violations:
+            ok = False
+            print(f"violations at credit={credit} mtu={mtu}: {m.violations}", file=sys.stderr)
+        lines.append(
+            f"{credit},{mtu},{m.throughput_MB_s:.3f},{m.client['events']},"
+            f"{m.client['incomplete_events']},{m.client['gaps']}"
+        )
     csv = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(csv)
@@ -197,11 +227,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ber", help="bit-error-rate test")
     p.add_argument("--pattern", default="prbs7",
                    choices=["prbs7", "prbs15", "prbs23", "prbs31"])
-    p.add_argument("--bits", default="1e6", help="effective bits, e.g. 1.3e13")
+    p.add_argument("--bits", type=float, default=1e6, help="effective bits, e.g. 1.3e13")
     p.add_argument("--ber", type=float, default=0.0, help="channel bit-error probability")
     p.add_argument("--window", type=int, default=1_000_000,
                    help="materialized window size in bits")
-    p.add_argument("--inject", default="", help="comma-separated positions to flip")
+    p.add_argument("--inject", type=_positions, default=(), help="comma-separated positions to flip")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_ber)
 
@@ -232,8 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.fn(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.fn(args)
+    except _UsageError as exc:
+        parser.error(f"{args.command}: {exc}")
 
 
 if __name__ == "__main__":

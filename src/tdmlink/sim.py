@@ -31,6 +31,7 @@ __all__ = [
     "run_scenario",
     "BerResult",
     "ber_test",
+    "check_ber_test",
 ]
 
 TICKS_PER_US = 400  # 2.5 ns ticks
@@ -344,6 +345,27 @@ class BerResult:
         return json.dumps(asdict(self), sort_keys=True)
 
 
+def check_ber_test(pattern: str, duration_bits: float, ber: float, window_bits: int, inject: tuple):
+    """Check the inputs of `ber_test`; returns the PRBS order, the duration
+    and the materialized window in bits, or raises ValueError."""
+    suffix = pattern.removeprefix("prbs")
+    if not suffix.isdigit() or int(suffix) not in PRBS_TAPS:
+        raise ValueError(f"pattern must be one of {['prbs%d' % k for k in sorted(PRBS_TAPS)]}")
+    order = int(suffix)
+    if not 0.0 <= ber <= 1.0:
+        raise ValueError("ber must be within [0, 1]")
+    duration = int(duration_bits)
+    if duration < order + 1:
+        raise ValueError("duration too short for the pattern order")
+    window = min(duration, int(window_bits))
+    if window < order + 1:
+        raise ValueError("window too short for the pattern order")
+    for pos in inject:
+        if not order <= pos < window:
+            raise ValueError(f"inject position {pos} outside {order}..{window - 1}")
+    return order, duration, window
+
+
 def ber_test(
     pattern: str = "prbs7",
     duration_bits: float = 1e6,
@@ -361,21 +383,10 @@ def ber_test(
     codec property tests establish), so an error-free channel contributes
     zero errors at any length, and a channel with bit-error probability p
     contributes a binomially sampled count. A zero-error run of N bits
-    reports the rule-of-three 95% confidence bound 3/N on the BER.
+    reports the rule-of-three 95% confidence bound 3/N on the BER. The
+    inputs are checked by `check_ber_test` before anything is generated.
     """
-    suffix = pattern.removeprefix("prbs")
-    if not suffix.isdigit() or int(suffix) not in PRBS_TAPS:
-        raise ValueError(f"pattern must be one of {['prbs%d' % k for k in sorted(PRBS_TAPS)]}")
-    order = int(suffix)
-    duration = int(duration_bits)
-    if duration < order + 1:
-        raise ValueError("duration too short for the pattern order")
-    window = min(duration, int(window_bits))
-    if window < order + 1:
-        raise ValueError("window too short for the pattern order")
-    for pos in inject:
-        if not order <= pos < window:
-            raise ValueError(f"inject position {pos} outside {order}..{window - 1}")
+    order, duration, window = check_ber_test(pattern, duration_bits, ber, window_bits, inject)
     rng = np.random.default_rng(seed)
 
     bits = PrbsGenerator(order, seed=1).stream(window)

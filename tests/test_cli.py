@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from tdmlink import cli
 from tdmlink.cli import main
 
 
@@ -59,11 +60,33 @@ def test_run_scenario_from_config(tmp_path, capsys):
     assert run_line["violations"] == []
 
 
-def test_run_rejects_invalid_config(tmp_path):
+def test_run_rejects_invalid_config(tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps({"num_frontends": 99}))
-    with pytest.raises(ValueError):
+    with pytest.raises(SystemExit) as exc:
         main(["run", str(cfg_path)])
+    assert exc.value.code == 2
+    assert "num_frontends" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "No such file"),
+        ("not json", "Expecting value"),
+        ('{"num_frontends": 40}', "num_frontends must be 1..32"),
+        ('{"num_frontends": "two"}', "not supported"),
+        ('{"cards": 4}', "unknown config keys"),
+    ],
+)
+def test_run_inputs_rejected_before_the_run_are_usage_errors(tmp_path, capsys, text, message):
+    cfg_path = tmp_path / "scenario.json"
+    if text is not None:
+        cfg_path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(cfg_path)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_bootstrap_check(capsys):
@@ -99,6 +122,14 @@ def test_sweep_small_grid(tmp_path, capsys):
         (["bootstrap-check", "-n", "40"], "1..32"),
         (["bootstrap-check", "-n", "0"], "below 1"),
         (["bootstrap-check", "--repetitions", "0"], "below 1"),
+        (["ber", "--bits", "5"], "duration too short"),
+        (["ber", "--pattern", "prbs31", "--bits", "10"], "duration too short"),
+        (["ber", "--inject", "3"], "inject position 3 outside"),
+        (["ber", "--inject", "1000,abc"], "invalid _positions value"),
+        (["ber", "--bits", "abc"], "invalid float value"),
+        (["ber", "--ber", "2"], "ber must be within [0, 1]"),
+        (["ber", "--ber", "-0.5"], "ber must be within [0, 1]"),
+        (["sweep", "--run-ms", "1"], "end after warmup_ms"),
     ],
 )
 def test_inputs_that_run_nothing_or_crash_are_usage_errors(argv, message, capsys):
@@ -112,3 +143,19 @@ def test_card_count_edges_accepted(capsys):
     assert main(["bootstrap-check", "-n", "1"]) == 0
     assert main(["bootstrap-check", "-n", "32"]) == 0
     assert "1/1 repetitions passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "target, argv",
+    [
+        ("run_scenario", ["sweep", "--credit", "1", "--cards", "2", "--run-ms", "8", "--warmup-ms", "2"]),
+        ("ber_test", ["ber", "--bits", "1e4"]),
+    ],
+)
+def test_errors_once_a_run_started_are_not_usage_errors(monkeypatch, target, argv):
+    def failing_run(*args, **kwargs):
+        raise ValueError("raised inside the run")
+
+    monkeypatch.setattr(cli, target, failing_run)
+    with pytest.raises(ValueError, match="raised inside the run"):
+        main(argv)

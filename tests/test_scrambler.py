@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdmlink.bits import random_bits
 from tdmlink.wire import SCRAMBLER_ORDER, Descrambler, Scrambler
@@ -17,6 +19,12 @@ def reference_scramble(state_bits, bits):
         out.append(v)
         hist.append(v)
     return np.array(out, dtype=np.uint8)
+
+
+def reference_descramble(state_bits, line):
+    """Bit-at-a-time out[i] = in[i] xor in[i-43]."""
+    hist = list(state_bits) + [int(b) for b in line]
+    return np.array([hist[i + SCRAMBLER_ORDER] ^ hist[i] for i in range(len(line))], dtype=np.uint8)
 
 
 def test_zero_state_zero_input_fixed_point():
@@ -115,3 +123,34 @@ def test_rows_match_bit_serial_reference_in_chunks():
     for row in range(4):
         assert np.array_equal(out[row], reference_scramble(states[row], x[row]))
     assert np.array_equal(back, x)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    lead=st.lists(st.integers(1, 5), max_size=2).map(tuple),
+    length=st.one_of(st.sampled_from([42, 43, 44, 86]), st.integers(0, 300)),
+    seed=st.integers(0, 2**32 - 1),
+    cuts=st.lists(st.integers(0, 300), max_size=4),
+)
+def test_rows_and_chunks_match_bit_serial_reference(lead, length, seed, cuts):
+    """0-2 leading dimensions, any length, random chunks (empty ones too)
+    and random registers, on both sides."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2, lead + (length,), dtype=np.uint8)
+    tx_register = rng.integers(0, 2, lead + (SCRAMBLER_ORDER,), dtype=np.uint8)
+    rx_register = rng.integers(0, 2, lead + (SCRAMBLER_ORDER,), dtype=np.uint8)
+    tx, rx = Scrambler(tx_register), Descrambler(rx_register)
+    edges = [0] + sorted(min(c, length) for c in cuts) + [length]
+    line, back = [], []
+    for lo, hi in zip(edges, edges[1:]):
+        line.append(tx.scramble(bits[..., lo:hi]))
+        back.append(rx.descramble(line[-1]))
+    line, back = np.concatenate(line, axis=-1), np.concatenate(back, axis=-1)
+    assert line.shape == back.shape == bits.shape
+    for index in np.ndindex(lead):
+        want = reference_scramble(tx_register[index], bits[index])
+        assert np.array_equal(line[index], want)
+        assert np.array_equal(back[index], reference_descramble(rx_register[index], want))
+        for register, state in ((tx_register, tx), (rx_register, rx)):
+            history = np.concatenate([register[index], want])  # the last 43 line bits
+            assert np.array_equal(state.register[index], history[-SCRAMBLER_ORDER:])

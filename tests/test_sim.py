@@ -630,6 +630,20 @@ class TestBerTester:
             with pytest.raises(ValueError, match="inject position"):
                 ber_test("prbs7", duration_bits=1000, inject=(100, pos))
 
+    @pytest.mark.parametrize("ber", [2.0, -0.5, math.nan])
+    def test_ber_outside_unit_interval_rejected_before_generating(self, monkeypatch, ber):
+        def no_generator(*args, **kwargs):
+            raise AssertionError("window generated before the ber check")
+
+        monkeypatch.setattr(sim, "PrbsGenerator", no_generator)
+        with pytest.raises(ValueError, match=r"ber must be within \[0, 1\]"):
+            ber_test("prbs7", duration_bits=1e6, ber=ber)
+
+    @pytest.mark.parametrize("ber", [0.0, 1.0])
+    def test_ber_at_the_interval_edges_accepted(self, ber):
+        res = ber_test("prbs7", duration_bits=1e4, ber=ber, window_bits=1000)
+        assert res.bits == 10_000 and res.window_bits == 1000
+
     @pytest.mark.parametrize("window_bits", [10, 23, 0])
     def test_window_shorter_than_order_rejected_before_generating(self, monkeypatch, window_bits):
         def no_generator(*args, **kwargs):

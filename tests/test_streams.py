@@ -133,19 +133,21 @@ class TestBitQueue:
         q.push(0, [1, 1])
         assert list(q.pull(5)[0]) == [1, 1, 1, 0, 0]
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(
-        rows=st.integers(1, 4),
+        rows=st.integers(1, 40),
         ops=st.lists(
             st.tuples(
-                st.sampled_from(["push"] * 3 + ["pull"] * 3 + ["clear"]),
-                st.integers(0, 15),  # a row, or a mask of rows to pull
+                st.sampled_from(["push"] * 3 + ["push every row", "pull", "pull", "pull every row", "clear"]),
+                st.integers(0, (1 << 40) - 1),  # a row, or a mask of rows to pull
                 st.lists(st.integers(0, 1), max_size=40),  # pushed bits; its length is a pull's n
             ),
             max_size=30,
         ),
     )
     def test_matches_list_of_bits_reference(self, rows, ops):
+        """Pulls of some, all or none of the rows busy, as an index array,
+        None or a slice, with heads shorter than, equal to or longer than n."""
         q = BitQueue(rows)
         ref = [[] for _ in range(rows)]
         for op, arg, bits in ops:
@@ -153,17 +155,25 @@ class TestBitQueue:
             if op == "push":
                 q.push(row, np.array(bits, dtype=np.uint8))
                 ref[row] += bits
+            elif op == "push every row":
+                for r in range(rows):
+                    q.push(r, np.array(bits, dtype=np.uint8))
+                    ref[r] += bits
             elif op == "clear":
                 q.clear(row)
                 ref[row] = []
             else:
-                chosen = [r for r in range(rows) if arg >> r & 1] or [row]
+                if op == "pull every row":
+                    chosen, index = list(range(rows)), None if arg % 2 else slice(None)
+                else:
+                    chosen = [r for r in range(rows) if arg >> r & 1] or [row]
+                    index = np.array(chosen)
                 n = len(bits)
                 want = []
                 for r in chosen:
                     head, ref[r] = ref[r][:n], ref[r][n:]
                     want.append(head + [0] * (n - len(head)))
-                got = q.pull(n, None if len(chosen) == rows else np.array(chosen))
+                got = q.pull(n, index)
                 assert got.shape == (len(chosen), n) and got.tolist() == want
             assert q.pending_bits.tolist() == [len(bits) for bits in ref]
         assert q.pull(40).tolist() == [(bits + [0] * 40)[:40] for bits in ref]
@@ -403,6 +413,21 @@ class TestUpstreamChain:
         for _ in range(14):  # the training again, then the packet
             got.extend(data for _, data in rx.feed(tx.produce(100)).packets)
         assert got == [pkt.serialize()]
+
+
+    @pytest.mark.parametrize("trained", [False, True])
+    def test_non_binary_input_rejected_while_training_and_after(self, trained):
+        tx, rx = UpstreamTransmitter(2), UpstreamReceiver(2)
+        if trained:
+            rx.feed(tx.produce(TRAINING_BITS))
+        with pytest.raises(ValueError, match="0 or 1"):
+            rx.feed(np.full((2, 8), 2))
+        # Nothing was consumed or counted.
+        assert rx.trained.tolist() == [trained] * 2
+        assert rx.training_errors.tolist() == [0, 0]
+        if not trained:
+            rx.feed(tx.produce(TRAINING_BITS))
+            assert rx.trained.all() and rx.training_errors.tolist() == [0, 0]
 
 
 class TestWholeCycles:
