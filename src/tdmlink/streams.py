@@ -2,9 +2,12 @@
 
 Links are rows: every link of one direction is one row of a (links, bits)
 array, and each stage of a direction's chain runs once per chunk on the
-whole array. A single link is the one-row case. Transmitters hold per-row
-channel frame queues and emit line bits on demand, filling idle slots with
-zeros. Receivers consume chunks of line bits, keep each row's
+whole array. A single link is the one-row case. A stage handles its rows as
+one batch: a queue pull joins every busy row's head into one array, and
+when every row is in the same state the rows are indexed by one slice, so
+the chain sees views of whole arrays, not gathered copies. Transmitters
+hold per-row channel frame queues and emit line bits on demand, filling
+idle slots with zeros. Receivers consume chunks of line bits, keep each row's
 synchronization state across calls, and emit decoded frames tagged with
 their row, together with per-row diagnostic counters. Fanout receivers
 share one decode until any row's symbols differ: rows that have received the
@@ -206,11 +209,11 @@ class FrameScanner:
 
     def feed(self, bits: BitArray, rows=None) -> list[tuple[int, BitArray, int]]:
         """Scan the next channel bits of each of `rows` (an index array or a
-        slice; default: every row), one row of `bits` each. Returns (row, frame, channel-bit index
-        of the frame's last bit) in row order; each frame is a read-only
-        view of its own bytes. Only a row whose new bits hold a 1 or that
-        holds a partial frame is scanned; the others just advance their
-        index."""
+        slice; default: every row), one row of `bits` each. Returns (row,
+        frame, channel-bit index of the frame's last bit) in row order; each
+        frame is a read-only view of its own bytes. Only a row whose new
+        bits hold a 1 or that holds a partial frame is scanned; the others
+        just advance their index."""
         rows = slice(None) if rows is None else rows
         rows = range(len(self._buf))[rows] if isinstance(rows, slice) else rows.tolist()
         n = bits.shape[1]
@@ -538,8 +541,7 @@ class UpstreamReceiver:
         skip = np.minimum(self._training_left, n)
         self._training_left -= skip
         events = UpRxEvents()
-        groups = _row_groups(skip)
-        for start, rows in groups:
+        for start, rows in _row_groups(skip):
             if start:
                 self.training_errors[rows] += np.count_nonzero(bits[rows, :start] != training_pattern(start), axis=1)
             if start == n:
@@ -554,6 +556,5 @@ class UpstreamReceiver:
                 events.b.append((row, msg))
             for row, frame, _ in self.c_scanner.feed(c_bits, rows):
                 events.packets.append((row, np.packbits(frame[1:]).tobytes()))
-        if len(groups) > 1:
-            _row_order(events.a, events.b, events.packets)
+        _row_order(events.a, events.b, events.packets)
         return events
