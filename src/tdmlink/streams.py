@@ -7,16 +7,18 @@ one batch: a queue pull joins every busy row's head into one array, and
 when every row is in the same state the rows are indexed by one slice, so
 the chain sees views of whole arrays, not gathered copies. Transmitters
 hold per-row channel frame queues and emit line bits on demand, filling
-idle slots with zeros. Receivers consume chunks of line bits, keep each row's
-synchronization state across calls, and emit decoded frames tagged with
-their row, together with per-row diagnostic counters. Fanout receivers
-share one decode until any row's symbols differ: rows that have received the
-same symbols are in the same state, so row 0 decodes for all of them; every
-row then decodes on its own. Frames are scanned per frame, not per bit: a
-byte search finds each start bit, and a frame that ends in a later chunk is
-held with the length it still owes. Return links move whole 4-bit cycles:
-their training is a whole number of cycles, and every chunk produced or fed
-must be one too.
+idle slots with zeros. Receivers consume chunks of line bits and emit
+decoded frames tagged with their row, with per-row diagnostic counters.
+Each value a receiver keeps per row is an array indexed by row (held bits
+as bytes, one byte per bit, in an object array), and rows are reset,
+copied and advanced through one tuple of those arrays. Fanout receivers
+share one decode until any row's symbols differ: rows that have received
+the same symbols are in the same state, so row 0 decodes for all of them;
+every row then decodes on its own. Frames are scanned per frame, not per
+bit: a byte search finds each start bit, and a frame that ends in a later
+chunk is held with the length it still owes. Return links move whole 4-bit
+cycles: their training is a whole number of cycles, and every chunk
+produced or fed must be one too.
 """
 
 from __future__ import annotations
@@ -65,8 +67,6 @@ __all__ = [
     "TRAINING_BITS",
 ]
 
-_NO_BITS = np.empty(0, dtype=np.uint8)
-
 # Training pattern bits a return link sends after a reset: 250 whole cycles.
 TRAINING_BITS = 1000
 
@@ -92,17 +92,14 @@ def _whole_cycles(carry: BitArray, tail: np.ndarray, rows, bits: BitArray):
     width = carry.shape[1]
     ext = np.concatenate([carry[rows], bits], axis=1)
     starts = width - tail[rows]
-    usable = (ext.shape[1] - starts) // width * width
     carry[rows] = ext[:, -width:]
-    tail[rows] = ext.shape[1] - starts - usable
-    first = starts[0]
-    if (starts == first).all():  # usable depends only on the start
-        return [(rows, ext[:, first : first + usable[0]])] if usable[0] else []
+    tail[rows] = (ext.shape[1] - starts) % width
     groups = []
-    rows = np.arange(len(carry))[rows]
-    for start in sorted(set(starts[usable > 0].tolist())):
-        same = np.flatnonzero(starts == start)
-        groups.append((rows[same], ext[same, start : start + usable[same[0]]]))
+    for start, same in _row_groups(starts):
+        usable = (ext.shape[1] - start) // width * width
+        if usable:
+            ids = rows if isinstance(same, slice) else np.arange(len(carry))[rows][same]
+            groups.append((ids, ext[same, start : start + usable]))
     return groups
 
 
@@ -190,55 +187,49 @@ class FrameScanner:
         self.head_bits = head_bits
         self.length = length
         self.faults = np.zeros(rows, dtype=np.int64)
-        self._buf = [b""] * rows  # a partial frame from its start bit, one byte per bit
-        self._owed = [0] * rows  # its whole length once known, else 0
-        self._base = [0] * rows  # channel-bit index of _buf[row][0], or of the next bit
+        self._fed = np.zeros(rows, dtype=np.int64)  # channel bits fed
+        self._owed = np.zeros(rows, dtype=np.int64)  # the held frame's whole length once known, else 0
+        self._held = np.zeros(rows, dtype=bool)  # whether the row holds a partial frame
+        self._frames = np.zeros(rows, dtype=object)  # that frame from its start bit, one byte per bit
+        self.row_state = (self.faults, self._fed, self._owed, self._held, self._frames)  # each starts at 0
 
     def reset(self, row: int):
-        self.faults[row] = 0
-        self._buf[row] = b""
-        self._owed[row] = 0
-        self._base[row] = 0
+        for state in self.row_state:
+            state[row] = 0
 
     def copy_rows(self, rows: np.ndarray, src: int):
         """Give `rows` the state of row `src`."""
-        self.faults[rows] = self.faults[src]
-        for state in (self._buf, self._owed, self._base):
-            for row in rows.tolist():
-                state[row] = state[src]
+        for state in self.row_state:
+            state[rows] = state[src]
 
     def feed(self, bits: BitArray, rows=None) -> list[tuple[int, BitArray, int]]:
         """Scan the next channel bits of each of `rows` (an index array or a
         slice; default: every row), one row of `bits` each. Returns (row,
         frame, channel-bit index of the frame's last bit) in row order; each
         frame is a read-only view of its own bytes. Only a row whose new
-        bits hold a 1 or that holds a partial frame is scanned; the others
-        just advance their index."""
+        bits hold a 1 or that holds a partial frame is scanned."""
         rows = slice(None) if rows is None else rows
-        rows = range(len(self._buf))[rows] if isinstance(rows, slice) else rows.tolist()
         n = bits.shape[1]
-        buf, base = self._buf, self._base
-        ones = bits.any(axis=1).tolist()
-        busy = []
-        for i, row in enumerate(rows):
-            if ones[i] or buf[row]:
-                busy.append(i)
-            else:
-                base[row] += n
-        if not busy:
+        self._fed[rows] += n
+        raw, holding = bits.tobytes(), self._held[rows]
+        if raw.find(1) < 0 and not holding.any():
             return []
-        raw = (bits if len(busy) == len(rows) else bits[busy]).tobytes()
+        busy = np.flatnonzero(bits.any(axis=1) | holding).tolist()
+        holding = holding.tolist()  # before any row's flag changes
+        ids = range(len(self.faults))[rows] if isinstance(rows, slice) else rows.tolist()
+        fed = self._fed[rows].tolist()
         head, length = self.head_bits, self.length
         fixed = head if length is None else 0  # a frame's length before its header is read
         out = []
-        for j, i in enumerate(busy):
-            row = rows[i]
-            data = buf[row] + raw[j * n : (j + 1) * n]
-            origin, stop = base[row], len(data)
-            if buf[row]:
-                start, size = 0, self._owed[row]
+        for i in busy:
+            row = ids[i]
+            data = raw[i * n : (i + 1) * n]
+            if holding[i]:
+                data = self._frames[row] + data
+                start, size = 0, int(self._owed[row])
             else:
                 start, size = data.find(1), fixed
+            origin, stop = fed[i] - len(data), len(data)  # channel-bit index of data[0]
             while start >= 0:
                 if not size:
                     if start + head > stop:
@@ -253,13 +244,10 @@ class FrameScanner:
                 frame = np.frombuffer(data[start : start + size], np.uint8)
                 out.append((row, frame, origin + start + size - 1))
                 start, size = data.find(1, start + size), fixed
-            if start < 0:
-                buf[row] = b""
-                base[row] = origin + stop
-            else:
-                buf[row] = data[start:]
-                self._owed[row] = size
-                base[row] = origin + start
+            if start >= 0:
+                self._held[row], self._frames[row], self._owed[row] = True, data[start:], size
+            elif holding[i]:
+                self._held[row], self._frames[row] = False, 0
         return out
 
 
@@ -343,10 +331,10 @@ class DownstreamReceiver:
     def __init__(self, rows: int):
         self.in_step = True
         self.locked = np.zeros(rows, dtype=bool)
-        self.sync: list = [None] * rows
-        self._search = [_NO_BITS] * rows  # symbols kept while not locked
-        self._consumed = [0] * rows  # symbols dropped before _search[row][0]
-        self._aligned_base_tick = [0] * rows
+        self.sync = np.full(rows, None, dtype=object)
+        self._search = np.full(rows, b"", dtype=object)  # symbols kept while not locked, one byte each
+        self._dropped = np.zeros(rows, dtype=np.int64)  # symbols dropped before _search[row][0]
+        self._aligned_base_tick = np.zeros(rows, dtype=np.int64)
         self._carry = np.zeros((rows, 8), dtype=np.uint8)  # tail, right-aligned
         self._tail = np.zeros(rows, dtype=np.int64)
         self.scanners = {
@@ -356,16 +344,16 @@ class DownstreamReceiver:
         }
         self.coding_violations = np.zeros(rows, dtype=np.int64)
         self.parity_errors = {ch: np.zeros(rows, dtype=np.int64) for ch in "ABC"}
-        # Counters kept for every row; the rest of a row's state is row 0's
-        # while in step.
-        self._counters = (
-            self.coding_violations,
-            *self.parity_errors.values(),
-            *(scanner.faults for scanner in self.scanners.values()),
-        )
+        # Lock state and counters are kept for every row; the decoding state
+        # is row 0's while in step.
+        scanners = self.scanners.values()
+        self._shared = (self.locked, self.sync, self.coding_violations, *self.parity_errors.values(),
+                        *(scanner.faults for scanner in scanners))
+        self._decoding = (self._search, self._dropped, self._aligned_base_tick, self._carry, self._tail,
+                          *(state for scanner in scanners for state in scanner.row_state))
 
     def a_bit_arrival_tick(self, row: int, index: int) -> int:
-        return self._aligned_base_tick[row] + timebase.down_a_bit_end_tick(index)
+        return int(self._aligned_base_tick[row]) + timebase.down_a_bit_end_tick(index)
 
     def feed(self, symbols: BitArray) -> DownRxEvents:
         """Consume the next symbols of every row: a (rows, n) array, or one
@@ -396,44 +384,35 @@ class DownstreamReceiver:
         """Give every row the decoding state of row 0, then decode each row
         on its own."""
         self.in_step = False
-        rows = np.arange(1, len(self.locked))
-        self._carry[1:] = self._carry[0]
-        self._tail[1:] = self._tail[0]
-        for state in (self._search, self._consumed, self._aligned_base_tick):
-            state[1:] = [state[0]] * len(rows)
-        for scanner in self.scanners.values():
-            scanner.copy_rows(rows, 0)
+        for state in self._decoding:
+            state[1:] = state[0]
 
     def _share(self, events: DownRxEvents):
-        """Give every row row 0's events, counters and lock state."""
-        rows = len(self.locked)
-        for counter in self._counters:
-            counter[1:] = counter[0]
-        self.locked[1:] = self.locked[0]
-        self.sync[1:] = [self.sync[0]] * (rows - 1)
+        """Give every row row 0's events, lock state and counters."""
+        for state in self._shared:
+            state[1:] = state[0]
         for part in (events.a, events.b, events.c):
-            part[:] = [(row, *rest) for row in range(rows) for _, *rest in part]
+            part[:] = [(row, *rest) for row in range(len(self.locked)) for _, *rest in part]
 
     def _acquire(self, row: int, symbols: BitArray, events: DownRxEvents):
         """Search one unlocked row for the idle pattern; once locked, decode
         what follows the lock point."""
-        pending = np.concatenate([self._search[row], symbols])
-        state = bit_slip_sync(pending)
+        pending = self._search[row] + symbols.tobytes()
+        line = np.frombuffer(pending, np.uint8)
+        state = bit_slip_sync(line)
         if not state.locked:
             # Bound the search buffer; keep enough context to lock later.
             keep = 16 * DEFAULT_LOCK_THRESHOLD
-            if len(pending) > keep:
-                self._consumed[row] += len(pending) - keep
-                pending = pending[-keep:]
-            self._search[row] = pending
+            self._dropped[row] += max(len(pending) - keep, 0)
+            self._search[row] = pending[-keep:]
             return
         self.locked[row] = True
         self.sync[row] = state
         self._aligned_base_tick[row] = timebase.TICKS_PER_DOWN_SYMBOL * (
-            self._consumed[row] + state.aligned_index
+            self._dropped[row] + state.aligned_index
         )
-        self._search[row] = _NO_BITS
-        rest = pending[None, state.aligned_index :]  # a row holds no tail before it locks
+        self._search[row] = b""
+        rest = line[None, state.aligned_index :]  # a row holds no tail before it locks
         for rows, cycles in _whole_cycles(self._carry, self._tail, np.array([row]), rest):
             self._decode(rows, cycles, events)
 
@@ -510,21 +489,22 @@ class UpstreamReceiver:
     def __init__(self, rows: int):
         self._training_left = np.full(rows, TRAINING_BITS, dtype=np.int64)
         self._register = np.zeros((rows, SCRAMBLER_ORDER), dtype=np.uint8)
-        self.a_scanner = FrameScanner(rows, CHANNEL_A_FRAME_BITS)
-        self.b_scanner = FrameScanner(rows, CHANNEL_B_FRAME_BITS)
-        self.c_scanner = FrameScanner(rows, FRAGMENT_HEAD_BITS, fragment_frame_bits)
+        self.scanners = {
+            "A": FrameScanner(rows, CHANNEL_A_FRAME_BITS),
+            "B": FrameScanner(rows, CHANNEL_B_FRAME_BITS),
+            "C": FrameScanner(rows, FRAGMENT_HEAD_BITS, fragment_frame_bits),
+        }
         self.parity_errors = {"A": np.zeros(rows, dtype=np.int64), "B": np.zeros(rows, dtype=np.int64)}
         self.training_errors = np.zeros(rows, dtype=np.int64)
+        # Every per-row value that a reset sets to 0.
+        self._row_state = (self._register, self.training_errors, *self.parity_errors.values(),
+                           *(state for scanner in self.scanners.values() for state in scanner.row_state))
 
     def reset(self, row: int):
         """Start the row over, counters included, as a reset link does."""
         self._training_left[row] = TRAINING_BITS
-        self._register[row] = 0
-        for scanner in (self.a_scanner, self.b_scanner, self.c_scanner):
-            scanner.reset(row)
-        for errors in self.parity_errors.values():
-            errors[row] = 0
-        self.training_errors[row] = 0
+        for state in self._row_state:
+            state[row] = 0
 
     @property
     def trained(self) -> np.ndarray:
@@ -549,12 +529,12 @@ class UpstreamReceiver:
             descrambler = Descrambler(self._register[rows])
             a_bits, b_bits, c_bits = upstream_rx(bits[rows, start:], descrambler)
             self._register[rows] = descrambler.register
-            errors = self.parity_errors
-            for row, msg, _ in _decode_frames(self.a_scanner, a_bits, rows, decode_channel_a_up, errors["A"]):
+            scan, errors = self.scanners, self.parity_errors
+            for row, msg, _ in _decode_frames(scan["A"], a_bits, rows, decode_channel_a_up, errors["A"]):
                 events.a.append((row, msg))
-            for row, msg, _ in _decode_frames(self.b_scanner, b_bits, rows, decode_channel_b, errors["B"]):
+            for row, msg, _ in _decode_frames(scan["B"], b_bits, rows, decode_channel_b, errors["B"]):
                 events.b.append((row, msg))
-            for row, frame, _ in self.c_scanner.feed(c_bits, rows):
+            for row, frame, _ in scan["C"].feed(c_bits, rows):
                 events.packets.append((row, np.packbits(frame[1:]).tobytes()))
         _row_order(events.a, events.b, events.packets)
         return events

@@ -259,7 +259,7 @@ class TestAbstractionEquivalence:
         for res in (res_m, res_s):
             assert res.metrics.client["events"] == 2
             assert res.metrics.client["crc_failures"] == 0
-        assert res_s.engine.backend_rx.c_scanner.faults.tolist() == [0] * 4
+        assert res_s.engine.backend_rx.scanners["C"].faults.tolist() == [0] * 4
         assert res_m.client_digest() == res_s.client_digest()
 
     # Periodic plans only: gated triggers issue on slice boundaries at
@@ -449,7 +449,7 @@ class TestLineErrors:
 
     def test_packet_header_outside_the_length_rule(self):
         res = self.run_and_audit(line_error_scenario(ber=1e-5, seed=7))
-        assert res.engine.backend_rx.c_scanner.faults.sum() > 0
+        assert res.engine.backend_rx.scanners["C"].faults.sum() > 0
 
     def test_unrequested_packet_into_occupied_fifo(self):
         res = self.run_and_audit(line_error_scenario(ber=1e-3, seed=3))
@@ -526,7 +526,7 @@ class TestLineErrors:
         assert up.parity_errors["A"].tolist() == [0, 0, 0, 0]
         assert up.parity_errors["B"].tolist() == [0, 0, 0, 0]
         assert up.training_errors.tolist() == [0, 0, 0, 1]
-        assert up.c_scanner.faults.tolist() == [26, 0, 0, 0]
+        assert up.scanners["C"].faults.tolist() == [26, 0, 0, 0]
 
     def test_fanout_receivers_split_at_scale_pinned(self):
         # 32 cards whose downstream rows share one decode until line errors
@@ -554,7 +554,7 @@ class TestLineErrors:
             0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 2, 3, 0, 0, 1, 0, 0, 0, 2, 1, 0, 0, 0, 0, 3, 0, 1, 1, 1, 0,
         ]
         assert up.training_errors.tolist() == [int(row == 11) for row in range(32)]
-        assert up.c_scanner.faults.tolist() == [9 * (row == 5) for row in range(32)]
+        assert up.scanners["C"].faults.tolist() == [9 * (row == 5) for row in range(32)]
         assert not down.in_step
 
     # A fixed 0.6 ms window covers bootstrap, the four triggers and their

@@ -225,23 +225,33 @@ class TestScanners:
         frame_bits=st.sampled_from([10, 42, 64, None]),
         seed=st.integers(0, 2**32 - 1),
         steps=st.lists(
-            st.tuples(st.integers(1, 300), st.integers(1, 31), st.sampled_from(["feed"] * 4 + ["reset", "copy"])),
+            st.tuples(
+                st.integers(1, 300), st.integers(1, 31), st.sampled_from(["feed"] * 4 + ["reset", "copy"]),
+                st.sampled_from(["index", "slice"]),
+            ),
             min_size=4, max_size=24,
         ),
     )
     def test_scanner_matches_per_bit_reference(self, rows, frame_bits, seed, steps):
         # Rows fed unevenly from their own streams; `copy_rows` and `reset`
-        # between chunks. Frames, end indices and faults must match.
+        # between chunks. The rows fed are given as None or an index array,
+        # or as a slice of the first rows, as the receivers pass them.
+        # Frames, end indices and faults must match.
         rng = np.random.default_rng(seed)
-        streams = [random_frames(rng, frame_bits, sum(n for n, _, _ in steps)) for _ in range(rows)]
+        streams = [random_frames(rng, frame_bits, sum(n for n, *_ in steps)) for _ in range(rows)]
         pos = [0] * rows
         if frame_bits is None:
             sc = FrameScanner(rows, m.FRAGMENT_HEAD_BITS, m.fragment_frame_bits)
         else:
             sc = FrameScanner(rows, frame_bits)
         ref = ReferenceScanner(rows, frame_bits)
-        for n, mask, op in steps:
+        for n, mask, op, form in steps:
             chosen = [row for row in range(rows) if mask >> row & 1] or [mask % rows]
+            if form == "slice":
+                chosen = list(range(len(chosen)))
+                picked = slice(None) if len(chosen) == rows else slice(0, len(chosen))
+            else:
+                picked = None if len(chosen) == rows else np.array(chosen)
             if op == "reset":
                 sc.reset(chosen[0])
                 ref.reset(chosen[0])
@@ -249,9 +259,10 @@ class TestScanners:
                 sc.copy_rows(np.array(chosen[1:]), chosen[0])
                 ref.copy_rows(chosen[1:], chosen[0])
             chunk = np.array([streams[row][pos[row] : pos[row] + n] for row in chosen])
-            got = sc.feed(chunk, None if len(chosen) == rows else np.array(chosen))
+            got = sc.feed(chunk, picked)
             want = ref.feed(zip(chosen, chunk.tolist()))
             assert [(row, tuple(frame.tolist()), end) for row, frame, end in got] == want
+            assert all(type(end) is int for *_, end in got)  # end indices feed card timestamps
             assert sc.faults.tolist() == [state["faults"] for state in ref.rows]
             for row in chosen:
                 pos[row] += n
@@ -506,7 +517,7 @@ class TestWholeCycles:
         assert rx.training_errors.tolist() == ref.training_errors.tolist()
         assert {ch: e.tolist() for ch, e in rx.parity_errors.items()} == {
             ch: e.tolist() for ch, e in ref.parity_errors.items()}
-        assert rx.c_scanner.faults.tolist() == ref.c_scanner.faults.tolist()
+        assert rx.scanners["C"].faults.tolist() == ref.scanners["C"].faults.tolist()
 
 
 class TestRows:
@@ -552,7 +563,7 @@ class TestRows:
         assert sum(len(packets) for _, _, packets in got_many) == 2
         for name in ("training_errors", "trained"):
             assert getattr(many_rx, name).tolist() == [getattr(rx, name)[0] for _, rx in one]
-        assert many_rx.c_scanner.faults.tolist() == [rx.c_scanner.faults[0] for _, rx in one]
+        assert many_rx.scanners["C"].faults.tolist() == [rx.scanners["C"].faults[0] for _, rx in one]
 
     def test_fanout_receivers_match_one_link_each(self):
         # One fanout stream; card 1 takes a flipped symbol inside a frame and
@@ -633,7 +644,7 @@ class TestRows:
             delivered += sum(msg is not None for part in got for _, msg, *_ in part)
         assert steps == [True, True] + [False] * (len(steps) - 2)
         assert many.locked.all()
-        assert many.sync == [rx.sync[0] for rx in one]
+        assert many.sync.tolist() == [rx.sync[0] for rx in one]
         assert many.coding_violations.tolist() == [rx.coding_violations[0] for rx in one]
         for ch in "ABC":
             assert many.parity_errors[ch].tolist() == [rx.parity_errors[ch][0] for rx in one]
@@ -697,7 +708,7 @@ class TestRows:
             assert (ev.a, ev.b, ev.c) == tuple(got)
             assert many.in_step == in_step
             assert many.locked.tolist() == [rx.locked[0] for rx in one]
-            assert many.sync == [rx.sync[0] for rx in one]
+            assert many.sync.tolist() == [rx.sync[0] for rx in one]
             assert many.coding_violations.tolist() == [rx.coding_violations[0] for rx in one]
             for ch in "ABC":
                 assert many.parity_errors[ch].tolist() == [rx.parity_errors[ch][0] for rx in one]
