@@ -198,6 +198,11 @@ class ClientStats:
 class TransportClient:
     """Reassembles events from the record stream and keeps statistics.
 
+    Malformed input never raises: a frame whose payload does not parse into
+    records, and an event-header record whose packet is not SOE (so carries
+    no event header), count one structure error each and are taken as lost,
+    as a sequence gap is.
+
     `expected_bytes_fn(link, channel_index, nwords)` enables bit-exact
     provenance verification of generator payloads. It is called once per
     fragment record, with the record's link, the fragment's position among
@@ -229,43 +234,48 @@ class TransportClient:
         self._next_sequence = frame.sequence + 1
         self.stats.frames += 1
         self.stats.payload_bytes += len(frame.payload)
-        for tag, packet in parse_records(frame.payload):
+        try:
+            records = parse_records(frame.payload)
+        except TransportError:
+            self._lost()
+            return
+        for tag, packet in records:
             self._on_record(tag, packet)
+
+    def _lost(self):
+        """Count input that does not parse and take it as lost, as a
+        sequence gap is: the next open event is gap-affected."""
+        self.stats.structure_errors += 1
+        self._gap_pending = True
 
     def _on_record(self, tag: int, data: bytes):
         packet = FragmentPacket.deserialize(data)
+        link = record_tag_link(tag)
+        ends = tag in (RECORD_GLOBAL_EOE, RECORD_GLOBAL_EOE_INCOMPLETE)
         if tag == RECORD_EVENT_HEADER:
+            if not packet.soe:  # no event number or timestamp to open it with
+                self._lost()
+                return
             if self._open is not None:
                 self.stats.structure_errors += 1
                 self._close(self._open)
             self._open = ClientEvent(packet.event_number, packet.timestamp)
             self._frag_index = {}
-            if self._gap_pending:
-                self._open.gap_affected = True
-                self._gap_pending = False
-            return
-        if tag in (RECORD_GLOBAL_EOE, RECORD_GLOBAL_EOE_INCOMPLETE):
-            if self._open is None:
-                self.stats.structure_errors += 1
-                return
-            self._open.incomplete = tag == RECORD_GLOBAL_EOE_INCOMPLETE
-            if self._gap_pending:
-                self._open.gap_affected = True
-                self._gap_pending = False
-            self._close(self._open)
-            self._open = None
-            return
-        link = record_tag_link(tag)
-        if link is None or self._open is None:
+        elif self._open is None or (link is None and not ends):
             self.stats.structure_errors += 1
             return
         if self._gap_pending:
             self._open.gap_affected = True
             self._gap_pending = False
-        if not packet.crc_ok:
-            self.stats.crc_failures += 1
-        self._verify_provenance(link, packet)
-        self._open.fragments.append((link, data))
+        if ends:
+            self._open.incomplete = tag == RECORD_GLOBAL_EOE_INCOMPLETE
+            self._close(self._open)
+            self._open = None
+        elif link is not None:
+            if not packet.crc_ok:
+                self.stats.crc_failures += 1
+            self._verify_provenance(link, packet)
+            self._open.fragments.append((link, data))
 
     def _verify_provenance(self, link: int, packet: FragmentPacket):
         if self.expected_bytes_fn is None:

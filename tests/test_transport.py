@@ -1,9 +1,13 @@
 """Credit-controlled transfer, client reassembly, analytic throughput model."""
 
+import functools
+import random
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdmlink import backend as be
 from tdmlink import frontend as fe
@@ -50,6 +54,24 @@ def fill_buffers(n_events=3, links=(0, 1), channels=2, words=4, pool_size=16, ca
     mover.flush()
     assert builder.events_built == n_events
     return pool, builder
+
+
+def record(tag, soe, eoe, words):
+    return tag.to_bytes(2, "big") + m.FragmentPacket.build(soe, eoe, words).serialize()
+
+
+@functools.lru_cache(maxsize=None)
+def split_event_frames():
+    """The serialized frames of three events of two links, each event
+    spread over several frames."""
+    pool, _ = fill_buffers(n_events=3, pool_size=32, capacity=96, words=8)
+    server = tp.TransportServer(pool)
+    server.on_grant(tp.CreditGrant(1000))
+    frames = []
+    while (out := server.next_frame()) is not None:
+        frames.append(out[0].serialize())
+        pool.release(out[1])
+    return tuple(frames)
 
 
 class TestFrameFormat:
@@ -147,9 +169,6 @@ class TestClientReassembly:
     def test_one_flipped_data_word_is_one_provenance_error(self, flip, errors):
         """Three counter-fill fragments of link 1; `flip` = (channel, word)
         gets one bit flipped under a valid CRC."""
-        def record(tag, soe, eoe, words):
-            return tag.to_bytes(2, "big") + m.FragmentPacket.build(soe, eoe, words).serialize()
-
         head = struct.unpack(">6H", m.FragmentPacket.event_header_bytes(5, 1000))
         payload = record(be.RECORD_EVENT_HEADER, True, False, head)
         for channel in range(3):
@@ -184,6 +203,88 @@ class TestClientReassembly:
             client.receive(frame.serialize())
         assert client.stats.gaps == 1
         assert client.stats.gap_events >= 1
+        # Each frame holds two whole events. The lost frame held events 2
+        # and 3, so the gap lands between events and marks the next one.
+        assert [ev.event_number for ev in client.events] == [0, 1, 4, 5]
+        assert [ev.gap_affected for ev in client.events] == [False, False, True, False]
+
+    def test_frame_lost_mid_event_marks_that_event(self):
+        # Events span frames; frame 3 holds only fragments of event 1,
+        # which is marked when its end-of-event record arrives.
+        client = tp.TransportClient()
+        for i, data in enumerate(split_event_frames()):
+            if i != 3:
+                client.receive(data)
+        assert client.stats.gaps == 1
+        assert [ev.event_number for ev in client.events] == [0, 1, 2]
+        assert [ev.gap_affected for ev in client.events] == [False, True, False]
+        assert client.stats.gap_events == 1 and client.stats.structure_errors == 0
+
+    def test_unparsable_payload_is_counted_and_taken_as_lost(self):
+        frames = split_event_frames()
+        client = tp.TransportClient()
+        for i, data in enumerate(frames):
+            client.receive(data[:-3] if i == 3 else data)  # frame 3's last record cut short
+        assert client.stats.frames == len(frames)
+        assert client.stats.gaps == 0
+        assert client.stats.structure_errors == 1
+        assert [ev.gap_affected for ev in client.events] == [False, True, False]
+
+    def test_event_header_without_soe_is_counted_and_taken_as_lost(self):
+        head = struct.unpack(">6H", m.FragmentPacket.event_header_bytes(6, 2000))
+        fragment = record(be.RECORD_FRAGMENT_BASE + 1, True, True, head + (1, 2))
+        bad = record(be.RECORD_EVENT_HEADER, False, False, (1, 2)) + fragment + record(be.RECORD_GLOBAL_EOE, False, True, ())
+        good = record(be.RECORD_EVENT_HEADER, True, False, head) + fragment + record(be.RECORD_GLOBAL_EOE, False, True, ())
+        client = tp.TransportClient()
+        client.receive(tp.TransportFrame(0, 0, bad).serialize())
+        client.receive(tp.TransportFrame(1, 0, good).serialize())
+        # The bad header, then its orphaned fragment and end-of-event record.
+        assert client.stats.structure_errors == 3
+        assert [(ev.event_number, ev.gap_affected) for ev in client.events] == [(6, True)]
+        assert client.stats.gaps == 0 and client.stats.gap_events == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        inputs=st.lists(
+            st.tuples(
+                st.sampled_from(["frame", "cut", "flip", "reorder", "random"]),
+                st.integers(0, 6),
+                st.integers(0, 2**20),
+                st.binary(max_size=64),
+            ),
+            min_size=1, max_size=12,
+        )
+    )
+    def test_client_never_raises_on_malformed_frames(self, inputs):
+        """Random payload bytes behind a valid header, and real frames cut
+        short, with one bit flipped or with their records reordered: the
+        client counts what it cannot use and its counters stay consistent."""
+        frames = split_event_frames()
+        client = tp.TransportClient(expected_bytes_fn=fe.generator_bytes)
+        payload_bytes = 0
+        for kind, index, value, noise in inputs:
+            data = frames[index % len(frames)]
+            if kind == "cut":
+                data = data[: value % len(data)]
+            elif kind == "flip":
+                bit = value % (8 * len(data))
+                data = data[: bit // 8] + bytes([data[bit // 8] ^ 0x80 >> bit % 8]) + data[bit // 8 + 1 :]
+            elif kind == "reorder":
+                records = tp.parse_records(data[tp.TRANSPORT_HEADER_BYTES :])
+                random.Random(value).shuffle(records)
+                data = data[: tp.TRANSPORT_HEADER_BYTES] + b"".join(tag.to_bytes(2, "big") + pkt for tag, pkt in records)
+            elif kind == "random":
+                data = tp.TransportFrame(value, 0, noise).serialize()
+            client.receive(data)
+            if len(data) >= tp.TRANSPORT_HEADER_BYTES and data[:2] == b"\xaa\x55":
+                payload_bytes += len(data) - tp.TRANSPORT_HEADER_BYTES
+        stats = client.stats
+        assert stats.frames + stats.magic_errors == len(inputs)
+        assert stats.payload_bytes == payload_bytes
+        assert stats.events == len(client.events)
+        assert stats.gap_events == sum(ev.gap_affected for ev in client.events)
+        assert stats.incomplete_events == sum(ev.incomplete for ev in client.events)
+        assert stats.gap_events <= stats.events
 
     def test_magic_mismatch_discarded_and_counted(self):
         client = tp.TransportClient()
