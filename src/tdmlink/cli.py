@@ -162,13 +162,11 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_bootstrap_check(args) -> int:
     from .backend import bootstrap_sequence, untimed_exchange
-    from .frontend import FrontEndCard
-    from .sim import make_serials
+    from .system import System
 
     failures = 0
     for rep in range(args.repetitions):
-        serials = make_serials(args.seed + rep, args.cards)
-        cards = {port: FrontEndCard(serials[port]) for port in range(args.cards)}
+        cards = System(SimConfig(num_frontends=args.cards, seed=args.seed + rep)).cards
         result = bootstrap_sequence(untimed_exchange(cards), sorted(cards))
         good = result.verified
         if not good:
