@@ -161,13 +161,14 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_bootstrap_check(args) -> int:
-    from .backend import bootstrap_sequence, untimed_exchange
+    from .backend import untimed_exchange
     from .system import System
 
     failures = 0
     for rep in range(args.repetitions):
-        cards = System(SimConfig(num_frontends=args.cards, seed=args.seed + rep)).cards
-        result = bootstrap_sequence(untimed_exchange(cards), sorted(cards))
+        system = System(SimConfig(num_frontends=args.cards, seed=args.seed + rep))
+        system.bootstrap(untimed_exchange(system.cards))
+        result = system.bootstrap_result
         good = result.verified
         if not good:
             failures += 1

@@ -72,7 +72,7 @@ class MessageEngine(System):
     def run(self):
         # ID assignment runs before data taking; its register traffic is
         # exchanged directly (not timed) and is not part of any measurement.
-        self._bootstrap(untimed_exchange(self.cards))
+        self.bootstrap(untimed_exchange(self.cards))
         self._schedule_token_check()
         self.client_grant()
         self._schedule_trigger_check()

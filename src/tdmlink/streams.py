@@ -3,22 +3,21 @@
 Links are rows: every link of one direction is one row of a (links, bits)
 array, and each stage of a direction's chain runs once per chunk on the
 whole array. A single link is the one-row case. A stage handles its rows as
-one batch: a queue pull joins every busy row's head into one array, and
-when every row is in the same state the rows are indexed by one slice, so
-the chain sees views of whole arrays, not gathered copies. Transmitters
-hold per-row channel frame queues and emit line bits on demand, filling
-idle slots with zeros. Receivers consume chunks of line bits and emit
-decoded frames tagged with their row, with per-row diagnostic counters.
-Each value a receiver keeps per row is an array indexed by row (held bits
-as bytes, one byte per bit, in an object array), and rows are reset,
-copied and advanced through one tuple of those arrays. Fanout receivers
-share one decode until any row's symbols differ: rows that have received
-the same symbols are in the same state, so row 0 decodes for all of them;
-every row then decodes on its own. Frames are scanned per frame, not per
-bit: a byte search finds each start bit, and a frame that ends in a later
-chunk is held with the length it still owes. Return links move whole 4-bit
-cycles: their training is a whole number of cycles, and every chunk
-produced or fed must be one too.
+one batch: a queue pull joins every busy row's head into one array, and when
+every row is in the same state the rows are indexed by one slice, so the
+chain sees views of whole arrays, not gathered copies. Transmitters hold
+per-row channel frame queues and emit line bits on demand, filling idle
+slots with zeros. Receivers consume chunks of line bits and emit decoded
+frames tagged with their row, with per-row diagnostic counters. Each value a
+receiver keeps per row is an array indexed by row, held bits as bytes in an
+object array, and each class resets, copies and advances its rows through
+one tuple of those arrays. Fanout receivers share one decode until any row's
+symbols differ: rows that have received the same symbols are in the same
+state, so row 0 decodes for all of them; every row then decodes on its own.
+Frames are scanned per frame, not per bit: a byte search finds each start
+bit, and a frame that ends in a later chunk is held with the length it still
+owes. Return links move whole 4-bit cycles: their training is a whole number
+of cycles, and every chunk produced or fed must be one too.
 """
 
 from __future__ import annotations
@@ -191,15 +190,15 @@ class FrameScanner:
         self._owed = np.zeros(rows, dtype=np.int64)  # the held frame's whole length once known, else 0
         self._held = np.zeros(rows, dtype=bool)  # whether the row holds a partial frame
         self._frames = np.zeros(rows, dtype=object)  # that frame from its start bit, one byte per bit
-        self.row_state = (self.faults, self._fed, self._owed, self._held, self._frames)  # each starts at 0
+        self._row_state = (self.faults, self._fed, self._owed, self._held, self._frames)  # each starts at 0
 
     def reset(self, row: int):
-        for state in self.row_state:
+        for state in self._row_state:
             state[row] = 0
 
-    def copy_rows(self, rows: np.ndarray, src: int):
-        """Give `rows` the state of row `src`."""
-        for state in self.row_state:
+    def copy_rows(self, rows, src: int):
+        """Give `rows` (an index array or a slice) the state of row `src`."""
+        for state in self._row_state:
             state[rows] = state[src]
 
     def feed(self, bits: BitArray, rows=None) -> list[tuple[int, BitArray, int]]:
@@ -344,13 +343,11 @@ class DownstreamReceiver:
         }
         self.coding_violations = np.zeros(rows, dtype=np.int64)
         self.parity_errors = {ch: np.zeros(rows, dtype=np.int64) for ch in "ABC"}
-        # Lock state and counters are kept for every row; the decoding state
-        # is row 0's while in step.
-        scanners = self.scanners.values()
+        # Lock state and counters are kept for every row; the decoding state,
+        # this tuple's and the scanners', is row 0's while in step.
         self._shared = (self.locked, self.sync, self.coding_violations, *self.parity_errors.values(),
-                        *(scanner.faults for scanner in scanners))
-        self._decoding = (self._search, self._dropped, self._aligned_base_tick, self._carry, self._tail,
-                          *(state for scanner in scanners for state in scanner.row_state))
+                        *(scanner.faults for scanner in self.scanners.values()))
+        self._decoding = (self._search, self._dropped, self._aligned_base_tick, self._carry, self._tail)
 
     def a_bit_arrival_tick(self, row: int, index: int) -> int:
         return int(self._aligned_base_tick[row]) + timebase.down_a_bit_end_tick(index)
@@ -386,6 +383,8 @@ class DownstreamReceiver:
         self.in_step = False
         for state in self._decoding:
             state[1:] = state[0]
+        for scanner in self.scanners.values():
+            scanner.copy_rows(slice(1, None), 0)
 
     def _share(self, events: DownRxEvents):
         """Give every row row 0's events, lock state and counters."""
@@ -496,15 +495,16 @@ class UpstreamReceiver:
         }
         self.parity_errors = {"A": np.zeros(rows, dtype=np.int64), "B": np.zeros(rows, dtype=np.int64)}
         self.training_errors = np.zeros(rows, dtype=np.int64)
-        # Every per-row value that a reset sets to 0.
-        self._row_state = (self._register, self.training_errors, *self.parity_errors.values(),
-                           *(state for scanner in self.scanners.values() for state in scanner.row_state))
+        # Every per-row value besides the scanners' that a reset sets to 0.
+        self._row_state = (self._register, self.training_errors, *self.parity_errors.values())
 
     def reset(self, row: int):
         """Start the row over, counters included, as a reset link does."""
         self._training_left[row] = TRAINING_BITS
         for state in self._row_state:
             state[row] = 0
+        for scanner in self.scanners.values():
+            scanner.reset(row)
 
     @property
     def trained(self) -> np.ndarray:

@@ -226,7 +226,7 @@ class SymbolEngine(System):
 
     def run(self):
         self._wait_links_ready()
-        self._bootstrap(self._exchange)
+        self.bootstrap(self._exchange)
         if self.now >= self.config.trigger_start_tick:
             raise RuntimeError(
                 f"bootstrap finished at tick {self.now}, after the configured "

@@ -77,7 +77,7 @@ class System:
         self._payload_snapshot = {}
         self._client_payload_snapshot = 0
 
-    def _bootstrap(self, exchange):
+    def bootstrap(self, exchange):
         """ID assignment over `exchange(txn) -> {port: response}`; enables the
         pump of every card that received its ID."""
         self.bootstrap_result = bootstrap_sequence(exchange, sorted(self.cards))

@@ -253,12 +253,13 @@ class TransportClient:
         link = record_tag_link(tag)
         ends = tag in (RECORD_GLOBAL_EOE, RECORD_GLOBAL_EOE_INCOMPLETE)
         if tag == RECORD_EVENT_HEADER:
-            if not packet.soe:  # no event number or timestamp to open it with
-                self._lost()
-                return
             if self._open is not None:
                 self.stats.structure_errors += 1
                 self._close(self._open)
+                self._open = None
+            if not packet.soe:  # no event number or timestamp to open it with
+                self._lost()
+                return
             self._open = ClientEvent(packet.event_number, packet.timestamp)
             self._frag_index = {}
         elif self._open is None or (link is None and not ends):

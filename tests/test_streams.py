@@ -234,8 +234,9 @@ class TestScanners:
     )
     def test_scanner_matches_per_bit_reference(self, rows, frame_bits, seed, steps):
         # Rows fed unevenly from their own streams; `copy_rows` and `reset`
-        # between chunks. The rows fed are given as None or an index array,
-        # or as a slice of the first rows, as the receivers pass them.
+        # between chunks. The rows fed or copied to are given as None or an
+        # index array, or as a slice of the first rows, as the receivers
+        # pass them.
         # Frames, end indices and faults must match.
         rng = np.random.default_rng(seed)
         streams = [random_frames(rng, frame_bits, sum(n for n, *_ in steps)) for _ in range(rows)]
@@ -250,13 +251,15 @@ class TestScanners:
             if form == "slice":
                 chosen = list(range(len(chosen)))
                 picked = slice(None) if len(chosen) == rows else slice(0, len(chosen))
+                copied = slice(1, None) if len(chosen) == rows else slice(1, len(chosen))
             else:
                 picked = None if len(chosen) == rows else np.array(chosen)
+                copied = np.array(chosen[1:])
             if op == "reset":
                 sc.reset(chosen[0])
                 ref.reset(chosen[0])
             elif op == "copy" and len(chosen) > 1:
-                sc.copy_rows(np.array(chosen[1:]), chosen[0])
+                sc.copy_rows(copied, chosen[0])
                 ref.copy_rows(chosen[1:], chosen[0])
             chunk = np.array([streams[row][pos[row] : pos[row] + n] for row in chosen])
             got = sc.feed(chunk, picked)

@@ -235,12 +235,18 @@ class TestClientReassembly:
         fragment = record(be.RECORD_FRAGMENT_BASE + 1, True, True, head + (1, 2))
         bad = record(be.RECORD_EVENT_HEADER, False, False, (1, 2)) + fragment + record(be.RECORD_GLOBAL_EOE, False, True, ())
         good = record(be.RECORD_EVENT_HEADER, True, False, head) + fragment + record(be.RECORD_GLOBAL_EOE, False, True, ())
+        open_head = struct.unpack(">6H", m.FragmentPacket.event_header_bytes(5, 1000))
+        unended = record(be.RECORD_EVENT_HEADER, True, False, open_head) + fragment
         client = tp.TransportClient()
-        client.receive(tp.TransportFrame(0, 0, bad).serialize())
-        client.receive(tp.TransportFrame(1, 0, good).serialize())
-        # The bad header, then its orphaned fragment and end-of-event record.
-        assert client.stats.structure_errors == 3
-        assert [(ev.event_number, ev.gap_affected) for ev in client.events] == [(6, True)]
+        client.receive(tp.TransportFrame(0, 0, unended).serialize())
+        client.receive(tp.TransportFrame(1, 0, bad).serialize())
+        client.receive(tp.TransportFrame(2, 0, good).serialize())
+        # The bad header closes the open event, which never ended; then the
+        # bad header itself, its orphaned fragment and end-of-event record.
+        assert client.stats.structure_errors == 4
+        assert [(ev.event_number, len(ev.fragments), ev.gap_affected) for ev in client.events] == [
+            (5, 1, False), (6, 1, True)
+        ]
         assert client.stats.gaps == 0 and client.stats.gap_events == 1
 
     @settings(max_examples=150, deadline=None)
