@@ -82,10 +82,11 @@ class MessageEngine(System):
         while self._heap and not self._stopped:
             tick, _, fn, args = heapq.heappop(self._heap)
             if end_tick is not None and tick > end_tick:
-                self.now = end_tick
                 break
             self.now = tick
             fn(*args)
+        if end_tick is not None:
+            self.now = end_tick  # a run of fixed length covers its whole window
         self._audit()
 
     def _stop_if_done(self):

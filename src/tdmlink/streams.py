@@ -44,6 +44,7 @@ from .wire import (
     DEFAULT_LOCK_THRESHOLD,
     DOWNSTREAM_SCHEDULE,
     SCRAMBLER_ORDER,
+    UPSTREAM_SCHEDULE,
     Descrambler,
     Scrambler,
     WireFormatError,
@@ -51,6 +52,7 @@ from .wire import (
     count_manchester_violations,
     downstream_rx,
     downstream_tx,
+    idle_scrambler_register,
     training_pattern,
     upstream_rx,
     upstream_tx,
@@ -201,6 +203,15 @@ class FrameScanner:
         for state in self._row_state:
             state[rows] = state[src]
 
+    def holds_frame(self) -> bool:
+        """Whether any row holds a partial frame."""
+        return bool(self._held.any())
+
+    def skip(self, n: int, rows=None):
+        """Advance each of `rows` (default: every row), none holding a
+        partial frame, over n zeros: they open no frame."""
+        self._fed[slice(None) if rows is None else rows] += n
+
     def feed(self, bits: BitArray, rows=None) -> list[tuple[int, BitArray, int]]:
         """Scan the next channel bits of each of `rows` (an index array or a
         slice; default: every row), one row of `bits` each. Returns (row,
@@ -303,6 +314,10 @@ class DownstreamTransmitter:
         self.cycles_produced += cycles
         return downstream_tx(a, b, c)
 
+    def skip_idle(self, cycles: int):
+        """Advance over `cycles` cycles sent with every queue empty."""
+        self.cycles_produced += cycles
+
 
 @dataclass
 class DownRxEvents:
@@ -376,6 +391,15 @@ class DownstreamReceiver:
         else:
             _row_order(events.a, events.b, events.c)
         return events
+
+    def skip_idle(self, cycles: int):
+        """Advance every row over `cycles` whole idle cycles. Every row must be
+        locked, hold no partial frame, and have last been fed idle cycles:
+        idle cycles then decode to zeros on every channel, and whole cycles
+        leave each row's carry and tail as they are."""
+        rows = slice(0, 1) if self.in_step else slice(None)
+        for channel, scanner in self.scanners.items():
+            scanner.skip(cycles * len(DOWNSTREAM_SCHEDULE.slots_of(channel)), rows)
 
     def _leave_step(self):
         """Give every row the decoding state of row 0, then decode each row
@@ -451,6 +475,12 @@ class UpstreamTransmitter:
         """Queue a frame on a row: a bit array, or its bytes, one byte per bit."""
         self.queues[channel].push(row, frame_bits)
 
+    def skip_idle(self, nbits: int):
+        """Advance every row, trained and with nothing queued, over nbits of
+        idle cycles: only the scrambler registers change."""
+        _whole_upstream_cycles(nbits)
+        self._register[:] = idle_scrambler_register(self._register, nbits)
+
     def produce(self, nbits: int) -> BitArray:
         """The next nbits line bits of every row, as a (rows, nbits) array;
         nbits must be whole cycles."""
@@ -505,6 +535,17 @@ class UpstreamReceiver:
             state[row] = 0
         for scanner in self.scanners.values():
             scanner.reset(row)
+
+    def skip_idle(self, nbits: int):
+        """Advance every row over nbits of idle cycles from its transmitter.
+        Every row must be trained, hold no partial frame, and hold the same
+        register as its transmitter, as it does once its last 43 line bits
+        arrived without error: the line then descrambles to idle cycles, and
+        the register, the last 43 line bits, steps as the transmitter's does."""
+        _whole_upstream_cycles(nbits)
+        self._register[:] = idle_scrambler_register(self._register, nbits)
+        for channel, scanner in self.scanners.items():
+            scanner.skip(nbits // 4 * len(UPSTREAM_SCHEDULE.slots_of(channel)))
 
     @property
     def trained(self) -> np.ndarray:

@@ -13,6 +13,17 @@ the first line error on any card every card's row decodes on its own. Links have
 as at message level. Time advances in slices of SLICE_CYCLES whole TDM cycles,
 clipped so trigger issue ticks land exactly on slice boundaries (that keeps
 channel A latency accounting identical to the message-level engine).
+
+Idle time is skipped in closed form. At BER 0, when the last slice carried
+only idle cycles and nothing waits to be sent or built, the next slices
+would carry idle cycles too and change nothing but each line interface's
+place in its idle stream. The data loop then advances all of them up to the
+next trigger issue, line flip, link reset or run end in one step: the
+fanout transmitter's cycle count and the scanners' bits-fed counts by one
+add each, and the return links' scrambler and descrambler registers by the
+closed-form step over idle cycles, which repeat every 344 bits (see
+`wire.idle_scrambler_register`). The slice grid does not move, so every
+output is the one slice-by-slice processing gives.
 """
 
 from __future__ import annotations
@@ -44,6 +55,7 @@ EXCHANGE_TIMEOUT_TICKS = 4 * CHANNEL_B_FRAME_BITS * timebase.DOWN_TICKS_PER_CHAN
 # Downstream TDM cycles per slice. BER > 0 runs depend on it: each link
 # draws its line errors one slice at a time.
 SLICE_CYCLES = 64
+SLICE_TICKS = SLICE_CYCLES * timebase.TICKS_PER_DOWN_CYCLE
 
 
 class SymbolEngine(System):
@@ -76,18 +88,28 @@ class SymbolEngine(System):
         self._line_flips = [f for f in self.link_faults if f["type"] == "line_flip"]
         # Resets still to apply; the config's fault list is never written.
         self._pending_resets = [f for f in self.link_faults if f["type"] == "link_reset"]
+        self._queues = (*self.down_tx.queues.values(), *self.up_tx.queues.values())
+        self._scanners = (*self.down_rx.scanners.values(), *self.backend_rx.scanners.values())
+        # Whether the last slice was whole and carried only idle cycles: every
+        # queue empty as it started and no line error in it.
+        self._idle_slice = False
 
     # -- slice processing -------------------------------------------------------
 
     def _advance_one_slice(self):
         t0 = self.now
-        t1 = t0 + SLICE_CYCLES * timebase.TICKS_PER_DOWN_CYCLE
+        t1 = t0 + SLICE_TICKS
         pending = self.trigger_unit.next_issue_tick(t0, self.builder.events_built, len(self.cards))
         if pending is not None and t0 < pending < t1:
             t1 = pending  # clip so issue happens exactly on a boundary
         if pending is not None and pending <= t0:
             self._issue_trigger()
         self._apply_link_resets(t0, t1)
+        self._idle_slice = (
+            t1 - t0 == SLICE_TICKS
+            and not self._queued()
+            and not any(t0 <= fault["tick"] < t1 for fault in self._line_flips)
+        )
 
         # Downstream: one fanout stream; each card's row takes its own errors.
         cycles = (t1 - t0) // timebase.TICKS_PER_DOWN_CYCLE
@@ -100,6 +122,48 @@ class SymbolEngine(System):
 
         self.now = t1
         self._backend_logic()
+
+    def _queued(self) -> bool:
+        return any(q.pending_bits.any() for q in self._queues)
+
+    def _quiet_slices(self, most: int | None) -> int:
+        """How many whole slices from now, at most `most`, would carry only
+        idle cycles and change nothing else: 0 unless the system is
+        quiescent, else up to the last slice boundary at or before the next
+        trigger issue, line flip and link reset, and before the slice that
+        ends a run of fixed length."""
+        if not (
+            self._idle_slice
+            and self.config.ber == 0.0
+            and not self._queued()
+            and not any(scanner.holds_frame() for scanner in self._scanners)
+            and self.down_rx.locked.all()
+            and self.backend_rx.trained.all()
+            and not self.pool.i_fifo
+            and not any(pump.fifo or pump.wants_request() for pump in self.pumps.values())
+        ):
+            return 0
+        now = self.now
+        due = [f["tick"] for f in (*self._line_flips, *self._pending_resets) if f["tick"] >= now]
+        issue = self.trigger_unit.next_issue_tick(now, self.builder.events_built, len(self.cards))
+        if issue is not None:
+            due.append(issue)
+        if self.config.run_ticks is not None:
+            due.append(self.config.run_ticks - 1)  # the last slice reaches run_ticks
+        slices = [(tick - now) // SLICE_TICKS for tick in due]
+        if most is not None:
+            slices.append(most)
+        return max(min(slices), 0)
+
+    def _skip_quiet_slices(self, k: int):
+        """Advance k whole slices that carry only idle cycles, changing just
+        what they would: time and each line interface's place in its idle
+        stream."""
+        self.down_tx.skip_idle(k * SLICE_CYCLES)
+        self.down_rx.skip_idle(k * SLICE_CYCLES)
+        self.up_tx.skip_idle(k * SLICE_TICKS)
+        self.backend_rx.skip_idle(k * SLICE_TICKS)
+        self.now += k * SLICE_TICKS
 
     def _corrupt(self, bits, stream, direction, t0, ticks_per_symbol):
         """Apply each link's line errors to its row. `bits` holds one row per
@@ -236,14 +300,19 @@ class SymbolEngine(System):
         idle_slices = 0
         while True:
             before = self._progress_state()
-            self._advance_one_slice()
+            slices = self._quiet_slices(None if max_ticks is not None else 2001 - idle_slices)
+            if slices:
+                self._skip_quiet_slices(slices)
+            else:
+                self._advance_one_slice()
+                slices = 1
             if max_ticks is not None:
                 if self.now >= max_ticks:
                     break
                 continue
             if self._plan_delivered() or self.builder.halt_reason is not None:
                 break
-            idle_slices = idle_slices + 1 if self._progress_state() == before else 0
+            idle_slices = idle_slices + slices if self._progress_state() == before else 0
             if idle_slices > 2000:
                 break  # stalled; the audit reports the undelivered plan
         self._audit()

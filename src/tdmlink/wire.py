@@ -47,6 +47,8 @@ __all__ = [
     "LineSyncState",
     "Scrambler",
     "Descrambler",
+    "IDLE_SCRAMBLER_PERIOD",
+    "idle_scrambler_register",
     "PRBS_TAPS",
     "PrbsGenerator",
     "prbs_verify",
@@ -356,6 +358,22 @@ def _scramble(bits: BitArray, register: BitArray) -> tuple[BitArray, BitArray]:
     np.bitwise_xor.accumulate(lanes, axis=-2, out=lanes)
     line = grid[..., :k].reshape(lead + (blocks * k,))
     return line[..., k : k + n], line[..., n : n + k].copy()
+
+
+# Fed idle cycles x = 0100..., whose x[n] = x[n-4], the scrambler's output
+# y[n] = x[n] ^ y[n-43] gives z[n] = y[n] ^ y[n-4] = z[n-43]. Since 4 and 43
+# are coprime, y[n+172] = y[n] ^ (the XOR of z over one period of 43), so
+# y[n+344] = y[n]: 344 idle bits leave the register as it was, whatever it
+# held.
+IDLE_SCRAMBLER_PERIOD = 344
+
+
+def idle_scrambler_register(register: BitArray, nbits: int) -> BitArray:
+    """The register (one row per leading index) after the scrambler is fed
+    `nbits` of idle cycles, a whole number of them, in closed form."""
+    n = nbits % IDLE_SCRAMBLER_PERIOD
+    idle = np.broadcast_to(np.tile(IDLE_CYCLE_BITS, n // 4), register.shape[:-1] + (n,))
+    return _scramble(idle, register)[1]
 
 
 class Descrambler:

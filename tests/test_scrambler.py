@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdmlink.bits import random_bits
-from tdmlink.wire import SCRAMBLER_ORDER, Descrambler, Scrambler
+from tdmlink.wire import (
+    IDLE_CYCLE_BITS,
+    SCRAMBLER_ORDER,
+    Descrambler,
+    Scrambler,
+    idle_scrambler_register,
+)
 
 
 def reference_scramble(state_bits, bits):
@@ -154,3 +160,19 @@ def test_rows_and_chunks_match_bit_serial_reference(lead, length, seed, cuts):
         for register, state in ((tx_register, tx), (rx_register, rx)):
             history = np.concatenate([register[index], want])  # the last 43 line bits
             assert np.array_equal(state.register[index], history[-SCRAMBLER_ORDER:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lead=st.lists(st.integers(1, 4), max_size=2).map(tuple),
+    cycles=st.one_of(st.sampled_from([0, 1, 43, 86, 256, 2560]), st.integers(0, 1200)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_idle_register_step_matches_scrambling_idle_cycles(lead, cycles, seed):
+    """The closed-form step over idle cycles equals scrambling them bit by
+    bit, from any register: the output repeats every 344 bits."""
+    register = np.random.default_rng(seed).integers(0, 2, lead + (SCRAMBLER_ORDER,), dtype=np.uint8)
+    idle = np.tile(IDLE_CYCLE_BITS, cycles)
+    for index in np.ndindex(lead):
+        history = np.concatenate([register[index], reference_scramble(register[index], idle)])
+        assert np.array_equal(idle_scrambler_register(register, 4 * cycles)[index], history[-SCRAMBLER_ORDER:])

@@ -6,14 +6,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tdmlink import sim, wire
 from tdmlink.frontend import REG_LOST_TRIGGERS, REG_SERIAL_LO
-from tdmlink.messages import ChannelBTransaction, encode_channel_b
+from tdmlink.messages import ChannelAMessageUp, ChannelBTransaction, encode_channel_a, encode_channel_b
 from tdmlink.sim import SimConfig, ber_test, make_serials, run_scenario
-from tdmlink.symbol_engine import SymbolEngine
+from tdmlink.symbol_engine import SLICE_TICKS, SymbolEngine
 
 
 def small_scenario(abstraction, **overrides):
@@ -416,6 +416,137 @@ class TestFaultInjection:
             run_scenario(small_scenario(abstraction, faults=[{"type": kind}]))
 
 
+def run_counting(cfg, method):
+    """Run `cfg` and record the arguments of every call of a SymbolEngine
+    method."""
+    calls = []
+    original = getattr(SymbolEngine, method)
+
+    def counted(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SymbolEngine, method, counted)
+        return run_scenario(cfg), calls
+
+
+def run_slice_by_slice(cfg):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SymbolEngine, "_quiet_slices", lambda self, most: 0)
+        return run_scenario(cfg)
+
+
+def line_state(res):
+    """What a symbol-level run leaves behind, down to each line interface's
+    registers and each scanner's bits-fed count."""
+    engine = res.engine
+    down, up = engine.down_rx, engine.backend_rx
+    return dict(
+        digest=res.client_digest(),
+        lines=res.metrics.to_json_lines(),
+        now=engine.now,
+        cycles_produced=engine.down_tx.cycles_produced,
+        sync=down.sync.tolist(),
+        in_step=down.in_step,
+        counters=[down.coding_violations.tolist(), up.training_errors.tolist()]
+        + [errors.tolist() for errors in (*down.parity_errors.values(), *up.parity_errors.values())],
+        registers=(engine.up_tx._register.tolist(), up._register.tolist()),
+        scanners=[
+            (scanner.faults.tolist(), scanner._fed.tolist())
+            for scanner in (*down.scanners.values(), *up.scanners.values())
+        ],
+    )
+
+
+@st.composite
+def idle_heavy_plans(draw):
+    """Small plans with long idle stretches, some with line flips and link
+    resets inside them; the first trigger comes well after bootstrap."""
+    cards = draw(st.integers(1, 8))
+    start_us = draw(st.integers(200, 500))
+    count = draw(st.integers(1, 4))
+    period_us = draw(st.integers(40, 400))
+    plan = dict(
+        num_frontends=cards, seed=draw(st.integers(0, 2**16)),
+        trigger_mode=draw(st.sampled_from(["periodic", "gated"])), trigger_count=count,
+        trigger_start_us=float(start_us), trigger_period_us=float(period_us),
+        channels_per_event=draw(st.integers(1, 3)), words_per_channel=4, keep_client_events=True,
+    )
+    end_us = start_us + count * period_us + 100
+    if draw(st.booleans()):
+        plan["run_ms"] = end_us / 1000
+    tick = st.integers((start_us - 100) * 400, end_us * 400)
+    link = st.integers(0, cards - 1)
+    plan["faults"] = draw(st.lists(st.one_of(
+        st.fixed_dictionaries({"type": st.just("line_flip"), "link": link,
+                               "direction": st.sampled_from(["up", "down"]), "tick": tick}),
+        st.fixed_dictionaries({"type": st.just("link_reset"), "link": link, "tick": tick}),
+    ), max_size=3))
+    return plan
+
+
+class TestQuietSlices:
+    """Slices in which only idle cycles cross the links are skipped in one
+    step; every output stays as it is slice by slice."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(plan=idle_heavy_plans())
+    # A reset loses card 0's packet; the run then stalls with every FIFO
+    # empty, and the skip must end it at the same slice.
+    @example(plan=dict(
+        num_frontends=1, seed=11, trigger_mode="periodic", trigger_count=2, trigger_start_us=400.0,
+        trigger_period_us=200.0, channels_per_event=8, words_per_channel=64, keep_client_events=True,
+        faults=[{"type": "link_reset", "link": 0, "tick": 162_000}],
+    ))
+    def test_skip_matches_slice_by_slice(self, plan):
+        cfg = SimConfig(abstraction="symbol_level", **plan)
+        res, skips = run_counting(cfg, "_skip_quiet_slices")
+        assert skips
+        assert line_state(res) == line_state(run_slice_by_slice(cfg))
+
+    def test_quiet_only_after_a_whole_slice_of_idle_cycles(self):
+        flip = 300_000
+        engine = SymbolEngine(small_scenario(
+            "symbol_level", num_frontends=1, trigger_start_us=1000.0,
+            faults=[{"type": "line_flip", "link": 0, "direction": "up", "tick": flip}],
+        ))
+        engine._wait_links_ready()
+        engine.bootstrap(engine._exchange)
+        for _ in range(3):  # the pump's first request goes out
+            engine._advance_one_slice()
+        assert engine._quiet_slices(None) > 0
+        # Not while a frame is queued, nor after the slice that sent it,
+        # although that frame was received whole.
+        engine.up_tx.enqueue(0, "A", encode_channel_a(ChannelAMessageUp()))
+        assert engine._quiet_slices(None) == 0
+        engine._advance_one_slice()
+        assert engine._quiet_slices(None) == 0
+        engine._advance_one_slice()
+        # The skip stops at the slice that holds the flip, and the slice
+        # after that line error is not quiet.
+        engine._skip_quiet_slices(engine._quiet_slices(None))
+        assert engine.now <= flip < engine.now + SLICE_TICKS
+        engine._advance_one_slice()
+        assert engine._quiet_slices(None) == 0
+
+    def test_ten_ms_low_rate_plan_pinned(self):
+        # 9 triggers at 1 kHz on 32 cards: 3,906 slices of simulated time,
+        # nearly all of them idle.
+        kw = dict(
+            num_frontends=32, trigger_count=9, trigger_period_us=1000.0, trigger_start_us=400.0,
+            channels_per_event=3, words_per_channel=4, run_ms=10,
+        )
+        res_s, slices = run_counting(small_scenario("symbol_level", **kw), "_advance_one_slice")
+        res_m = run_scenario(small_scenario("message_level", **kw))
+        assert res_s.metrics.elapsed_ticks == 4_000_000
+        # The mover's last, partly filled buffer is not sent at the end.
+        assert (res_s.metrics.events_built, res_s.metrics.client["events"]) == (9, 8)
+        assert len(slices) < 300
+        for name in ("elapsed_ticks", "throughput_MB_s", "event_rate_hz"):
+            assert getattr(res_m.metrics, name) == getattr(res_s.metrics, name)
+
+
 def line_error_scenario(**overrides):
     kw = dict(
         num_frontends=2,
@@ -527,6 +658,20 @@ class TestLineErrors:
         assert up.parity_errors["B"].tolist() == [0, 0, 0, 0]
         assert up.training_errors.tolist() == [0, 0, 0, 1]
         assert up.scanners["C"].faults.tolist() == [26, 0, 0, 0]
+
+    def test_no_quiet_slice_skipped_at_ber_above_zero(self):
+        # The same plan as the pinned run above: line errors can land in any
+        # slice, so every slice is run.
+        res, skips = run_counting(line_error_scenario(
+            num_frontends=4, ber=1e-5, seed=7,
+            faults=[
+                {"type": "line_flip", "link": 2, "direction": "down", "tick": 1124},
+                {"type": "link_reset", "link": 3, "tick": 150_000},
+                {"type": "line_flip", "link": 3, "direction": "up", "tick": 150_400},
+            ],
+        ), "_skip_quiet_slices")
+        assert res.metrics.client["events"] == 4
+        assert skips == []
 
     def test_fanout_receivers_split_at_scale_pinned(self):
         # 32 cards whose downstream rows share one decode until line errors
