@@ -39,8 +39,6 @@ def _eth_wire_ticks(payload_bytes: int) -> int:
 
 
 class MessageEngine(System):
-    LINK_FAULTS = {"drop_packet": ("link", "index")}
-
     def __init__(self, config):
         super().__init__(config)
         self._heap = []

@@ -19,7 +19,7 @@ from .frontend import SERIAL_BITS, EventGeneratorConfig, check_card_settings, ge
 from .messages import EVENT_HEADER_WORDS
 from .message_engine import MessageEngine
 from .symbol_engine import SymbolEngine
-from .system import CARD_FAULTS
+from .system import check_fault
 from .transport import FRAME_OVERHEAD_BYTES
 from .wire import PRBS_TAPS, PrbsGenerator, prbs_verify
 
@@ -121,24 +121,11 @@ class SimConfig:
                 raise ValueError("serials must give each of num_frontends cards a distinct one")
             if not all(0 <= serial < 1 << SERIAL_BITS for serial in serials):
                 raise ValueError(f"serials must be {SERIAL_BITS}-bit numbers")
-        fault_keys = {**CARD_FAULTS, **_ENGINES[self.abstraction].LINK_FAULTS}
-        for fault in self.faults:
-            if not isinstance(fault, dict):
-                raise ValueError(f"fault {fault!r} is not a dict")
-            kind = fault.get("type")
-            if kind not in fault_keys:
-                raise ValueError(f"fault type {kind!r} not supported at {self.abstraction}")
-            missing = [key for key in fault_keys[kind] if key not in fault]
-            if missing:
-                raise ValueError(f"{kind} fault lacks {missing}")
-            optional = ("delta",) if kind == "soe_skew" else ()
-            extra = sorted(set(fault) - {"type", *fault_keys[kind], *optional})
-            if extra:
-                raise ValueError(f"{kind} fault does not take {extra}")
-            if kind == "line_flip" and fault["direction"] not in ("up", "down"):
-                raise ValueError(f"line_flip direction {fault['direction']!r} is not 'up' or 'down'")
-            if not 0 <= fault["link"] < self.num_frontends:
-                raise ValueError(f"{kind} fault names link {fault['link']}, outside the cards")
+        self.faults = [check_fault(fault, self) for fault in self.faults]
+        clash = [(f["type"], f["link"]) if f["type"] == "soe_skew" else tuple(f.values())
+                 for f in self.faults if f["type"] in ("soe_skew", "line_flip")]
+        if len(set(clash)) < len(clash):
+            raise ValueError("two soe_skew faults on one link or two equal line_flip faults override or cancel")
 
     # -- derived values --------------------------------------------------------
 
@@ -158,7 +145,7 @@ class SimConfig:
     def run_ticks(self) -> int | None:
         if self.run_ms is None:
             return None
-        return int(round(self.run_ms * 1000 * TICKS_PER_US))
+        return _us_to_cycle_ticks(self.run_ms * 1000)
 
     @property
     def measure_warmup_ticks(self) -> int:

@@ -11,8 +11,8 @@ until any card's symbols differ: at BER 0 every card receives the same
 symbols, so row 0 decodes the broadcast stream for all of them, and from
 the first line error on any card every card's row decodes on its own. Links have zero latency,
 as at message level. Time advances in slices of SLICE_CYCLES whole TDM cycles,
-clipped so trigger issue ticks land exactly on slice boundaries (that keeps
-channel A latency accounting identical to the message-level engine).
+clipped at trigger issue ticks (that keeps channel A latency accounting
+identical to the message-level engine) and at the end of a fixed-length run.
 
 Idle time is skipped in closed form. At BER 0, when the last slice carried
 only idle cycles and nothing waits to be sent or built, the next slices
@@ -59,8 +59,6 @@ SLICE_TICKS = SLICE_CYCLES * timebase.TICKS_PER_DOWN_CYCLE
 
 
 class SymbolEngine(System):
-    LINK_FAULTS = {"line_flip": ("link", "direction", "tick"), "link_reset": ("link", "tick")}
-
     def __init__(self, config):
         super().__init__(config)
         # Line interfaces, one row per port: the cards' fanout receivers and
@@ -86,8 +84,6 @@ class SymbolEngine(System):
         self._b_request = None
         self._b_answers: dict = {}
         self._line_flips = [f for f in self.link_faults if f["type"] == "line_flip"]
-        # Resets still to apply; the config's fault list is never written.
-        self._pending_resets = [f for f in self.link_faults if f["type"] == "link_reset"]
         self._queues = (*self.down_tx.queues.values(), *self.up_tx.queues.values())
         self._scanners = (*self.down_rx.scanners.values(), *self.backend_rx.scanners.values())
         # Whether the last slice was whole and carried only idle cycles: every
@@ -98,10 +94,10 @@ class SymbolEngine(System):
 
     def _advance_one_slice(self):
         t0 = self.now
-        t1 = t0 + SLICE_TICKS
         pending = self.trigger_unit.next_issue_tick(t0, self.builder.events_built, len(self.cards))
-        if pending is not None and t0 < pending < t1:
-            t1 = pending  # clip so issue happens exactly on a boundary
+        # Clip so issue happens exactly on a boundary and a run of fixed length ends on time.
+        ends = (t0 + SLICE_TICKS, pending, self.config.run_ticks)
+        t1 = min(end for end in ends if end is not None and end > t0)
         if pending is not None and pending <= t0:
             self._issue_trigger()
         self._apply_link_resets(t0, t1)
@@ -144,7 +140,7 @@ class SymbolEngine(System):
         ):
             return 0
         now = self.now
-        due = [f["tick"] for f in (*self._line_flips, *self._pending_resets) if f["tick"] >= now]
+        due = [f["tick"] for f in self.link_faults if f["tick"] >= now]
         issue = self.trigger_unit.next_issue_tick(now, self.builder.events_built, len(self.cards))
         if issue is not None:
             due.append(issue)
@@ -187,11 +183,11 @@ class SymbolEngine(System):
         return out
 
     def _apply_link_resets(self, t0, t1):
-        for fault in list(self._pending_resets):
-            if t0 <= fault["tick"] < t1:
+        # Slices are contiguous and a skip stops at or before each reset.
+        for fault in self.link_faults:
+            if fault["type"] == "link_reset" and t0 <= fault["tick"] < t1:
                 self.up_tx.reset(fault["link"])
                 self.backend_rx.reset(fault["link"])
-                self._pending_resets.remove(fault)
 
     # -- card side ---------------------------------------------------------------
 

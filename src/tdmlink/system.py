@@ -2,7 +2,8 @@
 
 The back-end, the cards and the transport are the same system whatever the
 links are made of. `System` builds them once and owns the rules that do not
-depend on the link model: fault application, request tokens, the
+depend on the link model: the fault table (`check_fault` checks each fault
+once, when `SimConfig` is built) and fault application, request tokens, the
 event-count flush, the stop test, the end-of-run audit and the measurement
 window. The engines subclass it and supply only how a frame crosses a link
 and how time advances.
@@ -14,18 +15,51 @@ from .backend import BufferPool, DataPump, EventBuilder, PacketMover, TriggerUni
 from .frontend import FrontEndCard
 from .transport import FRAME_OVERHEAD_BYTES, TransportClient, TransportServer
 
-__all__ = ["CARD_FAULTS", "System"]
+__all__ = ["FAULTS", "System", "check_fault"]
 
-# Fault types applied to the cards, each with the keys it needs besides
-# "type" ("soe_skew" may also give "delta", default 1).
-CARD_FAULTS = {"corrupt_fragment": ("link", "event", "channel"), "soe_skew": ("link",)}
+# Each fault type's level ("both" or one abstraction) and its keys besides
+# "type", each with its default (None: required).
+FAULTS = {
+    "corrupt_fragment": ("both", {"link": None, "event": None, "channel": None}),
+    "soe_skew": ("both", {"link": None, "delta": 1}),
+    "drop_packet": ("message_level", {"link": None, "index": None}),
+    "line_flip": ("symbol_level", {"link": None, "direction": None, "tick": None}),
+    "link_reset": ("symbol_level", {"link": None, "tick": None}),
+}
+
+
+def check_fault(fault, config) -> dict:
+    """Check one fault of `config`; returns it with its defaults filled in."""
+    if not isinstance(fault, dict):
+        raise ValueError(f"fault {fault!r} is not a dict")
+    kind = fault.get("type")
+    level, keys = FAULTS[kind] if isinstance(kind, str) and kind in FAULTS else (None, {})
+    if level not in ("both", config.abstraction):
+        raise ValueError(f"fault type {kind!r} not supported at {config.abstraction}")
+    missing = [key for key, default in keys.items() if default is None and key not in fault]
+    if missing:
+        raise ValueError(f"{kind} fault lacks {missing}")
+    extra = sorted(set(fault) - {"type", *keys})
+    if extra:
+        raise ValueError(f"{kind} fault does not take {extra}")
+    checked = {"type": kind, **{key: fault.get(key, default) for key, default in keys.items()}}
+    if checked.get("direction", "up") not in ("up", "down"):
+        raise ValueError(f"line_flip direction {checked['direction']!r} is not 'up' or 'down'")
+    odd = [key for key in keys if key != "direction" and type(checked[key]) is not int]
+    if odd:
+        raise ValueError(f"{kind} fault values {odd} are not whole numbers: {checked}")
+    if not 0 <= checked["link"] < config.num_frontends:
+        raise ValueError(f"{kind} fault names link {checked['link']}, outside the cards")
+    if not 0 <= checked.get("channel", 0) < config.channels_per_event:
+        raise ValueError(f"{kind} fault names channel {checked['channel']}, outside the event's channels")
+    if kind == "soe_skew" and checked["delta"] & 0xFFFFFFFF == 0:  # event numbers are 32-bit
+        raise ValueError(f"soe_skew delta {checked['delta']} skews no event number")
+    if min(checked.get(key, 0) for key in ("event", "index", "tick")) < 0:
+        raise ValueError(f"{kind} fault has a value below 0: {checked}")
+    return checked
 
 
 class System:
-    # Fault types the link model applies itself, with the keys each needs;
-    # every other type outside CARD_FAULTS is rejected.
-    LINK_FAULTS: dict = {}
-
     def __init__(self, config):
         self.config = config
         self.now = 0
@@ -63,15 +97,12 @@ class System:
 
         self.link_faults = []
         for fault in config.faults:
-            kind = fault.get("type")
-            if kind == "corrupt_fragment":
+            if fault["type"] == "corrupt_fragment":
                 self.cards[fault["link"]].corrupt_fragments.add((fault["event"], fault["channel"]))
-            elif kind == "soe_skew":
-                self.cards[fault["link"]].event_number_offset = fault.get("delta", 1)
-            elif kind in self.LINK_FAULTS:
-                self.link_faults.append(fault)
+            elif fault["type"] == "soe_skew":
+                self.cards[fault["link"]].event_number_offset = fault["delta"]
             else:
-                raise ValueError(f"fault type {kind!r} not supported at {config.abstraction}")
+                self.link_faults.append(fault)
 
         self.measure_start_tick = 0
         self._payload_snapshot = {}

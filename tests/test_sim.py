@@ -174,6 +174,88 @@ class TestConfig:
         with pytest.raises(ValueError, match=match):
             small_scenario(abstraction, faults=[fault])
 
+    @pytest.mark.parametrize(
+        "abstraction, fault, match",
+        [
+            # Ticks that are not whole numbers used to raise out of the run.
+            ("symbol_level", {"type": "line_flip", "link": 0, "direction": "up", "tick": 170_000.5},
+             "whole number"),
+            ("symbol_level", {"type": "line_flip", "link": 0, "direction": "down", "tick": 160_001.0},
+             "whole number"),
+            ("symbol_level", {"type": "link_reset", "link": 0, "tick": 170_000.5}, "whole number"),
+            ("symbol_level", {"type": "link_reset", "link": 0, "tick": 160_001.0}, "whole number"),
+            ("symbol_level", {"type": "link_reset", "link": 0, "tick": "170000"}, "whole number"),
+            ("message_level", {"type": "soe_skew", "link": 0, "delta": "1"}, "whole number"),
+            ("message_level", {"type": "drop_packet", "link": True, "index": 0}, "whole number"),
+            ("message_level", {"type": "corrupt_fragment", "link": 0, "event": 2, "channel": 1.0},
+             "whole number"),
+            # Values that used to run as if there were no fault.
+            ("symbol_level", {"type": "line_flip", "link": 0, "direction": "up", "tick": -1024},
+             "below 0"),
+            ("symbol_level", {"type": "link_reset", "link": 1, "tick": -1}, "below 0"),
+            ("message_level", {"type": "drop_packet", "link": 1, "index": -1}, "below 0"),
+            ("message_level", {"type": "corrupt_fragment", "link": 1, "event": -2, "channel": 1},
+             "below 0"),
+            ("message_level", {"type": "soe_skew", "link": 0, "delta": 0}, "skews no event"),
+            ("symbol_level", {"type": "soe_skew", "link": 0, "delta": 1 << 32}, "skews no event"),
+            ("message_level", {"type": "corrupt_fragment", "link": 1, "event": 2, "channel": 99},
+             "outside the event's channels"),
+            ("symbol_level", {"type": "corrupt_fragment", "link": 1, "event": 2, "channel": 3},
+             "outside the event's channels"),
+        ],
+    )
+    def test_fault_value_that_would_raise_or_be_ignored_rejected(self, abstraction, fault, match):
+        with pytest.raises(ValueError, match=match):
+            small_scenario(abstraction, faults=[fault])
+
+    @pytest.mark.parametrize(
+        "abstraction, faults",
+        [
+            # A second skew of a link would override the first.
+            ("message_level", [{"type": "soe_skew", "link": 1}, {"type": "soe_skew", "link": 1, "delta": 2}]),
+            ("symbol_level", [{"type": "soe_skew", "link": 0, "delta": 1}, {"type": "soe_skew", "link": 0}]),
+            # Two equal line flips would cancel.
+            ("symbol_level", [
+                {"type": "line_flip", "link": 0, "direction": "up", "tick": 600_000},
+                {"type": "link_reset", "link": 1, "tick": 600_000},
+                {"type": "line_flip", "tick": 600_000, "direction": "up", "link": 0},
+            ]),
+        ],
+    )
+    def test_faults_that_override_or_cancel_each_other_rejected(self, abstraction, faults):
+        with pytest.raises(ValueError, match="override or cancel"):
+            small_scenario(abstraction, faults=faults)
+
+    def test_faults_that_neither_override_nor_cancel_accepted(self):
+        small_scenario("symbol_level", faults=[
+            {"type": "soe_skew", "link": 0}, {"type": "soe_skew", "link": 1, "delta": -3},
+            {"type": "line_flip", "link": 0, "direction": "up", "tick": 600_000},
+            {"type": "line_flip", "link": 0, "direction": "down", "tick": 600_000},
+            {"type": "line_flip", "link": 1, "direction": "up", "tick": 600_000},
+            {"type": "line_flip", "link": 0, "direction": "up", "tick": 600_002},
+        ])
+
+    @pytest.mark.parametrize("abstraction, faults", [
+        ("message_level", [
+            {"type": "corrupt_fragment", "link": 1, "event": 2, "channel": 1},
+            {"type": "soe_skew", "link": 0},
+            {"type": "drop_packet", "link": 1, "index": 5},
+        ]),
+        ("symbol_level", [
+            {"type": "corrupt_fragment", "link": 1, "event": 2, "channel": 2},
+            {"type": "soe_skew", "link": 1, "delta": -1},
+            {"type": "line_flip", "link": 0, "direction": "down", "tick": 600_000},
+            {"type": "link_reset", "link": 1, "tick": 700_000},
+        ]),
+    ])
+    def test_json_round_trip_with_every_fault_type(self, abstraction, faults):
+        cfg = small_scenario(abstraction, faults=faults)
+        assert SimConfig.from_json(json.dumps(cfg.to_dict())) == cfg
+
+    def test_fault_key_left_out_takes_its_default(self):
+        cfg = small_scenario("message_level", faults=[{"type": "soe_skew", "link": 0}])
+        assert cfg.faults == [{"type": "soe_skew", "link": 0, "delta": 1}]
+
     def test_warmup_rejected_at_symbol_level(self):
         with pytest.raises(ValueError, match="warm-up"):
             small_scenario("symbol_level", run_ms=1.2, warmup_ms=0.5)
@@ -307,6 +389,50 @@ class TestReadoutMode:
         assert res.metrics.violations == []
 
 
+# Each fault type's keys besides "type" and the levels that apply it, as
+# the README gives them.
+FAULT_KEYS = {
+    "corrupt_fragment": (("link", "event", "channel"), ("message_level", "symbol_level")),
+    "soe_skew": (("link", "delta"), ("message_level", "symbol_level")),
+    "drop_packet": (("link", "index"), ("message_level",)),
+    "line_flip": (("link", "direction", "tick"), ("symbol_level",)),
+    "link_reset": (("link", "tick"), ("symbol_level",)),
+}
+
+# Anything a JSON config can hold in a fault's value.
+ANY_VALUE = st.one_of(
+    st.integers(-(1 << 40), 1 << 40), st.floats(), st.sampled_from([170_000.5, 160_001.0]),
+    st.text(max_size=6), st.sampled_from(["up", "down"]), st.booleans(), st.none(),
+)
+
+
+@st.composite
+def drawn_faults(draw, cards, abstraction):
+    """A fault dict, mostly of a type the level applies, with most values
+    plausible for a 2-channel plan on `cards` cards whose data taking starts
+    at tick 120,000 and some of any kind; a key is sometimes left out or one
+    added."""
+    applied = [kind for kind, (_, levels) in FAULT_KEYS.items() if abstraction in levels]
+    kind = draw(st.sampled_from(applied) if draw(st.integers(0, 9)) else st.sampled_from(
+        [*FAULT_KEYS, "meteor_strike"]))
+    plausible = {
+        "link": st.integers(0, cards - 1),
+        "event": st.integers(0, 3),
+        "channel": st.integers(0, 2),
+        "index": st.integers(0, 8),
+        "delta": st.integers(-2, 2),
+        "direction": st.sampled_from(["up", "down"]),
+        "tick": st.integers(0, 250_000),
+    }
+    fault = {"type": kind}
+    for key in FAULT_KEYS.get(kind, ((),))[0]:
+        if draw(st.integers(0, 19)):  # left out one time in twenty
+            fault[key] = draw(ANY_VALUE if draw(st.integers(0, 7)) == 0 else plausible[key])
+    if draw(st.integers(0, 19)) == 0:
+        fault[draw(st.sampled_from([*plausible, "bogus"]))] = draw(ANY_VALUE)
+    return fault
+
+
 class TestFaultInjection:
     def test_corrupt_fragment_one_incomplete_event(self):
         cfg = small_scenario(
@@ -414,6 +540,46 @@ class TestFaultInjection:
     def test_unknown_fault_type_rejected(self, abstraction, kind):
         with pytest.raises(ValueError, match="not supported"):
             run_scenario(small_scenario(abstraction, faults=[{"type": kind}]))
+
+    @pytest.mark.parametrize("abstraction, faults", [
+        ("message_level", [
+            {"type": "corrupt_fragment", "link": 1, "event": 1, "channel": 0},
+            {"type": "soe_skew", "link": 1},
+            {"type": "drop_packet", "link": 0, "index": 2},
+        ]),
+        ("symbol_level", [
+            {"type": "corrupt_fragment", "link": 1, "event": 1, "channel": 0},
+            {"type": "soe_skew", "link": 1},
+            {"type": "line_flip", "link": 0, "direction": "up", "tick": 441_000},
+            {"type": "link_reset", "link": 1, "tick": 440_000},
+        ]),
+    ])
+    def test_run_leaves_a_config_with_every_fault_type_unchanged(self, abstraction, faults):
+        cfg = small_scenario(abstraction, trigger_count=3, faults=faults)
+        before = cfg.to_dict()
+        first = run_scenario(cfg)
+        assert cfg.to_dict() == before
+        assert run_scenario(cfg).metrics.to_json_lines() == first.metrics.to_json_lines()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_fault_applied_or_rejected_never_raised_mid_run(self, data):
+        cards = data.draw(st.integers(1, 2), label="cards")
+        abstraction = data.draw(st.sampled_from(["message_level", "symbol_level"]), label="abstraction")
+        faults = data.draw(st.lists(drawn_faults(cards, abstraction), min_size=1, max_size=2), label="faults")
+        run_ms = data.draw(st.sampled_from([None, 0.6]), label="run_ms")
+        try:
+            cfg = SimConfig(
+                num_frontends=cards, seed=3, abstraction=abstraction, trigger_mode="periodic",
+                trigger_count=2, trigger_period_us=100.0, trigger_start_us=300.0,
+                channels_per_event=2, words_per_channel=4, run_ms=run_ms, faults=faults,
+            )
+        except ValueError:
+            return
+        before = cfg.to_dict()
+        res = run_scenario(cfg)
+        assert res.engine.pool.audit()
+        assert cfg.to_dict() == before
 
 
 def run_counting(cfg, method):
@@ -545,6 +711,32 @@ class TestQuietSlices:
         assert len(slices) < 300
         for name in ("elapsed_ticks", "throughput_MB_s", "event_rate_hz"):
             assert getattr(res_m.metrics, name) == getattr(res_s.metrics, name)
+
+
+class TestRunLength:
+    """A run of fixed length ends at `run_ticks`, at both levels."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        cards=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+        start_us=st.integers(200, 500),
+        count=st.integers(1, 3),
+        period_us=st.integers(40, 300),
+        run_us=st.floats(0.0, 1000.0),
+    )
+    def test_fixed_length_run_ends_at_run_ticks(self, cards, seed, start_us, count, period_us, run_us):
+        kw = dict(
+            num_frontends=cards, seed=seed, trigger_count=count, trigger_start_us=float(start_us),
+            trigger_period_us=float(period_us), run_ms=(start_us + run_us) / 1000,
+        )
+        res_m = run_scenario(small_scenario("message_level", **kw))
+        res_s = run_scenario(small_scenario("symbol_level", **kw))
+        run_ticks = res_m.config.run_ticks
+        assert run_ticks % 16 == 0  # whole TDM cycles
+        assert -1 < run_ticks - (start_us + run_us) * 400 < 17  # rounded up to the next cycle
+        assert res_m.metrics.elapsed_ticks == run_ticks
+        assert res_s.metrics.elapsed_ticks == run_ticks
 
 
 def line_error_scenario(**overrides):
