@@ -1,6 +1,6 @@
 """Back-end data path: per-link DataPumps with request tokens, the
-round-robin EventBuilder with consistency checks, the PacketMover writing
-into pooled 8 KB buffers, the bootstrap sequencer and trigger control.
+EventBuilder (one round-robin rotation, consistency checks), the PacketMover
+writing into pooled 8 KB buffers, the bootstrap sequencer and trigger control.
 
 Buffer contents are framed as records so the DAQ client can recover event
 boundaries and per-link provenance: each record is a 16-bit tag word
@@ -250,15 +250,20 @@ class PacketMover:
 
 
 class EventBuilder:
-    """Assembles one event at a time from all active links.
+    """Assembles one event at a time from all active links, served in one
+    blocking round-robin rotation (the builder waits for the link whose turn
+    it is), which makes the output byte stream a pure function of the
+    packet contents.
 
-    The first packet of each link must carry SOE; event number and timestamp
-    must agree across links or the builder halts (terminal until operator
-    reset). Fragments are CRC-checked on unload: valid ones are forwarded
-    unmodified, corrupt ones are deleted and the event is flagged incomplete.
-    Links are served in a fixed round-robin order (the builder waits for the
-    link whose turn it is), which makes the output byte stream a pure
-    function of the packet contents.
+    In AWAIT_SOE the rotation holds every active link and a link leaves
+    after its first packet, which must carry SOE with the event number and
+    timestamp of the other links, or the builder halts (terminal until
+    operator reset). In BODY it holds the links whose first packet was not
+    EOE and a link leaves after its EOE packet. An emptied rotation emits
+    the event header and the held-back SOE packets in link order, or the
+    global EOE. Fragments are CRC-checked on unload: valid ones are
+    forwarded unmodified, corrupt ones are deleted and the event is flagged
+    incomplete.
     """
 
     AWAIT_SOE = "await_soe"
@@ -275,18 +280,15 @@ class EventBuilder:
         self.events_built = 0
         self.events_incomplete = 0
         self.counters: dict[int, LinkCounters] = {l: LinkCounters() for l in self.active_links}
+        # Links the phase still awaits a packet from, in round-robin order.
+        self._rotation = list(self.active_links)
         self._turn = 0
+        # Links whose first packet was not EOE: the body phase's rotation.
+        self._body: list[int] = []
         self._soe_records: list[tuple[int, bytes]] = []
         self._event_incomplete = False
-        # Links still owing body packets this event, in round-robin order;
-        # a link leaves when it delivers its EOE packet.
-        self._body: list[int] = []
         # Records accepted but not yet written to a buffer (mover stalled).
         self._pending: deque[tuple[int, bytes, bool]] = deque()
-
-    def _halt(self, reason: str):
-        self.phase = self.HALTED
-        self.halt_reason = reason
 
     def _emit(self, tag: int, data: bytes):
         self._pending.append((tag, data, self._event_incomplete))
@@ -306,115 +308,91 @@ class EventBuilder:
             return False
         if not self._drain():
             return False  # no free buffers: backpressure, consume nothing
-        if self.phase == self.AWAIT_SOE:
-            return self._step_await_soe(pumps)
-        return self._step_body(pumps)
+        if not self._rotation:
+            self._next_phase()
+            return True
+        link = self._rotation[self._turn]
+        pump = pumps[link]
+        if pump.peek() is None:
+            return False
+        data = pump.unload()
+        packet = FragmentPacket.deserialize(data)
+        first = self.phase == self.AWAIT_SOE
+        if first and packet.crc_ok:
+            reason = self._soe_fault(link, packet)
+            if reason is not None:
+                self.phase = self.HALTED
+                self.halt_reason = reason
+                return False
+        if first or packet.eoe:
+            # The link leaves the rotation; the next link slides into this
+            # turn index, so only wrap-around needs handling.
+            del self._rotation[self._turn]
+            if self._turn >= len(self._rotation):
+                self._turn = 0
+        else:
+            self._turn = (self._turn + 1) % len(self._rotation)
+        if first and not packet.eoe:
+            self._body.append(link)
+        if not packet.crc_ok:
+            # Deleted, not retransmitted; the event ships incomplete. A first
+            # packet counts as the link's SOE with unknown values.
+            self.counters[link].crc_drops += 1
+            self._event_incomplete = True
+        else:
+            self.counters[link].packets += 1
+            self.counters[link].payload_bytes += packet.size_bytes
+            if first:
+                self._soe_records.append((link, data))
+            else:
+                self._emit(RECORD_FRAGMENT_BASE + link, data)
+        return True
 
     def run(self, pumps: dict[int, DataPump]):
         while self.step(pumps):
             pass
 
-    # -- AwaitSOE phase ------------------------------------------------------
-
-    def _step_await_soe(self, pumps: dict[int, DataPump]) -> bool:
-        link = self.active_links[self._turn]
-        pump = pumps[link]
-        if pump.peek() is None:
-            return False
-        data = pump.unload()
-        packet = FragmentPacket.deserialize(data)
-        if not packet.crc_ok:
-            # Unusable first packet: drop it, flag the event, treat the link
-            # as having delivered its SOE with unknown values.
-            self.counters[link].crc_drops += 1
-            self._event_incomplete = True
-            if not packet.eoe:
-                self._body.append(link)
-            self._advance_await(pumps, link, None)
-            return True
+    def _soe_fault(self, link: int, packet: FragmentPacket) -> str | None:
+        """Why an intact first packet cannot open the event, else None. The
+        first SOE packet sets the event's number and timestamp."""
         if not packet.soe:
-            self._halt(f"link {link}: first packet of event lacks SOE")
-            return False
+            return f"link {link}: first packet of event lacks SOE"
         if self.current_event_number is None:
-            self.current_event_number = packet.event_number
-            self.current_timestamp = packet.timestamp
-        elif (packet.event_number, packet.timestamp) != (
-            self.current_event_number,
-            self.current_timestamp,
-        ):
-            self._halt(
+            self.current_event_number, self.current_timestamp = packet.event_number, packet.timestamp
+        if (packet.event_number, packet.timestamp) != (self.current_event_number, self.current_timestamp):
+            return (
                 "start-of-event mismatch: "
                 f"link {link} reports event {packet.event_number}/ts {packet.timestamp}, "
                 f"expected {self.current_event_number}/ts {self.current_timestamp}"
             )
-            return False
-        if not packet.eoe:
-            self._body.append(link)
-        self.counters[link].packets += 1
-        self.counters[link].payload_bytes += packet.size_bytes
-        self._advance_await(pumps, link, data)
-        return True
+        return None
 
-    def _advance_await(self, pumps, link: int, soe_record: bytes | None):
-        if soe_record is not None:
-            self._soe_records.append((link, soe_record))
-        self._turn += 1
-        if self._turn < len(self.active_links):
-            return
-        # All active links delivered their first packet: emit the event
-        # header, then the SOE packets in link order, then enter Body.
-        number = self.current_event_number if self.current_event_number is not None else 0xFFFFFFFF
-        ts = self.current_timestamp if self.current_timestamp is not None else 0
-        header = FragmentPacket.build(True, False, FragmentPacket.event_header_bytes(number, ts))
-        self._emit(RECORD_EVENT_HEADER, header.serialize())
-        for l, rec in self._soe_records:
-            self._emit(RECORD_FRAGMENT_BASE + l, rec)
-        self._soe_records = []
-        self.phase = self.BODY
-        self._turn = 0
-
-    # -- Body phase -----------------------------------------------------------
-
-    def _step_body(self, pumps: dict[int, DataPump]) -> bool:
-        remaining = self._body
-        if not remaining:
-            return self._finish_event()
-        link = remaining[self._turn]
-        pump = pumps[link]
-        if pump.peek() is None:
-            return False
-        data = pump.unload()
-        packet = FragmentPacket.deserialize(data)
-        if packet.eoe:
-            # The link leaves the rotation; the next link slides into this
-            # turn index, so only wrap-around needs handling.
-            del remaining[self._turn]
-            if self._turn >= len(remaining):
-                self._turn = 0
+    def _next_phase(self):
+        """The rotation emptied. After AWAIT_SOE, emit the event header and
+        the SOE packets in link order and serve the body; after BODY, emit
+        the global EOE and await the next event."""
+        if self.phase == self.AWAIT_SOE:
+            number = self.current_event_number if self.current_event_number is not None else 0xFFFFFFFF
+            ts = self.current_timestamp if self.current_timestamp is not None else 0
+            header = FragmentPacket.build(True, False, FragmentPacket.event_header_bytes(number, ts))
+            self._emit(RECORD_EVENT_HEADER, header.serialize())
+            for link, rec in self._soe_records:
+                self._emit(RECORD_FRAGMENT_BASE + link, rec)
+            self._soe_records = []
+            self.phase = self.BODY
+            self._rotation, self._body = self._body, []
         else:
-            self._turn = (self._turn + 1) % len(remaining)
-        if not packet.crc_ok:
-            # Deleted, not retransmitted; the event ships incomplete.
-            self.counters[link].crc_drops += 1
-            self._event_incomplete = True
-            return True
-        self.counters[link].packets += 1
-        self.counters[link].payload_bytes += packet.size_bytes
-        self._emit(RECORD_FRAGMENT_BASE + link, data)
-        return True
-
-    def _finish_event(self) -> bool:
-        tag = RECORD_GLOBAL_EOE_INCOMPLETE if self._event_incomplete else RECORD_GLOBAL_EOE
-        self._emit(tag, EOE_TRAILER)
-        self.events_built += 1
-        if self._event_incomplete:
-            self.events_incomplete += 1
-        self.phase = self.AWAIT_SOE
-        self.current_event_number = None
-        self.current_timestamp = None
-        self._event_incomplete = False
+            tag = RECORD_GLOBAL_EOE_INCOMPLETE if self._event_incomplete else RECORD_GLOBAL_EOE
+            self._emit(tag, EOE_TRAILER)
+            self.events_built += 1
+            if self._event_incomplete:
+                self.events_incomplete += 1
+            self.phase = self.AWAIT_SOE
+            self.current_event_number = None
+            self.current_timestamp = None
+            self._event_incomplete = False
+            self._rotation = list(self.active_links)
         self._turn = 0
-        return True
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import heapq
 
 from . import timebase
 from .backend import untimed_exchange
-from .messages import CHANNEL_C_REQUEST_BITS, ChannelAMessageDown, ChannelCRequest
+from .messages import CHANNEL_A_FRAME_BITS, CHANNEL_C_REQUEST_BITS, ChannelAMessageDown, ChannelCRequest
 from .system import System
 from .transport import FLAG_FIRST_OF_BURST, FRAME_OVERHEAD_BYTES, CreditGrant
 
@@ -24,7 +24,7 @@ __all__ = ["MessageEngine"]
 # Register traffic (channel B) is exchanged untimed during bootstrap, before
 # data taking, so only A, C-down and the return links need pacing here.
 DOWN_C_FRAME_TICKS = CHANNEL_C_REQUEST_BITS * timebase.DOWN_TICKS_PER_CHANNEL_BIT["C"]
-UP_A_FRAME_TICKS = 10 * timebase.UP_TICKS_PER_CHANNEL_BIT["A"]
+UP_A_FRAME_TICKS = CHANNEL_A_FRAME_BITS * timebase.UP_TICKS_PER_CHANNEL_BIT["A"]
 
 
 def _up_c_packet_ticks(nbytes: int) -> int:
@@ -115,7 +115,7 @@ class MessageEngine(System):
         # Align to the TDM cycle; the A queue is drained cycle by cycle.
         issue = -(-self.now // timebase.TICKS_PER_DOWN_CYCLE) * timebase.TICKS_PER_DOWN_CYCLE
         k_start = max(self._next_a_bit, 2 * (issue // timebase.TICKS_PER_DOWN_CYCLE))
-        self._next_a_bit = k_start + 10
+        self._next_a_bit = k_start + CHANNEL_A_FRAME_BITS
         arrival = timebase.down_a_frame_arrival_tick(k_start)
         self.trigger_unit.on_issued()
         msg = ChannelAMessageDown(sampling_stop=True)

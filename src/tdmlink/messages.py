@@ -53,10 +53,6 @@ __all__ = [
     "decode_channel_c_request",
 ]
 
-CHANNEL_A_FRAME_BITS = 10
-CHANNEL_B_FRAME_BITS = 64
-CHANNEL_C_REQUEST_BITS = 42
-
 OPCODE_SEND_NEXT_PACKET = 0x01
 
 # Largest fragment packet on the wire: header word + payload + CRC-32.
@@ -93,10 +89,12 @@ class _Frame:
 
     LAYOUT: ClassVar[tuple] = ()
     PAYLOAD_BITS: ClassVar[int] = 0
+    FRAME_BITS: ClassVar[int] = 2
 
     def __init_subclass__(cls):
         super().__init_subclass__()
         cls.PAYLOAD_BITS = sum(width for _, width in cls.LAYOUT)
+        cls.FRAME_BITS = cls.PAYLOAD_BITS + 2
 
     def __post_init__(self):
         for name, width in self.LAYOUT:
@@ -108,7 +106,7 @@ class _Frame:
         payload = 0
         for name, width in self.LAYOUT:
             payload = payload << width | (int(getattr(self, name)) if name else 0)
-        nbits = self.PAYLOAD_BITS + 2
+        nbits = self.FRAME_BITS
         frame = (1 << self.PAYLOAD_BITS | payload) << 1 | payload.bit_count() & 1
         nbytes = -(-nbits // 8)
         data = (frame << (8 * nbytes - nbits)).to_bytes(nbytes, "big")
@@ -119,7 +117,7 @@ class _Frame:
         """Message of one frame; raises ParityError when the parity bit
         disagrees and MessageFormatError for a malformed frame."""
         bits = as_bits(bits)
-        nbits = cls.PAYLOAD_BITS + 2
+        nbits = cls.FRAME_BITS
         if len(bits) != nbits:
             raise MessageFormatError(f"frame is {len(bits)} bits, expected {nbits}")
         if bits[0] != 1:
@@ -245,6 +243,13 @@ def encode_channel_c_request(req: ChannelCRequest) -> BitArray:
 
 def decode_channel_c_request(bits) -> ChannelCRequest:
     return ChannelCRequest.decode(bits)
+
+
+# Frame lengths on the line, start and parity bits included; a channel A
+# frame is as long in either direction.
+CHANNEL_A_FRAME_BITS = ChannelAMessageDown.FRAME_BITS
+CHANNEL_B_FRAME_BITS = ChannelBTransaction.FRAME_BITS
+CHANNEL_C_REQUEST_BITS = ChannelCRequest.FRAME_BITS
 
 
 # ---------------------------------------------------------------------------

@@ -209,7 +209,6 @@ class Metrics:
     seed: int
     num_frontends: int
     elapsed_ticks: int
-    measured_ticks: int
     triggers_issued: int
     events_built: int
     events_incomplete: int
@@ -226,9 +225,8 @@ class Metrics:
 
     def to_json_lines(self) -> str:
         """Machine-readable diagnostics, one JSON object per line."""
-        # client, per_link and bootstrap get lines of their own; measured_ticks is not reported.
-        run = {k: v for k, v in asdict(self).items()
-               if k not in ("measured_ticks", "client", "per_link", "bootstrap")}
+        # client, per_link and bootstrap get lines of their own.
+        run = {k: v for k, v in asdict(self).items() if k not in ("client", "per_link", "bootstrap")}
         run.update(kind="run", event_rate_hz=round(self.event_rate_hz, 6),
                    throughput_MB_s=round(self.throughput_MB_s, 6))
         lines = [
@@ -266,10 +264,9 @@ def run_scenario(config: SimConfig) -> ScenarioResult:
 
     builder = engine.builder
     client_stats = asdict(engine.client.stats)
-    measured_ticks = engine.measured_ticks()
     payload = engine.measured_client_payload()
     link_payload = engine.measured_link_payload()
-    seconds = measured_ticks * timebase.TICK_SECONDS
+    seconds = engine.measured_ticks() * timebase.TICK_SECONDS
     per_link = {}
     for port, counters in builder.counters.items():
         pump = engine.pumps[port]
@@ -289,7 +286,6 @@ def run_scenario(config: SimConfig) -> ScenarioResult:
         seed=config.seed,
         num_frontends=config.num_frontends,
         elapsed_ticks=engine.now,
-        measured_ticks=measured_ticks,
         triggers_issued=engine.trigger_unit.issued,
         events_built=builder.events_built,
         events_incomplete=builder.events_incomplete,

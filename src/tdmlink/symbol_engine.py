@@ -252,7 +252,7 @@ class SymbolEngine(System):
             frame, desc = out
             self.client.receive(frame.serialize())
             self.pool.release(desc)
-            self.builder.run(self.pumps)
+            self._build()
 
     def _issue_trigger(self):
         self.down_tx.enqueue("A", encode_channel_a(ChannelAMessageDown(sampling_stop=True)))
@@ -294,7 +294,7 @@ class SymbolEngine(System):
             )
         max_ticks = self.config.run_ticks
         idle_slices = 0
-        while True:
+        while max_ticks is None or self.now < max_ticks:
             before = self._progress_state()
             slices = self._quiet_slices(None if max_ticks is not None else 2001 - idle_slices)
             if slices:
@@ -303,8 +303,6 @@ class SymbolEngine(System):
                 self._advance_one_slice()
                 slices = 1
             if max_ticks is not None:
-                if self.now >= max_ticks:
-                    break
                 continue
             if self._plan_delivered() or self.builder.halt_reason is not None:
                 break

@@ -14,13 +14,12 @@ event data.
 
 from __future__ import annotations
 
+from .messages import CHANNEL_A_FRAME_BITS
+
 TICK_SECONDS = 2.5e-9
 
 TICKS_PER_DOWN_SYMBOL = 2
-TICKS_PER_DOWN_BIT = 4
 TICKS_PER_DOWN_CYCLE = 16
-TICKS_PER_UP_BIT = 1
-TICKS_PER_UP_CYCLE = 4
 TICKS_PER_TIMESTAMP_COUNT = 4  # 100 MHz
 
 # Logical data rates of the three downstream / upstream channels, in ticks
@@ -38,9 +37,9 @@ def down_a_bit_end_tick(k: int) -> int:
     return TICKS_PER_DOWN_CYCLE * (k // 2) + 8 * (k % 2) + 4
 
 
-def down_a_frame_arrival_tick(first_bit_index: int, frame_bits: int = 10) -> int:
+def down_a_frame_arrival_tick(first_bit_index: int) -> int:
     """Arrival (last line bit) of an A frame starting at A-bit index k."""
-    return down_a_bit_end_tick(first_bit_index + frame_bits - 1)
+    return down_a_bit_end_tick(first_bit_index + CHANNEL_A_FRAME_BITS - 1)
 
 
 def timestamp_at(tick: int) -> int:

@@ -1,7 +1,11 @@
 """Back-end data path: pumps, mover, event builder, bootstrap, triggers."""
 
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdmlink import backend as be
 from tdmlink import frontend as fe
@@ -327,6 +331,159 @@ class TestEventBuilder:
         assert builder.events_built == 1
         body = [t for t, _ in collected if be.record_tag_link(t) is not None]
         assert len(body) == 8  # 4 channels x 2 links, nothing lost
+        assert pool.audit()
+
+
+@st.composite
+def link_streams(draw):
+    """Packets of 1-6 links over 1-4 events, 1-4 per link and event, SOE on
+    a link's first packet of an event and EOE on its last. Some CRCs are
+    broken, and a first packet sometimes lacks SOE or reports a skewed event
+    number or timestamp."""
+    streams = {}
+    events = draw(st.integers(1, 4))
+    for link in range(draw(st.integers(1, 6))):
+        packets = []
+        for event in range(events):
+            count = draw(st.integers(1, 4))
+            for i in range(count):
+                payload = draw(st.binary(min_size=4, max_size=4)) * draw(st.integers(0, 3))
+                soe = i == 0
+                if soe:
+                    fault = draw(st.integers(0, 19))
+                    soe = fault != 0
+                    number = event + (fault == 1)
+                    timestamp = 250 * event + (fault == 2)
+                    payload = m.FragmentPacket.event_header_bytes(number, timestamp) + payload
+                data = m.FragmentPacket.build(soe, i == count - 1, payload).serialize()
+                if draw(st.integers(0, 5)) == 0:
+                    data = data[:-1] + bytes([data[-1] ^ 1])  # the CRC no longer holds
+                packets.append(data)
+        streams[link] = packets
+    return streams
+
+
+def reference_build(streams):
+    """Record stream, counters, events built and incomplete, and halt reason
+    of one builder that serves the links in blocking round-robin: first
+    packets in link order, then the rest of the event until each link's
+    EOE, one packet per link per round."""
+    queues = {link: deque(packets) for link, packets in sorted(streams.items())}
+    counters = {link: be.LinkCounters() for link in queues}
+    records = []
+    built = incomplete = 0
+
+    def take(link):
+        data = queues[link].popleft()
+        return data, m.FragmentPacket.deserialize(data)
+
+    def count(link, packet):
+        if packet.crc_ok:
+            counters[link].packets += 1
+            counters[link].payload_bytes += packet.size_bytes
+        else:
+            counters[link].crc_drops += 1
+        return packet.crc_ok
+
+    # The streams hold whole events, so the builder can block only where
+    # every queue is empty: between events.
+    while all(queues.values()):
+        number = timestamp = None
+        soe_records, body, flagged = [], [], False
+        for link in queues:
+            data, packet = take(link)
+            if packet.crc_ok:
+                if not packet.soe:
+                    return records, counters, built, incomplete, f"link {link}: first packet of event lacks SOE"
+                if number is None:
+                    number, timestamp = packet.event_number, packet.timestamp
+                if (packet.event_number, packet.timestamp) != (number, timestamp):
+                    return records, counters, built, incomplete, (
+                        "start-of-event mismatch: "
+                        f"link {link} reports event {packet.event_number}/ts {packet.timestamp}, "
+                        f"expected {number}/ts {timestamp}"
+                    )
+            if count(link, packet):
+                soe_records.append((be.RECORD_FRAGMENT_BASE + link, data))
+            else:
+                flagged = True
+            if not packet.eoe:
+                body.append(link)
+        header = m.FragmentPacket.event_header_bytes(
+            0xFFFFFFFF if number is None else number, timestamp or 0)
+        records.append((be.RECORD_EVENT_HEADER, m.FragmentPacket.build(True, False, header).serialize()))
+        records.extend(soe_records)
+        while body:
+            for link in list(body):
+                data, packet = take(link)
+                if count(link, packet):
+                    records.append((be.RECORD_FRAGMENT_BASE + link, data))
+                else:
+                    flagged = True
+                if packet.eoe:
+                    body.remove(link)
+        records.append((be.RECORD_GLOBAL_EOE_INCOMPLETE if flagged else be.RECORD_GLOBAL_EOE, be.EOE_TRAILER))
+        built += 1
+        incomplete += flagged
+    return records, counters, built, incomplete, None
+
+
+class TestEventBuilderModel:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        streams=link_streams(),
+        buffers=st.integers(1, 3),
+        capacity=st.integers(40, 160),
+        actions=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 5)), max_size=120),
+    )
+    def test_builder_matches_blocking_round_robin_model(self, streams, buffers, capacity, actions):
+        # Packets arrive one request at a time per link, the builder steps,
+        # and a fake sender drains filled buffers, in a drawn order; a small
+        # pool makes the mover stall. Then everything is drained.
+        pool = be.BufferPool(size=buffers, capacity=capacity, header_reserve=0)
+        mover = be.PacketMover(pool)
+        builder = be.EventBuilder(list(streams), mover)
+        queues = {link: deque(packets) for link, packets in streams.items()}
+        pumps = {link: be.DataPump() for link in streams}
+        for pump in pumps.values():
+            pump.enabled = True
+        sent = []
+
+        def deliver(link):
+            if queues[link] and pumps[link].wants_request():
+                pumps[link].request_posted()
+                pumps[link].on_packet(queues[link].popleft())
+                return True
+            return False
+
+        def send():
+            desc = pool.pop_filled()
+            if desc is None:
+                return False
+            sent.append(bytes(desc.payload))
+            pool.release(desc)
+            return True
+
+        for kind, link in actions:
+            if kind == 0:
+                deliver(link % len(streams))
+            elif kind == 1:
+                builder.step(pumps)
+            else:
+                send()
+        while True:
+            moved = [deliver(link) for link in streams]
+            builder.run(pumps)
+            mover.flush()
+            drained = [send() for _ in range(buffers)]
+            if not any(moved) and not any(drained):
+                break
+
+        records, counters, built, incomplete, halt = reference_build(streams)
+        assert b"".join(sent) == b"".join(tag.to_bytes(2, "big") + data for tag, data in records)
+        assert builder.counters == counters
+        assert (builder.events_built, builder.events_incomplete) == (built, incomplete)
+        assert builder.halt_reason == halt
         assert pool.audit()
 
 

@@ -1,4 +1,5 @@
-"""The benchmark's layer tracer still finds every boundary it reports on."""
+"""The benchmark's layer tracer still finds every boundary it reports on, and
+every benchmark workload passes its own check."""
 
 from pathlib import Path
 
@@ -29,3 +30,15 @@ def test_traced_symbol_scenario_reaches_every_layer_boundary(monkeypatch):
     rows = layers.derive(tracer, {"model_error_pct": 0.0, "overhead_pct": 0.0})
     assert set(rows) == set(layers.NAMES)
     assert tracer.stat("wire.manchester_decode").calls > 0
+
+
+def test_every_workload_passes_its_own_check(monkeypatch):
+    # The check holds the pins of expected.json for each default seed.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    problems = {}
+    for name, workload in workloads.WORKLOADS.items():
+        inputs = workload.prepare(workload.default_seed)
+        problems[name] = workload.check(inputs, workload.run(inputs), workload.default_seed)
+    assert problems == {name: [] for name in workloads.WORKLOADS}

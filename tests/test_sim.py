@@ -714,7 +714,8 @@ class TestQuietSlices:
 
 
 class TestRunLength:
-    """A run of fixed length ends at `run_ticks`, at both levels."""
+    """A run of fixed length ends at `run_ticks`, at both levels, or at the
+    symbol level with bootstrap if that ends later."""
 
     @settings(max_examples=12, deadline=None)
     @given(
@@ -737,6 +738,21 @@ class TestRunLength:
         assert -1 < run_ticks - (start_us + run_us) * 400 < 17  # rounded up to the next cycle
         assert res_m.metrics.elapsed_ticks == run_ticks
         assert res_s.metrics.elapsed_ticks == run_ticks
+
+    def test_symbol_level_run_ending_before_bootstrap_ends_with_it(self):
+        # Bootstrap is never cut short, and a run whose end falls inside it
+        # runs no data slice after it.
+        cfg = SimConfig(
+            num_frontends=2, abstraction="symbol_level", trigger_mode="periodic",
+            trigger_count=3, trigger_start_us=600.0, run_ms=0.01,
+        )
+        engine = SymbolEngine(cfg)
+        engine._wait_links_ready()
+        engine.bootstrap(engine._exchange)
+        res = run_scenario(cfg)
+        assert cfg.run_ticks == 4_000
+        assert res.metrics.elapsed_ticks == engine.now == 12_192
+        assert res.metrics.triggers_issued == 0
 
 
 def line_error_scenario(**overrides):
