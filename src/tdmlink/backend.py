@@ -207,12 +207,16 @@ class PacketMover:
     happens first; when the current buffer is too full it rotates to the
     filled queue and a fresh descriptor is fetched. With the free pool
     exhausted the mover stalls, pushing backpressure up through the FE-FIFOs.
+    `stalls` counts stall episodes: one begins when a write finds no free
+    buffer and ends at the next successful write, however often the held
+    record is retried in between.
     """
 
     def __init__(self, pool: BufferPool):
         self.pool = pool
         self.current: BufferDescriptor | None = None
         self.stalls = 0
+        self._stalled = False
 
     def write_record(self, tag: int, packet_bytes: bytes, incomplete: bool = False) -> bool:
         """True when the record was written; False when stalled (retry later,
@@ -221,22 +225,27 @@ class PacketMover:
         if self.current is None:
             self.current = self.pool.fetch_free()
             if self.current is None:
-                self.stalls += 1
-                return False
+                return self._stall()
         if size > self.current.usable:
             raise AssertionError("record larger than a whole buffer")
         if size > self.current.free:
             self.pool.push_filled(self.current)
             self.current = self.pool.fetch_free()
             if self.current is None:
-                self.stalls += 1
-                return False
+                return self._stall()
+        self._stalled = False
         self.current.payload += tag.to_bytes(2, "big")
         self.current.payload += packet_bytes
         self.current.incomplete_event |= incomplete
         if tag in (RECORD_GLOBAL_EOE, RECORD_GLOBAL_EOE_INCOMPLETE):
             self.current.has_event_end = True
         return True
+
+    def _stall(self) -> bool:
+        if not self._stalled:
+            self.stalls += 1
+            self._stalled = True
+        return False
 
     def flush(self):
         """Push a partially filled buffer out (end of run)."""
@@ -303,7 +312,10 @@ class EventBuilder:
         return True
 
     def step(self, pumps: dict[int, DataPump]) -> bool:
-        """Advance by at most one packet; returns True on progress."""
+        """Advance by at most one packet; returns True on progress. A packet
+        unloaded counts as progress even when it halts the builder (a first
+        packet that cannot open the event), since its pump's FIFO emptied;
+        every step after a halt returns False."""
         if self.phase == self.HALTED or not self.active_links:
             return False
         if not self._drain():
@@ -323,7 +335,7 @@ class EventBuilder:
             if reason is not None:
                 self.phase = self.HALTED
                 self.halt_reason = reason
-                return False
+                return True
         if first or packet.eoe:
             # The link leaves the rotation; the next link slides into this
             # turn index, so only wrap-around needs handling.
@@ -348,9 +360,15 @@ class EventBuilder:
                 self._emit(RECORD_FRAGMENT_BASE + link, data)
         return True
 
-    def run(self, pumps: dict[int, DataPump]):
+    def run(self, pumps: dict[int, DataPump]) -> bool:
+        """Step until no step progresses; returns True when any step did,
+        i.e. the builder unloaded a packet or changed phase. Writing held
+        records alone frees no FIFO and builds no event, so it is not a
+        move."""
+        moved = False
         while self.step(pumps):
-            pass
+            moved = True
+        return moved
 
     def _soe_fault(self, link: int, packet: FragmentPacket) -> str | None:
         """Why an intact first packet cannot open the event, else None. The

@@ -6,6 +6,12 @@ shares and flow control behave like the symbol-level engine without paying
 for per-symbol work. Channel A latency accounting is bit-exact (the same
 arithmetic the symbol-level chain performs), which keeps front-end
 timestamps identical across the two abstraction levels.
+
+Packets that one delivery sends up and that finish on the same tick arrive
+as one batch event: each goes to its pump in port order, then the builder
+runs once. The token and trigger checks follow only when the builder moved,
+since nothing else frees a FIFO or builds an event; the server is kicked
+after every batch and every send completion.
 """
 
 from __future__ import annotations
@@ -76,7 +82,7 @@ class MessageEngine(System):
         self._schedule_trigger_check()
         if self.config.measure_warmup_ticks:
             self._at(self.config.measure_warmup_ticks, self._snapshot_measurement)
-        end_tick = self.config.run_ticks
+        end_tick = self.run_ticks
         while self._heap and not self._stopped:
             tick, _, fn, args = heapq.heappop(self._heap)
             if end_tick is not None and tick > end_tick:
@@ -88,7 +94,7 @@ class MessageEngine(System):
         self._audit()
 
     def _stop_if_done(self):
-        if self.config.run_ticks is None and self._plan_delivered():
+        if self.run_ticks is None and self._plan_delivered():
             self._stopped = True
 
     # -- triggers ---------------------------------------------------------------
@@ -123,40 +129,51 @@ class MessageEngine(System):
         self._schedule_trigger_check()
 
     def _deliver_trigger(self, msg):
-        for port in sorted(self.cards):
+        batches = {}
+        for port in self.ports:
             out = self.cards[port].on_channel_a(msg, self.now)
-            self._emit_card_output(port, out)
+            self._emit_card_output(port, out, batches)
         self._schedule_token_check()
 
-    def _emit_card_output(self, port, out):
+    def _emit_card_output(self, port, out, batches):
+        """Send a card's answers up its return link. `batches` maps a finish
+        tick to the arrival batch of this delivery that lands on it."""
         for reply in out.a_replies:
             start = max(self.now, self._up_a_busy[port])
             finish = start + UP_A_FRAME_TICKS
             self._up_a_busy[port] = finish
             self._at(finish, self._on_ack, reply)
         for data in out.packets:
-            self._send_packet_up(port, data)
+            self._send_packet_up(port, data, batches)
 
     def _on_ack(self, reply):
         self.trigger_unit.on_ack(reply)
         self._schedule_trigger_check()
 
-    def _send_packet_up(self, port, data: bytes):
+    def _send_packet_up(self, port, data: bytes, batches):
         start = max(self.now, self._up_c_busy[port])
         finish = start + _up_c_packet_ticks(len(data))
         self._up_c_busy[port] = finish
-        self._at(finish, self._packet_arrived, port, data)
+        batch = batches.get(finish)
+        if batch is None:
+            # Scheduled when its first packet is sent, so the batch keeps that
+            # packet's place among the events of its tick.
+            batch = batches[finish] = []
+            self._at(finish, self._packets_arrived, batch)
+        batch.append((port, data))
 
-    def _packet_arrived(self, port, data: bytes):
-        index = self._arrival_index[port]
-        self._arrival_index[port] = index + 1
-        if index in self._drop_plan.get(port, ()):
-            # Scripted transit loss. Clearing the token lets the pump request
-            # again, so the builder faces the stream minus this packet.
-            self.pumps[port].request_outstanding = False
-            self._schedule_token_check()
-            return
-        self.pumps[port].on_packet(data)
+    def _packets_arrived(self, batch):
+        for port, data in batch:
+            index = self._arrival_index[port]
+            self._arrival_index[port] = index + 1
+            if index in self._drop_plan.get(port, ()):
+                # Scripted transit loss. Clearing the token lets the pump
+                # request again, so the builder faces the stream minus this
+                # packet.
+                self.pumps[port].request_outstanding = False
+                self._schedule_token_check()
+            else:
+                self.pumps[port].on_packet(data)
         self._progress()
 
     # -- request tokens -----------------------------------------------------------
@@ -178,18 +195,23 @@ class MessageEngine(System):
         self._at(finish, self._deliver_request, req)
 
     def _deliver_request(self, req):
-        for port in sorted(self.cards):
-            if not (req.target_mask >> port) & 1:
-                continue
+        batches = {}
+        mask = req.target_mask
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            port = low.bit_length() - 1
             out = self.cards[port].on_channel_c(req)
-            self._emit_card_output(port, out)
+            self._emit_card_output(port, out, batches)
 
     # -- builder / transport ---------------------------------------------------------
 
     def _progress(self):
-        self._build()
-        self._schedule_token_check()
-        self._schedule_trigger_check()
+        # Only a builder move frees a FIFO or builds an event; a send
+        # completion frees the Ethernet side whether or not it moved.
+        if self._build():
+            self._schedule_token_check()
+            self._schedule_trigger_check()
         self._server_kick()
 
     def _server_kick(self):

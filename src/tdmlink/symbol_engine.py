@@ -96,7 +96,7 @@ class SymbolEngine(System):
         t0 = self.now
         pending = self.trigger_unit.next_issue_tick(t0, self.builder.events_built, len(self.cards))
         # Clip so issue happens exactly on a boundary and a run of fixed length ends on time.
-        ends = (t0 + SLICE_TICKS, pending, self.config.run_ticks)
+        ends = (t0 + SLICE_TICKS, pending, self.run_ticks)
         t1 = min(end for end in ends if end is not None and end > t0)
         if pending is not None and pending <= t0:
             self._issue_trigger()
@@ -144,8 +144,8 @@ class SymbolEngine(System):
         issue = self.trigger_unit.next_issue_tick(now, self.builder.events_built, len(self.cards))
         if issue is not None:
             due.append(issue)
-        if self.config.run_ticks is not None:
-            due.append(self.config.run_ticks - 1)  # the last slice reaches run_ticks
+        if self.run_ticks is not None:
+            due.append(self.run_ticks - 1)  # the last slice reaches run_ticks
         slices = [(tick - now) // SLICE_TICKS for tick in due]
         if most is not None:
             slices.append(most)
@@ -292,7 +292,7 @@ class SymbolEngine(System):
                 f"bootstrap finished at tick {self.now}, after the configured "
                 f"data-taking start {self.config.trigger_start_tick}"
             )
-        max_ticks = self.config.run_ticks
+        max_ticks = self.run_ticks
         idle_slices = 0
         while max_ticks is None or self.now < max_ticks:
             before = self._progress_state()

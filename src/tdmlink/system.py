@@ -62,6 +62,7 @@ def check_fault(fault, config) -> dict:
 class System:
     def __init__(self, config):
         self.config = config
+        self.run_ticks = config.run_ticks
         self.now = 0
         self.violations: list[str] = []
         self.bootstrap_result = None
@@ -76,12 +77,13 @@ class System:
             )
             for port in range(config.num_frontends)
         }
-        self.pumps = {port: DataPump() for port in self.cards}
+        self.ports = tuple(sorted(self.cards))
+        self.pumps = {port: DataPump() for port in self.ports}
         self.pool = BufferPool(
             size=config.buffer_pool, capacity=config.mtu, header_reserve=FRAME_OVERHEAD_BYTES
         )
         self.mover = PacketMover(self.pool)
-        self.builder = EventBuilder(sorted(self.cards), self.mover)
+        self.builder = EventBuilder(list(self.ports), self.mover)
         self.server = TransportServer(self.pool)
         self.client = TransportClient(
             expected_bytes_fn=config.expected_bytes_fn(),
@@ -111,7 +113,7 @@ class System:
     def bootstrap(self, exchange):
         """ID assignment over `exchange(txn) -> {port: response}`; enables the
         pump of every card that received its ID."""
-        self.bootstrap_result = bootstrap_sequence(exchange, sorted(self.cards))
+        self.bootstrap_result = bootstrap_sequence(exchange, list(self.ports))
         for port in self.bootstrap_result.id_map:
             self.pumps[port].enabled = True
 
@@ -119,22 +121,25 @@ class System:
         """Post a data request for every pump with room for a packet; returns
         the channel C target mask, 0 when no pump wants one."""
         mask = 0
-        for port in sorted(self.pumps):
-            if self.pumps[port].wants_request():
+        for port in self.ports:
+            pump = self.pumps[port]
+            if pump.wants_request():
                 mask |= 1 << port
-                self.pumps[port].request_posted()
+                pump.request_posted()
         return mask
 
-    def _build(self):
-        """Run the event builder. Event-count runs then push the last
-        partially filled buffer out once the whole trigger plan is built."""
-        self.builder.run(self.pumps)
+    def _build(self) -> bool:
+        """Run the event builder; returns whether it moved (`EventBuilder.run`).
+        Event-count runs then push the last partially filled buffer out once
+        the whole trigger plan is built."""
+        moved = self.builder.run(self.pumps)
         if (
-            self.config.run_ticks is None
+            self.run_ticks is None
             and self.trigger_unit.issued >= self.trigger_unit.count
             and self.builder.events_built >= self.trigger_unit.count
         ):
             self.mover.flush()
+        return moved
 
     def _plan_delivered(self) -> bool:
         return (
@@ -150,7 +155,7 @@ class System:
         # An event-count run owes the whole plan unless the builder halted,
         # which the metrics report on their own.
         if (
-            self.config.run_ticks is None
+            self.run_ticks is None
             and not self._plan_delivered()
             and self.builder.halt_reason is None
         ):

@@ -180,6 +180,21 @@ class TestPacketMover:
         pool.release(desc)
         assert mover.write_record(0xE501, pkt)
 
+    def test_stalls_count_episodes_not_failed_writes(self):
+        pool = be.BufferPool(size=1, capacity=64, header_reserve=0)
+        mover = be.PacketMover(pool)
+        pkt = m.FragmentPacket.build(False, False, (1, 2)).serialize()
+        while mover.write_record(0xE501, pkt):
+            pass
+        for _ in range(4):  # retries of the held record within one starvation
+            assert not mover.write_record(0xE501, pkt)
+        assert mover.stalls == 1
+        pool.release(pool.pop_filled())
+        while mover.write_record(0xE501, pkt):
+            pass
+        assert not mover.write_record(0xE501, pkt)
+        assert mover.stalls == 2
+
     def test_records_written_back_to_back(self):
         pool = be.BufferPool(size=2, capacity=256, header_reserve=0)
         mover = be.PacketMover(pool)
@@ -273,6 +288,32 @@ class TestEventBuilder:
         drive(cards, pumps, builder)
         assert builder.phase == be.EventBuilder.HALTED
         assert "lacks SOE" in builder.halt_reason
+
+    @staticmethod
+    def halting_setup():
+        """Two links whose pumps hold their first packets, link 0's a body
+        packet (its SOE was taken away), and a builder awaiting SOE."""
+        cards, pumps = make_system(n_links=2)
+        for card in cards.values():
+            card.on_channel_a(TRIGGER, 0)
+        cards[0].on_channel_c(m.ChannelCRequest(target_mask=0b01))
+        assert pump_cycle(cards, pumps)
+        return pumps, be.EventBuilder(list(pumps), be.PacketMover(be.BufferPool(size=8)))
+
+    def test_halting_step_unloads_its_packet_and_counts_as_progress(self):
+        pumps, builder = self.halting_setup()
+        assert builder.step(pumps)
+        assert "lacks SOE" in builder.halt_reason
+        assert pumps[0].peek() is None
+        assert not builder.step(pumps)
+
+    def test_run_that_halts_moved_and_frees_the_links_pump(self):
+        pumps, builder = self.halting_setup()
+        assert not pumps[0].wants_request()
+        assert builder.run(pumps)
+        assert builder.phase == be.EventBuilder.HALTED
+        assert pumps[0].wants_request()
+        assert not builder.run(pumps)
 
     def test_crc_corrupt_fragment_dropped_event_continues(self):
         cards, pumps = make_system(n_links=3)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from tdmlink import sim, wire
 from tdmlink.frontend import REG_LOST_TRIGGERS, REG_SERIAL_LO
+from tdmlink.message_engine import MessageEngine
 from tdmlink.messages import ChannelAMessageUp, ChannelBTransaction, encode_channel_a, encode_channel_b
 from tdmlink.sim import SimConfig, ber_test, make_serials, run_scenario
 from tdmlink.symbol_engine import SLICE_TICKS, SymbolEngine
@@ -580,6 +582,117 @@ class TestFaultInjection:
         res = run_scenario(cfg)
         assert res.engine.pool.audit()
         assert cfg.to_dict() == before
+
+
+class PerPacketEngine(MessageEngine):
+    """The message-level engine without arrival batches: one event per
+    packet, and every follow-up after every arrival, moved or not."""
+
+    def _send_packet_up(self, port, data, batches):
+        super()._send_packet_up(port, data, {})
+
+    def _packets_arrived(self, batch):
+        [(port, data)] = batch
+        index = self._arrival_index[port]
+        self._arrival_index[port] = index + 1
+        if index in self._drop_plan.get(port, ()):
+            self.pumps[port].request_outstanding = False
+            self._schedule_token_check()
+            return
+        self.pumps[port].on_packet(data)
+        self._progress()
+
+    def _progress(self):
+        self._build()
+        self._schedule_token_check()
+        self._schedule_trigger_check()
+        self._server_kick()
+
+
+def run_outcome(cfg, engine=MessageEngine):
+    """What a message-level run of `cfg` on `engine` leaves behind."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(sim._ENGINES, "message_level", engine)
+        res = run_scenario(cfg)
+    return dict(
+        digest=res.client_digest(),
+        lines=res.metrics.to_json_lines(),
+        elapsed_ticks=res.engine.now,
+        builder=[asdict(c) for c in res.engine.builder.counters.values()],
+        pumps=[asdict(p.counters) for p in res.engine.pumps.values()],
+        stalls=res.engine.mover.stalls,
+    )
+
+
+@st.composite
+def message_level_plans(draw):
+    """Message-level plans across the engine's knobs, some with packet loss,
+    corrupt fragments or skewed event numbers."""
+    cards = draw(st.integers(1, 32), label="cards")
+    channels = draw(st.integers(1, 6), label="channels")
+    link = st.integers(0, cards - 1)
+    fault = st.one_of(
+        st.fixed_dictionaries({"type": st.just("drop_packet"), "link": link, "index": st.integers(0, 12)}),
+        st.fixed_dictionaries({
+            "type": st.just("corrupt_fragment"), "link": link,
+            "event": st.integers(0, 5), "channel": st.integers(0, channels - 1),
+        }),
+        st.fixed_dictionaries({"type": st.just("soe_skew"), "link": link, "delta": st.integers(1, 3)}),
+    )
+    faults = draw(st.lists(fault, max_size=3, unique_by=lambda f: (f["type"], f["link"])), label="faults")
+    return SimConfig(
+        num_frontends=cards,
+        seed=draw(st.integers(0, 2**20), label="seed"),
+        trigger_mode=draw(st.sampled_from(["gated", "periodic"]), label="trigger_mode"),
+        trigger_count=draw(st.integers(1, 6), label="trigger_count"),
+        trigger_period_us=draw(st.sampled_from([15.0, 60.0, 200.0]), label="period_us"),
+        trigger_start_us=draw(st.sampled_from([50.0, 400.0]), label="start_us"),
+        channels_per_event=channels,
+        words_per_channel=2 * draw(st.integers(1, 48), label="half_words"),
+        clear_busy_on=draw(st.sampled_from(["buffered", "readout"]), label="clear_busy_on"),
+        credit=draw(st.integers(1, 8), label="credit"),
+        mtu=draw(st.sampled_from([1500, 8192]), label="mtu"),
+        buffer_pool=draw(st.integers(2, 64), label="pool"),
+        run_ms=draw(st.sampled_from([None, None, 0.8, 2.5]), label="run_ms"),
+        keep_client_events=True,
+        faults=faults,
+    )
+
+
+# A gated 8-card plan with three dropped packets that halts the builder. A
+# batched engine whose halting step did not count as a move left the freed
+# pump unasked and ended 1,666 ticks early.
+HALT_ON_DROP = dict(
+    num_frontends=8, seed=177819, trigger_mode="gated", trigger_count=3,
+    channels_per_event=5, words_per_channel=28, credit=5, mtu=8192, buffer_pool=40,
+    clear_busy_on="readout", keep_client_events=True,
+    faults=[
+        {"type": "drop_packet", "link": 5, "index": 5},
+        {"type": "drop_packet", "link": 5, "index": 1},
+        {"type": "drop_packet", "link": 4, "index": 3},
+    ],
+)
+
+
+class TestArrivalBatches:
+    """Packets of one delivery that land on one tick arrive as one event,
+    and the token and trigger checks follow only a builder move. Against
+    the per-packet engine, nothing a run leaves behind may differ."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(cfg=message_level_plans())
+    def test_batches_match_per_packet_arrivals(self, cfg):
+        assert run_outcome(cfg) == run_outcome(cfg, PerPacketEngine)
+
+    def test_halt_on_a_dropped_packet_matches_per_packet_arrivals(self):
+        # A dropped packet leaves the next one first of its event without
+        # SOE, and the builder halts on it. That step unloaded the packet,
+        # so it counts as a move and the freed pump asks for another.
+        cfg = SimConfig(**HALT_ON_DROP)
+        batched = run_outcome(cfg)
+        assert "lacks SOE" in json.loads(batched["lines"].splitlines()[0])["halt_reason"]
+        assert batched["elapsed_ticks"] == 413_596
+        assert batched == run_outcome(cfg, PerPacketEngine)
 
 
 def run_counting(cfg, method):
