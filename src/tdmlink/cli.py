@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 
 from .sim import SimConfig, ber_test, check_ber_test, run_scenario
+from .timebase import TICKS_PER_SECOND, UP_TICKS_PER_CHANNEL_BIT
 from .transport import throughput_model
 from . import vectors as vec
 
@@ -137,8 +138,8 @@ def _cmd_sweep(args) -> int:
         m = result.metrics
         model = throughput_model(credit, mtu, request_rtt_s=config.request_rtt_us * 1e-6)
         # The model predicts the transport bottleneck; it only binds when
-        # the front-end side (200 Mbps data share per link) can outrun it.
-        source_MB_s = args.cards * 25.0
+        # the front-end side (each link's upstream channel C) can outrun it.
+        source_MB_s = args.cards * (TICKS_PER_SECOND // UP_TICKS_PER_CHANNEL_BIT["C"] / 8 / 1e6)
         if source_MB_s >= 1.3 * model and abs(m.throughput_MB_s - model) > 0.10 * model:
             ok = False
             print(
@@ -169,21 +170,10 @@ def _cmd_bootstrap_check(args) -> int:
         system = System(SimConfig(num_frontends=args.cards, seed=args.seed + rep))
         system.bootstrap(untimed_exchange(system.cards))
         result = system.bootstrap_result
-        good = result.verified
-        if not good:
-            failures += 1
-        print(
-            json.dumps(
-                {
-                    "repetition": rep,
-                    "seed": args.seed + rep,
-                    "verified_ids": len(result.id_map) if result.verified else 0,
-                    "cards": args.cards,
-                    "pass": good,
-                },
-                sort_keys=True,
-            )
-        )
+        failures += not result.verified
+        record = {"repetition": rep, "seed": args.seed + rep, "cards": args.cards, "pass": result.verified,
+                  "verified_ids": len(result.id_map) if result.verified else 0}
+        print(json.dumps(record, sort_keys=True))
     print(f"bootstrap-check: {args.repetitions - failures}/{args.repetitions} repetitions passed")
     return 0 if failures == 0 else 1
 

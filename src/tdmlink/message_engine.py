@@ -22,7 +22,7 @@ from . import timebase
 from .backend import untimed_exchange
 from .messages import CHANNEL_A_FRAME_BITS, CHANNEL_C_REQUEST_BITS, ChannelAMessageDown, ChannelCRequest
 from .system import System
-from .transport import FLAG_FIRST_OF_BURST, FRAME_OVERHEAD_BYTES, CreditGrant
+from .transport import ETHERNET_BPS, FLAG_FIRST_OF_BURST, FRAME_OVERHEAD_BYTES, CreditGrant
 
 __all__ = ["MessageEngine"]
 
@@ -39,9 +39,9 @@ def _up_c_packet_ticks(nbytes: int) -> int:
 
 
 def _eth_wire_ticks(payload_bytes: int) -> int:
-    # 1 Gbps = 2.5 bits per tick; overhead modeled per frame.
+    # Whole ticks, rounded up, to send the frame; overhead modeled per frame.
     bits = 8 * (payload_bytes + FRAME_OVERHEAD_BYTES)
-    return -(-bits * 2 // 5)  # ceil(bits / 2.5)
+    return -(-bits * timebase.TICKS_PER_SECOND // ETHERNET_BPS)
 
 
 class MessageEngine(System):
@@ -61,6 +61,7 @@ class MessageEngine(System):
 
         self._token_check_scheduled = False
         self._trigger_check_scheduled = False
+        self._trigger_wakeup_tick = None
         # Scripted packet loss: {link: set of arrival indices to drop}.
         self._drop_plan: dict[int, set[int]] = {}
         for fault in self.link_faults:
@@ -113,14 +114,16 @@ class MessageEngine(System):
             self._stop_if_done()
             return
         if tick > self.now:
-            self._at(tick, self._schedule_trigger_check)
+            if tick != self._trigger_wakeup_tick:  # a second wakeup would find the check scheduled
+                self._trigger_wakeup_tick = tick
+                self._at(tick, self._schedule_trigger_check)
             return
         self._issue_trigger()
 
     def _issue_trigger(self):
-        # Align to the TDM cycle; the A queue is drained cycle by cycle.
+        # Align to the TDM cycle: the frame starts after the A queue, at or after the cycle's first A bit.
         issue = -(-self.now // timebase.TICKS_PER_DOWN_CYCLE) * timebase.TICKS_PER_DOWN_CYCLE
-        k_start = max(self._next_a_bit, 2 * (issue // timebase.TICKS_PER_DOWN_CYCLE))
+        k_start = max(self._next_a_bit, issue // timebase.DOWN_TICKS_PER_CHANNEL_BIT["A"])
         self._next_a_bit = k_start + CHANNEL_A_FRAME_BITS
         arrival = timebase.down_a_frame_arrival_tick(k_start)
         self.trigger_unit.on_issued()

@@ -34,7 +34,7 @@ __all__ = [
     "check_ber_test",
 ]
 
-TICKS_PER_US = 400  # 2.5 ns ticks
+TICKS_PER_US = timebase.TICKS_PER_SECOND // 1_000_000
 
 _ENGINES = {"message_level": MessageEngine, "symbol_level": SymbolEngine}
 _ABSTRACTIONS = tuple(_ENGINES)
@@ -159,11 +159,6 @@ class SimConfig:
             constant_word=self.constant_word,
         )
 
-    def serial_for(self, port: int) -> int:
-        if self.serials is not None:
-            return int(self.serials[port])
-        return make_serials(self.seed, self.num_frontends)[port]
-
     def expected_bytes_fn(self):
         if self.verify_provenance and self.fill_pattern == "counter":
             return generator_bytes
@@ -267,6 +262,7 @@ def run_scenario(config: SimConfig) -> ScenarioResult:
     payload = engine.measured_client_payload()
     link_payload = engine.measured_link_payload()
     seconds = engine.measured_ticks() * timebase.TICK_SECONDS
+    up_c_bps = timebase.TICKS_PER_SECOND // timebase.UP_TICKS_PER_CHANNEL_BIT["C"]
     per_link = {}
     for port, counters in builder.counters.items():
         pump = engine.pumps[port]
@@ -276,9 +272,9 @@ def run_scenario(config: SimConfig) -> ScenarioResult:
             "crc_drops": counters.crc_drops,
             "pump_faults": pump.counters.faults,
             "lost_triggers": engine.cards[port].lost_triggers,
-            # Fraction of the 200 Mbps channel C data share actually filled
+            # Fraction of the upstream channel C data share actually filled
             # with delivered event payload during the measurement window.
-            "utilization_c": (8 * link_payload.get(port, 0)) / (seconds * 200e6),
+            "utilization_c": (8 * link_payload.get(port, 0)) / (seconds * up_c_bps),
         }
     boot = engine.bootstrap_result
     metrics = Metrics(

@@ -42,6 +42,7 @@ from .messages import (
 )
 from .wire import (
     DEFAULT_LOCK_THRESHOLD,
+    DOWNSTREAM_IDLE_SYMBOLS,
     DOWNSTREAM_SCHEDULE,
     SCRAMBLER_ORDER,
     UPSTREAM_SCHEDULE,
@@ -70,6 +71,11 @@ __all__ = [
 
 # Training pattern bits a return link sends after a reset: 250 whole cycles.
 TRAINING_BITS = 1000
+
+# Each channel's bits per TDM cycle, and a return-link cycle's bits.
+_DOWN_SLOTS = {ch: len(DOWNSTREAM_SCHEDULE.slots_of(ch)) for ch in "ABC"}
+_UP_SLOTS = {ch: len(UPSTREAM_SCHEDULE.slots_of(ch)) for ch in "ABC"}
+_UP_CYCLE_BITS = len(UPSTREAM_SCHEDULE.slot_sequence)
 
 
 def _row_order(*event_lists):
@@ -105,8 +111,8 @@ def _whole_cycles(carry: BitArray, tail: np.ndarray, rows, bits: BitArray):
 
 
 def _whole_upstream_cycles(nbits: int):
-    if nbits % 4:
-        raise WireFormatError(f"{nbits} return-link bits end in a partial cycle of {nbits % 4}")
+    if nbits % _UP_CYCLE_BITS:
+        raise WireFormatError(f"{nbits} return-link bits end in a partial cycle of {nbits % _UP_CYCLE_BITS}")
 
 
 def _row_groups(values: np.ndarray):
@@ -302,15 +308,12 @@ class DownstreamTransmitter:
         fill included), so the frame starts right after the backlog.
         """
         q = self.queues[channel]
-        per_cycle = len(DOWNSTREAM_SCHEDULE.slots_of(channel))
-        start = per_cycle * self.cycles_produced + int(q.pending_bits[0])
+        start = _DOWN_SLOTS[channel] * self.cycles_produced + int(q.pending_bits[0])
         q.push(0, frame_bits)
         return start
 
     def produce_cycles(self, cycles: int) -> BitArray:
-        a = self.queues["A"].pull(2 * cycles)[0]
-        b = self.queues["B"].pull(cycles)[0]
-        c = self.queues["C"].pull(cycles)[0]
+        a, b, c = (self.queues[ch].pull(n * cycles)[0] for ch, n in _DOWN_SLOTS.items())
         self.cycles_produced += cycles
         return downstream_tx(a, b, c)
 
@@ -349,7 +352,7 @@ class DownstreamReceiver:
         self._search = np.full(rows, b"", dtype=object)  # symbols kept while not locked, one byte each
         self._dropped = np.zeros(rows, dtype=np.int64)  # symbols dropped before _search[row][0]
         self._aligned_base_tick = np.zeros(rows, dtype=np.int64)
-        self._carry = np.zeros((rows, 8), dtype=np.uint8)  # tail, right-aligned
+        self._carry = np.zeros((rows, len(DOWNSTREAM_IDLE_SYMBOLS)), dtype=np.uint8)  # tail, right-aligned
         self._tail = np.zeros(rows, dtype=np.int64)
         self.scanners = {
             "A": FrameScanner(rows, CHANNEL_A_FRAME_BITS),
@@ -399,7 +402,7 @@ class DownstreamReceiver:
         leave each row's carry and tail as they are."""
         rows = slice(0, 1) if self.in_step else slice(None)
         for channel, scanner in self.scanners.items():
-            scanner.skip(cycles * len(DOWNSTREAM_SCHEDULE.slots_of(channel)), rows)
+            scanner.skip(cycles * _DOWN_SLOTS[channel], rows)
 
     def _leave_step(self):
         """Give every row the decoding state of row 0, then decode each row
@@ -425,7 +428,7 @@ class DownstreamReceiver:
         state = bit_slip_sync(line)
         if not state.locked:
             # Bound the search buffer; keep enough context to lock later.
-            keep = 16 * DEFAULT_LOCK_THRESHOLD
+            keep = 2 * len(DOWNSTREAM_IDLE_SYMBOLS) * DEFAULT_LOCK_THRESHOLD
             self._dropped[row] += max(len(pending) - keep, 0)
             self._search[row] = pending[-keep:]
             return
@@ -489,10 +492,8 @@ class UpstreamTransmitter:
         self._training_left -= trained
         out = np.empty((len(trained), nbits), dtype=np.uint8)
         for sent, rows in _row_groups(trained):
-            cycles = (nbits - sent) // 4
-            a = self.queues["A"].pull(cycles, rows)
-            b = self.queues["B"].pull(cycles, rows)
-            c = self.queues["C"].pull(2 * cycles, rows)
+            cycles = (nbits - sent) // _UP_CYCLE_BITS
+            a, b, c = (self.queues[ch].pull(n * cycles, rows) for ch, n in _UP_SLOTS.items())
             scrambler = Scrambler(self._register[rows])
             line = upstream_tx(a, b, c, scrambler)
             self._register[rows] = scrambler.register
@@ -545,7 +546,7 @@ class UpstreamReceiver:
         _whole_upstream_cycles(nbits)
         self._register[:] = idle_scrambler_register(self._register, nbits)
         for channel, scanner in self.scanners.items():
-            scanner.skip(nbits // 4 * len(UPSTREAM_SCHEDULE.slots_of(channel)))
+            scanner.skip(nbits // _UP_CYCLE_BITS * _UP_SLOTS[channel])
 
     @property
     def trained(self) -> np.ndarray:

@@ -83,7 +83,9 @@ class SymbolEngine(System):
         # that flags a parity error. Any other frame answers nothing.
         self._b_request = None
         self._b_answers: dict = {}
-        self._line_flips = [f for f in self.link_faults if f["type"] == "line_flip"]
+        # The timed link faults, line flips and resets, latest first: each
+        # slice pops those that fall in it, and the last is the next one due.
+        self._timed_faults = sorted(self.link_faults, key=lambda fault: fault["tick"])[::-1]
         self._queues = (*self.down_tx.queues.values(), *self.up_tx.queues.values())
         self._scanners = (*self.down_rx.scanners.values(), *self.backend_rx.scanners.values())
         # Whether the last slice was whole and carried only idle cycles: every
@@ -100,21 +102,29 @@ class SymbolEngine(System):
         t1 = min(end for end in ends if end is not None and end > t0)
         if pending is not None and pending <= t0:
             self._issue_trigger()
-        self._apply_link_resets(t0, t1)
-        self._idle_slice = (
-            t1 - t0 == SLICE_TICKS
-            and not self._queued()
-            and not any(t0 <= fault["tick"] < t1 for fault in self._line_flips)
-        )
+        # The slice's faults: a reset applies at its start, and a flip hits
+        # the symbol or bit on the line at its tick. Slices are contiguous
+        # and a skip stops at or before each fault, so none is passed over.
+        flips = {"down": [], "up": []}
+        while self._timed_faults and self._timed_faults[-1]["tick"] < t1:
+            fault = self._timed_faults.pop()
+            if fault["type"] == "link_reset":
+                self.up_tx.reset(fault["link"])
+                self.backend_rx.reset(fault["link"])
+            else:
+                flips[fault["direction"]].append((fault["link"], fault["tick"] - t0))
+        self._idle_slice = t1 - t0 == SLICE_TICKS and not self._queued() and not any(flips.values())
 
         # Downstream: one fanout stream; each card's row takes its own errors.
         cycles = (t1 - t0) // timebase.TICKS_PER_DOWN_CYCLE
         symbols = self.down_tx.produce_cycles(cycles)
-        self._handle_down_events(self.down_rx.feed(self._corrupt(symbols, 0, "down", t0, 2)))
+        down = self._corrupt(symbols, 0, flips["down"], timebase.TICKS_PER_DOWN_SYMBOL)
+        self._handle_down_events(self.down_rx.feed(down))
 
         # Upstream: one independent stream per link, one row each.
-        bits = self.up_tx.produce(t1 - t0)
-        self._handle_up_events(self.backend_rx.feed(self._corrupt(bits, 1, "up", t0, 1)))
+        bits = self.up_tx.produce((t1 - t0) // timebase.TICKS_PER_UP_BIT)
+        up = self._corrupt(bits, 1, flips["up"], timebase.TICKS_PER_UP_BIT)
+        self._handle_up_events(self.backend_rx.feed(up))
 
         self.now = t1
         self._backend_logic()
@@ -140,7 +150,7 @@ class SymbolEngine(System):
         ):
             return 0
         now = self.now
-        due = [f["tick"] for f in self.link_faults if f["tick"] >= now]
+        due = [fault["tick"] for fault in self._timed_faults[-1:]]  # the next fault
         issue = self.trigger_unit.next_issue_tick(now, self.builder.events_built, len(self.cards))
         if issue is not None:
             due.append(issue)
@@ -157,37 +167,26 @@ class SymbolEngine(System):
         stream."""
         self.down_tx.skip_idle(k * SLICE_CYCLES)
         self.down_rx.skip_idle(k * SLICE_CYCLES)
-        self.up_tx.skip_idle(k * SLICE_TICKS)
-        self.backend_rx.skip_idle(k * SLICE_TICKS)
+        up_bits = k * SLICE_TICKS // timebase.TICKS_PER_UP_BIT
+        self.up_tx.skip_idle(up_bits)
+        self.backend_rx.skip_idle(up_bits)
         self.now += k * SLICE_TICKS
 
-    def _corrupt(self, bits, stream, direction, t0, ticks_per_symbol):
+    def _corrupt(self, bits, stream, flips, ticks_per_symbol):
         """Apply each link's line errors to its row. `bits` holds one row per
         link, or one row that every link receives; `stream` picks the link's
-        random stream of the direction."""
+        random stream of the direction, and `flips` lists the direction's
+        flips in the slice as (link, ticks from the slice start)."""
         n = bits.shape[-1]
-        flips = [
-            (fault["link"], (fault["tick"] - t0) // ticks_per_symbol)
-            for fault in self._line_flips
-            if fault["direction"] == direction
-        ]
-        flips = [(link, pos) for link, pos in flips if 0 <= pos < n]
         if not flips and not (self.config.ber > 0.0 and n):
             return bits
         out = np.array(np.broadcast_to(bits, (len(self._link_rngs), n)))
         if self.config.ber > 0.0 and n:
             for row, rngs in zip(out, self._link_rngs):
                 row ^= rngs[stream].random(n) < self.config.ber
-        for link, pos in flips:
-            out[link, pos] ^= 1
+        for link, ticks in flips:
+            out[link, ticks // ticks_per_symbol] ^= 1
         return out
-
-    def _apply_link_resets(self, t0, t1):
-        # Slices are contiguous and a skip stops at or before each reset.
-        for fault in self.link_faults:
-            if fault["type"] == "link_reset" and t0 <= fault["tick"] < t1:
-                self.up_tx.reset(fault["link"])
-                self.backend_rx.reset(fault["link"])
 
     # -- card side ---------------------------------------------------------------
 

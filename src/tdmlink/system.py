@@ -67,10 +67,13 @@ class System:
         self.violations: list[str] = []
         self.bootstrap_result = None
 
+        from .sim import make_serials  # sim imports the engines, which import this module
+
         gen = config.generator_config()
+        serials = config.serials or make_serials(config.seed, config.num_frontends)
         self.cards = {
             port: FrontEndCard(
-                serial_number=config.serial_for(port),
+                serial_number=int(serials[port]),
                 generator=gen,
                 buffering_depth=config.buffering_depth,
                 clear_busy_on=config.clear_busy_on,

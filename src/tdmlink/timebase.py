@@ -1,10 +1,9 @@
-"""Common time base for both abstraction levels.
-
-One tick is 2.5 ns, the upstream line-bit period at 400 Mbps. The
-downstream line runs at 200 Mbaud (one symbol every 2 ticks, one logical
-bit every 4), so a TDM cycle is 16 ticks downstream and 4 ticks upstream.
-Front-end timestamp counters run at the recovered 100 MHz clock, one count
-every 4 ticks.
+"""Line timing for both abstraction levels, from one source: the tick rate
+(one tick is 2.5 ns), the ticks per downstream line symbol and per upstream
+line bit, and the TDM schedules in `wire`. The rest is derived: a TDM cycle
+is 16 ticks downstream (two Manchester symbols per bit) and 4 upstream, a
+channel's ticks per bit follow from its slots per cycle, and front-end
+timestamp counters count the recovered downstream bit clock (100 MHz).
 
 The symbol-level and message-level engines must agree bit-exactly on when
 a downstream channel A frame finishes arriving, because front-ends latch
@@ -15,26 +14,32 @@ event data.
 from __future__ import annotations
 
 from .messages import CHANNEL_A_FRAME_BITS
+from .wire import DOWNSTREAM_SCHEDULE, UPSTREAM_SCHEDULE
 
-TICK_SECONDS = 2.5e-9
+TICKS_PER_SECOND = 400_000_000
+TICK_SECONDS = 1 / TICKS_PER_SECOND
 
 TICKS_PER_DOWN_SYMBOL = 2
-TICKS_PER_DOWN_CYCLE = 16
-TICKS_PER_TIMESTAMP_COUNT = 4  # 100 MHz
+TICKS_PER_UP_BIT = 1
+_TICKS_PER_DOWN_BIT = 2 * TICKS_PER_DOWN_SYMBOL
+TICKS_PER_TIMESTAMP_COUNT = _TICKS_PER_DOWN_BIT
+TICKS_PER_DOWN_CYCLE = len(DOWNSTREAM_SCHEDULE.slot_sequence) * _TICKS_PER_DOWN_BIT
+_TICKS_PER_UP_CYCLE = len(UPSTREAM_SCHEDULE.slot_sequence) * TICKS_PER_UP_BIT
 
 # Logical data rates of the three downstream / upstream channels, in ticks
 # per channel bit (averaged over one TDM cycle).
-DOWN_TICKS_PER_CHANNEL_BIT = {"A": 8, "B": 16, "C": 16}
-UP_TICKS_PER_CHANNEL_BIT = {"A": 4, "B": 4, "C": 2}
+DOWN_TICKS_PER_CHANNEL_BIT = {ch: TICKS_PER_DOWN_CYCLE // len(DOWNSTREAM_SCHEDULE.slots_of(ch)) for ch in "ABC"}
+UP_TICKS_PER_CHANNEL_BIT = {ch: _TICKS_PER_UP_CYCLE // len(UPSTREAM_SCHEDULE.slots_of(ch)) for ch in "ABC"}
+
+# Where each downstream channel A slot ends, in ticks from its cycle's start.
+_A_SLOT_ENDS = tuple((slot + 1) * _TICKS_PER_DOWN_BIT for slot in DOWNSTREAM_SCHEDULE.slots_of("A"))
 
 
 def down_a_bit_end_tick(k: int) -> int:
-    """Tick at which downstream channel-A bit number k finishes on the line.
-
-    A bits ride in slots 0 and 2 of the 16-tick cycle; bit k sits in cycle
-    k // 2, slot 2 * (k % 2), and its slot ends 4 ticks after it starts.
-    """
-    return TICKS_PER_DOWN_CYCLE * (k // 2) + 8 * (k % 2) + 4
+    """Tick at which downstream channel-A bit number k finishes on the line:
+    the end of A's slot k % (A slots per cycle) in cycle k // (that count)."""
+    cycle, slot = divmod(k, len(_A_SLOT_ENDS))
+    return TICKS_PER_DOWN_CYCLE * cycle + _A_SLOT_ENDS[slot]
 
 
 def down_a_frame_arrival_tick(first_bit_index: int) -> int:

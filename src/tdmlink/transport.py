@@ -32,6 +32,7 @@ __all__ = [
     "TRANSPORT_MAGIC",
     "TRANSPORT_HEADER_BYTES",
     "FRAME_OVERHEAD_BYTES",
+    "ETHERNET_BPS",
     "FLAG_INCOMPLETE_EVENT",
     "FLAG_LAST_OF_EVENT",
     "FLAG_FIRST_OF_BURST",
@@ -53,6 +54,7 @@ TRANSPORT_HEADER_BYTES = 8
 # Ethernet+IP+UDP equivalent of the paper's transport, 66 bytes, of which
 # this header occupies 8.
 FRAME_OVERHEAD_BYTES = 66
+ETHERNET_BPS = 1_000_000_000  # the DAQ side's line rate
 
 FLAG_INCOMPLETE_EVENT = 1 << 0
 FLAG_LAST_OF_EVENT = 1 << 1
@@ -300,7 +302,7 @@ class TransportClient:
 def throughput_model(
     credit: int,
     mtu_bytes: int,
-    link_rate_bps: float = 1e9,
+    link_rate_bps: float = ETHERNET_BPS,
     request_rtt_s: float = 300e-6,
     overhead_bytes: int = FRAME_OVERHEAD_BYTES,
 ) -> float:
@@ -319,7 +321,7 @@ def throughput_model(
     return credit * (mtu_bytes - overhead_bytes) / cycle / 1e6
 
 
-def saturation_credit(mtu_bytes: int, link_rate_bps: float = 1e9,
+def saturation_credit(mtu_bytes: int, link_rate_bps: float = ETHERNET_BPS,
                       request_rtt_s: float = 300e-6) -> int:
     """Smallest credit at which the model reaches the payload cap."""
     t_frame = mtu_bytes * 8 / link_rate_bps

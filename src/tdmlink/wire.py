@@ -10,6 +10,9 @@ Upstream (point-to-point, 400 Mbps, zero coding overhead): interleave
 A, B, C, C; invert channel B; pass through the x^43+1 self-synchronizing
 scrambler.
 
+The TDM codecs take each cycle's length and slots from the schedules below,
+and `timebase` derives every cycle length and channel rate from them.
+
 The line codecs take the bit axis last: a 1-D array is one stream, and a
 (links, bits) array codes every link's row at once. Each public function
 checks its bit input once with `as_bits`; the private kernels it is built
@@ -139,12 +142,12 @@ def tdm_interleave(schedule: TdmSchedule, a, b, c) -> BitArray:
 
 
 def _interleave(schedule: TdmSchedule, a: BitArray, b: BitArray, c: BitArray) -> BitArray:
-    cycles = _channel_cycles(schedule, a, b, c)
-    out = np.empty(a.shape[:-1] + (4 * cycles,), dtype=np.uint8)
+    cycles, period = _channel_cycles(schedule, a, b, c), len(schedule.slot_sequence)
+    out = np.empty(a.shape[:-1] + (period * cycles,), dtype=np.uint8)
     for tag, stream in (("A", a), ("B", b), ("C", c)):
         positions = schedule.slots_of(tag)
         for i, slot in enumerate(positions):
-            out[..., slot::4] = stream[..., i :: len(positions)]
+            out[..., slot::period] = stream[..., i :: len(positions)]
     return out
 
 
@@ -154,15 +157,16 @@ def tdm_deinterleave(schedule: TdmSchedule, line):
 
 
 def _deinterleave(schedule: TdmSchedule, line: BitArray):
-    if line.shape[-1] % 4:
-        raise WireFormatError(f"trailing partial cycle of {line.shape[-1] % 4} symbols")
-    cycles = line.shape[-1] // 4
+    period = len(schedule.slot_sequence)
+    if line.shape[-1] % period:
+        raise WireFormatError(f"trailing partial cycle of {line.shape[-1] % period} symbols")
+    cycles = line.shape[-1] // period
     out = []
     for tag in ("A", "B", "C"):
         slots = schedule.slots_of(tag)
         bits = np.empty(line.shape[:-1] + (len(slots) * cycles,), dtype=np.uint8)
         for i, slot in enumerate(slots):
-            bits[..., i :: len(slots)] = line[..., slot::4]
+            bits[..., i :: len(slots)] = line[..., slot::period]
         out.append(bits)
     return tuple(out)
 
@@ -227,14 +231,10 @@ def manchester_decode(symbols, half_bit_phase: int, check: bool = True) -> BitAr
 
 def _matches_idle_rotation(decoded: BitArray) -> bool:
     """True when `decoded` repeats some cyclic rotation of the idle cycle 0100."""
-    if len(decoded) < 4:
-        return False
-    for r in range(4):
-        ref = np.roll(IDLE_CYCLE_BITS, -r)
-        reps = int(np.ceil(len(decoded) / 4))
-        if np.array_equal(decoded, np.tile(ref, reps)[: len(decoded)]):
-            return True
-    return False
+    n = len(IDLE_CYCLE_BITS)
+    return len(decoded) >= n and any(
+        np.array_equal(decoded, np.resize(np.roll(IDLE_CYCLE_BITS, -r), len(decoded))) for r in range(n)
+    )
 
 
 def resolve_phase(idle_window) -> int:
@@ -244,7 +244,7 @@ def resolve_phase(idle_window) -> int:
     pattern 1011 and is rejected.
     """
     idle_window = as_bits(idle_window)
-    if len(idle_window) < 16:
+    if len(idle_window) < 2 * len(DOWNSTREAM_IDLE_SYMBOLS):
         raise SyncError("idle window too short to resolve phase")
     usable = idle_window[: len(idle_window) - (len(idle_window) % 2)]
     for phase in (0, 1):
@@ -273,34 +273,30 @@ def bit_slip_sync(line, lock_threshold: int = DEFAULT_LOCK_THRESHOLD) -> LineSyn
     match a single rotation of the idle pattern. The transmitter keeps
     running throughout; reception may start at any symbol offset.
     """
-    line = as_bits(line)
-    pattern = DOWNSTREAM_IDLE_SYMBOLS
-    rotations = [np.roll(pattern, -k) for k in range(8)]
+    raw, n = as_bits(line).tobytes(), len(DOWNSTREAM_IDLE_SYMBOLS)
+    # The pattern position each rotation of the idle pattern starts at.
+    rotations = {np.roll(DOWNSTREAM_IDLE_SYMBOLS, -k).tobytes(): k for k in range(n)}
     p = 0
     hypothesis = None
     consecutive = 0
-    while p + 8 <= len(line):
-        window = line[p : p + 8]
-        match = None
-        for k in range(8):
-            if np.array_equal(window, rotations[k]):
-                match = (k - p) % 8  # pattern position of line[0]
-                break
-        if match is None:
+    while p + n <= len(raw):
+        k = rotations.get(raw[p : p + n])
+        if k is None:
             p += 1  # bit slip
             hypothesis = None
             consecutive = 0
             continue
+        match = (k - p) % n  # pattern position of line[0]
         if match == hypothesis:
             consecutive += 1
         else:
             hypothesis = match
             consecutive = 1
-        p += 8
+        p += n
         if consecutive >= lock_threshold:
             offset = hypothesis
-            base = (8 - offset) % 8
-            aligned = base + 8 * ((p - base + 7) // 8)
+            base = (n - offset) % n
+            aligned = base + n * ((p - base + n - 1) // n)
             return LineSyncState(
                 locked=True,
                 bit_slip_offset=offset,
@@ -372,7 +368,7 @@ def idle_scrambler_register(register: BitArray, nbits: int) -> BitArray:
     """The register (one row per leading index) after the scrambler is fed
     `nbits` of idle cycles, a whole number of them, in closed form."""
     n = nbits % IDLE_SCRAMBLER_PERIOD
-    idle = np.broadcast_to(np.tile(IDLE_CYCLE_BITS, n // 4), register.shape[:-1] + (n,))
+    idle = np.broadcast_to(np.resize(IDLE_CYCLE_BITS, n), register.shape[:-1] + (n,))
     return _scramble(idle, register)[1]
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tdmlink import sim, wire
+from tdmlink import message_engine, sim, timebase, wire
 from tdmlink.frontend import REG_LOST_TRIGGERS, REG_SERIAL_LO
 from tdmlink.message_engine import MessageEngine
 from tdmlink.messages import ChannelAMessageUp, ChannelBTransaction, encode_channel_a, encode_channel_b
@@ -695,6 +695,30 @@ class TestArrivalBatches:
         assert batched == run_outcome(cfg, PerPacketEngine)
 
 
+class TestTriggerWakeups:
+    def test_one_wakeup_per_periodic_issue_tick(self):
+        # Every ack and builder move before an issue tick runs a trigger
+        # check; only the first may schedule the wakeup for that tick. The
+        # digest and end tick are pinned from an engine that pushed one
+        # wakeup per check (156 on this plan).
+        wakeups = []
+
+        class Counting(MessageEngine):
+            def _at(self, tick, fn, *args):
+                if fn == self._schedule_trigger_check:
+                    wakeups.append(tick)
+                super()._at(tick, fn, *args)
+
+        cfg = SimConfig(num_frontends=32, seed=7, trigger_mode="periodic", trigger_count=20,
+                        trigger_period_us=200.0, channels_per_event=32, words_per_channel=128)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(sim._ENGINES, "message_level", Counting)
+            res = run_scenario(cfg)
+        assert len(wakeups) == len(set(wakeups)) == 20
+        assert res.client_digest() == "0b1c03a71a9c73558304d004c559a421a1e292a81cb091f8b3fdc532f83a8e67"
+        assert res.metrics.elapsed_ticks == 5_765_409
+
+
 def run_counting(cfg, method):
     """Run `cfg` and record the arguments of every call of a SymbolEngine
     method."""
@@ -1144,3 +1168,21 @@ class TestTimingAudit:
         positions = np.flatnonzero(line)
         assert len(positions) == cycles  # 25% share
         assert set((positions % 4).tolist()) == {0}
+
+    def test_line_timing_follows_the_tick_rate_and_schedules(self):
+        # docs/wire-format.md section 1: the fanout's channel shares of its
+        # 100 Mbps and the return link's of its 400 Mbps, in Mbit/s (bits
+        # per microsecond).
+        def mbps(ticks_per_bit):
+            return {ch: sim.TICKS_PER_US / ticks for ch, ticks in ticks_per_bit.items()}
+
+        assert mbps(timebase.DOWN_TICKS_PER_CHANNEL_BIT) == {"A": 50, "B": 25, "C": 25}
+        assert mbps(timebase.UP_TICKS_PER_CHANNEL_BIT) == {"A": 100, "B": 100, "C": 200}
+        assert (timebase.TICK_SECONDS, sim.TICKS_PER_US, timebase.TICKS_PER_DOWN_CYCLE) == (2.5e-9, 400, 16)
+        # A bits ride in slots 0 and 2 of each 16-tick cycle, 4 ticks each.
+        assert [timebase.down_a_bit_end_tick(k) for k in range(4)] == [4, 12, 20, 28]
+        # Message-level frame costs: a channel C request, an upstream A
+        # frame, and a 262-byte packet (256 payload bytes) with its start bit.
+        assert message_engine.DOWN_C_FRAME_TICKS == 672
+        assert message_engine.UP_A_FRAME_TICKS == 40
+        assert message_engine._up_c_packet_ticks(262) == 4_194
