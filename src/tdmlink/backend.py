@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .messages import FragmentPacket
+from .messages import FragmentPacket, check_fragment, fragment_bytes
 
 __all__ = [
     "FE_FIFO_BYTES",
@@ -50,7 +50,7 @@ RECORD_GLOBAL_EOE_INCOMPLETE = 0xE507
 RECORD_FRAGMENT_BASE = 0xE520
 
 # Packet of every global end-of-event record: zero payload, EOE flag.
-EOE_TRAILER = FragmentPacket.build(False, True, b"").serialize()
+EOE_TRAILER = fragment_bytes(False, True, b"")
 
 
 def record_tag_link(tag: int) -> int | None:
@@ -270,8 +270,9 @@ class EventBuilder:
     operator reset). In BODY it holds the links whose first packet was not
     EOE and a link leaves after its EOE packet. An emptied rotation emits
     the event header and the held-back SOE packets in link order, or the
-    global EOE. Fragments are CRC-checked on unload: valid ones are
-    forwarded unmodified, corrupt ones are deleted and the event is flagged
+    global EOE. Fragments stay the bytes their link delivered: each is
+    checked once on unload (`check_fragment`), valid ones are forwarded
+    unmodified, corrupt ones are deleted and the event is flagged
     incomplete.
     """
 
@@ -328,15 +329,16 @@ class EventBuilder:
         if pump.peek() is None:
             return False
         data = pump.unload()
-        packet = FragmentPacket.deserialize(data)
+        crc_ok = check_fragment(data)
+        eoe = data[0] & 0x40
         first = self.phase == self.AWAIT_SOE
-        if first and packet.crc_ok:
-            reason = self._soe_fault(link, packet)
+        if first and crc_ok:
+            reason = self._soe_fault(link, FragmentPacket(data, True))
             if reason is not None:
                 self.phase = self.HALTED
                 self.halt_reason = reason
                 return True
-        if first or packet.eoe:
+        if first or eoe:
             # The link leaves the rotation; the next link slides into this
             # turn index, so only wrap-around needs handling.
             del self._rotation[self._turn]
@@ -344,16 +346,16 @@ class EventBuilder:
                 self._turn = 0
         else:
             self._turn = (self._turn + 1) % len(self._rotation)
-        if first and not packet.eoe:
+        if first and not eoe:
             self._body.append(link)
-        if not packet.crc_ok:
+        if not crc_ok:
             # Deleted, not retransmitted; the event ships incomplete. A first
             # packet counts as the link's SOE with unknown values.
             self.counters[link].crc_drops += 1
             self._event_incomplete = True
         else:
             self.counters[link].packets += 1
-            self.counters[link].payload_bytes += packet.size_bytes
+            self.counters[link].payload_bytes += len(data) - 6
             if first:
                 self._soe_records.append((link, data))
             else:
@@ -392,8 +394,8 @@ class EventBuilder:
         if self.phase == self.AWAIT_SOE:
             number = self.current_event_number if self.current_event_number is not None else 0xFFFFFFFF
             ts = self.current_timestamp if self.current_timestamp is not None else 0
-            header = FragmentPacket.build(True, False, FragmentPacket.event_header_bytes(number, ts))
-            self._emit(RECORD_EVENT_HEADER, header.serialize())
+            header = fragment_bytes(True, False, FragmentPacket.event_header_bytes(number, ts))
+            self._emit(RECORD_EVENT_HEADER, header)
             for link, rec in self._soe_records:
                 self._emit(RECORD_FRAGMENT_BASE + link, rec)
             self._soe_records = []

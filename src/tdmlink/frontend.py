@@ -35,6 +35,7 @@ from .messages import (
     ChannelBTransaction,
     ChannelCRequest,
     FragmentPacket,
+    fragment_bytes,
 )
 from .wire import PrbsGenerator
 
@@ -340,7 +341,7 @@ class FrontEndCard:
         payload = self._channel_bytes(ev.event_number, channel)
         if soe:
             payload = FragmentPacket.event_header_bytes(ev.event_number, ev.timestamp) + payload
-        data = FragmentPacket.build(soe, eoe, payload).serialize()
+        data = fragment_bytes(soe, eoe, payload)
         if (ev.event_number, channel) in self.corrupt_fragments:
             corrupted = bytearray(data)
             corrupted[2 if not soe else 2 + 2 * EVENT_HEADER_WORDS] ^= 0x01

@@ -11,7 +11,9 @@ Event fragments ride upstream on channel C as 16-bit words (MSB first):
 a header word with SOE/EOE flags and the byte size, an even number of
 payload words, and CRC-32 over header plus payload. On the link a packet
 is framed by one start bit; its header word alone fixes its length
-(`fragment_length`).
+(`fragment_length`). Every hop handles a packet as its wire bytes:
+`fragment_bytes` makes them and `check_fragment` applies the length rule
+and the CRC check; `FragmentPacket` delegates to both.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ __all__ = [
     "ChannelCRequest",
     "FragmentPacket",
     "fragment_length",
+    "check_fragment",
+    "fragment_bytes",
     "frame_fragment",
     "FRAGMENT_HEAD_BITS",
     "fragment_frame_bits",
@@ -269,6 +273,36 @@ def fragment_length(header_word: int) -> int | None:
     return 2 + size + 4
 
 
+def check_fragment(data: bytes) -> bool:
+    """Whether the CRC of the fragment packet `data` holds. Raises
+    MessageFormatError when `data` breaks the length rule: shorter than
+    header plus CRC, a header that opens no packet (`fragment_length`), or
+    a length other than the one its header announces."""
+    n = len(data)
+    if n < 6:
+        raise MessageFormatError("packet shorter than header plus CRC")
+    header = data[0] << 8 | data[1]
+    total = fragment_length(header)
+    if total is None:
+        raise MessageFormatError(f"header word {header:#06x} opens no fragment packet")
+    if n != total:
+        raise MessageFormatError(f"packet length {n} does not match its header's {total}")
+    return int.from_bytes(data[-4:], "big") == zlib.crc32(data[:-4])
+
+
+def fragment_bytes(soe: bool, eoe: bool, payload: bytes) -> bytes:
+    """Wire bytes of the packet with the given flags and big-endian payload
+    bytes: header word, payload, CRC-32 over both."""
+    size = len(payload)
+    header = (int(soe) << 15) | (int(eoe) << 14) | size
+    if size > 2 * MAX_PAYLOAD_WORDS or fragment_length(header) is None:
+        raise MessageFormatError(
+            f"{'SOE ' if soe else ''}packet of {size} payload bytes breaks the length rule"
+        )
+    body = header.to_bytes(2, "big") + payload
+    return body + zlib.crc32(body).to_bytes(4, "big")
+
+
 def frame_fragment(data: bytes) -> BitArray:
     """Channel C link framing: one start bit, then the packet bytes."""
     return np.concatenate([as_bits([1]), bits_from_bytes(data)])
@@ -346,14 +380,7 @@ class FragmentPacket:
             if len(words) and (words.min() < 0 or words.max() > 0xFFFF):
                 raise MessageFormatError("payload word outside 16 bits")
             payload = words.astype(">u2").tobytes()
-        size = len(payload)
-        header = (int(soe) << 15) | (int(eoe) << 14) | size
-        if size > 2 * MAX_PAYLOAD_WORDS or fragment_length(header) is None:
-            raise MessageFormatError(
-                f"{'SOE ' if soe else ''}packet of {size} payload bytes breaks the length rule"
-            )
-        body = header.to_bytes(2, "big") + payload
-        return cls(body + crc32(body).to_bytes(4, "big"), True)
+        return cls(fragment_bytes(soe, eoe, payload), True)
 
     @staticmethod
     def event_header_bytes(event_number: int, timestamp: int) -> bytes:
@@ -380,16 +407,7 @@ class FragmentPacket:
     @classmethod
     def deserialize(cls, data: bytes) -> "FragmentPacket":
         """Parse wire bytes; a CRC mismatch yields crc_ok=False, the receiver
-        is expected to delete such packets (no retransmission)."""
-        if len(data) < 6:
-            raise MessageFormatError("packet shorter than header plus CRC")
-        header = int.from_bytes(data[0:2], "big")
-        total = fragment_length(header)
-        if total is None:
-            raise MessageFormatError(f"header word {header:#06x} opens no fragment packet")
-        if len(data) != total:
-            raise MessageFormatError(
-                f"packet length {len(data)} does not match its header's {total}"
-            )
+        is expected to delete such packets (no retransmission). Raises
+        MessageFormatError as `check_fragment` does."""
         data = bytes(data)
-        return cls(data, int.from_bytes(data[-4:], "big") == crc32(data[:-4]))
+        return cls(data, check_fragment(data))

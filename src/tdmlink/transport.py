@@ -26,7 +26,7 @@ from .backend import (
     BufferPool,
     record_tag_link,
 )
-from .messages import FragmentPacket, fragment_length
+from .messages import EVENT_HEADER_WORDS, FragmentPacket, check_fragment, fragment_length
 
 __all__ = [
     "TRANSPORT_MAGIC",
@@ -251,7 +251,6 @@ class TransportClient:
         self._gap_pending = True
 
     def _on_record(self, tag: int, data: bytes):
-        packet = FragmentPacket.deserialize(data)
         link = record_tag_link(tag)
         ends = tag in (RECORD_GLOBAL_EOE, RECORD_GLOBAL_EOE_INCOMPLETE)
         if tag == RECORD_EVENT_HEADER:
@@ -259,10 +258,11 @@ class TransportClient:
                 self.stats.structure_errors += 1
                 self._close(self._open)
                 self._open = None
-            if not packet.soe:  # no event number or timestamp to open it with
+            header = FragmentPacket.deserialize(data)
+            if not header.soe:  # no event number or timestamp to open it with
                 self._lost()
                 return
-            self._open = ClientEvent(packet.event_number, packet.timestamp)
+            self._open = ClientEvent(header.event_number, header.timestamp)
             self._frag_index = {}
         elif self._open is None or (link is None and not ends):
             self.stats.structure_errors += 1
@@ -275,18 +275,20 @@ class TransportClient:
             self._close(self._open)
             self._open = None
         elif link is not None:
-            if not packet.crc_ok:
+            if not check_fragment(data):
                 self.stats.crc_failures += 1
-            self._verify_provenance(link, packet)
+            self._verify_provenance(link, data)
             self._open.fragments.append((link, data))
 
-    def _verify_provenance(self, link: int, packet: FragmentPacket):
+    def _verify_provenance(self, link: int, data: bytes):
+        """Compare the payload of fragment packet `data`, past any SOE
+        event header, with the expected bytes."""
         if self.expected_bytes_fn is None:
             return
         channel = self._frag_index.get(link, 0)
         self._frag_index[link] = channel + 1
-        data = packet.data_bytes
-        if data != self.expected_bytes_fn(link, channel, len(data) // 2):
+        payload = data[2 + 2 * EVENT_HEADER_WORDS if data[0] & 0x80 else 2 : -4]
+        if payload != self.expected_bytes_fn(link, channel, len(payload) // 2):
             self.stats.provenance_errors += 1
 
     def _close(self, event: ClientEvent):

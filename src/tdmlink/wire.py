@@ -156,11 +156,16 @@ def tdm_deinterleave(schedule: TdmSchedule, line):
     return _deinterleave(schedule, as_bits(line))
 
 
-def _deinterleave(schedule: TdmSchedule, line: BitArray):
+def _cycle_count(schedule: TdmSchedule, line: BitArray) -> int:
     period = len(schedule.slot_sequence)
     if line.shape[-1] % period:
         raise WireFormatError(f"trailing partial cycle of {line.shape[-1] % period} symbols")
-    cycles = line.shape[-1] // period
+    return line.shape[-1] // period
+
+
+def _deinterleave(schedule: TdmSchedule, line: BitArray):
+    period = len(schedule.slot_sequence)
+    cycles = _cycle_count(schedule, line)
     out = []
     for tag in ("A", "B", "C"):
         slots = schedule.slots_of(tag)
@@ -478,13 +483,24 @@ def downstream_tx(a, b, c) -> BitArray:
     return _manchester_encode(_interleave(DOWNSTREAM_SCHEDULE, a, b ^ 1, c))
 
 
+# Every downstream channel's slots are evenly spaced in the cycle (A: 0 and
+# 2, B: 1, C: 3), so the receiver takes each channel as one strided view of
+# the decoded line. The return link's C (slots 2 and 3) is not, and keeps
+# the per-slot copies of `_deinterleave`.
+_DOWNSTREAM_SLICES = tuple(
+    slice(slots[0], None, len(DOWNSTREAM_SCHEDULE.slot_sequence) // len(slots))
+    for slots in map(DOWNSTREAM_SCHEDULE.slots_of, ("A", "B", "C"))
+)
+
+
 def downstream_rx(symbols):
     """Inverse of downstream_tx for a symbol stream that starts on a cycle
     boundary. A pair that breaks Manchester coding does not raise: its
     sampled half is taken as the bit (`manchester_violations` counts such
-    pairs)."""
+    pairs). A and C are views of one decoded line."""
     line = manchester_decode(symbols, 0, check=False)
-    a, b_inv, c = _deinterleave(DOWNSTREAM_SCHEDULE, line)
+    _cycle_count(DOWNSTREAM_SCHEDULE, line)
+    a, b_inv, c = (line[..., s] for s in _DOWNSTREAM_SLICES)
     return a, b_inv ^ 1, c
 
 

@@ -3,10 +3,13 @@
 import dataclasses
 import re
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdmlink import messages as m
 from tdmlink.bits import bits_to_str
@@ -498,3 +501,76 @@ class TestFragmentPacket:
         bits = m.frame_fragment(pkt.serialize())
         assert bits[0] == 1
         assert len(bits) == 1 + 8 * len(pkt.serialize())
+
+
+def reference_check(data: bytes) -> bool | None:
+    """CRC verdict of fragment packet bytes, or None when they break the
+    length rule: fewer than 6 bytes, a payload size that is not a whole
+    number of word pairs or exceeds 2040 bytes, an SOE payload under its
+    12-byte event header, or a length other than size + 6."""
+    if len(data) < 6:
+        return None
+    (header,) = struct.unpack_from(">H", data)
+    size = header & 0x3FFF
+    if size % 4 or size > 2040 or (header >> 15 and size < 12) or len(data) != size + 6:
+        return None
+    (crc,) = struct.unpack_from(">I", data, len(data) - 4)
+    return crc == zlib.crc32(data[:-4])
+
+
+def packet_with_size(soe: bool, eoe: bool, size: int, length: int) -> bytes:
+    """`length` bytes that open with the header word of a `size`-byte
+    payload and close with the CRC of what precedes it."""
+    body = struct.pack(">H", soe << 15 | eoe << 14 | size) + bytes(max(length - 6, 0))
+    return (body + struct.pack(">I", zlib.crc32(body)))[:length]
+
+
+@st.composite
+def fragment_candidates(draw):
+    """Byte strings for the packet rule: random bytes, intact packets with
+    at most one bit flipped, and every edge of the length rule."""
+    kind = draw(st.sampled_from(
+        ["random", "flipped", "odd_size", "short_soe", "oversize", "length_mismatch"]
+    ))
+    soe, eoe = draw(st.booleans()), draw(st.booleans())
+    if kind == "random":
+        return draw(st.binary(max_size=96))
+    if kind == "flipped":
+        size = 4 * draw(st.integers(3 if soe else 0, 510))
+        payload = draw(st.binary(min_size=size, max_size=size))
+        body = struct.pack(">H", soe << 15 | eoe << 14 | size) + payload
+        data = body + struct.pack(">I", zlib.crc32(body))
+        assert m.fragment_bytes(soe, eoe, payload) == data
+        bit = draw(st.none() | st.integers(0, 8 * len(data) - 1))
+        if bit is not None:
+            data = bytearray(data)
+            data[bit // 8] ^= 0x80 >> bit % 8
+        return bytes(data)
+    if kind == "odd_size":
+        size = draw(st.integers(0, 2040).filter(lambda n: n % 4))
+        return packet_with_size(soe, eoe, size, size + 6)
+    if kind == "short_soe":
+        size = draw(st.sampled_from([0, 4, 8]))
+        return packet_with_size(True, eoe, size, size + 6)
+    if kind == "oversize":
+        size = 4 * draw(st.integers(511, 0xFFF))
+        return packet_with_size(soe, eoe, size, size + 6)
+    size = 4 * draw(st.integers(3 if soe else 0, 510))
+    length = draw(st.integers(0, size + 16).filter(lambda n: n != size + 6))
+    return packet_with_size(soe, eoe, size, length)
+
+
+class TestOnePacketRule:
+    @settings(max_examples=400, deadline=None)
+    @given(data=fragment_candidates())
+    def test_check_fragment_matches_reference(self, data):
+        want = reference_check(data)
+        if want is None:
+            with pytest.raises(m.MessageFormatError) as checked:
+                m.check_fragment(data)
+            with pytest.raises(m.MessageFormatError) as parsed:
+                m.FragmentPacket.deserialize(data)
+            assert str(parsed.value) == str(checked.value)
+        else:
+            assert m.check_fragment(data) is want
+            assert m.FragmentPacket.deserialize(data).crc_ok is want

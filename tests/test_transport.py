@@ -1,6 +1,7 @@
 """Credit-controlled transfer, client reassembly, analytic throughput model."""
 
 import functools
+import hashlib
 import random
 import struct
 
@@ -12,7 +13,9 @@ from hypothesis import strategies as st
 from tdmlink import backend as be
 from tdmlink import frontend as fe
 from tdmlink import messages as m
+from tdmlink import sim
 from tdmlink import transport as tp
+from tdmlink.message_engine import MessageEngine
 
 
 def fill_buffers(n_events=3, links=(0, 1), channels=2, words=4, pool_size=16, capacity=256):
@@ -72,6 +75,40 @@ def split_event_frames():
         frames.append(out[0].serialize())
         pool.release(out[1])
     return tuple(frames)
+
+
+# (kind, frame index, value, noise) per frame: which of the frames of
+# `split_event_frames` to send and how to damage it.
+FRAME_DAMAGE = st.lists(
+    st.tuples(
+        st.sampled_from(["frame", "cut", "flip", "reorder", "random"]),
+        st.integers(0, 6),
+        st.integers(0, 2**20),
+        st.binary(max_size=64),
+    ),
+    min_size=1, max_size=12,
+)
+
+
+def damaged_frames(inputs):
+    """The frames `inputs` (drawn from FRAME_DAMAGE) describe: real frames
+    as sent, cut short, with one bit flipped or with their records
+    reordered, and random payload bytes behind a valid header."""
+    frames = split_event_frames()
+    for kind, index, value, noise in inputs:
+        data = frames[index % len(frames)]
+        if kind == "cut":
+            data = data[: value % len(data)]
+        elif kind == "flip":
+            bit = value % (8 * len(data))
+            data = data[: bit // 8] + bytes([data[bit // 8] ^ 0x80 >> bit % 8]) + data[bit // 8 + 1 :]
+        elif kind == "reorder":
+            records = tp.parse_records(data[tp.TRANSPORT_HEADER_BYTES :])
+            random.Random(value).shuffle(records)
+            data = data[: tp.TRANSPORT_HEADER_BYTES] + b"".join(tag.to_bytes(2, "big") + pkt for tag, pkt in records)
+        elif kind == "random":
+            data = tp.TransportFrame(value, 0, noise).serialize()
+        yield data
 
 
 class TestFrameFormat:
@@ -250,37 +287,14 @@ class TestClientReassembly:
         assert client.stats.gaps == 0 and client.stats.gap_events == 1
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        inputs=st.lists(
-            st.tuples(
-                st.sampled_from(["frame", "cut", "flip", "reorder", "random"]),
-                st.integers(0, 6),
-                st.integers(0, 2**20),
-                st.binary(max_size=64),
-            ),
-            min_size=1, max_size=12,
-        )
-    )
+    @given(inputs=FRAME_DAMAGE)
     def test_client_never_raises_on_malformed_frames(self, inputs):
         """Random payload bytes behind a valid header, and real frames cut
         short, with one bit flipped or with their records reordered: the
         client counts what it cannot use and its counters stay consistent."""
-        frames = split_event_frames()
         client = tp.TransportClient(expected_bytes_fn=fe.generator_bytes)
         payload_bytes = 0
-        for kind, index, value, noise in inputs:
-            data = frames[index % len(frames)]
-            if kind == "cut":
-                data = data[: value % len(data)]
-            elif kind == "flip":
-                bit = value % (8 * len(data))
-                data = data[: bit // 8] + bytes([data[bit // 8] ^ 0x80 >> bit % 8]) + data[bit // 8 + 1 :]
-            elif kind == "reorder":
-                records = tp.parse_records(data[tp.TRANSPORT_HEADER_BYTES :])
-                random.Random(value).shuffle(records)
-                data = data[: tp.TRANSPORT_HEADER_BYTES] + b"".join(tag.to_bytes(2, "big") + pkt for tag, pkt in records)
-            elif kind == "random":
-                data = tp.TransportFrame(value, 0, noise).serialize()
+        for data in damaged_frames(inputs):
             client.receive(data)
             if len(data) >= tp.TRANSPORT_HEADER_BYTES and data[:2] == b"\xaa\x55":
                 payload_bytes += len(data) - tp.TRANSPORT_HEADER_BYTES
@@ -297,6 +311,118 @@ class TestClientReassembly:
         client.receive(b"\xde\xad\x00\x00\x00\x00\x00\x00")
         assert client.stats.magic_errors == 1
         assert client.stats.frames == 0
+
+
+class DeserializingClient(tp.TransportClient):
+    """The client with every record parsed into a FragmentPacket, header and
+    end-of-event records included, and provenance read from the packet: the
+    reference for the client that checks fragment bytes in place."""
+
+    def _on_record(self, tag, data):
+        packet = m.FragmentPacket.deserialize(data)
+        link = be.record_tag_link(tag)
+        ends = tag in (be.RECORD_GLOBAL_EOE, be.RECORD_GLOBAL_EOE_INCOMPLETE)
+        if tag == be.RECORD_EVENT_HEADER:
+            if self._open is not None:
+                self.stats.structure_errors += 1
+                self._close(self._open)
+                self._open = None
+            if not packet.soe:
+                self._lost()
+                return
+            self._open = tp.ClientEvent(packet.event_number, packet.timestamp)
+            self._frag_index = {}
+        elif self._open is None or (link is None and not ends):
+            self.stats.structure_errors += 1
+            return
+        if self._gap_pending:
+            self._open.gap_affected = True
+            self._gap_pending = False
+        if ends:
+            self._open.incomplete = tag == be.RECORD_GLOBAL_EOE_INCOMPLETE
+            self._close(self._open)
+            self._open = None
+        elif link is not None:
+            if not packet.crc_ok:
+                self.stats.crc_failures += 1
+            if self.expected_bytes_fn is not None:
+                channel = self._frag_index.get(link, 0)
+                self._frag_index[link] = channel + 1
+                if packet.data_bytes != self.expected_bytes_fn(link, channel, len(packet.data_bytes) // 2):
+                    self.stats.provenance_errors += 1
+            self._open.fragments.append((link, data))
+
+
+def client_outcome(client_class, frames):
+    """Statistics, events and event digest of a provenance-checking client
+    of `client_class` that received `frames`."""
+    client = client_class(expected_bytes_fn=fe.generator_bytes)
+    for data in frames:
+        client.receive(data)
+    digest = hashlib.sha256(b"".join(repr(ev.key()).encode() for ev in client.events)).hexdigest()
+    return client.stats, client.events, digest
+
+
+class FrameRecorder(MessageEngine):
+    """Message-level engine that keeps every frame it delivers to the client."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.frames = []
+
+    def _client_receive(self, frame):
+        self.frames.append(frame.serialize())
+        super()._client_receive(frame)
+
+
+@st.composite
+def faulty_runs(draw):
+    """Short message-level plans with lost, corrupt or skewed fragments."""
+    cards = draw(st.integers(1, 4), label="cards")
+    channels = draw(st.integers(1, 6), label="channels")
+    link = st.integers(0, cards - 1)
+    fault = st.one_of(
+        st.fixed_dictionaries({"type": st.just("drop_packet"), "link": link, "index": st.integers(0, 24)}),
+        st.fixed_dictionaries({
+            "type": st.just("corrupt_fragment"), "link": link,
+            "event": st.integers(0, 5), "channel": st.integers(0, channels - 1),
+        }),
+        st.fixed_dictionaries({"type": st.just("soe_skew"), "link": link, "delta": st.integers(1, 3)}),
+    )
+    return sim.SimConfig(
+        num_frontends=cards,
+        seed=draw(st.integers(0, 2**20), label="seed"),
+        trigger_count=draw(st.integers(2, 6), label="trigger_count"),
+        trigger_start_us=50.0,
+        channels_per_event=channels,
+        words_per_channel=2 * draw(st.integers(1, 48), label="half_words"),
+        mtu=draw(st.sampled_from([1500, 8192]), label="mtu"),
+        keep_client_events=True,
+        faults=draw(st.lists(fault, min_size=1, max_size=3, unique_by=lambda f: (f["type"], f["link"])),
+                    label="faults"),
+    )
+
+
+class TestClientOracle:
+    """The client that checks fragment records as bytes against one that
+    parses every record into a FragmentPacket."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(inputs=FRAME_DAMAGE)
+    def test_damaged_frames(self, inputs):
+        frames = list(damaged_frames(inputs))
+        assert client_outcome(tp.TransportClient, frames) == client_outcome(DeserializingClient, frames)
+
+    @settings(max_examples=40, deadline=None)
+    @given(cfg=faulty_runs())
+    def test_frames_of_faulty_runs(self, cfg):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(sim._ENGINES, "message_level", FrameRecorder)
+            res = sim.run_scenario(cfg)
+        frames = res.engine.frames
+        want = client_outcome(DeserializingClient, frames)
+        assert client_outcome(tp.TransportClient, frames) == want
+        assert want[2] == res.client_digest()
 
 
 class TestThroughputModel:
