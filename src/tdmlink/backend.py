@@ -106,16 +106,17 @@ class DataPump:
         if not self.enabled:
             self.counters.lost_tokens += 1
             return
-        if len(data) > FE_FIFO_BYTES:
-            self.fault = f"packet of {len(data)} bytes exceeds the FE-FIFO"
+        size = len(data)
+        if size > FE_FIFO_BYTES:
+            self.fault = f"packet of {size} bytes exceeds the FE-FIFO"
             self.enabled = False
             self.counters.faults += 1
             return
-        if len(data) > self.free_bytes:
+        if size > FE_FIFO_BYTES - self.fifo_used:
             self.counters.faults += 1
             return
         self.fifo.append(data)
-        self.fifo_used += len(data)
+        self.fifo_used += size
         self.request_outstanding = False
         self.counters.packets += 1
 
@@ -222,23 +223,28 @@ class PacketMover:
         """True when the record was written; False when stalled (retry later,
         nothing is consumed or lost)."""
         size = 2 + len(packet_bytes)
-        if self.current is None:
-            self.current = self.pool.fetch_free()
-            if self.current is None:
+        desc = self.current
+        if desc is None:
+            desc = self.current = self.pool.fetch_free()
+            if desc is None:
                 return self._stall()
-        if size > self.current.usable:
+        usable = desc.capacity - desc.header_reserve
+        if size > usable:
             raise AssertionError("record larger than a whole buffer")
-        if size > self.current.free:
-            self.pool.push_filled(self.current)
-            self.current = self.pool.fetch_free()
-            if self.current is None:
+        payload = desc.payload
+        if size > usable - len(payload):
+            self.pool.push_filled(desc)
+            desc = self.current = self.pool.fetch_free()
+            if desc is None:
                 return self._stall()
+            payload = desc.payload
         self._stalled = False
-        self.current.payload += tag.to_bytes(2, "big")
-        self.current.payload += packet_bytes
-        self.current.incomplete_event |= incomplete
-        if tag in (RECORD_GLOBAL_EOE, RECORD_GLOBAL_EOE_INCOMPLETE):
-            self.current.has_event_end = True
+        payload += tag.to_bytes(2, "big")
+        payload += packet_bytes
+        if incomplete:
+            desc.incomplete_event = True
+        if tag == RECORD_GLOBAL_EOE or tag == RECORD_GLOBAL_EOE_INCOMPLETE:
+            desc.has_event_end = True
         return True
 
     def _stall(self) -> bool:
@@ -297,17 +303,23 @@ class EventBuilder:
         self._body: list[int] = []
         self._soe_records: list[tuple[int, bytes]] = []
         self._event_incomplete = False
-        # Records accepted but not yet written to a buffer (mover stalled).
+        # Records queued behind a stalled mover, in order, not yet written.
         self._pending: deque[tuple[int, bytes, bool]] = deque()
 
     def _emit(self, tag: int, data: bytes):
-        self._pending.append((tag, data, self._event_incomplete))
-        self._drain()
+        """Write one record to the mover; while records are held, queue it
+        behind them and retry the oldest."""
+        incomplete = self._event_incomplete
+        if self._pending:
+            self._pending.append((tag, data, incomplete))
+            self._drain()
+        elif not self.mover.write_record(tag, data, incomplete):
+            self._pending.append((tag, data, incomplete))
 
     def _drain(self) -> bool:
         while self._pending:
             tag, data, incomplete = self._pending[0]
-            if not self.mover.write_record(tag, data, incomplete=incomplete):
+            if not self.mover.write_record(tag, data, incomplete):
                 return False
             self._pending.popleft()
         return True
@@ -319,12 +331,13 @@ class EventBuilder:
         every step after a halt returns False."""
         if self.phase == self.HALTED or not self.active_links:
             return False
-        if not self._drain():
+        if self._pending and not self._drain():
             return False  # no free buffers: backpressure, consume nothing
-        if not self._rotation:
+        rotation, turn = self._rotation, self._turn
+        if not rotation:
             self._next_phase()
             return True
-        link = self._rotation[self._turn]
+        link = rotation[turn]
         pump = pumps[link]
         if pump.peek() is None:
             return False
@@ -341,11 +354,11 @@ class EventBuilder:
         if first or eoe:
             # The link leaves the rotation; the next link slides into this
             # turn index, so only wrap-around needs handling.
-            del self._rotation[self._turn]
-            if self._turn >= len(self._rotation):
+            del rotation[turn]
+            if turn >= len(rotation):
                 self._turn = 0
         else:
-            self._turn = (self._turn + 1) % len(self._rotation)
+            self._turn = (turn + 1) % len(rotation)
         if first and not eoe:
             self._body.append(link)
         if not crc_ok:
@@ -354,8 +367,9 @@ class EventBuilder:
             self.counters[link].crc_drops += 1
             self._event_incomplete = True
         else:
-            self.counters[link].packets += 1
-            self.counters[link].payload_bytes += len(data) - 6
+            counters = self.counters[link]
+            counters.packets += 1
+            counters.payload_bytes += len(data) - 6
             if first:
                 self._soe_records.append((link, data))
             else:

@@ -19,7 +19,6 @@ Register map (word addresses):
 
 from __future__ import annotations
 
-import sys
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -80,18 +79,18 @@ def generator_word(port_id: int, channel: int, k):
     return ((port_id << 11) ^ (channel << 2) ^ k) & 0xFFFF
 
 
-# Word indices 0..MAX_PAYLOAD_WORDS-1 stored big-endian and viewed as
-# native uint16, so one XOR with a stamp stored the same way gives wire bytes.
-_WORD_INDEX = np.arange(MAX_PAYLOAD_WORDS, dtype=">u2").view(np.uint16)
-_WORD_INDEX.flags.writeable = False
+# Every 16-bit value stored big-endian and viewed as native uint16: a slice
+# holds word indices and one element a stamp, both stored the same way, so
+# one XOR of the two gives wire bytes.
+_WORD_BE = np.arange(1 << 16, dtype=">u2").view(np.uint16)
+_WORD_BE.flags.writeable = False
 
 
 def generator_bytes(port_id: int, channel: int, nwords: int) -> bytes:
     """Big-endian bytes of the counter fill pattern: `generator_word` of
     word indices 0..nwords-1, for up to MAX_PAYLOAD_WORDS words."""
     stamp = ((port_id << 11) ^ (channel << 2)) & 0xFFFF
-    stamp_be = int.from_bytes(stamp.to_bytes(2, "big"), sys.byteorder)
-    return (_WORD_INDEX[:nwords] ^ stamp_be).tobytes()
+    return (_WORD_BE[:nwords] ^ _WORD_BE[stamp]).tobytes()
 
 
 @dataclass
@@ -336,14 +335,15 @@ class FrontEndCard:
         return np.packbits(PrbsGenerator(15, seed=seed).stream(16 * n)).tobytes()
 
     def _fragment_bytes(self, ev: _QueuedEvent, channel: int) -> bytes:
-        soe = channel == 0
         eoe = channel == self.generator.channels_per_event - 1
         payload = self._channel_bytes(ev.event_number, channel)
-        if soe:
-            payload = FragmentPacket.event_header_bytes(ev.event_number, ev.timestamp) + payload
-        data = fragment_bytes(soe, eoe, payload)
-        if (ev.event_number, channel) in self.corrupt_fragments:
+        if channel:
+            data = fragment_bytes(False, eoe, payload)
+        else:
+            header = FragmentPacket.event_header_bytes(ev.event_number, ev.timestamp)
+            data = fragment_bytes(True, eoe, header + payload)
+        if self.corrupt_fragments and (ev.event_number, channel) in self.corrupt_fragments:
             corrupted = bytearray(data)
-            corrupted[2 if not soe else 2 + 2 * EVENT_HEADER_WORDS] ^= 0x01
+            corrupted[2 + 2 * EVENT_HEADER_WORDS if channel == 0 else 2] ^= 0x01
             data = bytes(corrupted)
         return data

@@ -31,11 +31,9 @@ __all__ = ["MessageEngine"]
 # data taking, so only A, C-down and the return links need pacing here.
 DOWN_C_FRAME_TICKS = CHANNEL_C_REQUEST_BITS * timebase.DOWN_TICKS_PER_CHANNEL_BIT["C"]
 UP_A_FRAME_TICKS = CHANNEL_A_FRAME_BITS * timebase.UP_TICKS_PER_CHANNEL_BIT["A"]
-
-
-def _up_c_packet_ticks(nbytes: int) -> int:
-    # Start bit plus the packet bytes at 2 ticks per channel C bit.
-    return (8 * nbytes + 1) * timebase.UP_TICKS_PER_CHANNEL_BIT["C"]
+# Channel C of the return link, which frames a packet as one start bit and
+# then its bytes.
+UP_C_TICKS_PER_BIT = timebase.UP_TICKS_PER_CHANNEL_BIT["C"]
 
 
 def _eth_wire_ticks(payload_bytes: int) -> int:
@@ -62,7 +60,8 @@ class MessageEngine(System):
         self._token_check_scheduled = False
         self._trigger_check_scheduled = False
         self._trigger_wakeup_tick = None
-        # Scripted packet loss: {link: set of arrival indices to drop}.
+        # Scripted packet loss: {link: set of arrival indices to drop}. Only
+        # the arrivals of links in the plan are counted.
         self._drop_plan: dict[int, set[int]] = {}
         for fault in self.link_faults:
             self._drop_plan.setdefault(fault["link"], set()).add(fault["index"])
@@ -155,7 +154,7 @@ class MessageEngine(System):
 
     def _send_packet_up(self, port, data: bytes, batches):
         start = max(self.now, self._up_c_busy[port])
-        finish = start + _up_c_packet_ticks(len(data))
+        finish = start + (8 * len(data) + 1) * UP_C_TICKS_PER_BIT
         self._up_c_busy[port] = finish
         batch = batches.get(finish)
         if batch is None:
@@ -166,17 +165,19 @@ class MessageEngine(System):
         batch.append((port, data))
 
     def _packets_arrived(self, batch):
+        drop_plan = self._drop_plan
         for port, data in batch:
-            index = self._arrival_index[port]
-            self._arrival_index[port] = index + 1
-            if index in self._drop_plan.get(port, ()):
-                # Scripted transit loss. Clearing the token lets the pump
-                # request again, so the builder faces the stream minus this
-                # packet.
-                self.pumps[port].request_outstanding = False
-                self._schedule_token_check()
-            else:
-                self.pumps[port].on_packet(data)
+            if port in drop_plan:
+                index = self._arrival_index[port]
+                self._arrival_index[port] = index + 1
+                if index in drop_plan[port]:
+                    # Scripted transit loss. Clearing the token lets the pump
+                    # request again, so the builder faces the stream minus
+                    # this packet.
+                    self.pumps[port].request_outstanding = False
+                    self._schedule_token_check()
+                    continue
+            self.pumps[port].on_packet(data)
         self._progress()
 
     # -- request tokens -----------------------------------------------------------

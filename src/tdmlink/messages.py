@@ -13,7 +13,8 @@ payload words, and CRC-32 over header plus payload. On the link a packet
 is framed by one start bit; its header word alone fixes its length
 (`fragment_length`). Every hop handles a packet as its wire bytes:
 `fragment_bytes` makes them and `check_fragment` applies the length rule
-and the CRC check; `FragmentPacket` delegates to both.
+and the CRC check (`fragment_crc_ok`, which a hop that has already
+applied the length rule calls alone); `FragmentPacket` delegates to them.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ __all__ = [
     "FragmentPacket",
     "fragment_length",
     "check_fragment",
+    "fragment_crc_ok",
     "fragment_bytes",
     "frame_fragment",
     "FRAGMENT_HEAD_BITS",
@@ -287,6 +289,12 @@ def check_fragment(data: bytes) -> bool:
         raise MessageFormatError(f"header word {header:#06x} opens no fragment packet")
     if n != total:
         raise MessageFormatError(f"packet length {n} does not match its header's {total}")
+    return fragment_crc_ok(data)
+
+
+def fragment_crc_ok(data: bytes) -> bool:
+    """Whether the CRC-32 that ends fragment packet `data` matches its header
+    and payload. `data` must already follow the length rule (`check_fragment`)."""
     return int.from_bytes(data[-4:], "big") == zlib.crc32(data[:-4])
 
 

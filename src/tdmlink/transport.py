@@ -26,7 +26,7 @@ from .backend import (
     BufferPool,
     record_tag_link,
 )
-from .messages import EVENT_HEADER_WORDS, FragmentPacket, check_fragment, fragment_length
+from .messages import EVENT_HEADER_WORDS, FragmentPacket, fragment_crc_ok, fragment_length
 
 __all__ = [
     "TRANSPORT_MAGIC",
@@ -146,23 +146,25 @@ class TransportServer:
 
 
 def parse_records(payload: bytes) -> list[tuple[int, bytes]]:
-    """Walk (tag, packet) records of one buffer; records never span buffers."""
+    """Walk (tag, packet) records of one buffer; records never span buffers.
+    This walk applies the length rule to every packet (`fragment_length`),
+    so each packet returned is as long as its header announces."""
     out = []
+    n = len(payload)
     pos = 0
-    while pos < len(payload):
-        if pos + 2 > len(payload):
+    while pos < n:
+        if pos + 2 > n:
             raise TransportError("dangling record tag")
-        tag = int.from_bytes(payload[pos : pos + 2], "big")
-        pos += 2
-        if pos + 2 > len(payload):
+        if pos + 4 > n:
             raise TransportError("record truncated before packet header")
-        total = fragment_length(int.from_bytes(payload[pos : pos + 2], "big"))
+        total = fragment_length(payload[pos + 2] << 8 | payload[pos + 3])
         if total is None:
             raise TransportError("record holds no fragment packet")
-        if pos + total > len(payload):
+        end = pos + 2 + total
+        if end > n:
             raise TransportError("record truncated")
-        out.append((tag, payload[pos : pos + total]))
-        pos += total
+        out.append((payload[pos] << 8 | payload[pos + 1], payload[pos + 2 : end]))
+        pos = end
     return out
 
 
@@ -275,16 +277,16 @@ class TransportClient:
             self._close(self._open)
             self._open = None
         elif link is not None:
-            if not check_fragment(data):
+            # `parse_records` applied the length rule; only the CRC is left.
+            if not fragment_crc_ok(data):
                 self.stats.crc_failures += 1
-            self._verify_provenance(link, data)
+            if self.expected_bytes_fn is not None:
+                self._verify_provenance(link, data)
             self._open.fragments.append((link, data))
 
     def _verify_provenance(self, link: int, data: bytes):
         """Compare the payload of fragment packet `data`, past any SOE
         event header, with the expected bytes."""
-        if self.expected_bytes_fn is None:
-            return
         channel = self._frag_index.get(link, 0)
         self._frag_index[link] = channel + 1
         payload = data[2 + 2 * EVENT_HEADER_WORDS if data[0] & 0x80 else 2 : -4]

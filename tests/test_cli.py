@@ -108,6 +108,12 @@ def test_sweep_small_grid(tmp_path, capsys):
     rows = [line.split(",") for line in lines[1:]]
     assert [r[0] for r in rows] == ["1", "6"]
     assert float(rows[1][2]) >= float(rows[0][2])  # monotone in credit
+    # Pinned: the message-level run behind each row must not change.
+    assert out_path.read_text() == (
+        "credit,mtu,MB_per_s,events,incomplete,gaps\n"
+        "1,8192,22.541,8,0,0\n"
+        "6,8192,87.513,34,0,0\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,11 @@
 """Message codecs: layouts, parity, round trips, fragment CRC."""
 
 import dataclasses
+import importlib
+import pkgutil
 import re
 import struct
+import types
 import zlib
 from pathlib import Path
 
@@ -11,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tdmlink
 from tdmlink import messages as m
+from tdmlink import sim
 from tdmlink.bits import bits_to_str
 
 
@@ -574,3 +579,46 @@ class TestOnePacketRule:
         else:
             assert m.check_fragment(data) is want
             assert m.FragmentPacket.deserialize(data).crc_ok is want
+            assert m.fragment_crc_ok(data) is want
+
+    def test_checked_once_per_hop(self, monkeypatch):
+        """On a message-level run, each fragment packet meets the length rule
+        three times (made by its card, unloaded by the builder, walked by the
+        client) and the CRC three times (made, checked by the builder, checked
+        by the client). Each event adds its header record (made, walked,
+        parsed) and its end-of-event record (walked)."""
+        calls = {"fragment_length": 0, "crc32": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        original = m.fragment_length
+        fragment_length = counted("fragment_length", original)
+        counting_zlib = types.SimpleNamespace(crc32=counted("crc32", zlib.crc32))
+        crc32 = counting_zlib.crc32
+        for info in pkgutil.iter_modules(tdmlink.__path__):
+            module = importlib.import_module(f"tdmlink.{info.name}")
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, fragment_length)
+                elif value is zlib:
+                    monkeypatch.setattr(module, name, counting_zlib)
+                elif value is zlib.crc32:
+                    monkeypatch.setattr(module, name, crc32)
+        cfg = sim.SimConfig(
+            num_frontends=4, seed=3, trigger_mode="gated", trigger_count=3,
+            channels_per_event=16, words_per_channel=64,
+        )
+        res = sim.run_scenario(cfg)
+        assert res.metrics.violations == []
+        assert res.metrics.client["crc_failures"] == 0
+        fragments = sum(c.packets for c in res.engine.builder.counters.values())
+        events = res.metrics.client["events"]
+        assert (fragments, events) == (192, 3)
+        assert calls == {
+            "fragment_length": 3 * fragments + 4 * events,
+            "crc32": 3 * fragments + 2 * events,
+        }

@@ -1185,4 +1185,4 @@ class TestTimingAudit:
         # frame, and a 262-byte packet (256 payload bytes) with its start bit.
         assert message_engine.DOWN_C_FRAME_TICKS == 672
         assert message_engine.UP_A_FRAME_TICKS == 40
-        assert message_engine._up_c_packet_ticks(262) == 4_194
+        assert (8 * 262 + 1) * message_engine.UP_C_TICKS_PER_BIT == 4_194
