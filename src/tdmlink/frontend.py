@@ -332,7 +332,7 @@ class FrontEndCard:
         if n == 0:
             return b""
         seed = ((self.serial_number ^ (event_number * 2654435761) ^ channel) % 32766) + 1
-        return np.packbits(PrbsGenerator(15, seed=seed).stream(16 * n)).tobytes()
+        return PrbsGenerator(15, seed=seed).stream_words(16 * n).view(np.uint8)[: 2 * n].tobytes()
 
     def _fragment_bytes(self, ev: _QueuedEvent, channel: int) -> bytes:
         eoe = channel == self.generator.channels_per_event - 1

@@ -21,7 +21,7 @@ from .message_engine import MessageEngine
 from .symbol_engine import SymbolEngine
 from .system import check_fault
 from .transport import FRAME_OVERHEAD_BYTES
-from .wire import PRBS_TAPS, PrbsGenerator, prbs_verify
+from .wire import PRBS_TAPS, PrbsGenerator, prbs_verify_words
 
 __all__ = [
     "TICKS_PER_US",
@@ -355,9 +355,10 @@ def ber_test(
 ) -> BerResult:
     """Run the embedded BER tester over `duration_bits` effective bits.
 
-    A window of up to `window_bits` is generated as one array, corrupted
-    in place by the channel and the injected flips, and checked by the
-    self-seeding verifier; the remainder is fast-forwarded: the coding
+    A window of up to `window_bits` is generated as one array of 64-bit
+    words, an eighth of a byte per bit, corrupted in place by the channel
+    and the injected flips, and checked by the self-seeding verifier on the
+    words; the remainder is fast-forwarded: the coding
     chain is the identity (scramble then descramble cancels exactly, as the
     codec property tests establish), so an error-free channel contributes
     zero errors at any length, and a channel with bit-error probability p
@@ -368,15 +369,17 @@ def ber_test(
     order, duration, window = check_ber_test(pattern, duration_bits, ber, window_bits, inject)
     rng = np.random.default_rng(seed)
 
-    bits = PrbsGenerator(order, seed=1).stream(window)
+    words = PrbsGenerator(order, seed=1).stream_words(window)
+    packed = words.view(np.uint8)  # bit i is bit 7 - i % 8 of byte i // 8
     if ber > 0.0:
         # Chunked draws give the same values as one draw of `window`.
         for start in range(0, window, BER_DRAW_CHUNK):
             draw = rng.random(min(BER_DRAW_CHUNK, window - start))
-            bits[start + np.flatnonzero(draw < ber)] ^= 1
+            hits = start + np.flatnonzero(draw < ber)
+            np.bitwise_xor.at(packed, hits >> 3, (0x80 >> (hits & 7)).astype(np.uint8))
     for pos in inject:
-        bits[pos] ^= 1  # a position injected twice cancels itself
-    positions = prbs_verify(order, bits)
+        packed[pos >> 3] ^= 0x80 >> (pos & 7)  # a position injected twice cancels itself
+    positions = prbs_verify_words(order, words, window)
     window_errors = int(len(positions))
 
     remainder = duration - window

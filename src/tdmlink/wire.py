@@ -55,6 +55,7 @@ __all__ = [
     "PRBS_TAPS",
     "PrbsGenerator",
     "prbs_verify",
+    "prbs_verify_words",
     "inject_bit_error",
     "downstream_tx",
     "downstream_rx",
@@ -402,19 +403,23 @@ def _descramble(bits: BitArray, register: BitArray) -> tuple[BitArray, BitArray]
 PRBS_TAPS = {7: 6, 15: 14, 23: 18, 31: 28}
 
 
+def _check_order(order: int) -> None:
+    if order not in PRBS_TAPS:
+        raise ValueError(f"PRBS order must be one of {sorted(PRBS_TAPS)}")
+
+
 # Over GF(2), p(x)^2 = p(x^2), so for the feedback polynomial
 # p(x) = 1 + x^tap + x^order, p(x)^(2^k) = p(x^(2^k)): a PRBS sequence also
 # obeys s[i] = s[i - order*2^k] xor s[i - tap*2^k] for every i >= order*2^k.
 # The kernel doubles both lags once the sequence is twice the longer one, so
 # each XOR block (as long as the shorter lag) grows with the sequence and the
-# call count grows with log2(n), not n / tap: 1e7 PRBS31 bits take 25 calls.
-def _prbs_forward(history: BitArray, order: int, count: int) -> BitArray:
-    """Extend a PRBS sequence by `count` bits past the given `order`-bit history."""
-    lag, tap = order, PRBS_TAPS[order]
-    seq = np.empty(order + count, dtype=np.uint8)
-    seq[:order] = history
-    pos = order
-    end = order + count
+# call count grows with log2(n), not n / tap.
+def _lag_doubling_fill(seq: np.ndarray, pos: int, lag: int, tap: int) -> None:
+    """Fill seq[pos:] by seq[i] = seq[i - lag] xor seq[i - tap] from the
+    filled seq[:pos], doubling both lags as the sequence grows; the
+    recurrence must hold for every i >= lag, and pos >= lag > tap unless
+    there is nothing to fill."""
+    end = len(seq)
     while pos < end:
         if 2 * lag <= pos:
             lag, tap = 2 * lag, 2 * tap
@@ -425,45 +430,104 @@ def _prbs_forward(history: BitArray, order: int, count: int) -> BitArray:
             out=seq[pos : pos + step],
         )
         pos += step
+
+
+def _prbs_forward(history: BitArray, order: int, count: int) -> BitArray:
+    """Extend a PRBS sequence by `count` bits past the given `order`-bit history."""
+    seq = np.empty(order + count, dtype=np.uint8)
+    seq[:order] = history
+    _lag_doubling_fill(seq, order, order, PRBS_TAPS[order])
     return seq
+
+
+# With k >= 6 both lags, order*2^k and tap*2^k bits, are whole 64-bit words.
+# At k = 6 they are `order` and `tap` words, and the recurrence holds from
+# word `order` <= 31 on, inside a 64-word (4096-bit) head. So only the head is
+# made bit by bit; past it the same fill runs on words, one aligned XOR per
+# step and no shifts.
+_HEAD_WORDS = 64
+
+
+def _prbs_words(history: BitArray, order: int, nwords: int) -> np.ndarray:
+    """The first `nwords` words of the PRBS sequence that starts with the
+    `order`-bit history."""
+    words = np.empty(nwords, dtype=np.uint64)
+    head = min(nwords, _HEAD_WORDS)
+    words.view(np.uint8)[: 8 * head] = np.packbits(_prbs_forward(history, order, 64 * head - order))
+    _lag_doubling_fill(words, head, order, PRBS_TAPS[order])
+    return words
+
+
+def _word_count(nbits: int) -> int:
+    return -(-nbits // 64)
+
+
+def _clear_tail(words: np.ndarray, nbits: int) -> None:
+    """Zero the bits of `words` past the first `nbits`."""
+    packed = words.view(np.uint8)
+    packed[-(-nbits // 8) :] = 0
+    if nbits % 8:
+        packed[nbits // 8] &= 0xFF << (8 - nbits % 8) & 0xFF
 
 
 class PrbsGenerator:
     """Maximal-length pseudo-random bit source of order 7, 15, 23 or 31."""
 
     def __init__(self, order: int, seed: int = 1):
-        if order not in PRBS_TAPS:
-            raise ValueError(f"PRBS order must be one of {sorted(PRBS_TAPS)}")
+        _check_order(order)
         if not 0 < seed < (1 << order):
             raise ValueError("PRBS seed must be nonzero and fit the register")
         self.order = order
         # The next `order` bits to be emitted; never all-zero.
         self._window = bits_from_int(seed, order)
 
-    def stream(self, n: int) -> BitArray:
+    def stream_words(self, n: int) -> np.ndarray:
+        """The next `n` bits packed into ceil(n / 64) 64-bit words: viewed as
+        bytes, the words are `np.packbits` of the bits (MSB first), and the
+        bits past the `n`-th are zero."""
         if n < 1:
             raise ValueError("bit count must be >= 1")
-        ext = _prbs_forward(self._window, self.order, n)
-        self._window = ext[n : n + self.order].copy()
-        return ext[:n]
+        words = _prbs_words(self._window, self.order, _word_count(n + self.order))
+        ahead = np.unpackbits(words.view(np.uint8)[n // 8 : -(-(n + self.order) // 8)])
+        self._window = ahead[n % 8 : n % 8 + self.order]
+        words = words[: _word_count(n)]
+        _clear_tail(words, n)
+        return words
+
+    def stream(self, n: int) -> BitArray:
+        return np.unpackbits(self.stream_words(n).view(np.uint8), count=n)
+
+
+def prbs_verify_words(order: int, words: np.ndarray, nbits: int) -> np.ndarray:
+    """`prbs_verify` on a window of `nbits` bits held as packed 64-bit words
+    (the layout of `PrbsGenerator.stream_words`); bits past `nbits` are
+    ignored."""
+    _check_order(order)
+    if nbits <= order:
+        raise ValueError(f"need more than {order} bits to verify")
+    words = np.asarray(words)
+    if words.dtype != np.uint64 or words.shape != (_word_count(nbits),):
+        raise ValueError(f"{nbits} bits need {_word_count(nbits)} uint64 words")
+    seed = np.unpackbits(words[:1].view(np.uint8), count=order)
+    if not seed.any():
+        raise ValueError("all-zero verifier seed")
+    diff = _prbs_words(seed, order, len(words))
+    np.bitwise_xor(diff, words, out=diff)  # the seed bits XOR to 0
+    _clear_tail(diff, nbits)
+    # Only the words that disagree are unpacked to find their bits.
+    bad = np.flatnonzero(diff)
+    rows, cols = np.nonzero(np.unpackbits(diff[bad].view(np.uint8)).reshape(-1, 64))
+    return bad[rows] * 64 + cols
 
 
 def prbs_verify(order: int, bits) -> np.ndarray:
     """Self-seed from the first `order` received bits, then free-run and
     return the exact positions that disagree with the expected sequence."""
-    if order not in PRBS_TAPS:
-        raise ValueError(f"PRBS order must be one of {sorted(PRBS_TAPS)}")
+    _check_order(order)
     bits = as_bits(bits)
-    if len(bits) <= order:
-        raise ValueError(f"need more than {order} bits to verify")
-    seed = bits[:order]
-    if not seed.any():
-        raise ValueError("all-zero verifier seed")
-    diff = _prbs_forward(seed, order, len(bits) - order)
-    np.bitwise_xor(diff, bits, out=diff)  # the seed bits XOR to 0
-    # Bits are 0 or 1, so a bool view is exact, and nonzero runs about ten
-    # times faster on bool than on uint8.
-    return np.flatnonzero(diff.view(np.bool_))
+    words = np.zeros(_word_count(len(bits)), dtype=np.uint64)
+    words.view(np.uint8)[: -(-len(bits) // 8)] = np.packbits(bits)
+    return prbs_verify_words(order, words, len(bits))
 
 
 def inject_bit_error(bits, position: int) -> BitArray:

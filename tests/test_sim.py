@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tdmlink import message_engine, sim, timebase, wire
+from tdmlink.bits import bits_from_int
 from tdmlink.frontend import REG_LOST_TRIGGERS, REG_SERIAL_LO
 from tdmlink.message_engine import MessageEngine
 from tdmlink.messages import ChannelAMessageUp, ChannelBTransaction, encode_channel_a, encode_channel_b
@@ -1060,6 +1062,55 @@ class TestLineErrors:
         self.run_and_audit(line_error_scenario(num_frontends=cards, seed=seed, ber=ber, run_ms=0.6))
 
 
+def reference_ber_test(pattern, duration_bits, ber, window_bits, inject, seed):
+    """`ber_test` one byte per bit: a bit-level PRBS window, the same chunked
+    channel draws and flips, then the self-seeded window regenerated and
+    XORed against the received one."""
+    order, duration, window = sim.check_ber_test(pattern, duration_bits, ber, window_bits, inject)
+    rng = np.random.default_rng(seed)
+    bits = wire._prbs_forward(bits_from_int(1, order), order, window - order)
+    if ber > 0.0:
+        for start in range(0, window, sim.BER_DRAW_CHUNK):
+            draw = rng.random(min(sim.BER_DRAW_CHUNK, window - start))
+            bits[start + np.flatnonzero(draw < ber)] ^= 1
+    for pos in inject:
+        bits[pos] ^= 1
+    if not bits[:order].any():
+        raise ValueError("all-zero verifier seed")
+    positions = np.flatnonzero(wire._prbs_forward(bits[:order], order, window - order) ^ bits).tolist()
+    remainder = duration - window
+    errors = len(positions) + (int(rng.binomial(remainder, ber)) if ber > 0.0 and remainder else 0)
+    return sim.BerResult(
+        pattern=pattern,
+        bits=duration,
+        window_bits=window,
+        errors=errors,
+        error_positions=positions[:100],
+        measured_ber=errors / duration,
+        ber_95cl_bound=(3.0 / duration) if errors == 0 else None,
+        injected=list(inject),
+        injected_detected=set(inject) <= set(positions),
+    )
+
+
+@st.composite
+def ber_inputs(draw):
+    """`ber_test` arguments; windows are mostly not whole words, and
+    injected positions may repeat."""
+    order = draw(st.sampled_from(sorted(wire.PRBS_TAPS)))
+    window = draw(st.one_of(st.integers(order + 1, 5_000), st.integers(order + 1, 300_000)))
+    positions = draw(st.lists(st.integers(order, window - 1), max_size=5))
+    repeats = draw(st.lists(st.sampled_from(positions), max_size=3)) if positions else []
+    return dict(
+        pattern=f"prbs{order}",
+        duration_bits=draw(st.sampled_from([window, 3 * window, 1.32e13])),
+        ber=draw(st.sampled_from([0.0, 1e-4, 1e-3])),
+        window_bits=window,
+        inject=tuple(positions + repeats),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
 class TestBerTester:
     def test_zero_error_run_reports_rule_of_three_bound(self):
         res = ber_test("prbs31", duration_bits=1.32e13, window_bits=1_000_000)
@@ -1146,6 +1197,40 @@ class TestBerTester:
     def test_shortest_window_verifies(self):
         res = ber_test("prbs23", duration_bits=50, window_bits=24)
         assert res.window_bits == 24 and res.errors == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(inputs=ber_inputs())
+    @example(
+        inputs=dict(
+            pattern="prbs31", duration_bits=1e9, ber=1e-3, window_bits=sim.BER_DRAW_CHUNK + 77,
+            inject=(31, sim.BER_DRAW_CHUNK + 76, 500_000, 31), seed=7,
+        )
+    )
+    def test_matches_byte_per_bit_reference(self, inputs):
+        try:
+            expected = reference_ber_test(**inputs).to_json()
+        except ValueError as exc:  # a channel flip zeroed the verifier seed
+            with pytest.raises(ValueError, match=str(exc)):
+                ber_test(**inputs)
+        else:
+            assert ber_test(**inputs).to_json() == expected
+
+    def test_window_held_packed(self):
+        # One byte per bit, the 1e7-bit window and its regenerated copy
+        # peaked at 20 MB; packed into words, the two take 2.5 MB (3.2 MB
+        # when this call is the first to import numpy.random).
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            res = ber_test("prbs31", duration_bits=1.32e13, window_bits=10_000_000, inject=(31, 9_999_999))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert res.error_positions == [31, 9_999_999]
+        assert peak < 4_000_000, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestTimingAudit:
