@@ -372,10 +372,12 @@ def ber_test(
     words = PrbsGenerator(order, seed=1).stream_words(window)
     packed = words.view(np.uint8)  # bit i is bit 7 - i % 8 of byte i // 8
     if ber > 0.0:
-        # Chunked draws give the same values as one draw of `window`.
+        # Chunked draws into one buffer give the same values as one draw of
+        # `window`, and hold one chunk at a time.
+        draw = np.empty(min(BER_DRAW_CHUNK, window))
         for start in range(0, window, BER_DRAW_CHUNK):
-            draw = rng.random(min(BER_DRAW_CHUNK, window - start))
-            hits = start + np.flatnonzero(draw < ber)
+            chunk = rng.random(out=draw[: min(BER_DRAW_CHUNK, window - start)])
+            hits = start + np.flatnonzero(chunk < ber)
             np.bitwise_xor.at(packed, hits >> 3, (0x80 >> (hits & 7)).astype(np.uint8))
     for pos in inject:
         packed[pos >> 3] ^= 0x80 >> (pos & 7)  # a position injected twice cancels itself

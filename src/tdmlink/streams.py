@@ -1,8 +1,14 @@
 """Streaming serializers and deserializers for the symbol-level simulator.
 
-Links are rows: every link of one direction is one row of a (links, bits)
-array, and each stage of a direction's chain runs once per chunk on the
-whole array. A single link is the one-row case. A stage handles its rows as
+Links are rows: every fanout link is one row of a (links, symbols) array,
+and each stage of the chain runs once per chunk on the whole array. A
+single link is the one-row case. The return links are bit lanes instead:
+one uint32 word per line bit, bit r of word t being link r's bit t, so one
+pass of the `wire` kernels over the words codes every link at once. Their
+queues and receiver state stay per link (row): a channel is packed into
+lanes only when some link has bits queued on it, and unpacked only for the
+links whose lane holds a 1 or that hold a partial frame; training, resets
+and idle steps act on lanes through masks. A stage handles its rows as
 one batch: a queue pull joins every busy row's head into one array, and when
 every row is in the same state the rows are indexed by one slice, so the
 chain sees views of whole arrays, not gathered copies. Transmitters hold
@@ -27,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import timebase
-from .bits import BitArray, as_bits
+from .bits import BitArray
 from .messages import (
     CHANNEL_A_FRAME_BITS,
     CHANNEL_B_FRAME_BITS,
@@ -49,14 +55,14 @@ from .wire import (
     Descrambler,
     Scrambler,
     WireFormatError,
+    _upstream_channels,
+    _upstream_line,
     bit_slip_sync,
     count_manchester_violations,
     downstream_rx,
     downstream_tx,
     idle_scrambler_register,
     training_pattern,
-    upstream_rx,
-    upstream_tx,
 )
 
 __all__ = [
@@ -76,6 +82,22 @@ TRAINING_BITS = 1000
 _DOWN_SLOTS = {ch: len(DOWNSTREAM_SCHEDULE.slots_of(ch)) for ch in "ABC"}
 _UP_SLOTS = {ch: len(UPSTREAM_SCHEDULE.slots_of(ch)) for ch in "ABC"}
 _UP_CYCLE_BITS = len(UPSTREAM_SCHEDULE.slot_sequence)
+
+# Bit r of a return-link lane word is link r's line bit: 5-bit card IDs
+# and the 32-bit channel C mask allow at most 32 links.
+_LANE_BITS = np.uint32(1) << np.arange(32, dtype=np.uint32)
+
+
+def _pack(bits: BitArray, lanes: np.ndarray) -> np.ndarray:
+    """Lane words holding row i of `bits` in lane lanes[i]. Each word is a
+    sum of distinct powers of two, so bit r is lane r whatever the
+    machine's byte order."""
+    return _LANE_BITS[lanes] @ bits
+
+
+def _unpack(words: np.ndarray, lanes: np.ndarray) -> BitArray:
+    """The bits of each of `lanes` in `words`, one row each."""
+    return (words & _LANE_BITS[lanes, None]).astype(bool).view(np.uint8)
 
 
 def _row_order(*event_lists):
@@ -158,18 +180,24 @@ class BitQueue:
         pending = self.pending_bits[rows]
         if not np.count_nonzero(pending):
             return np.zeros((len(pending), n), dtype=np.uint8)
+        busy, lines = self._cut(n, rows)
+        if len(busy) == len(pending):
+            return lines
+        out = np.zeros((len(pending), n), dtype=np.uint8)
+        out[busy] = lines
+        return out
+
+    def _cut(self, n: int, rows) -> tuple[np.ndarray, BitArray]:
+        """Cut the next n bits of each busy row of `rows`: returns the busy
+        rows' places in `rows` and their heads as one (busy, n) array."""
+        pending = self.pending_bits[rows]
         busy = np.flatnonzero(pending)
         heads = []
         for queued in self._bits[rows][busy]:
             heads.append(queued[:n].ljust(n, b"\0"))
             del queued[:n]
         self.pending_bits[rows] = np.maximum(pending - n, 0)
-        lines = np.frombuffer(b"".join(heads), np.uint8).reshape(len(busy), n)
-        if len(busy) == len(pending):
-            return lines
-        out = np.zeros((len(pending), n), dtype=np.uint8)
-        out[busy] = lines
-        return out
+        return busy, np.frombuffer(b"".join(heads), np.uint8).reshape(len(busy), n)
 
 
 class FrameScanner:
@@ -266,17 +294,54 @@ class FrameScanner:
                 self._held[row], self._frames[row] = False, 0
         return out
 
+    def _feed_alike(self, bits: BitArray, rows: np.ndarray) -> list[tuple[int, BitArray, int]]:
+        """`feed` of the same channel bits to each of `rows` (an index
+        array), none holding a partial frame. Only the first row is
+        scanned; every other row takes its frames, new faults and partial
+        frame, with the frames' indices counted from its own bits fed."""
+        first, rest = rows[0], rows[1:]
+        faults, fed = self.faults[first], self._fed[rows]
+        frames = self.feed(bits[None], rows[:1])
+        self._fed[rest] += len(bits)
+        self.faults[rest] += self.faults[first] - faults
+        for state in (self._owed, self._held, self._frames):
+            state[rest] = state[first]
+        return [(row, frame, end + shift) for row, shift in zip(rows.tolist(), (fed - fed[0]).tolist())
+                for _, frame, end in frames]
 
-def _decode_frames(scanner: FrameScanner, bits: BitArray, rows, decode, errors: np.ndarray) -> list:
-    """Scan whole frames out of the channel bits of `rows` and decode each.
-    Returns (row, message, index of the frame's last bit); a frame that
+
+def _scan_lanes(scanner: FrameScanner, words: np.ndarray, rows) -> list:
+    """`scanner.feed` on the channel lane words of `rows` (an index array or
+    a slice of every row; row r is lane r). Only the rows whose lane holds
+    a 1 or that hold a partial frame are unpacked and scanned; the others
+    advance over their zeros."""
+    held = scanner._held[rows]
+    if not np.count_nonzero(words) and not np.count_nonzero(held):
+        scanner.skip(len(words), rows)
+        return []
+    ones = int(np.bitwise_or.reduce(words))
+    lanes = np.arange(len(scanner._held))[rows]
+    scan = (ones >> lanes & 1).astype(bool) | held
+    if np.count_nonzero(scan) < len(scan):
+        scanner.skip(len(words), lanes[~scan])
+        lanes = lanes[scan]
+    if len(lanes) > 1 and not np.count_nonzero(held) and not np.count_nonzero((words != 0) & (words != ones)):
+        # Every lane scanned carries the same bits, as when every card
+        # answers a broadcast at once.
+        return scanner._feed_alike(_unpack(words, lanes[:1])[0], lanes)
+    return scanner.feed(_unpack(words, lanes), lanes)
+
+
+def _decode_frames(frames: list, decode, errors: np.ndarray) -> list:
+    """Decode each frame that a scanner's `feed` found, (row, frame, index
+    of the frame's last bit). Returns (row, message, that index); a frame that
     fails its parity check, or whose fields its message type forbids, gives
     None and is counted in `errors[row]`. Rows that received the same frame
     (a fanout frame, or the same answer from several cards) share one
     decode; messages are immutable."""
     out = []
     decoded = {}
-    for row, frame, end_index in scanner.feed(bits, rows):
+    for row, frame, end_index in frames:
         key = frame.base  # the frame's own bytes
         if key not in decoded:
             try:
@@ -447,11 +512,11 @@ class DownstreamReceiver:
         self.coding_violations[rows] += count_manchester_violations(chunk)
         a_bits, b_bits, c_bits = downstream_rx(chunk)
         scan, errors = self.scanners, self.parity_errors
-        for row, msg, end in _decode_frames(scan["A"], a_bits, rows, decode_channel_a_down, errors["A"]):
+        for row, msg, end in _decode_frames(scan["A"].feed(a_bits, rows), decode_channel_a_down, errors["A"]):
             events.a.append((row, msg, self.a_bit_arrival_tick(row, end)))
-        for row, msg, _ in _decode_frames(scan["B"], b_bits, rows, decode_channel_b, errors["B"]):
+        for row, msg, _ in _decode_frames(scan["B"].feed(b_bits, rows), decode_channel_b, errors["B"]):
             events.b.append((row, msg))
-        for row, msg, _ in _decode_frames(scan["C"], c_bits, rows, decode_channel_c_request, errors["C"]):
+        for row, msg, _ in _decode_frames(scan["C"].feed(c_bits, rows), decode_channel_c_request, errors["C"]):
             events.c.append((row, msg))
 
 
@@ -459,18 +524,60 @@ class DownstreamReceiver:
 # Upstream: front-end transmitters, back-end receivers
 
 
-class UpstreamTransmitter:
-    """Return-link transmitters, one row per card: TRAINING_BITS of the
-    training pattern after reset, then scrambled interleaved channels."""
+class _LaneLinks:
+    """What both ends of the return links keep per link: row r is lane r of
+    the line words, its scrambler register is lane r of 43 words, and it
+    owes TRAINING_BITS of the training pattern after a reset."""
 
     def __init__(self, rows: int):
-        self.queues = {"A": BitQueue(rows), "B": BitQueue(rows), "C": BitQueue(rows)}
-        self._register = np.zeros((rows, SCRAMBLER_ORDER), dtype=np.uint8)
+        if not 1 <= rows <= len(_LANE_BITS):
+            raise ValueError(f"{rows} return links; a lane word holds 1 to {len(_LANE_BITS)}")
+        self._lanes = np.arange(rows)
+        self._ones = np.bitwise_or.reduce(_LANE_BITS[:rows])  # every row's lane
+        self._register = np.zeros(SCRAMBLER_ORDER, dtype=np.uint32)
         self._training_left = np.full(rows, TRAINING_BITS, dtype=np.int64)
 
     def reset(self, row: int):
         self._training_left[row] = TRAINING_BITS
-        self._register[row] = 0
+        self._register &= ~_LANE_BITS[row]
+
+    def skip_idle(self, nbits: int):
+        """Advance every row, trained and with nothing queued, over nbits of
+        idle cycles: only the scrambler registers change."""
+        _whole_upstream_cycles(nbits)
+        self._register = idle_scrambler_register(self._register, nbits, self._ones)
+
+    def _train(self, nbits: int):
+        """Count nbits off each row's training; returns the groups of rows
+        that train for the same number of those bits, as (bits, rows, lane
+        mask), rows a slice of all of them when every row does."""
+        _whole_upstream_cycles(nbits)
+        if not np.count_nonzero(self._training_left):
+            return [(0, slice(None), self._ones)]
+        training = np.minimum(self._training_left, nbits)
+        self._training_left -= training
+        return [(bits, rows, np.bitwise_or.reduce(_LANE_BITS[self._lanes[rows]]))
+                for bits, rows in _row_groups(training)]
+
+    def _keep_register(self, register: np.ndarray, mask: np.uint32):
+        """Take the lanes of `mask` from `register`."""
+        if mask == self._ones:
+            self._register = register
+        else:
+            self._register ^= (self._register ^ register) & mask
+
+
+class UpstreamTransmitter(_LaneLinks):
+    """Return-link transmitters, one row per card, sent as bit lanes:
+    TRAINING_BITS of the training pattern after reset, then scrambled
+    interleaved channels."""
+
+    def __init__(self, rows: int):
+        super().__init__(rows)
+        self.queues = {"A": BitQueue(rows), "B": BitQueue(rows), "C": BitQueue(rows)}
+
+    def reset(self, row: int):
+        super().reset(row)
         for q in self.queues.values():
             q.clear(row)
 
@@ -478,30 +585,30 @@ class UpstreamTransmitter:
         """Queue a frame on a row: a bit array, or its bytes, one byte per bit."""
         self.queues[channel].push(row, frame_bits)
 
-    def skip_idle(self, nbits: int):
-        """Advance every row, trained and with nothing queued, over nbits of
-        idle cycles: only the scrambler registers change."""
-        _whole_upstream_cycles(nbits)
-        self._register[:] = idle_scrambler_register(self._register, nbits)
-
-    def produce(self, nbits: int) -> BitArray:
-        """The next nbits line bits of every row, as a (rows, nbits) array;
-        nbits must be whole cycles."""
-        _whole_upstream_cycles(nbits)
-        trained = np.minimum(self._training_left, nbits)
-        self._training_left -= trained
-        out = np.empty((len(trained), nbits), dtype=np.uint8)
-        for sent, rows in _row_groups(trained):
+    def produce(self, nbits: int) -> np.ndarray:
+        """The next nbits line bits of every row, as nbits lane words; nbits
+        must be whole cycles. Lanes past the last row stay 0."""
+        out = None
+        for sent, rows, mask in self._train(nbits):
             cycles = (nbits - sent) // _UP_CYCLE_BITS
-            a, b, c = (self.queues[ch].pull(n * cycles, rows) for ch, n in _UP_SLOTS.items())
-            scrambler = Scrambler(self._register[rows])
-            line = upstream_tx(a, b, c, scrambler)
-            self._register[rows] = scrambler.register
+            a, b, c = (self._pull_lanes(ch, n * cycles, rows) for ch, n in _UP_SLOTS.items())
+            line, register = _upstream_line(a, b, c, self._register, mask)
+            self._keep_register(register, mask)
             if not sent and isinstance(rows, slice):
                 return line  # every row sends traffic only
-            out[rows, :sent] = training_pattern(sent)
-            out[rows, sent:] = line
+            if out is None:
+                out = np.zeros(nbits, dtype=np.uint32)
+            out[:sent] |= training_pattern(sent) * mask
+            out[sent:] |= line & mask
         return out
+
+    def _pull_lanes(self, channel: str, n: int, rows) -> np.ndarray:
+        """The next n bits of `channel` for each of `rows`, as lane words."""
+        queue = self.queues[channel]
+        if not np.count_nonzero(queue.pending_bits[rows]):
+            return np.zeros(n, dtype=np.uint32)
+        busy, heads = queue._cut(n, rows)
+        return _pack(heads, self._lanes[rows][busy])
 
 
 @dataclass
@@ -511,14 +618,13 @@ class UpRxEvents:
     packets: list = field(default_factory=list)  # (row, raw fragment packet bytes)
 
 
-class UpstreamReceiver:
-    """Back-end side of the return links, one row per card: consume the
-    training sequence, then descramble and delineate channels by slot
-    counting."""
+class UpstreamReceiver(_LaneLinks):
+    """Back-end side of the return links, one row per card, fed as bit
+    lanes: consume the training sequence, then descramble and delineate
+    channels by slot counting."""
 
     def __init__(self, rows: int):
-        self._training_left = np.full(rows, TRAINING_BITS, dtype=np.int64)
-        self._register = np.zeros((rows, SCRAMBLER_ORDER), dtype=np.uint8)
+        super().__init__(rows)
         self.scanners = {
             "A": FrameScanner(rows, CHANNEL_A_FRAME_BITS),
             "B": FrameScanner(rows, CHANNEL_B_FRAME_BITS),
@@ -526,12 +632,12 @@ class UpstreamReceiver:
         }
         self.parity_errors = {"A": np.zeros(rows, dtype=np.int64), "B": np.zeros(rows, dtype=np.int64)}
         self.training_errors = np.zeros(rows, dtype=np.int64)
-        # Every per-row value besides the scanners' that a reset sets to 0.
-        self._row_state = (self._register, self.training_errors, *self.parity_errors.values())
+        # Every per-row counter that a reset sets to 0.
+        self._row_state = (self.training_errors, *self.parity_errors.values())
 
     def reset(self, row: int):
         """Start the row over, counters included, as a reset link does."""
-        self._training_left[row] = TRAINING_BITS
+        super().reset(row)
         for state in self._row_state:
             state[row] = 0
         for scanner in self.scanners.values():
@@ -543,8 +649,7 @@ class UpstreamReceiver:
         register as its transmitter, as it does once its last 43 line bits
         arrived without error: the line then descrambles to idle cycles, and
         the register, the last 43 line bits, steps as the transmitter's does."""
-        _whole_upstream_cycles(nbits)
-        self._register[:] = idle_scrambler_register(self._register, nbits)
+        super().skip_idle(nbits)
         for channel, scanner in self.scanners.items():
             scanner.skip(nbits // _UP_CYCLE_BITS * _UP_SLOTS[channel])
 
@@ -554,29 +659,34 @@ class UpstreamReceiver:
         reset has been consumed."""
         return self._training_left == 0
 
-    def feed(self, bits: BitArray) -> UpRxEvents:
-        """Consume the next line bits of every row, a (rows, n) array; n
-        must be whole cycles."""
-        bits = as_bits(bits)
-        n = bits.shape[1]
-        _whole_upstream_cycles(n)
-        skip = np.minimum(self._training_left, n)
-        self._training_left -= skip
-        events = UpRxEvents()
-        for start, rows in _row_groups(skip):
+    def feed(self, words) -> UpRxEvents:
+        """Consume the next line bits of every row, as lane words: a 1-D
+        uint32 array, whole cycles long, with no bit past the last row's
+        lane. Bad input raises before anything is consumed or counted."""
+        words = np.asarray(words)
+        if words.dtype != np.uint32 or words.ndim != 1:
+            raise WireFormatError(
+                f"return-link lane words must be a 1-D uint32 array, not {words.dtype} {words.shape}")
+        _whole_upstream_cycles(len(words))
+        if np.bitwise_or.reduce(words) & ~self._ones:
+            raise WireFormatError(f"a lane word holds a bit past lane {len(self._lanes) - 1}")
+        events, groups = UpRxEvents(), self._train(len(words))
+        for start, rows, mask in groups:
             if start:
-                self.training_errors[rows] += np.count_nonzero(bits[rows, :start] != training_pattern(start), axis=1)
-            if start == n:
+                wrong = (words[:start] ^ training_pattern(start) * mask) & mask
+                if wrong.any():
+                    self.training_errors += np.count_nonzero(_unpack(wrong, self._lanes), axis=1)
+            if start == len(words):
                 continue
-            descrambler = Descrambler(self._register[rows])
-            a_bits, b_bits, c_bits = upstream_rx(bits[rows, start:], descrambler)
-            self._register[rows] = descrambler.register
+            a, b, c, register = _upstream_channels(words[start:], self._register, mask)
+            self._keep_register(register, mask)
             scan, errors = self.scanners, self.parity_errors
-            for row, msg, _ in _decode_frames(scan["A"], a_bits, rows, decode_channel_a_up, errors["A"]):
+            for row, msg, _ in _decode_frames(_scan_lanes(scan["A"], a, rows), decode_channel_a_up, errors["A"]):
                 events.a.append((row, msg))
-            for row, msg, _ in _decode_frames(scan["B"], b_bits, rows, decode_channel_b, errors["B"]):
+            for row, msg, _ in _decode_frames(_scan_lanes(scan["B"], b, rows), decode_channel_b, errors["B"]):
                 events.b.append((row, msg))
-            for row, frame, _ in scan["C"].feed(c_bits, rows):
+            for row, frame, _ in _scan_lanes(scan["C"], c, rows):
                 events.packets.append((row, np.packbits(frame[1:]).tobytes()))
-        _row_order(events.a, events.b, events.packets)
+        if len(groups) > 1:
+            _row_order(events.a, events.b, events.packets)
         return events

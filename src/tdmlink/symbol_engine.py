@@ -3,10 +3,11 @@
 Every line symbol is materialized: the downstream fanout runs the full
 interleave / B-inversion / Manchester chain and each front-end receiver
 acquires lock by bit slip; return links carry the training sequence and the
-scrambled interleaved channels. Links are rows: each direction holds every
-card's link as one row of a (links, bits) array, so a slice runs each stage
-of a chain once for all cards, and each link still takes its own line
-errors from its own random streams. The fanout receivers share one decode
+scrambled interleaved channels. A slice runs each stage of a chain once for
+all cards: the fanout holds every card's link as one row of a (links,
+symbols) array, and the return links are bit lanes, one uint32 word per
+line bit with link r in bit r. Each link still takes its own line errors
+from its own random streams. The fanout receivers share one decode
 until any card's symbols differ: at BER 0 every card receives the same
 symbols, so row 0 decodes the broadcast stream for all of them, and from
 the first line error on any card every card's row decodes on its own. Links have zero latency,
@@ -118,13 +119,12 @@ class SymbolEngine(System):
         # Downstream: one fanout stream; each card's row takes its own errors.
         cycles = (t1 - t0) // timebase.TICKS_PER_DOWN_CYCLE
         symbols = self.down_tx.produce_cycles(cycles)
-        down = self._corrupt(symbols, 0, flips["down"], timebase.TICKS_PER_DOWN_SYMBOL)
+        down = self._corrupt_fanout(symbols, flips["down"])
         self._handle_down_events(self.down_rx.feed(down))
 
-        # Upstream: one independent stream per link, one row each.
-        bits = self.up_tx.produce((t1 - t0) // timebase.TICKS_PER_UP_BIT)
-        up = self._corrupt(bits, 1, flips["up"], timebase.TICKS_PER_UP_BIT)
-        self._handle_up_events(self.backend_rx.feed(up))
+        # Upstream: one independent stream per link, one lane each.
+        words = self.up_tx.produce((t1 - t0) // timebase.TICKS_PER_UP_BIT)
+        self._handle_up_events(self.backend_rx.feed(self._corrupt_lanes(words, flips["up"])))
 
         self.now = t1
         self._backend_logic()
@@ -172,20 +172,41 @@ class SymbolEngine(System):
         self.backend_rx.skip_idle(up_bits)
         self.now += k * SLICE_TICKS
 
-    def _corrupt(self, bits, stream, flips, ticks_per_symbol):
-        """Apply each link's line errors to its row. `bits` holds one row per
-        link, or one row that every link receives; `stream` picks the link's
-        random stream of the direction, and `flips` lists the direction's
-        flips in the slice as (link, ticks from the slice start)."""
-        n = bits.shape[-1]
-        if not flips and not (self.config.ber > 0.0 and n):
-            return bits
-        out = np.array(np.broadcast_to(bits, (len(self._link_rngs), n)))
+    def _line_errors(self, stream, n):
+        """Each link's line errors in the next n symbols or bits of a
+        direction, as (link, positions) in link order; `stream` picks the
+        link's random stream of the direction. Every link draws n values
+        at BER > 0, and none at BER 0."""
         if self.config.ber > 0.0 and n:
-            for row, rngs in zip(out, self._link_rngs):
-                row ^= rngs[stream].random(n) < self.config.ber
+            for link, rngs in enumerate(self._link_rngs):
+                yield link, np.flatnonzero(rngs[stream].random(n) < self.config.ber)
+
+    def _corrupt_fanout(self, symbols, flips):
+        """Apply each link's line errors to its row of the fanout stream
+        `symbols`, which every link receives; `flips` lists the slice's
+        downstream flips as (link, ticks from the slice start)."""
+        n = len(symbols)
+        if not flips and not (self.config.ber > 0.0 and n):
+            return symbols
+        out = np.array(np.broadcast_to(symbols, (len(self._link_rngs), n)))
+        for link, positions in self._line_errors(0, n):
+            out[link, positions] ^= 1
         for link, ticks in flips:
-            out[link, ticks // ticks_per_symbol] ^= 1
+            out[link, ticks // timebase.TICKS_PER_DOWN_SYMBOL] ^= 1
+        return out
+
+    def _corrupt_lanes(self, words, flips):
+        """Apply each link's line errors to its lane of the return-link
+        words: an error flips bit `link`. `flips` lists the slice's upstream
+        flips as (link, ticks from the slice start)."""
+        n = len(words)
+        if not flips and not (self.config.ber > 0.0 and n):
+            return words
+        out = words.copy()
+        for link, positions in self._line_errors(1, n):
+            out[positions] ^= np.uint32(1 << link)
+        for link, ticks in flips:
+            out[ticks // timebase.TICKS_PER_UP_BIT] ^= np.uint32(1 << link)
         return out
 
     # -- card side ---------------------------------------------------------------

@@ -17,6 +17,13 @@ The line codecs take the bit axis last: a 1-D array is one stream, and a
 (links, bits) array codes every link's row at once. Each public function
 checks its bit input once with `as_bits`; the private kernels it is built
 from do not check again.
+
+The return-link kernels (interleave, scramble, descramble, deinterleave)
+are bitwise and elementwise, and take their dtype from their input. So
+they run unchanged on bit lanes: `streams` carries every return link as
+one uint32 word per line bit, bit r of word t being link r's bit t, and
+one call codes all links. Channel B is inverted by XOR with a "ones" word:
+1 for bit arrays, the mask of the links in use for lanes.
 """
 
 from __future__ import annotations
@@ -144,7 +151,7 @@ def tdm_interleave(schedule: TdmSchedule, a, b, c) -> BitArray:
 
 def _interleave(schedule: TdmSchedule, a: BitArray, b: BitArray, c: BitArray) -> BitArray:
     cycles, period = _channel_cycles(schedule, a, b, c), len(schedule.slot_sequence)
-    out = np.empty(a.shape[:-1] + (period * cycles,), dtype=np.uint8)
+    out = np.empty(a.shape[:-1] + (period * cycles,), dtype=a.dtype)
     for tag, stream in (("A", a), ("B", b), ("C", c)):
         positions = schedule.slots_of(tag)
         for i, slot in enumerate(positions):
@@ -170,7 +177,7 @@ def _deinterleave(schedule: TdmSchedule, line: BitArray):
     out = []
     for tag in ("A", "B", "C"):
         slots = schedule.slots_of(tag)
-        bits = np.empty(line.shape[:-1] + (len(slots) * cycles,), dtype=np.uint8)
+        bits = np.empty(line.shape[:-1] + (len(slots) * cycles,), dtype=line.dtype)
         for i, slot in enumerate(slots):
             bits[..., i :: len(slots)] = line[..., slot::period]
         out.append(bits)
@@ -338,26 +345,28 @@ class Scrambler:
         return out
 
 
-def _scramble(bits: BitArray, register: BitArray) -> tuple[BitArray, BitArray]:
+def _scramble(bits: np.ndarray, register: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scramble along the last axis from `register` (one row per leading
-    index); returns the line bits and the register after them."""
+    index); returns the line bits and the register after them. Bits and
+    register share an unsigned dtype: uint8 bits, or uint32 lane words."""
     k = SCRAMBLER_ORDER
     n = bits.shape[-1]
     lead = bits.shape[:-1]
     # The register followed by the bits, zero-padded to whole blocks of 43
     # and laid out as (..., blocks, 43): column r holds residue class
     # r mod 43, where the recurrence is a running XOR down the blocks, and
-    # block 0 is the register. Each block is padded to 48 columns, six
-    # 64-bit lanes of 8 residue classes each, so one XOR down the blocks
-    # advances 8 classes per word; the 5 pad columns stay zero.
+    # block 0 is the register. Each block is padded to 48 columns, whole
+    # 64-bit words of 8 (uint8) or 2 (uint32) residue classes each, so one
+    # XOR down the blocks advances several classes per word; the 5 pad
+    # columns stay zero.
     blocks = 1 + -(-n // k)
-    line = np.zeros(lead + (blocks * k,), dtype=np.uint8)
+    line = np.zeros(lead + (blocks * k,), dtype=bits.dtype)
     line[..., :k] = register
     line[..., k : k + n] = bits
-    grid = np.zeros(lead + (blocks, 48), dtype=np.uint8)
+    grid = np.zeros(lead + (blocks, 48), dtype=bits.dtype)
     grid[..., :k] = line.reshape(lead + (blocks, k))
-    lanes = grid.view(np.uint64)
-    np.bitwise_xor.accumulate(lanes, axis=-2, out=lanes)
+    words = grid.view(np.uint64)
+    np.bitwise_xor.accumulate(words, axis=-2, out=words)
     line = grid[..., :k].reshape(lead + (blocks * k,))
     return line[..., k : k + n], line[..., n : n + k].copy()
 
@@ -370,12 +379,14 @@ def _scramble(bits: BitArray, register: BitArray) -> tuple[BitArray, BitArray]:
 IDLE_SCRAMBLER_PERIOD = 344
 
 
-def idle_scrambler_register(register: BitArray, nbits: int) -> BitArray:
+def idle_scrambler_register(register: np.ndarray, nbits: int, ones=1) -> np.ndarray:
     """The register (one row per leading index) after the scrambler is fed
-    `nbits` of idle cycles, a whole number of them, in closed form."""
+    `nbits` of idle cycles, a whole number of them, in closed form. The
+    idle cycle's inverted B bit is `ones`, in the register's dtype: 1 for a
+    bit register, the lane mask for a register of lane words."""
     n = nbits % IDLE_SCRAMBLER_PERIOD
-    idle = np.broadcast_to(np.resize(IDLE_CYCLE_BITS, n), register.shape[:-1] + (n,))
-    return _scramble(idle, register)[1]
+    idle = np.resize(IDLE_CYCLE_BITS * register.dtype.type(ones), n)
+    return _scramble(np.broadcast_to(idle, register.shape[:-1] + (n,)), register)[1]
 
 
 class Descrambler:
@@ -574,16 +585,28 @@ def downstream_idle_symbols(cycles: int) -> BitArray:
 
 def upstream_tx(a, b, c, scrambler: Scrambler) -> BitArray:
     """Interleave A,B,C,C; invert B; scramble. Zero coding overhead."""
-    a, b, c = as_bits(a), as_bits(b), as_bits(c)
-    line, scrambler.register = _scramble(_interleave(UPSTREAM_SCHEDULE, a, b ^ 1, c), scrambler.register)
+    line, scrambler.register = _upstream_line(as_bits(a), as_bits(b), as_bits(c), scrambler.register, 1)
     return line
 
 
 def upstream_rx(line, descrambler: Descrambler):
     """Inverse of upstream_tx."""
-    bits, descrambler.register = _descramble(as_bits(line), descrambler.register)
+    a, b, c, descrambler.register = _upstream_channels(as_bits(line), descrambler.register, 1)
+    return a, b, c
+
+
+def _upstream_line(a, b, c, register, ones):
+    """The return-link chain on bits (ones = 1) or lane words (ones = the
+    lane mask): returns the line and the scrambler register after it."""
+    return _scramble(_interleave(UPSTREAM_SCHEDULE, a, b ^ ones, c), register)
+
+
+def _upstream_channels(line, register, ones):
+    """Inverse of `_upstream_line`: returns a, b, c and the descrambler
+    register after the line."""
+    bits, register = _descramble(line, register)
     a, b_inv, c = _deinterleave(UPSTREAM_SCHEDULE, bits)
-    return a, b_inv ^ 1, c
+    return a, b_inv ^ ones, c, register
 
 
 def training_pattern(n: int) -> BitArray:

@@ -1232,6 +1232,24 @@ class TestBerTester:
         assert res.error_positions == [31, 9_999_999]
         assert peak < 4_000_000, f"peak {peak / 1e6:.1f} MB"
 
+    def test_channel_draws_hold_one_chunk(self):
+        # At BER > 0 the channel's draws fill one reused 8 MB chunk. When
+        # each chunk was a new array, the next was allocated while the last
+        # was still bound, and the same window peaked at 18 MB.
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            res = ber_test("prbs31", duration_bits=1.32e13, ber=1e-6, window_bits=10_000_000,
+                           inject=(31, 9_999_999), seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert res.injected_detected and res.errors > 2
+        assert peak < 13_000_000, f"peak {peak / 1e6:.1f} MB"
+
 
 class TestTimingAudit:
     def test_downstream_slot_shares_by_exhaustive_count(self):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdmlink import messages as m
-from tdmlink import timebase
+from tdmlink import timebase, wire
 from tdmlink.streams import (
     TRAINING_BITS,
     BitQueue,
@@ -17,6 +17,17 @@ from tdmlink.streams import (
     UpstreamTransmitter,
 )
 from tdmlink.wire import WireFormatError
+
+
+def to_lanes(bits):
+    """Return-link lane words of a (links, bits) array: link r in bit r."""
+    bits = np.asarray(bits, dtype=np.uint32)
+    return np.bitwise_or.reduce(bits << np.arange(len(bits), dtype=np.uint32)[:, None], axis=0)
+
+
+def lane_bits(words, lane):
+    """Link `lane`'s line bits, in lane 0 of words of their own."""
+    return words >> np.uint32(lane) & np.uint32(1)
 
 
 def feed_in_chunks(rx, stream, rng, lo=1, hi=97, step=1):
@@ -270,6 +281,41 @@ class TestScanners:
             for row in chosen:
                 pos[row] += n
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        rows=st.integers(2, 5),
+        frame_bits=st.sampled_from([10, 64, None]),
+        seed=st.integers(0, 2**32 - 1),
+        history=st.lists(st.integers(0, 300), min_size=5, max_size=5),
+        n=st.integers(1, 400),
+        mask=st.integers(3, 31),
+    )
+    def test_rows_fed_alike_match_feeding_each(self, rows, frame_bits, seed, history, n, mask):
+        # Rows with histories of their own (bits fed and faults counted),
+        # none holding a partial frame, take the same bits: one scan for
+        # all of them must give the frames, end indices and state that
+        # scanning each row gives.
+        rng = np.random.default_rng(seed)
+        alike, each = (FrameScanner(rows, frame_bits) if frame_bits else
+                       FrameScanner(rows, m.FRAGMENT_HEAD_BITS, m.fragment_frame_bits) for _ in range(2))
+        for row in range(rows):
+            # The longest packet a header can announce is 16,369 bits.
+            bits = np.concatenate([random_frames(rng, frame_bits, history[row] + 1)[: history[row]],
+                                   np.zeros(16_400, dtype=np.uint8)])
+            for sc in (alike, each):
+                sc.feed(bits[None], np.array([row]))
+        assert not each.holds_frame()
+        chosen = np.array([row for row in range(rows) if mask >> row & 1])
+        if len(chosen) < 2:
+            chosen = np.arange(2)
+        bits = random_frames(rng, frame_bits, n)[:n]
+        got = alike._feed_alike(bits, chosen)
+        want = each.feed(np.tile(bits, (len(chosen), 1)), chosen)
+        assert [(row, frame.tolist(), end) for row, frame, end in got] == [
+            (row, frame.tolist(), end) for row, frame, end in want]
+        for mine, theirs in zip(alike._row_state, each._row_state):
+            assert mine.tolist() == theirs.tolist()
+
 
 class TestDownstreamChain:
     def test_idle_then_frames_all_channels(self):
@@ -431,11 +477,16 @@ class TestUpstreamChain:
 
     @pytest.mark.parametrize("trained", [False, True])
     def test_non_binary_input_rejected_while_training_and_after(self, trained):
+        # Two links: a word with lane 2 set, and words of another dtype or
+        # shape, are not two links' line bits.
         tx, rx = UpstreamTransmitter(2), UpstreamReceiver(2)
         if trained:
             rx.feed(tx.produce(TRAINING_BITS))
-        with pytest.raises(ValueError, match="0 or 1"):
-            rx.feed(np.full((2, 8), 2))
+        with pytest.raises(ValueError, match="past lane 1"):
+            rx.feed(np.full(8, 0b101, dtype=np.uint32))
+        for bad in (np.ones(8, dtype=np.uint8), np.ones(8, dtype=np.int64), np.ones((2, 8), dtype=np.uint32)):
+            with pytest.raises(ValueError, match="1-D uint32"):
+                rx.feed(bad)
         # Nothing was consumed or counted.
         assert rx.trained.tolist() == [trained] * 2
         assert rx.training_errors.tolist() == [0, 0]
@@ -453,8 +504,8 @@ class TestWholeCycles:
         tx, rx = UpstreamTransmitter(2), UpstreamReceiver(2)
         with pytest.raises(WireFormatError):
             tx.produce(8 + remainder)
-        with pytest.raises(WireFormatError):
-            rx.feed(np.zeros((2, 8 + remainder), dtype=np.uint8))
+        with pytest.raises(WireFormatError, match="partial cycle"):
+            rx.feed(np.zeros(8 + remainder, dtype=np.uint32))
         # Nothing was consumed: the link still trains from its first bit.
         rx.feed(tx.produce(TRAINING_BITS))
         assert rx.trained.all() and rx.training_errors.tolist() == [0, 0]
@@ -495,19 +546,19 @@ class TestWholeCycles:
             for row in range(rows):
                 self.queue_frames(rng, (chunked[0], whole[0]), row)
             nbits = 4 * sum(chunks)
-            noise = (rng.random((rows, nbits)) < 0.002).astype(np.uint8)
+            noise = to_lanes(rng.random((rows, nbits)) < 0.002)
             line = whole[0].produce(nbits)
             want = whole[1].feed(line ^ noise)
             pieces, got = [], ([], [], [])
             pos = 0
             for cycles in chunks:
                 piece = chunked[0].produce(4 * cycles)
-                ev = chunked[1].feed(piece ^ noise[:, pos : pos + 4 * cycles])
+                ev = chunked[1].feed(piece ^ noise[pos : pos + 4 * cycles])
                 for dest, part in zip(got, (ev.a, ev.b, ev.packets)):
                     dest.extend(part)
                 pieces.append(piece)
                 pos += 4 * cycles
-            assert np.array_equal(np.concatenate(pieces, axis=1), line)
+            assert np.array_equal(np.concatenate(pieces), line)
             for dest in got:
                 dest.sort(key=lambda e: e[0])  # each row's own order kept
             assert got == (want.a, want.b, want.packets)
@@ -558,7 +609,7 @@ class TestRows:
             rows = []
             for row, (tx, rx) in enumerate(one):
                 single = tx.produce(n)
-                assert np.array_equal(single[0], line[row])
+                assert np.array_equal(single, lane_bits(line, row))
                 ev = rx.feed(single)
                 rows.append([[(row, x) for _, x in part] for part in (ev.a, ev.b, ev.packets)])
             got_one.append(tuple(sum((r[i] for r in rows), []) for i in range(3)))
@@ -717,3 +768,183 @@ class TestRows:
                 assert many.parity_errors[ch].tolist() == [rx.parity_errors[ch][0] for rx in one]
                 assert many.scanners[ch].faults.tolist() == [rx.scanners[ch].faults[0] for rx in one]
             pos += n
+
+
+class ReferenceLink:
+    """One return link built from the public bit-array codec: its own
+    channel queues, training count and `wire.Scrambler` on the transmit
+    side, and its own `wire.Descrambler`, training count and per-bit
+    scanners on the receive side."""
+
+    DECODE = {"A": m.decode_channel_a_up, "B": m.decode_channel_b}
+
+    def __init__(self):
+        self.reset()
+
+    def reset(self):
+        self.queues = {"A": [], "B": [], "C": []}
+        self.tx_left = self.rx_left = TRAINING_BITS
+        self.scrambler, self.descrambler = wire.Scrambler(0), wire.Descrambler(0)
+        self.scanners = {"A": ReferenceScanner(1, m.CHANNEL_A_FRAME_BITS),
+                         "B": ReferenceScanner(1, m.CHANNEL_B_FRAME_BITS), "C": ReferenceScanner(1)}
+        self.training_errors = 0
+        self.parity_errors = {"A": 0, "B": 0}
+
+    def produce(self, nbits):
+        sent = min(self.tx_left, nbits)
+        self.tx_left -= sent
+        cycles = (nbits - sent) // 4
+        channels = []
+        for channel, per_cycle in (("A", 1), ("B", 1), ("C", 2)):
+            queued, take = self.queues[channel], per_cycle * cycles
+            channels.append(np.array((queued[:take] + [0] * take)[:take], dtype=np.uint8))
+            del queued[:take]
+        return np.concatenate([wire.training_pattern(sent), wire.upstream_tx(*channels, self.scrambler)])
+
+    def feed(self, line):
+        """Returns the channel A and B messages (None for a frame that does
+        not decode) and the packets received, in order."""
+        start = min(self.rx_left, len(line))
+        self.rx_left -= start
+        self.training_errors += int(np.count_nonzero(line[:start] != wire.training_pattern(start)))
+        events = {"A": [], "B": [], "C": []}
+        for channel, bits in zip("ABC", wire.upstream_rx(line[start:], self.descrambler)):
+            for _, frame, _ in self.scanners[channel].feed([(0, bits.tolist())]):
+                frame = np.array(frame, dtype=np.uint8)
+                if channel == "C":
+                    events["C"].append(np.packbits(frame[1:]).tobytes())
+                    continue
+                try:
+                    events[channel].append(self.DECODE[channel](frame))
+                except m.MessageFormatError:
+                    events[channel].append(None)
+                    self.parity_errors[channel] += 1
+        return events
+
+
+def random_up_frame(rng, bad=0.1):
+    """A channel and the bits of a random frame on it, a share `bad` of
+    them damaged."""
+    channel = "ABC"[int(rng.integers(3))]
+    if channel == "A":
+        bits = m.encode_channel_a(m.ChannelAMessageUp(set_busy=bool(rng.integers(2)),
+                                                      trigger_primitives=int(rng.integers(16))))
+    elif channel == "B":
+        bits = m.encode_channel_b(m.ChannelBTransaction(read=True, target_id=int(rng.integers(32)),
+                                                        address=int(rng.integers(1 << 16)),
+                                                        data=int(rng.integers(1 << 32))))
+    else:
+        words = rng.integers(0, 1 << 16, 2 * int(rng.integers(0, 6))).tolist()
+        bits = m.frame_fragment(m.FragmentPacket.build(soe=False, eoe=bool(rng.integers(2)),
+                                                       payload_words=words).serialize())
+    if rng.random() < bad:
+        bits = bits ^ (rng.random(len(bits)) < 0.05)  # a bad frame, as a line error leaves it
+        bits[0] = 1
+    return channel, bits.astype(np.uint8)
+
+
+class TestLanes:
+    """The return links as bit lanes against one reference link per lane
+    built from the public bit-array codec."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        links=st.integers(1, 32),
+        seed=st.integers(0, 2**32 - 1),
+        chunks=st.lists(
+            st.tuples(st.integers(1, 250), st.sampled_from(["own", "same", "none"]),
+                      st.just(0) | st.integers(0, 2**32 - 1), st.integers(0, 4)),
+            min_size=1, max_size=8,
+        ),
+    )
+    def test_lanes_match_one_reference_link_each(self, links, seed, chunks):
+        # Each chunk is whole cycles. Before it, the links in its reset mask
+        # are reset on both ends (so links train at different times), each
+        # link queues its own random frames, or every link the same ones
+        # (as cards answer a broadcast), or none; in it, a few line bits
+        # flip in random lanes.
+        rng = np.random.default_rng(seed)
+        tx, rx = UpstreamTransmitter(links), UpstreamReceiver(links)
+        refs = [ReferenceLink() for _ in range(links)]
+        for cycles, traffic, resets, flips in chunks:
+            for link in range(links):
+                if resets >> link & 1:
+                    tx.reset(link)
+                    rx.reset(link)
+                    refs[link].reset()
+            shared = [random_up_frame(rng) for _ in range(int(rng.integers(1, 4)))]
+            for link in range(links):
+                frames = shared if traffic == "same" else [] if traffic == "none" else [
+                    random_up_frame(rng) for _ in range(int(rng.integers(0, 3)))]
+                for channel, bits in frames:
+                    tx.enqueue(link, channel, bits)
+                    refs[link].queues[channel].extend(bits.tolist())
+            nbits = 4 * cycles
+            words = tx.produce(nbits)
+            assert words.dtype == np.uint32 and words.shape == (nbits,)
+            if links < 32:
+                assert not (words >> np.uint32(links)).any()  # lanes past the links stay 0
+            lines = [ref.produce(nbits) for ref in refs]
+            for link, line in enumerate(lines):
+                assert np.array_equal(lane_bits(words, link), line)
+            for _ in range(flips):
+                link, pos = int(rng.integers(links)), int(rng.integers(nbits))
+                words = words ^ np.where(np.arange(nbits) == pos, np.uint32(1 << link), np.uint32(0))
+                lines[link][pos] ^= 1
+            ev = rx.feed(words)
+            for link, (ref, line) in enumerate(zip(refs, lines)):
+                want = ref.feed(line)
+                assert [msg for row, msg in ev.a if row == link] == want["A"]
+                assert [msg for row, msg in ev.b if row == link] == want["B"]
+                assert [data for row, data in ev.packets if row == link] == want["C"]
+            assert [row for row, _ in ev.a] == sorted(row for row, _ in ev.a)
+        assert rx.trained.tolist() == [ref.rx_left == 0 for ref in refs]
+        assert rx.training_errors.tolist() == [ref.training_errors for ref in refs]
+        for channel in "AB":
+            assert rx.parity_errors[channel].tolist() == [ref.parity_errors[channel] for ref in refs]
+        assert rx.scanners["C"].faults.tolist() == [ref.scanners["C"].rows[0]["faults"] for ref in refs]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        links=st.integers(1, 32),
+        seed=st.integers(0, 2**32 - 1),
+        cycles=st.one_of(st.sampled_from([0, 1, 86, 2560]), st.integers(0, 1200)),
+        resets=st.integers(0, 2**32 - 1),
+    )
+    def test_idle_skip_matches_idle_cycles_lane_by_lane(self, links, seed, cycles, resets):
+        # Links that trained at different times and carried different
+        # frames, then went idle: skipping idle cycles must leave both ends
+        # as producing and feeding the cycles does, lane by lane.
+        rng = np.random.default_rng(seed)
+        skipped, fed = [(UpstreamTransmitter(links), UpstreamReceiver(links)) for _ in range(2)]
+        for step in range(3):
+            frames = [[random_up_frame(rng, bad=0) for _ in range(int(rng.integers(0, 3)))] for _ in range(links)]
+            for tx, rx in (skipped, fed):
+                if step == 1:
+                    for link in range(links):
+                        if resets >> link & 1:
+                            tx.reset(link)
+                            rx.reset(link)
+                for link, queued in enumerate(frames):
+                    for channel, bits in queued:
+                        tx.enqueue(link, channel, bits)
+                rx.feed(tx.produce(4 * 400))
+        for tx, rx in (skipped, fed):
+            assert rx.trained.all() and not any(q.pending_bits.any() for q in tx.queues.values())
+            assert not any(scanner.holds_frame() for scanner in rx.scanners.values())
+        skipped[0].skip_idle(4 * cycles)
+        skipped[1].skip_idle(4 * cycles)
+        ev = fed[1].feed(fed[0].produce(4 * cycles))
+        assert ev.a == ev.b == ev.packets == []
+        assert skipped[0]._register.tolist() == fed[0]._register.tolist() == fed[1]._register.tolist()
+        assert skipped[1]._register.tolist() == fed[1]._register.tolist()
+        # Traffic after the idle stretch codes and decodes the same way.
+        for channel, bits in [random_up_frame(rng, bad=0) for _ in range(3)]:
+            link = int(rng.integers(links))
+            skipped[0].enqueue(link, channel, bits)
+            fed[0].enqueue(link, channel, bits)
+        words = skipped[0].produce(4 * 200)
+        assert np.array_equal(words, fed[0].produce(4 * 200))
+        got, want = skipped[1].feed(words), fed[1].feed(words)
+        assert (got.a, got.b, got.packets) == (want.a, want.b, want.packets)
+        assert len(got.a) + len(got.b) + len(got.packets) == 3
