@@ -25,7 +25,7 @@ print("\n=== Phase ambiguity ===")
 stream = wire.downstream_idle_symbols(6)
 print(f"sampling phase 0 reads: {bits_to_str(wire.manchester_decode(stream[:16], 0))}  (the idle cycle 0100)")
 print(f"sampling phase 1 reads: {bits_to_str(wire.manchester_decode(stream[:16], 1))}  (inverted: 1011, rejected)")
-print(f"resolve_phase picks:    {wire.resolve_phase(stream[:32])}")
+print(f"bit_slip_sync picks:    {wire.bit_slip_sync(stream, lock_threshold=4).half_bit_phase}")
 
 print("\n=== Bit-slip lock from every starting offset ===")
 for k in range(8):

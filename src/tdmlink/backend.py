@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .messages import FragmentPacket, check_fragment, fragment_bytes
+from .messages import FragmentPacket, check_fragment, fragment_bytes, soe_fields
 
 __all__ = [
     "FE_FIFO_BYTES",
@@ -87,16 +87,12 @@ class DataPump:
         self.fifo_used = 0
         self.counters = LinkCounters()
 
-    @property
-    def free_bytes(self) -> int:
-        return FE_FIFO_BYTES - self.fifo_used
-
     def wants_request(self) -> bool:
         return (
             self.enabled
             and self.fault is None
             and not self.request_outstanding
-            and self.free_bytes >= FE_FIFO_BYTES
+            and not self.fifo_used
         )
 
     def request_posted(self):
@@ -120,9 +116,6 @@ class DataPump:
         self.request_outstanding = False
         self.counters.packets += 1
 
-    def peek(self) -> bytes | None:
-        return self.fifo[0] if self.fifo else None
-
     def unload(self) -> bytes:
         data = self.fifo.popleft()
         self.fifo_used -= len(data)
@@ -141,18 +134,6 @@ class BufferDescriptor:
     payload: bytearray = field(default_factory=bytearray)
     incomplete_event: bool = False
     has_event_end: bool = False
-
-    @property
-    def usable(self) -> int:
-        return self.capacity - self.header_reserve
-
-    @property
-    def fill_level(self) -> int:
-        return len(self.payload)
-
-    @property
-    def free(self) -> int:
-        return self.usable - len(self.payload)
 
     def reset(self):
         self.payload = bytearray()
@@ -339,14 +320,14 @@ class EventBuilder:
             return True
         link = rotation[turn]
         pump = pumps[link]
-        if pump.peek() is None:
+        if not pump.fifo:
             return False
         data = pump.unload()
         crc_ok = check_fragment(data)
         eoe = data[0] & 0x40
         first = self.phase == self.AWAIT_SOE
         if first and crc_ok:
-            reason = self._soe_fault(link, FragmentPacket(data, True))
+            reason = self._soe_fault(link, data)
             if reason is not None:
                 self.phase = self.HALTED
                 self.halt_reason = reason
@@ -386,17 +367,18 @@ class EventBuilder:
             moved = True
         return moved
 
-    def _soe_fault(self, link: int, packet: FragmentPacket) -> str | None:
-        """Why an intact first packet cannot open the event, else None. The
-        first SOE packet sets the event's number and timestamp."""
-        if not packet.soe:
+    def _soe_fault(self, link: int, data: bytes) -> str | None:
+        """Why intact first packet `data` cannot open the event, else None.
+        The first SOE packet sets the event's number and timestamp."""
+        fields = soe_fields(data)
+        if fields is None:
             return f"link {link}: first packet of event lacks SOE"
         if self.current_event_number is None:
-            self.current_event_number, self.current_timestamp = packet.event_number, packet.timestamp
-        if (packet.event_number, packet.timestamp) != (self.current_event_number, self.current_timestamp):
+            self.current_event_number, self.current_timestamp = fields
+        if fields != (self.current_event_number, self.current_timestamp):
             return (
                 "start-of-event mismatch: "
-                f"link {link} reports event {packet.event_number}/ts {packet.timestamp}, "
+                f"link {link} reports event {fields[0]}/ts {fields[1]}, "
                 f"expected {self.current_event_number}/ts {self.current_timestamp}"
             )
         return None

@@ -34,6 +34,7 @@ from .messages import (
     ChannelBTransaction,
     ChannelCRequest,
     FragmentPacket,
+    data_start,
     fragment_bytes,
 )
 from .wire import PrbsGenerator
@@ -51,7 +52,6 @@ __all__ = [
     "ID_UNASSIGNED",
     "EventGeneratorConfig",
     "check_card_settings",
-    "generator_word",
     "generator_bytes",
     "CardOutput",
     "FrontEndCard",
@@ -72,13 +72,6 @@ ID_UNASSIGNED = 0xFFFFFFFF
 SERIAL_BITS = 53
 
 
-def generator_word(port_id: int, channel: int, k):
-    """Counter fill pattern, stamped with the card and channel identity so
-    the DAQ client can verify provenance bit-exactly. Elementwise: `k` may
-    be a word index or an integer array of them."""
-    return ((port_id << 11) ^ (channel << 2) ^ k) & 0xFFFF
-
-
 # Every 16-bit value stored big-endian and viewed as native uint16: a slice
 # holds word indices and one element a stamp, both stored the same way, so
 # one XOR of the two gives wire bytes.
@@ -87,8 +80,9 @@ _WORD_BE.flags.writeable = False
 
 
 def generator_bytes(port_id: int, channel: int, nwords: int) -> bytes:
-    """Big-endian bytes of the counter fill pattern: `generator_word` of
-    word indices 0..nwords-1, for up to MAX_PAYLOAD_WORDS words."""
+    """Big-endian counter fill words 0..nwords-1 (nwords <= MAX_PAYLOAD_WORDS):
+    word k is ((port_id << 11) ^ (channel << 2) ^ k) & 0xFFFF, stamped with
+    card and channel so the DAQ client can verify provenance bit-exactly."""
     stamp = ((port_id << 11) ^ (channel << 2)) & 0xFFFF
     return (_WORD_BE[:nwords] ^ _WORD_BE[stamp]).tobytes()
 
@@ -344,6 +338,6 @@ class FrontEndCard:
             data = fragment_bytes(True, eoe, header + payload)
         if self.corrupt_fragments and (ev.event_number, channel) in self.corrupt_fragments:
             corrupted = bytearray(data)
-            corrupted[2 + 2 * EVENT_HEADER_WORDS if channel == 0 else 2] ^= 0x01
+            corrupted[data_start(data)] ^= 0x01
             data = bytes(corrupted)
         return data

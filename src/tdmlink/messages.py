@@ -14,7 +14,8 @@ is framed by one start bit; its header word alone fixes its length
 (`fragment_length`). Every hop handles a packet as its wire bytes:
 `fragment_bytes` makes them and `check_fragment` applies the length rule
 and the CRC check (`fragment_crc_ok`, which a hop that has already
-applied the length rule calls alone); `FragmentPacket` delegates to them.
+applied the length rule calls alone); `soe_fields` and `data_start` read
+the SOE event header. The `FragmentPacket` codec delegates to them.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ __all__ = [
     "check_fragment",
     "fragment_crc_ok",
     "fragment_bytes",
+    "soe_fields",
+    "data_start",
     "frame_fragment",
     "FRAGMENT_HEAD_BITS",
     "fragment_frame_bits",
@@ -311,6 +314,18 @@ def fragment_bytes(soe: bool, eoe: bool, payload: bytes) -> bytes:
     return body + zlib.crc32(body).to_bytes(4, "big")
 
 
+def soe_fields(data: bytes) -> tuple[int, int] | None:
+    """(event number, timestamp) of SOE packet `data`; None if not SOE."""
+    if not data[0] & 0x80:
+        return None
+    return int.from_bytes(data[2:6], "big"), int.from_bytes(data[6:12], "big")
+
+
+def data_start(data: bytes) -> int:
+    """Offset of the channel data in packet `data`, past any event header."""
+    return 2 + 2 * EVENT_HEADER_WORDS if data[0] & 0x80 else 2
+
+
 def frame_fragment(data: bytes) -> BitArray:
     """Channel C link framing: one start bit, then the packet bytes."""
     return np.concatenate([as_bits([1]), bits_from_bytes(data)])
@@ -363,7 +378,7 @@ class FragmentPacket:
     @property
     def data_bytes(self) -> bytes:
         """Payload bytes without the SOE event-header prefix."""
-        return self.data[2 + 2 * EVENT_HEADER_WORDS if self.soe else 2 : -4]
+        return self.data[data_start(self.data) : -4]
 
     @property
     def data_words(self) -> tuple[int, ...]:
@@ -404,13 +419,13 @@ class FragmentPacket:
     def event_number(self) -> int:
         if not self.soe:
             raise MessageFormatError("event number only present in SOE packets")
-        return int.from_bytes(self.data[2:6], "big")
+        return soe_fields(self.data)[0]
 
     @property
     def timestamp(self) -> int:
         if not self.soe:
             raise MessageFormatError("timestamp only present in SOE packets")
-        return int.from_bytes(self.data[6:12], "big")
+        return soe_fields(self.data)[1]
 
     @classmethod
     def deserialize(cls, data: bytes) -> "FragmentPacket":

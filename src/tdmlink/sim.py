@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -87,6 +88,9 @@ class SimConfig:
             raise ValueError(f"abstraction must be one of {_ABSTRACTIONS}")
         if self.trigger_mode not in ("gated", "periodic"):
             raise ValueError("trigger_mode must be 'gated' or 'periodic'")
+        for name in ("trigger_period_us", "trigger_start_us", "request_rtt_us", "ber", "run_ms", "warmup_ms"):
+            if not math.isfinite(getattr(self, name) or 0.0):  # run_ms may be None
+                raise ValueError(f"{name} must be finite")
         if self.trigger_mode == "periodic" and self.trigger_period_us <= 0:
             raise ValueError("a periodic trigger needs trigger_period_us > 0")
         if not 0.0 <= self.ber <= 1.0:
@@ -333,6 +337,8 @@ def check_ber_test(pattern: str, duration_bits: float, ber: float, window_bits: 
     order = int(suffix)
     if not 0.0 <= ber <= 1.0:
         raise ValueError("ber must be within [0, 1]")
+    if not math.isfinite(duration_bits):
+        raise ValueError("duration must be finite")
     duration = int(duration_bits)
     if duration < order + 1:
         raise ValueError("duration too short for the pattern order")

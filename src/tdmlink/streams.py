@@ -9,7 +9,7 @@ queues and receiver state stay per link (row): a channel is packed into
 lanes only when some link has bits queued on it, and unpacked only for the
 links whose lane holds a 1 or that hold a partial frame; training, resets
 and idle steps act on lanes through masks. A stage handles its rows as
-one batch: a queue pull joins every busy row's head into one array, and when
+one batch: a queue cut joins every busy row's head into one array, and when
 every row is in the same state the rows are indexed by one slice, so the
 chain sees views of whole arrays, not gathered copies. Transmitters hold
 per-row channel frame queues and emit line bits on demand, filling idle
@@ -52,8 +52,6 @@ from .wire import (
     DOWNSTREAM_SCHEDULE,
     SCRAMBLER_ORDER,
     UPSTREAM_SCHEDULE,
-    Descrambler,
-    Scrambler,
     WireFormatError,
     _upstream_channels,
     _upstream_line,
@@ -147,14 +145,14 @@ def _row_groups(values: np.ndarray):
 
 
 class BitQueue:
-    """Per-row FIFOs of bits, drained in lockstep; a row with nothing
-    queued reads zeros.
+    """Per-row FIFOs of bits; a row reads zeros past the bits queued on it.
 
     Each row's queued bits are one byte string, one byte per bit: a push
     appends to it and a pull cuts from its front. Whole frames are enqueued
     atomically, so a frame's bits are contiguous on its channel; idle fill
-    only ever appears between frames. The return links pull whole 4-bit
-    cycles' worth of each channel.
+    only ever appears between frames. The fanout pulls its one row; the
+    return links cut whole 4-bit cycles' worth of each channel from every
+    busy row at once (`_cut`).
     """
 
     def __init__(self, rows: int):
@@ -172,20 +170,13 @@ class BitQueue:
         self._bits[row].clear()
         self.pending_bits[row] = 0
 
-    def pull(self, n: int, rows=None) -> BitArray:
-        """The next n bits of each of `rows` (an index array or a slice;
-        default: every row), one row each. The busy rows' heads are cut as
-        bytes, a short one padded with zeros, and joined into one array."""
-        rows = slice(None) if rows is None else rows
-        pending = self.pending_bits[rows]
-        if not np.count_nonzero(pending):
-            return np.zeros((len(pending), n), dtype=np.uint8)
-        busy, lines = self._cut(n, rows)
-        if len(busy) == len(pending):
-            return lines
-        out = np.zeros((len(pending), n), dtype=np.uint8)
-        out[busy] = lines
-        return out
+    def pull(self, row: int, n: int) -> BitArray:
+        """The next n bits of `row`."""
+        queued = self._bits[row]
+        head = queued[:n].ljust(n, b"\0")
+        del queued[:n]
+        self.pending_bits[row] = len(queued)
+        return np.frombuffer(head, np.uint8)
 
     def _cut(self, n: int, rows) -> tuple[np.ndarray, BitArray]:
         """Cut the next n bits of each busy row of `rows`: returns the busy
@@ -378,7 +369,7 @@ class DownstreamTransmitter:
         return start
 
     def produce_cycles(self, cycles: int) -> BitArray:
-        a, b, c = (self.queues[ch].pull(n * cycles)[0] for ch, n in _DOWN_SLOTS.items())
+        a, b, c = (self.queues[ch].pull(0, n * cycles) for ch, n in _DOWN_SLOTS.items())
         self.cycles_produced += cycles
         return downstream_tx(a, b, c)
 

@@ -26,7 +26,7 @@ from .backend import (
     BufferPool,
     record_tag_link,
 )
-from .messages import EVENT_HEADER_WORDS, FragmentPacket, fragment_crc_ok, fragment_length
+from .messages import data_start, fragment_crc_ok, fragment_length, soe_fields
 
 __all__ = [
     "TRANSPORT_MAGIC",
@@ -120,13 +120,10 @@ class TransportServer:
         self.last_grant = grant.frames_allowed
         self.frames_since_grant = 0
 
-    def can_send(self) -> bool:
-        return self.credit > 0 and bool(self.pool.i_fifo)
-
     def next_frame(self) -> tuple[TransportFrame, BufferDescriptor] | None:
-        """Pop one filled buffer and frame it; the caller releases the
-        descriptor back to the pool once the send has completed."""
-        if not self.can_send():
+        """Pop one filled buffer and frame it while credit remains; the caller
+        releases the descriptor back to the pool once the send has completed."""
+        if self.credit <= 0 or not self.pool.i_fifo:
             return None
         desc = self.pool.pop_filled()
         flags = 0
@@ -175,10 +172,6 @@ class ClientEvent:
     fragments: list = field(default_factory=list)  # (link, packet bytes) in arrival order
     incomplete: bool = False
     gap_affected: bool = False
-
-    @property
-    def payload_bytes(self) -> int:
-        return sum(len(data) - 6 for _, data in self.fragments)
 
     def key(self):
         """Content identity used for cross-engine comparison."""
@@ -235,7 +228,7 @@ class TransportClient:
         if self._next_sequence is not None and frame.sequence != self._next_sequence:
             self.stats.gaps += 1
             self._gap_pending = True
-        self._next_sequence = frame.sequence + 1
+        self._next_sequence = (frame.sequence + 1) & 0xFFFFFFFF  # the wire's 32-bit counter wraps
         self.stats.frames += 1
         self.stats.payload_bytes += len(frame.payload)
         try:
@@ -260,11 +253,11 @@ class TransportClient:
                 self.stats.structure_errors += 1
                 self._close(self._open)
                 self._open = None
-            header = FragmentPacket.deserialize(data)
-            if not header.soe:  # no event number or timestamp to open it with
+            fields = soe_fields(data)
+            if fields is None:  # no event number or timestamp to open it with
                 self._lost()
                 return
-            self._open = ClientEvent(header.event_number, header.timestamp)
+            self._open = ClientEvent(*fields)
             self._frag_index = {}
         elif self._open is None or (link is None and not ends):
             self.stats.structure_errors += 1
@@ -289,7 +282,7 @@ class TransportClient:
         event header, with the expected bytes."""
         channel = self._frag_index.get(link, 0)
         self._frag_index[link] = channel + 1
-        payload = data[2 + 2 * EVENT_HEADER_WORDS if data[0] & 0x80 else 2 : -4]
+        payload = data[data_start(data) : -4]
         if payload != self.expected_bytes_fn(link, channel, len(payload) // 2):
             self.stats.provenance_errors += 1
 

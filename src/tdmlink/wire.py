@@ -3,8 +3,9 @@
 Downstream (fanout, 100 Mbps logical / 200 Mbaud on the line):
 interleave the three virtual channels A, B, A, C; invert channel B;
 Manchester-encode. An idle link therefore carries the constant 8-symbol
-pattern "01100101", which receivers use for bit-slip lock, optimal-phase
-selection and channel delineation.
+pattern "01100101". Receivers lock onto it with `bit_slip_sync`, whose
+slip offset also selects the Manchester sampling phase, and delineate
+channels from it.
 
 Upstream (point-to-point, 400 Mbps, zero coding overhead): interleave
 A, B, C, C; invert channel B; pass through the x^43+1 self-synchronizing
@@ -44,7 +45,6 @@ __all__ = [
     "DEFAULT_LOCK_THRESHOLD",
     "WireFormatError",
     "CodingViolationError",
-    "SyncError",
     "tdm_interleave",
     "tdm_deinterleave",
     "invert_channel_b",
@@ -52,7 +52,6 @@ __all__ = [
     "manchester_decode",
     "manchester_violations",
     "count_manchester_violations",
-    "resolve_phase",
     "bit_slip_sync",
     "LineSyncState",
     "Scrambler",
@@ -83,10 +82,6 @@ class CodingViolationError(WireFormatError):
     def __init__(self, position: int):
         super().__init__(f"Manchester coding violation at symbol {position}")
         self.position = position
-
-
-class SyncError(RuntimeError):
-    """Receiver could not achieve or keep synchronization."""
 
 
 @dataclass(frozen=True)
@@ -242,31 +237,6 @@ def manchester_decode(symbols, half_bit_phase: int, check: bool = True) -> BitAr
     return symbols[..., half_bit_phase::2].copy()
 
 
-def _matches_idle_rotation(decoded: BitArray) -> bool:
-    """True when `decoded` repeats some cyclic rotation of the idle cycle 0100."""
-    n = len(IDLE_CYCLE_BITS)
-    return len(decoded) >= n and any(
-        np.array_equal(decoded, np.resize(np.roll(IDLE_CYCLE_BITS, -r), len(decoded))) for r in range(n)
-    )
-
-
-def resolve_phase(idle_window) -> int:
-    """Pick the sampling phase whose decode of idle traffic repeats 0100.
-
-    The out-of-phase sampling of an idle downstream line yields the inverted
-    pattern 1011 and is rejected.
-    """
-    idle_window = as_bits(idle_window)
-    if len(idle_window) < 2 * len(DOWNSTREAM_IDLE_SYMBOLS):
-        raise SyncError("idle window too short to resolve phase")
-    usable = idle_window[: len(idle_window) - (len(idle_window) % 2)]
-    for phase in (0, 1):
-        sampled = usable[phase::2]
-        if _matches_idle_rotation(sampled):
-            return phase
-    raise SyncError("no sampling phase reproduces the idle pattern")
-
-
 @dataclass
 class LineSyncState:
     """Receiver alignment onto the repeating 8-symbol idle pattern."""
@@ -284,7 +254,8 @@ def bit_slip_sync(line, lock_threshold: int = DEFAULT_LOCK_THRESHOLD) -> LineSyn
 
     Returns a locked state once `lock_threshold` consecutive 8-symbol windows
     match a single rotation of the idle pattern. The transmitter keeps
-    running throughout; reception may start at any symbol offset.
+    running throughout; reception may start at any symbol offset. The
+    offset's parity is the sampling phase that reads idle bits as 0100.
     """
     raw, n = as_bits(line).tobytes(), len(DOWNSTREAM_IDLE_SYMBOLS)
     # The pattern position each rotation of the idle pattern starts at.

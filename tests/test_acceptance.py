@@ -11,33 +11,52 @@ import pytest
 from tdmlink import backend as be
 from tdmlink import frontend as fe
 from tdmlink import messages as m
-from tdmlink import wire
+from tdmlink import timebase, wire
 from tdmlink.bits import bits_to_str, random_bits
 from tdmlink.sim import SimConfig, ber_test, make_serials, run_scenario
+from tdmlink.streams import DownstreamReceiver, DownstreamTransmitter
 from tdmlink.transport import throughput_model
+
+from fill_pattern import generator_word
 
 
 def test_criterion_1_idle_pattern_golden_and_lock():
     """Idle downstream TX emits exactly repeating 01100101; the receiver
     locks from all 8 symbol offsets and resolves both Manchester phases by
-    the 0100-vs-1011 rule. Bit-exact."""
+    the 0100-vs-1011 rule, and the fanout receiver the engines run decodes
+    a channel A frame after that lock at the tick the line timing gives.
+    Bit-exact."""
     cycles = 64
     symbols = wire.downstream_tx([0] * 2 * cycles, [0] * cycles, [0] * cycles)
     assert bits_to_str(symbols[:8]) == "01100101"
     assert np.array_equal(symbols, np.tile(wire.DOWNSTREAM_IDLE_SYMBOLS, cycles))
 
+    trigger = m.ChannelAMessageDown(sampling_stop=True)
     for offset in range(8):
         stream = np.tile(wire.DOWNSTREAM_IDLE_SYMBOLS, 16)[offset:]
         state = wire.bit_slip_sync(stream, lock_threshold=4)
         assert state.locked, f"no lock from offset {offset}"
         assert state.bit_slip_offset == offset
         assert state.half_bit_phase == offset % 2
-        assert wire.resolve_phase(stream[:32]) == offset % 2
         # Phase selection rule: the correct phase reads the 0100 idle cycle,
         # the 180-degree phase reads the inverted pattern 1011.
         aligned = stream[state.aligned_index :][:32]
         assert bits_to_str(wire.manchester_decode(aligned, 0)[:4]) == "0100"
         assert bits_to_str(wire.manchester_decode(aligned, 1)[:4]) == "1011"
+
+        # The engines' selector: a fanout receiver that starts listening
+        # `offset` symbols into the line locks on idle traffic, then decodes
+        # a trigger frame at its arrival tick (counted from the receiver's
+        # first symbol, so `offset` symbols after the transmitter's).
+        tx, rx = DownstreamTransmitter(), DownstreamReceiver(1)
+        assert rx.feed(tx.produce_cycles(16)[offset:]).a == []
+        assert rx.locked[0], f"fanout receiver not locked from offset {offset}"
+        assert rx.sync[0].bit_slip_offset == offset
+        assert rx.sync[0].half_bit_phase == offset % 2
+        first_bit = tx.enqueue("A", m.encode_channel_a(trigger))
+        (row, msg, tick), = rx.feed(tx.produce_cycles(16)).a
+        assert (row, msg) == (0, trigger)
+        assert tick + timebase.TICKS_PER_DOWN_SYMBOL * offset == timebase.down_a_frame_arrival_tick(first_bit)
 
 
 def test_criterion_2_codec_round_trip_suite():
@@ -237,7 +256,7 @@ def test_criterion_7_credit_sweep_reproduction():
 def _expected_event_words(num_links, channels, words):
     """Generator ground truth: per (link, channel) payload words."""
     return {
-        (link, ch): [fe.generator_word(link, ch, k) for k in range(words)]
+        (link, ch): [generator_word(link, ch, k) for k in range(words)]
         for link in range(num_links)
         for ch in range(channels)
     }

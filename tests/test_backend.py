@@ -57,7 +57,7 @@ def drive(cards, pumps, builder, rounds=200):
     for _ in range(rounds):
         progressed = pump_cycle(cards, pumps)
         builder.run(pumps)
-        if not progressed and all(p.peek() is None for p in pumps.values()):
+        if not progressed and not any(p.fifo for p in pumps.values()):
             break
 
 
@@ -69,7 +69,7 @@ class TestDataPump:
         pump.request_posted()
         assert not pump.wants_request()
         pump.on_packet(b"\x00" * 1030)
-        assert pump.free_bytes == 2048 - 1030
+        assert pump.fifo_used == 1030
         assert not pump.wants_request()  # 1 KB free is not enough room
         pump.unload()
         assert pump.wants_request()
@@ -86,7 +86,7 @@ class TestDataPump:
         pump = be.DataPump()
         pump.on_packet(b"\x00" * 10)
         assert pump.counters.lost_tokens == 1
-        assert pump.peek() is None
+        assert not pump.fifo
 
     def test_slow_consumer_never_overflows_over_1e6_packets(self):
         # Request-token discipline: however slow the consumer, a request is
@@ -154,7 +154,7 @@ class TestPacketMover:
         assert len(pool.i_fifo) == 0
         assert mover.write_record(0xE520, packet)
         assert len(pool.i_fifo) == 1
-        assert pool.i_fifo[0].fill_level == 3 * 2044
+        assert len(pool.i_fifo[0].payload) == 3 * 2044
 
     def test_records_never_split(self):
         pool = be.BufferPool(size=2, capacity=128, header_reserve=0)
@@ -210,7 +210,7 @@ class TestPacketMover:
         mover = be.PacketMover(pool)
         empty = m.FragmentPacket.build(False, True, ()).serialize()
         assert mover.write_record(be.RECORD_GLOBAL_EOE, empty)
-        assert mover.current.fill_level == 2 + 6
+        assert len(mover.current.payload) == 2 + 6
 
 
 class TestEventBuilder:
@@ -304,7 +304,7 @@ class TestEventBuilder:
         pumps, builder = self.halting_setup()
         assert builder.step(pumps)
         assert "lacks SOE" in builder.halt_reason
-        assert pumps[0].peek() is None
+        assert not pumps[0].fifo
         assert not builder.step(pumps)
 
     def test_run_that_halts_moved_and_frees_the_links_pump(self):

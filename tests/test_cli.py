@@ -77,6 +77,8 @@ def test_run_rejects_invalid_config(tmp_path, capsys):
         ('{"num_frontends": 40}', "num_frontends must be 1..32"),
         ('{"num_frontends": "two"}', "not supported"),
         ('{"cards": 4}', "unknown config keys"),
+        ('{"run_ms": Infinity}', "run_ms must be finite"),
+        ('{"trigger_mode": "periodic", "trigger_period_us": NaN}', "trigger_period_us must be finite"),
     ],
 )
 def test_run_inputs_rejected_before_the_run_are_usage_errors(tmp_path, capsys, text, message):
@@ -136,6 +138,9 @@ def test_sweep_small_grid(tmp_path, capsys):
         (["ber", "--ber", "2"], "ber must be within [0, 1]"),
         (["ber", "--ber", "-0.5"], "ber must be within [0, 1]"),
         (["sweep", "--run-ms", "1"], "end after warmup_ms"),
+        (["sweep", "--run-ms", "inf"], "run_ms must be finite"),
+        (["ber", "--bits", "inf"], "duration must be finite"),
+        (["ber", "--bits", "nan"], "duration must be finite"),
     ],
 )
 def test_inputs_that_run_nothing_or_crash_are_usage_errors(argv, message, capsys):

@@ -10,6 +10,8 @@ from tdmlink import frontend as fe
 from tdmlink import messages as m
 from tdmlink.wire import PrbsGenerator
 
+from fill_pattern import generator_word
+
 TRIGGER = m.ChannelAMessageDown(sampling_stop=True)
 
 
@@ -34,7 +36,7 @@ def reference_words(card, event_number, channel):
     n = cfg.words_per_channel
     if cfg.fill_pattern == "counter":
         port = card.assigned_id if card.assigned_id is not None else 0
-        return [fe.generator_word(port, channel, k) for k in range(n)]
+        return [generator_word(port, channel, k) for k in range(n)]
     if cfg.fill_pattern == "constant":
         return [cfg.constant_word] * n
     if n == 0:
@@ -260,7 +262,7 @@ class TestDataRequests:
         assert packets[0].timestamp == 25
         assert all(p.crc_ok for p in packets)
         # Payload carries the provenance stamp.
-        assert packets[1].payload_words[0] == fe.generator_word(0, 1, 0)
+        assert packets[1].payload_words[0] == generator_word(0, 1, 0)
 
     def test_single_channel_event_has_both_flags(self):
         card = make_card(generator=fe.EventGeneratorConfig(channels_per_event=1, words_per_channel=2))

@@ -362,10 +362,13 @@ class TestFragmentPacket:
             data_words = words[m.EVENT_HEADER_WORDS:] if soe else words
             assert back.data_words == data_words
             assert back.data_bytes == b"".join(w.to_bytes(2, "big") for w in data_words)
+            assert m.data_start(data) == len(data) - 4 - 2 * len(data_words)
             if soe:
                 assert back.event_number == (words[0] << 16) | words[1]
                 assert back.timestamp == (words[2] << 32) | (words[3] << 16) | words[4]
+                assert m.soe_fields(data) == (back.event_number, back.timestamp)
             else:
+                assert m.soe_fields(data) is None
                 with pytest.raises(m.MessageFormatError):
                     back.event_number
                 with pytest.raises(m.MessageFormatError):
@@ -586,7 +589,8 @@ class TestOnePacketRule:
         three times (made by its card, unloaded by the builder, walked by the
         client) and the CRC three times (made, checked by the builder, checked
         by the client). Each event adds its header record (made, walked,
-        parsed) and its end-of-event record (walked)."""
+        the client reads its event number and timestamp from the bytes) and
+        its end-of-event record (walked)."""
         calls = {"fragment_length": 0, "crc32": 0}
 
         def counted(name, fn):
@@ -619,6 +623,33 @@ class TestOnePacketRule:
         events = res.metrics.client["events"]
         assert (fragments, events) == (192, 3)
         assert calls == {
-            "fragment_length": 3 * fragments + 4 * events,
-            "crc32": 3 * fragments + 2 * events,
+            "fragment_length": 3 * fragments + 3 * events,
+            "crc32": 3 * fragments + 1 * events,
         }
+
+    @pytest.mark.parametrize("abstraction", ["message_level", "symbol_level"])
+    def test_engines_make_no_fragment_packet(self, monkeypatch, abstraction):
+        """Card, builder and client handle packets as bytes and read SOE
+        fields through `soe_fields` and `data_start`; no engine path makes a
+        FragmentPacket. The corrupted SOE packet, which the builder drops,
+        and the client's provenance checks run every byte-level reader."""
+        made = []
+        init = m.FragmentPacket.__init__
+
+        def counting_init(self, *args):
+            made.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(m.FragmentPacket, "__init__", counting_init)
+        m.FragmentPacket.build(False, True, ())
+        assert len(made) == 1  # the count sees every packet made
+        cfg = sim.SimConfig(
+            num_frontends=2, seed=5, abstraction=abstraction, trigger_mode="periodic",
+            trigger_count=3, channels_per_event=3, words_per_channel=4,
+            faults=[{"type": "corrupt_fragment", "link": 1, "event": 1, "channel": 0}],
+        )
+        res = sim.run_scenario(cfg)
+        assert res.metrics.violations == []
+        assert res.engine.builder.counters[1].crc_drops == 1
+        assert (res.metrics.client["events"], res.metrics.client["incomplete_events"]) == (3, 1)
+        assert len(made) == 1

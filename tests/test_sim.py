@@ -118,6 +118,22 @@ class TestConfig:
         with pytest.raises(ValueError, match=match):
             small_scenario(abstraction, **overrides)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name", ["trigger_period_us", "trigger_start_us", "request_rtt_us", "ber", "run_ms", "warmup_ms"]
+    )
+    def test_non_finite_value_rejected(self, name, value):
+        """Rejected before a run, not failed inside the engine."""
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            small_scenario("symbol_level" if name == "ber" else "message_level", **{name: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_ber_test_duration_rejected(self, value):
+        with pytest.raises(ValueError, match="duration must be finite"):
+            sim.check_ber_test("prbs7", value, 0.0, 1000, ())
+        with pytest.raises(ValueError, match="duration must be finite"):
+            sim.ber_test("prbs7", duration_bits=value, window_bits=1000)
+
     def test_rules_at_their_edges_accepted(self):
         small_scenario("message_level", serials=[0, (1 << 53) - 1, 7, 7])  # only two cards use a serial
         small_scenario("symbol_level", ber=1.0)

@@ -139,30 +139,32 @@ class TestBitQueue:
     def test_zero_fill_and_frame_continuity(self):
         q = BitQueue(1)
         q.push(0, [1, 0, 1])
-        out = q.pull(2)
-        assert list(out[0]) == [1, 0]
+        out = q.pull(0, 2)
+        assert list(out) == [1, 0]
         q.push(0, [1, 1])
-        assert list(q.pull(5)[0]) == [1, 1, 1, 0, 0]
+        assert list(q.pull(0, 5)) == [1, 1, 1, 0, 0]
 
     @settings(max_examples=100, deadline=None)
     @given(
         rows=st.integers(1, 40),
         ops=st.lists(
             st.tuples(
-                st.sampled_from(["push"] * 3 + ["push every row", "pull", "pull", "pull every row", "clear"]),
-                st.integers(0, (1 << 40) - 1),  # a row, or a mask of rows to pull
-                st.lists(st.integers(0, 1), max_size=40),  # pushed bits; its length is a pull's n
+                st.sampled_from(["push"] * 3 + ["push every row", "pull", "cut", "cut", "cut every row", "clear"]),
+                st.integers(0, (1 << 40) - 1),  # a row, or a mask of rows to cut
+                st.lists(st.integers(0, 1), max_size=40),  # pushed bits; its length is a pull's or cut's n
             ),
             max_size=30,
         ),
     )
     def test_matches_list_of_bits_reference(self, rows, ops):
-        """Pulls of some, all or none of the rows busy, as an index array,
-        None or a slice, with heads shorter than, equal to or longer than n."""
+        """One-row pulls, and cuts of some, all or none of the rows busy, as
+        an index array or a slice, with heads shorter than, equal to or
+        longer than n."""
         q = BitQueue(rows)
         ref = [[] for _ in range(rows)]
         for op, arg, bits in ops:
             row = arg % rows
+            n = len(bits)
             if op == "push":
                 q.push(row, np.array(bits, dtype=np.uint8))
                 ref[row] += bits
@@ -173,21 +175,26 @@ class TestBitQueue:
             elif op == "clear":
                 q.clear(row)
                 ref[row] = []
+            elif op == "pull":
+                head, ref[row] = ref[row][:n], ref[row][n:]
+                assert q.pull(row, n).tolist() == head + [0] * (n - len(head))
             else:
-                if op == "pull every row":
-                    chosen, index = list(range(rows)), None if arg % 2 else slice(None)
+                if op == "cut every row":
+                    chosen, index = list(range(rows)), slice(None)
                 else:
                     chosen = [r for r in range(rows) if arg >> r & 1] or [row]
                     index = np.array(chosen)
-                n = len(bits)
-                want = []
-                for r in chosen:
-                    head, ref[r] = ref[r][:n], ref[r][n:]
-                    want.append(head + [0] * (n - len(head)))
-                got = q.pull(n, index)
-                assert got.shape == (len(chosen), n) and got.tolist() == want
+                want_busy, want = [], []
+                for place, r in enumerate(chosen):
+                    if ref[r]:
+                        head, ref[r] = ref[r][:n], ref[r][n:]
+                        want_busy.append(place)
+                        want.append(head + [0] * (n - len(head)))
+                busy, heads = q._cut(n, index)
+                assert busy.tolist() == want_busy
+                assert heads.shape == (len(want), n) and heads.tolist() == want
             assert q.pending_bits.tolist() == [len(bits) for bits in ref]
-        assert q.pull(40).tolist() == [(bits + [0] * 40)[:40] for bits in ref]
+        assert [q.pull(r, 40).tolist() for r in range(rows)] == [(bits + [0] * 40)[:40] for bits in ref]
 
 
 class TestScanners:
@@ -943,8 +950,10 @@ class TestLanes:
             link = int(rng.integers(links))
             skipped[0].enqueue(link, channel, bits)
             fed[0].enqueue(link, channel, bits)
-        words = skipped[0].produce(4 * 200)
-        assert np.array_equal(words, fed[0].produce(4 * 200))
+        # 400 cycles carry 800 channel C bits: three of the longest packets
+        # (209 bits framed) fit even when all three go to one link.
+        words = skipped[0].produce(4 * 400)
+        assert np.array_equal(words, fed[0].produce(4 * 400))
         got, want = skipped[1].feed(words), fed[1].feed(words)
         assert (got.a, got.b, got.packets) == (want.a, want.b, want.packets)
         assert len(got.a) + len(got.b) + len(got.packets) == 3

@@ -17,6 +17,8 @@ from tdmlink import sim
 from tdmlink import transport as tp
 from tdmlink.message_engine import MessageEngine
 
+from fill_pattern import generator_word
+
 
 def fill_buffers(n_events=3, links=(0, 1), channels=2, words=4, pool_size=16, capacity=256):
     """Run cards -> pumps -> builder to produce filled buffers."""
@@ -182,7 +184,7 @@ class TestClientReassembly:
         server.on_grant(tp.CreditGrant(1000))
         client = tp.TransportClient(
             expected_bytes_fn=lambda link, channel, n: b"".join(
-                fe.generator_word(link, channel, k).to_bytes(2, "big") for k in range(n)
+                generator_word(link, channel, k).to_bytes(2, "big") for k in range(n)
             )
         )
         sent_payload = 0
@@ -209,7 +211,7 @@ class TestClientReassembly:
         head = struct.unpack(">6H", m.FragmentPacket.event_header_bytes(5, 1000))
         payload = record(be.RECORD_EVENT_HEADER, True, False, head)
         for channel in range(3):
-            words = [fe.generator_word(1, channel, k) for k in range(8)]
+            words = [generator_word(1, channel, k) for k in range(8)]
             if flip is not None and flip[0] == channel:
                 words[flip[1]] ^= 0x0100
             soe = channel == 0
@@ -244,6 +246,21 @@ class TestClientReassembly:
         # and 3, so the gap lands between events and marks the next one.
         assert [ev.event_number for ev in client.events] == [0, 1, 4, 5]
         assert [ev.gap_affected for ev in client.events] == [False, False, True, False]
+
+    @pytest.mark.parametrize(
+        "sequences, gaps",
+        [
+            ([0xFFFFFFFE, 0xFFFFFFFF, 0, 1], 0),  # the 32-bit counter wraps
+            ([0xFFFFFFFE, 0xFFFFFFFF, 1], 1),  # frame 0 after the wrap lost
+            ([0xFFFFFFFE, 0, 1], 1),  # the last frame before the wrap lost
+        ],
+    )
+    def test_sequence_wrap_is_no_gap(self, sequences, gaps):
+        client = tp.TransportClient()
+        for sequence in sequences:
+            client.receive(tp.TransportFrame(sequence, 0, b"").serialize())
+        assert client.stats.gaps == gaps
+        assert client.stats.frames == len(sequences)
 
     def test_frame_lost_mid_event_marks_that_event(self):
         # Events span frames; frame 3 holds only fragments of event 1,

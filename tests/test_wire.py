@@ -9,7 +9,6 @@ from tdmlink.wire import (
     DOWNSTREAM_SCHEDULE,
     UPSTREAM_SCHEDULE,
     CodingViolationError,
-    SyncError,
     WireFormatError,
 )
 
@@ -125,24 +124,36 @@ class TestManchester:
         assert (a.tolist(), b.tolist(), c.tolist()) == ([1, 0, 1, 0], [0, 1], [1, 0])
 
 
-class TestResolvePhase:
+def idle_rotations(cycle: str, n: int) -> set[str]:
+    """Every cyclic rotation of `cycle` repeated to n bits."""
+    return {((cycle * n)[r:] + cycle * n)[:n] for r in range(len(cycle))}
+
+
+class TestPhaseSelection:
+    """`bit_slip_sync` is the phase selector: its half-bit phase decodes
+    idle traffic to the cycle 0100; the other phase reads 1011."""
+
     def test_aligned_stream_is_phase0(self):
-        assert wire.resolve_phase(wire.downstream_idle_symbols(4)) == 0
+        assert wire.bit_slip_sync(wire.downstream_idle_symbols(4), lock_threshold=4).half_bit_phase == 0
 
     def test_shifted_stream_is_phase1(self):
         stream = wire.downstream_idle_symbols(5)
-        assert wire.resolve_phase(stream[1:]) == 1
+        assert wire.bit_slip_sync(stream[1:], lock_threshold=4).half_bit_phase == 1
 
     @pytest.mark.parametrize("k", range(8))
     def test_every_offset_resolves_to_its_parity(self, k):
-        stream = wire.downstream_idle_symbols(6)
-        assert wire.resolve_phase(stream[k : k + 32]) == k % 2
+        stream = wire.downstream_idle_symbols(6)[k : k + 32]
+        phase = wire.bit_slip_sync(stream, lock_threshold=4).half_bit_phase
+        assert phase == k % 2
+        decoded = bits_to_str(wire.manchester_decode(stream, phase, check=False))
+        inverted = bits_to_str(wire.manchester_decode(stream, 1 - phase, check=False))
+        assert decoded in idle_rotations("0100", 16)
+        assert inverted in idle_rotations("1011", 16)
 
-    def test_noise_rejected(self):
+    def test_noise_does_not_lock(self):
         rng = np.random.default_rng(3)
         # A random window is overwhelmingly unlikely to repeat the idle cycle.
-        with pytest.raises(SyncError):
-            wire.resolve_phase(random_bits(rng, 64))
+        assert not wire.bit_slip_sync(random_bits(rng, 64), lock_threshold=4).locked
 
 
 class TestBitSlipSync:
