@@ -106,9 +106,7 @@ class MessageEngine(System):
 
     def _trigger_check(self):
         self._trigger_check_scheduled = False
-        tick = self.trigger_unit.next_issue_tick(
-            self.now, self.builder.events_built, len(self.cards)
-        )
+        tick = self._next_issue_tick()
         if tick is None:
             self._stop_if_done()
             return

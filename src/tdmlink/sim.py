@@ -47,6 +47,12 @@ def _us_to_cycle_ticks(us: float) -> int:
     return -(-ticks // cycle) * cycle
 
 
+# The SimConfig fields that hold whole numbers: an int or a numpy integer,
+# not a bool or a float.
+_WHOLE_FIELDS = ("num_frontends", "seed", "trigger_count", "channels_per_event", "words_per_channel",
+                 "constant_word", "buffering_depth", "credit", "mtu", "buffer_pool")
+
+
 @dataclass
 class SimConfig:
     num_frontends: int = 2
@@ -82,6 +88,11 @@ class SimConfig:
     serials: list | None = None
 
     def __post_init__(self):
+        for name in _WHOLE_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be a whole number, not {value!r}")
+            setattr(self, name, int(value))
         if not 1 <= self.num_frontends <= 32:
             raise ValueError("num_frontends must be 1..32 (5-bit ID space)")
         if self.abstraction not in _ABSTRACTIONS:

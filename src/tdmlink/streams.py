@@ -1,29 +1,27 @@
 """Streaming serializers and deserializers for the symbol-level simulator.
 
-Links are rows: every fanout link is one row of a (links, symbols) array,
-and each stage of the chain runs once per chunk on the whole array. A
-single link is the one-row case. The return links are bit lanes instead:
-one uint32 word per line bit, bit r of word t being link r's bit t, so one
-pass of the `wire` kernels over the words codes every link at once. Their
-queues and receiver state stay per link (row): a channel is packed into
+Links are bit lanes in both directions: one uint32 word per line symbol or
+bit, bit r of word t being link r's symbol or bit t, so one pass of the
+`wire` kernels over the words codes every link at once. The fanout
+transmitter sends one stream, which the symbol engine puts in every lane.
+Queues and receiver state stay per link (row): a channel is packed into
 lanes only when some link has bits queued on it, and unpacked only for the
-links whose lane holds a 1 or that hold a partial frame; training, resets
-and idle steps act on lanes through masks. A stage handles its rows as
-one batch: a queue cut joins every busy row's head into one array, and when
-every row is in the same state the rows are indexed by one slice, so the
-chain sees views of whole arrays, not gathered copies. Transmitters hold
-per-row channel frame queues and emit line bits on demand, filling idle
-slots with zeros. Receivers consume chunks of line bits and emit decoded
-frames tagged with their row, with per-row diagnostic counters. Each value a
-receiver keeps per row is an array indexed by row, held bits as bytes in an
-object array, and each class resets, copies and advances its rows through
-one tuple of those arrays. Fanout receivers share one decode until any row's
-symbols differ: rows that have received the same symbols are in the same
-state, so row 0 decodes for all of them; every row then decodes on its own.
+links whose lane holds a 1 or that hold a partial frame; lanes that carry
+the same bits share one scan. Training, resets and idle steps act on lanes
+through masks. A stage handles its rows as one batch: a queue cut joins
+every busy row's head into one array, and when every row is in the same
+state the rows are indexed by one slice, so the chain sees views of whole
+arrays, not gathered copies. Transmitters hold per-row channel frame queues
+and emit line bits on demand, filling idle slots with zeros. Receivers
+consume chunks of lane words and emit decoded frames tagged with their row,
+with per-row diagnostic counters. Each value a receiver keeps per row is an
+array indexed by row, held bits as bytes in an object array, and a class
+that resets rows does so through one tuple of those arrays.
 Frames are scanned per frame, not per bit: a byte search finds each start
 bit, and a frame that ends in a later chunk is held with the length it still
 owes. Return links move whole 4-bit cycles: their training is a whole number
-of cycles, and every chunk produced or fed must be one too.
+of cycles, and every chunk produced or fed must be one too. The fanout takes
+chunks of any length.
 """
 
 from __future__ import annotations
@@ -53,11 +51,10 @@ from .wire import (
     SCRAMBLER_ORDER,
     UPSTREAM_SCHEDULE,
     WireFormatError,
+    _downstream_channels,
     _upstream_channels,
     _upstream_line,
     bit_slip_sync,
-    count_manchester_violations,
-    downstream_rx,
     downstream_tx,
     idle_scrambler_register,
     training_pattern,
@@ -81,8 +78,8 @@ _DOWN_SLOTS = {ch: len(DOWNSTREAM_SCHEDULE.slots_of(ch)) for ch in "ABC"}
 _UP_SLOTS = {ch: len(UPSTREAM_SCHEDULE.slots_of(ch)) for ch in "ABC"}
 _UP_CYCLE_BITS = len(UPSTREAM_SCHEDULE.slot_sequence)
 
-# Bit r of a return-link lane word is link r's line bit: 5-bit card IDs
-# and the 32-bit channel C mask allow at most 32 links.
+# Bit r of a lane word is link r's line symbol or bit: 5-bit card IDs and
+# the 32-bit channel C mask allow at most 32 links.
 _LANE_BITS = np.uint32(1) << np.arange(32, dtype=np.uint32)
 
 
@@ -102,32 +99,6 @@ def _row_order(*event_lists):
     """Sort lists of (row, ...) tuples by row, keeping each row's own order."""
     for events in event_lists:
         events.sort(key=lambda e: e[0])
-
-
-def _whole_cycles(carry: BitArray, tail: np.ndarray, rows, bits: BitArray):
-    """Cut whole cycles out of the unread tail and new bits of each of
-    `rows` (an index array or a slice), whose new bits are the rows of
-    `bits`.
-
-    `carry` holds the last bits each row was fed, right-aligned, of which
-    the last `tail[row]` are unread; a cycle is as long as `carry` is wide.
-    Updates the carry and tail of `rows` and returns the groups of them
-    whose cycles start at the same column, each as (rows, cycles).
-    """
-    if not len(bits):
-        return []
-    width = carry.shape[1]
-    ext = np.concatenate([carry[rows], bits], axis=1)
-    starts = width - tail[rows]
-    carry[rows] = ext[:, -width:]
-    tail[rows] = (ext.shape[1] - starts) % width
-    groups = []
-    for start, same in _row_groups(starts):
-        usable = (ext.shape[1] - start) // width * width
-        if usable:
-            ids = rows if isinstance(same, slice) else np.arange(len(carry))[rows][same]
-            groups.append((ids, ext[same, start : start + usable]))
-    return groups
 
 
 def _whole_upstream_cycles(nbits: int):
@@ -222,11 +193,6 @@ class FrameScanner:
     def reset(self, row: int):
         for state in self._row_state:
             state[row] = 0
-
-    def copy_rows(self, rows, src: int):
-        """Give `rows` (an index array or a slice) the state of row `src`."""
-        for state in self._row_state:
-            state[rows] = state[src]
 
     def holds_frame(self) -> bool:
         """Whether any row holds a partial frame."""
@@ -345,6 +311,25 @@ def _decode_frames(frames: list, decode, errors: np.ndarray) -> list:
     return out
 
 
+class _Lanes:
+    """Links carried as bit lanes: row r is lane r of the line words."""
+
+    def __init__(self, rows: int):
+        if not 1 <= rows <= len(_LANE_BITS):
+            raise ValueError(f"{rows} links; a lane word holds 1 to {len(_LANE_BITS)}")
+        self._lanes = np.arange(rows)
+        self._ones = np.bitwise_or.reduce(_LANE_BITS[:rows])  # every row's lane
+
+    def _lane_words(self, words) -> np.ndarray:
+        """`words` checked as lane words of these links."""
+        words = np.asarray(words)
+        if words.dtype != np.uint32 or words.ndim != 1:
+            raise WireFormatError(f"lane words must be a 1-D uint32 array, not {words.dtype} {words.shape}")
+        if np.bitwise_or.reduce(words) & ~self._ones:
+            raise WireFormatError(f"a lane word holds a bit past lane {len(self._lanes) - 1}")
+        return words
+
+
 # ---------------------------------------------------------------------------
 # Downstream: back-end transmitter, front-end receivers
 
@@ -385,31 +370,29 @@ class DownRxEvents:
     c: list = field(default_factory=list)  # (row, ChannelCRequest | None)
 
 
-class DownstreamReceiver:
-    """Front-end side, one row per card: bit-slip lock on the idle pattern,
-    then Manchester decode, channel delineation and frame extraction.
+class DownstreamReceiver(_Lanes):
+    """Front-end side, one row per card, fed as bit lanes: bit-slip lock on
+    the idle pattern, then Manchester decode, channel delineation and frame
+    extraction.
 
-    Each row locks on its own. A locked row decodes whole 8-symbol cycles
-    from its lock point on and carries the fewer than 8 symbols left over
-    to the next chunk; fed whole cycles, that tail keeps its length.
-
-    Rows share one decode until any row's symbols differ. A row's state
-    depends only on the symbols it was fed, so while every row has received
-    the same symbols (`in_step`), only row 0 searches for lock and decodes,
-    and every row takes its events, lock state and counters. The first
-    chunk in which some row differs gives every row a copy of row 0's state
-    and clears `in_step`; from then on every row decodes on its own.
+    Each row searches its own symbols for lock. A locked row decodes whole
+    8-symbol cycles from its lock point on and leaves the fewer than 8
+    symbols after them unread until the next chunk: the receiver keeps the
+    last 8 words fed, and per row how many of them it has not read yet
+    (negative while its lock point lies past the symbols fed). Rows whose
+    unread symbols start at the same column decode as one group, in one
+    pass over the lane words.
     """
 
     def __init__(self, rows: int):
-        self.in_step = True
+        super().__init__(rows)
         self.locked = np.zeros(rows, dtype=bool)
         self.sync = np.full(rows, None, dtype=object)
         self._search = np.full(rows, b"", dtype=object)  # symbols kept while not locked, one byte each
         self._dropped = np.zeros(rows, dtype=np.int64)  # symbols dropped before _search[row][0]
         self._aligned_base_tick = np.zeros(rows, dtype=np.int64)
-        self._carry = np.zeros((rows, len(DOWNSTREAM_IDLE_SYMBOLS)), dtype=np.uint8)  # tail, right-aligned
-        self._tail = np.zeros(rows, dtype=np.int64)
+        self._carry = np.zeros(len(DOWNSTREAM_IDLE_SYMBOLS), dtype=np.uint32)  # the last words fed
+        self._unread = np.zeros(rows, dtype=np.int64)
         self.scanners = {
             "A": FrameScanner(rows, CHANNEL_A_FRAME_BITS),
             "B": FrameScanner(rows, CHANNEL_B_FRAME_BITS),
@@ -417,37 +400,30 @@ class DownstreamReceiver:
         }
         self.coding_violations = np.zeros(rows, dtype=np.int64)
         self.parity_errors = {ch: np.zeros(rows, dtype=np.int64) for ch in "ABC"}
-        # Lock state and counters are kept for every row; the decoding state,
-        # this tuple's and the scanners', is row 0's while in step.
-        self._shared = (self.locked, self.sync, self.coding_violations, *self.parity_errors.values(),
-                        *(scanner.faults for scanner in self.scanners.values()))
-        self._decoding = (self._search, self._dropped, self._aligned_base_tick, self._carry, self._tail)
 
     def a_bit_arrival_tick(self, row: int, index: int) -> int:
         return int(self._aligned_base_tick[row]) + timebase.down_a_bit_end_tick(index)
 
-    def feed(self, symbols: BitArray) -> DownRxEvents:
-        """Consume the next symbols of every row: a (rows, n) array, or one
-        stream of n symbols that every row receives."""
-        if self.in_step and symbols.ndim > 1 and (symbols[1:] != symbols[0]).any():
-            self._leave_step()
-        if self.in_step:
-            lines = symbols[None] if symbols.ndim == 1 else symbols[:1]
-        else:
-            lines = np.broadcast_to(symbols, (len(self.locked), symbols.shape[-1]))
-        locked = self.locked[: len(lines)]
-        if locked.all():
-            decoding, searching = slice(0, len(lines)), []
-        else:
-            decoding, searching = np.flatnonzero(locked), np.flatnonzero(~locked).tolist()
-        events = DownRxEvents()
-        for rows, cycles in _whole_cycles(self._carry, self._tail, decoding, lines[decoding]):
-            self._decode(rows, cycles, events)
-        for row in searching:
-            self._acquire(row, lines[row], events)
-        if self.in_step:
-            self._share(events)  # row by row, in row order
-        else:
+    def feed(self, words) -> DownRxEvents:
+        """Consume the next symbols of every row, as lane words: a 1-D
+        uint32 array of any length, with no bit past the last row's lane.
+        Bad input raises before anything is consumed or counted."""
+        words = self._lane_words(words)
+        cycle = len(self._carry)
+        ext = np.concatenate([self._carry, words])
+        owed = self._unread + len(words)  # per row, the symbols at the end of ext it has not decoded
+        for row in np.flatnonzero(~self.locked).tolist():
+            owed[row], rest = self._acquire(row, _unpack(words, self._lanes[row : row + 1])[0])
+            if len(rest) > cycle + len(words):  # it locked on symbols older than the carry
+                ext = np.concatenate([np.zeros(max(len(rest) - len(ext), 0), np.uint32), ext])
+                ext[-len(rest) :] |= rest.astype(np.uint32) << np.uint32(row)
+        self._carry = ext[-cycle:]
+        events, groups = DownRxEvents(), _row_groups(len(ext) - owed)
+        for start, rows in groups:
+            if start + cycle <= len(ext):
+                self._decode(rows, ext[start : len(ext) - (len(ext) - start) % cycle], events)
+        self._unread = owed - np.maximum(owed, 0) // cycle * cycle
+        if len(groups) > 1:
             _row_order(events.a, events.b, events.c)
         return events
 
@@ -455,30 +431,14 @@ class DownstreamReceiver:
         """Advance every row over `cycles` whole idle cycles. Every row must be
         locked, hold no partial frame, and have last been fed idle cycles:
         idle cycles then decode to zeros on every channel, and whole cycles
-        leave each row's carry and tail as they are."""
-        rows = slice(0, 1) if self.in_step else slice(None)
+        leave the carry and each row's unread count as they are."""
         for channel, scanner in self.scanners.items():
-            scanner.skip(cycles * _DOWN_SLOTS[channel], rows)
+            scanner.skip(cycles * _DOWN_SLOTS[channel])
 
-    def _leave_step(self):
-        """Give every row the decoding state of row 0, then decode each row
-        on its own."""
-        self.in_step = False
-        for state in self._decoding:
-            state[1:] = state[0]
-        for scanner in self.scanners.values():
-            scanner.copy_rows(slice(1, None), 0)
-
-    def _share(self, events: DownRxEvents):
-        """Give every row row 0's events, lock state and counters."""
-        for state in self._shared:
-            state[1:] = state[0]
-        for part in (events.a, events.b, events.c):
-            part[:] = [(row, *rest) for row in range(len(self.locked)) for _, *rest in part]
-
-    def _acquire(self, row: int, symbols: BitArray, events: DownRxEvents):
-        """Search one unlocked row for the idle pattern; once locked, decode
-        what follows the lock point."""
+    def _acquire(self, row: int, symbols: BitArray) -> tuple[int, BitArray]:
+        """Search one unlocked row for the idle pattern. Returns how many of
+        its symbols kept lie past the lock point (0 while it finds no lock,
+        negative while the lock point lies ahead), and those symbols."""
         pending = self._search[row] + symbols.tobytes()
         line = np.frombuffer(pending, np.uint8)
         state = bit_slip_sync(line)
@@ -487,27 +447,29 @@ class DownstreamReceiver:
             keep = 2 * len(DOWNSTREAM_IDLE_SYMBOLS) * DEFAULT_LOCK_THRESHOLD
             self._dropped[row] += max(len(pending) - keep, 0)
             self._search[row] = pending[-keep:]
-            return
+            return 0, line[:0]
         self.locked[row] = True
         self.sync[row] = state
         self._aligned_base_tick[row] = timebase.TICKS_PER_DOWN_SYMBOL * (
             self._dropped[row] + state.aligned_index
         )
         self._search[row] = b""
-        rest = line[None, state.aligned_index :]  # a row holds no tail before it locks
-        for rows, cycles in _whole_cycles(self._carry, self._tail, np.array([row]), rest):
-            self._decode(rows, cycles, events)
+        return len(line) - state.aligned_index, line[state.aligned_index :]
 
-    def _decode(self, rows: np.ndarray, chunk: BitArray, events: DownRxEvents):
-        """Decode whole cycles, one row of `chunk` for each of `rows`."""
-        self.coding_violations[rows] += count_manchester_violations(chunk)
-        a_bits, b_bits, c_bits = downstream_rx(chunk)
+    def _decode(self, rows, symbols: np.ndarray, events: DownRxEvents):
+        """Decode the lane words `symbols`, whole cycles, for each of `rows`
+        (an index array, or a slice of every row)."""
+        lanes = self._lanes[rows]
+        mask = self._ones if isinstance(rows, slice) else np.bitwise_or.reduce(_LANE_BITS[lanes])
+        a, b, c, broken = _downstream_channels(symbols, mask)
+        if np.count_nonzero(broken):
+            self.coding_violations[lanes] += np.count_nonzero(_unpack(broken, lanes), axis=1)
         scan, errors = self.scanners, self.parity_errors
-        for row, msg, end in _decode_frames(scan["A"].feed(a_bits, rows), decode_channel_a_down, errors["A"]):
+        for row, msg, end in _decode_frames(_scan_lanes(scan["A"], a, rows), decode_channel_a_down, errors["A"]):
             events.a.append((row, msg, self.a_bit_arrival_tick(row, end)))
-        for row, msg, _ in _decode_frames(scan["B"].feed(b_bits, rows), decode_channel_b, errors["B"]):
+        for row, msg, _ in _decode_frames(_scan_lanes(scan["B"], b, rows), decode_channel_b, errors["B"]):
             events.b.append((row, msg))
-        for row, msg, _ in _decode_frames(scan["C"].feed(c_bits, rows), decode_channel_c_request, errors["C"]):
+        for row, msg, _ in _decode_frames(_scan_lanes(scan["C"], c, rows), decode_channel_c_request, errors["C"]):
             events.c.append((row, msg))
 
 
@@ -515,16 +477,13 @@ class DownstreamReceiver:
 # Upstream: front-end transmitters, back-end receivers
 
 
-class _LaneLinks:
-    """What both ends of the return links keep per link: row r is lane r of
-    the line words, its scrambler register is lane r of 43 words, and it
-    owes TRAINING_BITS of the training pattern after a reset."""
+class _LaneLinks(_Lanes):
+    """What both ends of the return links keep per link: its scrambler
+    register is lane r of 43 words, and it owes TRAINING_BITS of the
+    training pattern after a reset."""
 
     def __init__(self, rows: int):
-        if not 1 <= rows <= len(_LANE_BITS):
-            raise ValueError(f"{rows} return links; a lane word holds 1 to {len(_LANE_BITS)}")
-        self._lanes = np.arange(rows)
-        self._ones = np.bitwise_or.reduce(_LANE_BITS[:rows])  # every row's lane
+        super().__init__(rows)
         self._register = np.zeros(SCRAMBLER_ORDER, dtype=np.uint32)
         self._training_left = np.full(rows, TRAINING_BITS, dtype=np.int64)
 
@@ -654,13 +613,8 @@ class UpstreamReceiver(_LaneLinks):
         """Consume the next line bits of every row, as lane words: a 1-D
         uint32 array, whole cycles long, with no bit past the last row's
         lane. Bad input raises before anything is consumed or counted."""
-        words = np.asarray(words)
-        if words.dtype != np.uint32 or words.ndim != 1:
-            raise WireFormatError(
-                f"return-link lane words must be a 1-D uint32 array, not {words.dtype} {words.shape}")
+        words = self._lane_words(words)
         _whole_upstream_cycles(len(words))
-        if np.bitwise_or.reduce(words) & ~self._ones:
-            raise WireFormatError(f"a lane word holds a bit past lane {len(self._lanes) - 1}")
         events, groups = UpRxEvents(), self._train(len(words))
         for start, rows, mask in groups:
             if start:

@@ -4,14 +4,12 @@ Every line symbol is materialized: the downstream fanout runs the full
 interleave / B-inversion / Manchester chain and each front-end receiver
 acquires lock by bit slip; return links carry the training sequence and the
 scrambled interleaved channels. A slice runs each stage of a chain once for
-all cards: the fanout holds every card's link as one row of a (links,
-symbols) array, and the return links are bit lanes, one uint32 word per
-line bit with link r in bit r. Each link still takes its own line errors
-from its own random streams. The fanout receivers share one decode
-until any card's symbols differ: at BER 0 every card receives the same
-symbols, so row 0 decodes the broadcast stream for all of them, and from
-the first line error on any card every card's row decodes on its own. Links have zero latency,
-as at message level. Time advances in slices of SLICE_CYCLES whole TDM cycles,
+all cards: both directions carry the links as bit lanes, one uint32 word
+per line symbol or bit with link r in bit r. The fanout's one stream goes
+into every card's lane, and each link takes its own line errors from its
+own random streams, in its own lane; lanes that still carry the same
+symbols share one scan in the receivers. Links have zero latency, as at
+message level. Time advances in slices of SLICE_CYCLES whole TDM cycles,
 clipped at trigger issue ticks (that keeps channel A latency accounting
 identical to the message-level engine) and at the end of a fixed-length run.
 
@@ -58,14 +56,19 @@ EXCHANGE_TIMEOUT_TICKS = 4 * CHANNEL_B_FRAME_BITS * timebase.DOWN_TICKS_PER_CHAN
 SLICE_CYCLES = 64
 SLICE_TICKS = SLICE_CYCLES * timebase.TICKS_PER_DOWN_CYCLE
 
+# Each direction's random stream of a link (`SymbolEngine._line_errors`) and
+# its ticks per line symbol or bit.
+_DIRECTIONS = {"down": (0, timebase.TICKS_PER_DOWN_SYMBOL), "up": (1, timebase.TICKS_PER_UP_BIT)}
+
 
 class SymbolEngine(System):
     def __init__(self, config):
         super().__init__(config)
-        # Line interfaces, one row per port: the cards' fanout receivers and
+        # Line interfaces, one lane per port: the cards' fanout receivers and
         # return transmitters, and the back-end's return receivers.
         links = len(self.cards)
         self.down_rx = DownstreamReceiver(links)
+        self._fanout_lanes = np.uint32((1 << links) - 1)  # every card's lane
         self.up_tx = UpstreamTransmitter(links)
         self.backend_rx = UpstreamReceiver(links)
         # Each link draws its line errors from its own two streams.
@@ -95,13 +98,19 @@ class SymbolEngine(System):
 
     # -- slice processing -------------------------------------------------------
 
+    def _due_ticks(self):
+        """The next trigger issue, the next timed link fault and the end of
+        a run of fixed length: the ticks at which something is due, each
+        None when nothing is."""
+        fault = self._timed_faults[-1]["tick"] if self._timed_faults else None
+        return self._next_issue_tick(), fault, self.run_ticks
+
     def _advance_one_slice(self):
         t0 = self.now
-        pending = self.trigger_unit.next_issue_tick(t0, self.builder.events_built, len(self.cards))
+        issue, _, run_end = self._due_ticks()
         # Clip so issue happens exactly on a boundary and a run of fixed length ends on time.
-        ends = (t0 + SLICE_TICKS, pending, self.run_ticks)
-        t1 = min(end for end in ends if end is not None and end > t0)
-        if pending is not None and pending <= t0:
+        t1 = min(end for end in (t0 + SLICE_TICKS, issue, run_end) if end is not None and end > t0)
+        if issue is not None and issue <= t0:
             self._issue_trigger()
         # The slice's faults: a reset applies at its start, and a flip hits
         # the symbol or bit on the line at its tick. Slices are contiguous
@@ -116,15 +125,14 @@ class SymbolEngine(System):
                 flips[fault["direction"]].append((fault["link"], fault["tick"] - t0))
         self._idle_slice = t1 - t0 == SLICE_TICKS and not self._queued() and not any(flips.values())
 
-        # Downstream: one fanout stream; each card's row takes its own errors.
-        cycles = (t1 - t0) // timebase.TICKS_PER_DOWN_CYCLE
-        symbols = self.down_tx.produce_cycles(cycles)
-        down = self._corrupt_fanout(symbols, flips["down"])
-        self._handle_down_events(self.down_rx.feed(down))
+        # Downstream: one fanout stream in every card's lane.
+        symbols = self.down_tx.produce_cycles((t1 - t0) // timebase.TICKS_PER_DOWN_CYCLE)
+        words = symbols * self._fanout_lanes
+        self._handle_down_events(self.down_rx.feed(self._corrupt_lanes(words, "down", flips["down"])))
 
         # Upstream: one independent stream per link, one lane each.
         words = self.up_tx.produce((t1 - t0) // timebase.TICKS_PER_UP_BIT)
-        self._handle_up_events(self.backend_rx.feed(self._corrupt_lanes(words, flips["up"])))
+        self._handle_up_events(self.backend_rx.feed(self._corrupt_lanes(words, "up", flips["up"])))
 
         self.now = t1
         self._backend_logic()
@@ -149,14 +157,11 @@ class SymbolEngine(System):
             and not any(pump.fifo or pump.wants_request() for pump in self.pumps.values())
         ):
             return 0
-        now = self.now
-        due = [fault["tick"] for fault in self._timed_faults[-1:]]  # the next fault
-        issue = self.trigger_unit.next_issue_tick(now, self.builder.events_built, len(self.cards))
-        if issue is not None:
-            due.append(issue)
-        if self.run_ticks is not None:
-            due.append(self.run_ticks - 1)  # the last slice reaches run_ticks
-        slices = [(tick - now) // SLICE_TICKS for tick in due]
+        issue, fault, run_end = self._due_ticks()
+        # The slice that reaches a fixed-length run's end is its last, and is run.
+        last = None if run_end is None else run_end - 1
+        due = [tick for tick in (issue, fault, last) if tick is not None]
+        slices = [(tick - self.now) // SLICE_TICKS for tick in due]
         if most is not None:
             slices.append(most)
         return max(min(slices), 0)
@@ -181,32 +186,19 @@ class SymbolEngine(System):
             for link, rngs in enumerate(self._link_rngs):
                 yield link, np.flatnonzero(rngs[stream].random(n) < self.config.ber)
 
-    def _corrupt_fanout(self, symbols, flips):
-        """Apply each link's line errors to its row of the fanout stream
-        `symbols`, which every link receives; `flips` lists the slice's
-        downstream flips as (link, ticks from the slice start)."""
-        n = len(symbols)
-        if not flips and not (self.config.ber > 0.0 and n):
-            return symbols
-        out = np.array(np.broadcast_to(symbols, (len(self._link_rngs), n)))
-        for link, positions in self._line_errors(0, n):
-            out[link, positions] ^= 1
-        for link, ticks in flips:
-            out[link, ticks // timebase.TICKS_PER_DOWN_SYMBOL] ^= 1
-        return out
-
-    def _corrupt_lanes(self, words, flips):
-        """Apply each link's line errors to its lane of the return-link
-        words: an error flips bit `link`. `flips` lists the slice's upstream
-        flips as (link, ticks from the slice start)."""
+    def _corrupt_lanes(self, words, direction, flips):
+        """Apply each link's line errors in `direction` to its lane of the
+        lane words: an error flips bit `link`. `flips` lists the slice's
+        flips in that direction as (link, ticks from the slice start)."""
         n = len(words)
         if not flips and not (self.config.ber > 0.0 and n):
             return words
+        stream, ticks_per_symbol = _DIRECTIONS[direction]
         out = words.copy()
-        for link, positions in self._line_errors(1, n):
+        for link, positions in self._line_errors(stream, n):
             out[positions] ^= np.uint32(1 << link)
         for link, ticks in flips:
-            out[ticks // timebase.TICKS_PER_UP_BIT] ^= np.uint32(1 << link)
+            out[ticks // ticks_per_symbol] ^= np.uint32(1 << link)
         return out
 
     # -- card side ---------------------------------------------------------------

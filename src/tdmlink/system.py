@@ -120,6 +120,11 @@ class System:
         for port in self.bootstrap_result.id_map:
             self.pumps[port].enabled = True
 
+    def _next_issue_tick(self) -> int | None:
+        """The tick at which the next trigger may go out, or None (see
+        `TriggerUnit.next_issue_tick`)."""
+        return self.trigger_unit.next_issue_tick(self.now, self.builder.events_built, len(self.cards))
+
     def _request_mask(self) -> int:
         """Post a data request for every pump with room for a packet; returns
         the channel C target mask, 0 when no pump wants one."""

@@ -19,12 +19,14 @@ The line codecs take the bit axis last: a 1-D array is one stream, and a
 checks its bit input once with `as_bits`; the private kernels it is built
 from do not check again.
 
-The return-link kernels (interleave, scramble, descramble, deinterleave)
-are bitwise and elementwise, and take their dtype from their input. So
-they run unchanged on bit lanes: `streams` carries every return link as
-one uint32 word per line bit, bit r of word t being link r's bit t, and
-one call codes all links. Channel B is inverted by XOR with a "ones" word:
-1 for bit arrays, the mask of the links in use for lanes.
+The codec kernels (interleave, scramble, descramble, deinterleave, and
+the fanout's Manchester sampling and channel views) are bitwise and
+elementwise, and take their dtype from their input. So they run unchanged
+on bit lanes: `streams` carries every link of both directions as one
+uint32 word per line symbol or bit, bit r of word t being link r's symbol
+or bit t, and one call codes all links. Channel B is inverted, and a
+Manchester pair's symbols compared, by XOR with a "ones" word: 1 for bit
+arrays, the mask of the links in use for lanes.
 """
 
 from __future__ import annotations
@@ -249,6 +251,12 @@ class LineSyncState:
     aligned_index: int = 0
 
 
+# The pattern position each rotation of the idle pattern starts at.
+_IDLE_ROTATIONS = {
+    np.roll(DOWNSTREAM_IDLE_SYMBOLS, -k).tobytes(): k for k in range(len(DOWNSTREAM_IDLE_SYMBOLS))
+}
+
+
 def bit_slip_sync(line, lock_threshold: int = DEFAULT_LOCK_THRESHOLD) -> LineSyncState:
     """Slip one symbol at a time until the idle pattern repeats.
 
@@ -258,13 +266,11 @@ def bit_slip_sync(line, lock_threshold: int = DEFAULT_LOCK_THRESHOLD) -> LineSyn
     offset's parity is the sampling phase that reads idle bits as 0100.
     """
     raw, n = as_bits(line).tobytes(), len(DOWNSTREAM_IDLE_SYMBOLS)
-    # The pattern position each rotation of the idle pattern starts at.
-    rotations = {np.roll(DOWNSTREAM_IDLE_SYMBOLS, -k).tobytes(): k for k in range(n)}
     p = 0
     hypothesis = None
     consecutive = 0
     while p + n <= len(raw):
-        k = rotations.get(raw[p : p + n])
+        k = _IDLE_ROTATIONS.get(raw[p : p + n])
         if k is None:
             p += 1  # bit slip
             hypothesis = None
@@ -544,10 +550,20 @@ def downstream_rx(symbols):
     boundary. A pair that breaks Manchester coding does not raise: its
     sampled half is taken as the bit (`manchester_violations` counts such
     pairs). A and C are views of one decoded line."""
-    line = manchester_decode(symbols, 0, check=False)
-    _cycle_count(DOWNSTREAM_SCHEDULE, line)
+    a, b, c, _ = _downstream_channels(as_bits(symbols), 1)
+    return a, b, c
+
+
+def _downstream_channels(symbols, ones):
+    """Inverse of `downstream_tx` on bits (ones = 1) or lane words (ones =
+    the lane mask), from a cycle boundary: returns a, b, c and the broken
+    pairs, set where both symbols of a pair are equal."""
+    period = len(DOWNSTREAM_IDLE_SYMBOLS)
+    if symbols.shape[-1] % period:
+        raise WireFormatError(f"trailing partial cycle of {symbols.shape[-1] % period} symbols")
+    line = symbols[..., 0::2]  # Manchester phase 0: the first symbol of each pair
     a, b_inv, c = (line[..., s] for s in _DOWNSTREAM_SLICES)
-    return a, b_inv ^ 1, c
+    return a, b_inv ^ ones, c, ~(line ^ symbols[..., 1::2]) & ones
 
 
 def downstream_idle_symbols(cycles: int) -> BitArray:

@@ -49,12 +49,12 @@ def test_criterion_1_idle_pattern_golden_and_lock():
         # a trigger frame at its arrival tick (counted from the receiver's
         # first symbol, so `offset` symbols after the transmitter's).
         tx, rx = DownstreamTransmitter(), DownstreamReceiver(1)
-        assert rx.feed(tx.produce_cycles(16)[offset:]).a == []
+        assert rx.feed(tx.produce_cycles(16)[offset:].astype(np.uint32)).a == []
         assert rx.locked[0], f"fanout receiver not locked from offset {offset}"
         assert rx.sync[0].bit_slip_offset == offset
         assert rx.sync[0].half_bit_phase == offset % 2
         first_bit = tx.enqueue("A", m.encode_channel_a(trigger))
-        (row, msg, tick), = rx.feed(tx.produce_cycles(16)).a
+        (row, msg, tick), = rx.feed(tx.produce_cycles(16).astype(np.uint32)).a
         assert (row, msg) == (0, trigger)
         assert tick + timebase.TICKS_PER_DOWN_SYMBOL * offset == timebase.down_a_frame_arrival_tick(first_bit)
 

@@ -17,6 +17,7 @@ from tdmlink.frontend import REG_LOST_TRIGGERS, REG_SERIAL_LO
 from tdmlink.message_engine import MessageEngine
 from tdmlink.messages import ChannelAMessageUp, ChannelBTransaction, encode_channel_a, encode_channel_b
 from tdmlink.sim import SimConfig, ber_test, make_serials, run_scenario
+from tdmlink.streams import FrameScanner
 from tdmlink.symbol_engine import SLICE_TICKS, SymbolEngine
 
 
@@ -117,6 +118,21 @@ class TestConfig:
     def test_config_that_fails_only_once_run_rejected(self, abstraction, overrides, match):
         with pytest.raises(ValueError, match=match):
             small_scenario(abstraction, **overrides)
+
+    @pytest.mark.parametrize(
+        "name, good",
+        [("num_frontends", 3), ("seed", 5), ("trigger_count", 2), ("channels_per_event", 2),
+         ("words_per_channel", 4), ("constant_word", 0x1234), ("buffering_depth", 2), ("credit", 2),
+         ("mtu", 300), ("buffer_pool", 8)],
+    )
+    def test_whole_number_fields_take_only_whole_numbers(self, name, good):
+        # A float or a bool would fail mid-run, or run with a fractional
+        # credit and report a credit violation.
+        for bad in (good + 0.5, float(good), True, str(good), None):
+            with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+                small_scenario("message_level", **{name: bad})
+        cfg = small_scenario("message_level", **{name: np.int64(good)})
+        assert type(getattr(cfg, name)) is int and getattr(cfg, name) == good
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
@@ -769,7 +785,6 @@ def line_state(res):
         now=engine.now,
         cycles_produced=engine.down_tx.cycles_produced,
         sync=down.sync.tolist(),
-        in_step=down.in_step,
         counters=[down.coding_violations.tolist(), up.training_errors.tolist()]
         + [errors.tolist() for errors in (*down.parity_errors.values(), *up.parity_errors.values())],
         registers=(engine.up_tx._register.tolist(), up._register.tolist()),
@@ -1036,16 +1051,15 @@ class TestLineErrors:
         assert res.metrics.client["events"] == 4
         assert skips == []
 
+    # 32 cards at BER 1e-5. A run of fixed length flushes no last buffer, so
+    # a small MTU makes the frames leave.
+    SPLIT_AT_SCALE = dict(num_frontends=32, ber=1e-5, seed=7, run_ms=0.9, trigger_start_us=600,
+                          mtu=256, keep_client_events=True)
+
     def test_fanout_receivers_split_at_scale_pinned(self):
-        # 32 cards whose downstream rows share one decode until line errors
-        # set them apart: from the first line error on any card, every row
-        # decodes on its own, the five without a coding violation too. A
-        # run of fixed length flushes no last buffer, so a small MTU makes
-        # the frames leave.
-        res = self.run_and_audit(line_error_scenario(
-            num_frontends=32, ber=1e-5, seed=7, run_ms=0.9, trigger_start_us=600,
-            mtu=256, keep_client_events=True,
-        ))
+        # Each card takes its own line errors in its own fanout lane, so the
+        # lanes' counters part, the five without a coding violation too.
+        res = self.run_and_audit(line_error_scenario(**self.SPLIT_AT_SCALE))
         assert res.client_digest() == "9cb4901018c3460997d7495f8ac7ca061087110e4d66517769a2ce864a78a682"
         assert (res.metrics.client["events"], res.metrics.client["frames"]) == (3, 29)
         assert res.metrics.bootstrap["verified"]
@@ -1063,7 +1077,22 @@ class TestLineErrors:
         ]
         assert up.training_errors.tolist() == [int(row == 11) for row in range(32)]
         assert up.scanners["C"].faults.tolist() == [9 * (row == 5) for row in range(32)]
-        assert not down.in_step
+
+    def test_fanout_scans_pinned(self):
+        # The run above: fanout lanes that carry the same symbols share one
+        # scan, and a lane with no 1 on a channel and no partial frame is
+        # not scanned, so the fanout scanners are fed few rows.
+        fed, feed = [], FrameScanner.feed
+
+        def counted(scanner, bits, rows=None):
+            fed.append((scanner, len(bits)))
+            return feed(scanner, bits, rows)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(FrameScanner, "feed", counted)
+            res = run_scenario(line_error_scenario(**self.SPLIT_AT_SCALE))
+        fanout = [id(scanner) for scanner in res.engine.down_rx.scanners.values()]
+        assert sum(rows for scanner, rows in fed if id(scanner) in fanout) == 393
 
     # A fixed 0.6 ms window covers bootstrap, the four triggers and their
     # readout (the plan completes at 0.56 ms at BER 0), and it bounds each

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tdmlink import messages as m
@@ -23,6 +23,11 @@ def to_lanes(bits):
     """Return-link lane words of a (links, bits) array: link r in bit r."""
     bits = np.asarray(bits, dtype=np.uint32)
     return np.bitwise_or.reduce(bits << np.arange(len(bits), dtype=np.uint32)[:, None], axis=0)
+
+
+def one_lane(symbols):
+    """Fanout lane words of one card: its symbols in lane 0."""
+    return np.asarray(symbols, dtype=np.uint32)
 
 
 def lane_bits(words, lane):
@@ -71,10 +76,6 @@ class ReferenceScanner:
 
     def reset(self, row):
         self.rows[row] = self.fresh()
-
-    def copy_rows(self, rows, src):
-        for row in rows:
-            self.rows[row] = {**self.rows[src], "pending": list(self.rows[src]["pending"])}
 
     def feed(self, stream_of_row):
         """Feed each row its bits; returns (row, frame bits, index of the
@@ -244,17 +245,16 @@ class TestScanners:
         seed=st.integers(0, 2**32 - 1),
         steps=st.lists(
             st.tuples(
-                st.integers(1, 300), st.integers(1, 31), st.sampled_from(["feed"] * 4 + ["reset", "copy"]),
+                st.integers(1, 300), st.integers(1, 31), st.sampled_from(["feed"] * 4 + ["reset"]),
                 st.sampled_from(["index", "slice"]),
             ),
             min_size=4, max_size=24,
         ),
     )
     def test_scanner_matches_per_bit_reference(self, rows, frame_bits, seed, steps):
-        # Rows fed unevenly from their own streams; `copy_rows` and `reset`
-        # between chunks. The rows fed or copied to are given as None or an
-        # index array, or as a slice of the first rows, as the receivers
-        # pass them.
+        # Rows fed unevenly from their own streams; `reset` between chunks.
+        # The rows fed are given as None or an index array, or as a slice
+        # of the first rows, as the receivers pass them.
         # Frames, end indices and faults must match.
         rng = np.random.default_rng(seed)
         streams = [random_frames(rng, frame_bits, sum(n for n, *_ in steps)) for _ in range(rows)]
@@ -269,16 +269,11 @@ class TestScanners:
             if form == "slice":
                 chosen = list(range(len(chosen)))
                 picked = slice(None) if len(chosen) == rows else slice(0, len(chosen))
-                copied = slice(1, None) if len(chosen) == rows else slice(1, len(chosen))
             else:
                 picked = None if len(chosen) == rows else np.array(chosen)
-                copied = np.array(chosen[1:])
             if op == "reset":
                 sc.reset(chosen[0])
                 ref.reset(chosen[0])
-            elif op == "copy" and len(chosen) > 1:
-                sc.copy_rows(copied, chosen[0])
-                ref.copy_rows(chosen[1:], chosen[0])
             chunk = np.array([streams[row][pos[row] : pos[row] + n] for row in chosen])
             got = sc.feed(chunk, picked)
             want = ref.feed(zip(chosen, chunk.tolist()))
@@ -330,7 +325,7 @@ class TestDownstreamChain:
         rx = DownstreamReceiver(1)
         rng = np.random.default_rng(1)
 
-        rx.feed(tx.produce_cycles(8))  # idle preamble: lock
+        rx.feed(one_lane(tx.produce_cycles(8)))  # idle preamble: lock
         assert rx.locked[0] and rx.sync[0].bit_slip_offset == 0
 
         a_msg = m.ChannelAMessageDown(sampling_stop=True, event_type=1)
@@ -342,7 +337,7 @@ class TestDownstreamChain:
 
         got_a, got_b, got_c = [], [], []
         stream = tx.produce_cycles(64)
-        for ev in feed_in_chunks(rx, stream, rng):
+        for ev in feed_in_chunks(rx, one_lane(stream), rng):
             got_a.extend(ev.a)
             got_b.extend(ev.b)
             got_c.extend(ev.c)
@@ -362,7 +357,7 @@ class TestDownstreamChain:
         rx = DownstreamReceiver(1)
         ev_all = []
         rng = np.random.default_rng(offset)
-        for ev in feed_in_chunks(rx, stream[offset:], rng):
+        for ev in feed_in_chunks(rx, one_lane(stream[offset:]), rng):
             ev_all.extend(ev.a)
         assert rx.locked[0]
         assert rx.sync[0].bit_slip_offset == offset
@@ -376,25 +371,39 @@ class TestDownstreamChain:
         for saturate_b in (False, True):
             tx = DownstreamTransmitter()
             rx = DownstreamReceiver(1)
-            rx.feed(tx.produce_cycles(8))
+            rx.feed(one_lane(tx.produce_cycles(8)))
             if saturate_b:
                 for _ in range(50):
                     tx.enqueue("B", b_txn)
             tx.enqueue("A", m.encode_channel_a(m.ChannelAMessageDown(sampling_stop=True)))
-            ev = rx.feed(tx.produce_cycles(64))
+            ev = rx.feed(one_lane(tx.produce_cycles(64)))
             arrivals[saturate_b] = ev.a[0][2]
         assert arrivals[True] == arrivals[False]
 
     def test_a_frame_arrival_tick_formula(self):
         tx = DownstreamTransmitter()
         rx = DownstreamReceiver(1)
-        rx.feed(tx.produce_cycles(8))
+        rx.feed(one_lane(tx.produce_cycles(8)))
         msg = m.ChannelAMessageDown(sampling_stop=True)
         first_bit = tx.enqueue("A", m.encode_channel_a(msg))
-        ev = rx.feed(tx.produce_cycles(8))
+        ev = rx.feed(one_lane(tx.produce_cycles(8)))
         (_, decoded, tick), = ev.a
         assert decoded == msg
         assert tick == timebase.down_a_frame_arrival_tick(first_bit)
+
+    def test_bad_lane_words_rejected_before_anything_is_consumed(self):
+        # Two cards: a word with lane 2 set, and words of another dtype or
+        # shape, are not two cards' line symbols.
+        rx = DownstreamReceiver(2)
+        with pytest.raises(ValueError, match="past lane 1"):
+            rx.feed(np.full(40, 0b101, dtype=np.uint32))
+        for bad in (np.ones(40, dtype=np.uint8), np.ones(40, dtype=np.int64), np.ones((2, 40), dtype=np.uint32)):
+            with pytest.raises(ValueError, match="1-D uint32"):
+                rx.feed(bad)
+        rx.feed(DownstreamTransmitter().produce_cycles(8) * np.uint32(0b11))
+        fresh = DownstreamReceiver(2)
+        fresh.feed(DownstreamTransmitter().produce_cycles(8) * np.uint32(0b11))
+        assert rx.locked.all() and rx.sync.tolist() == fresh.sync.tolist()  # lock points included
 
     def test_trigger_latency_has_zero_jitter_over_1e5_triggers(self):
         # Back-to-back triggers: inter-arrival spacing on the line is exactly
@@ -402,14 +411,14 @@ class TestDownstreamChain:
         n = 100_000
         tx = DownstreamTransmitter()
         rx = DownstreamReceiver(1)
-        rx.feed(tx.produce_cycles(8))
+        rx.feed(one_lane(tx.produce_cycles(8)))
         frame = m.encode_channel_a(m.ChannelAMessageDown(sampling_stop=True))
         starts = [tx.enqueue("A", frame) for _ in range(n)]
         arrivals = []
         remaining = 5 * n + 16
         while remaining > 0:
             take = min(4096, remaining)
-            arrivals.extend(t for _, _, t in rx.feed(tx.produce_cycles(take)).a)
+            arrivals.extend(t for _, _, t in rx.feed(one_lane(tx.produce_cycles(take))).a)
             remaining -= take
         assert len(arrivals) == n
         latencies = {t - timebase.down_a_bit_end_tick(s) for s, t in zip(starts, arrivals)}
@@ -626,156 +635,6 @@ class TestRows:
             assert getattr(many_rx, name).tolist() == [getattr(rx, name)[0] for _, rx in one]
         assert many_rx.scanners["C"].faults.tolist() == [rx.scanners["C"].faults[0] for _, rx in one]
 
-    def test_fanout_receivers_match_one_link_each(self):
-        # One fanout stream; card 1 takes a flipped symbol inside a frame and
-        # card 2 starts listening 5 symbols late, so it locks at another
-        # offset and carries another tail.
-        tx = DownstreamTransmitter()
-        stream = [tx.produce_cycles(10)]
-        for i in range(6):
-            tx.enqueue("A", m.encode_channel_a(m.ChannelAMessageDown(sampling_stop=True)))
-            tx.enqueue("B", m.encode_channel_b(m.ChannelBTransaction(write=True, target_id=i, address=1)))
-            tx.enqueue("C", m.encode_channel_c_request(m.ChannelCRequest(target_mask=1 << i)))
-            stream.append(tx.produce_cycles(90))
-        stream = np.concatenate(stream)
-        rows = np.array([stream, stream, np.concatenate([stream[5:], np.zeros(5, np.uint8)])])
-        rows[1, 12 * 8] ^= 1  # a bit of the first A frame
-        many = DownstreamReceiver(3)
-        one = [DownstreamReceiver(1) for _ in range(3)]
-        got_many, got_one = [], []
-        rng = np.random.default_rng(9)
-        pos = 0
-        while pos < rows.shape[1]:
-            n = int(rng.integers(1, 200))
-            ev = many.feed(rows[:, pos : pos + n])
-            got_many.append((ev.a, ev.b, ev.c))
-            parts = [[], [], []]
-            for row, rx in enumerate(one):
-                ev = rx.feed(rows[row, pos : pos + n])
-                for part, events in zip(parts, (ev.a, ev.b, ev.c)):
-                    part.extend((row,) + e[1:] for e in events)
-            got_one.append(tuple(parts))
-            pos += n
-        assert got_many == got_one
-        assert [msg is None for a, _, _ in got_many for _, msg, _ in a].count(False) == 3 * 6 - 1
-        assert [s.bit_slip_offset for s in many.sync] == [0, 0, 5]
-        assert many.coding_violations.tolist() == [rx.coding_violations[0] for rx in one]
-        assert many.parity_errors["A"].tolist() == [0, 1, 0]
-
-    def test_receivers_in_step_share_one_decode_exactly(self):
-        # Four cards on one fanout. Row 2 takes a flipped symbol while the
-        # rows still search for lock, and row 0 one inside a channel B
-        # frame; every other chunk is one stream that all rows receive, the
-        # last B frame flipped in it. The shared receiver must match four
-        # receivers of one row each.
-        tx = DownstreamTransmitter()
-        stream = [tx.produce_cycles(10)]
-        b_starts = []
-        for i in range(3):
-            tx.enqueue("A", m.encode_channel_a(m.ChannelAMessageDown(sampling_stop=True)))
-            b_starts.append(tx.enqueue("B", m.encode_channel_b(
-                m.ChannelBTransaction(broadcast=True, write=True, address=0x100 + i, data=i))))
-            tx.enqueue("C", m.encode_channel_c_request(m.ChannelCRequest(target_mask=0xF)))
-            stream.append(tx.produce_cycles(90))
-        stream = np.concatenate(stream)
-        rows = np.array([stream] * 4)
-        rows[2, 17] ^= 1  # in the idle preamble, before any row has locked
-        # Channel B is one bit per cycle, in symbols 2 and 3 of the cycle.
-        flip_0 = 8 * (b_starts[1] + 30) + 2
-        rows[0, flip_0] ^= 1
-        rows[:, 8 * (b_starts[2] + 30) + 2] ^= 1
-        many = DownstreamReceiver(4)
-        one = [DownstreamReceiver(1) for _ in range(4)]
-        # Uneven chunks, most not whole cycles.
-        cuts = sorted({0, 6, 12, 20, 35, *range(41, 200, 37), flip_0 - 40, flip_0 + 61, rows.shape[1]})
-        steps, delivered = [], 0
-        for lo, hi in zip(cuts, cuts[1:]):
-            chunk = rows[:, lo:hi]
-            shared = (chunk == chunk[0]).all()
-            if lo == 12:
-                assert not shared and not many.locked.any()
-            ev = many.feed(chunk[0] if shared else chunk)
-            got = [[], [], []]
-            for row, rx in enumerate(one):
-                part = rx.feed(chunk[row])
-                for dest, events in zip(got, (part.a, part.b, part.c)):
-                    dest.extend((row,) + e[1:] for e in events)
-            assert (ev.a, ev.b, ev.c) == tuple(got)
-            steps.append(many.in_step)
-            delivered += sum(msg is not None for part in got for _, msg, *_ in part)
-        assert steps == [True, True] + [False] * (len(steps) - 2)
-        assert many.locked.all()
-        assert many.sync.tolist() == [rx.sync[0] for rx in one]
-        assert many.coding_violations.tolist() == [rx.coding_violations[0] for rx in one]
-        for ch in "ABC":
-            assert many.parity_errors[ch].tolist() == [rx.parity_errors[ch][0] for rx in one]
-            assert many.scanners[ch].faults.tolist() == [rx.scanners[ch].faults[0] for rx in one]
-        assert delivered == 4 * 3 * 3 - 5
-        assert many.parity_errors["B"].tolist() == [2, 1, 1, 1]
-        assert many.sync[2] != many.sync[1]
-
-    @staticmethod
-    def _fanout_stream():
-        """A fanout stream of 250 cycles: an idle preamble, then frames on
-        every channel."""
-        tx = DownstreamTransmitter()
-        stream = [tx.produce_cycles(6)]
-        for i in range(20):
-            tx.enqueue("A", m.encode_channel_a(m.ChannelAMessageDown(sampling_stop=True, event_type=i % 4)))
-        for i in range(3):
-            tx.enqueue("B", m.encode_channel_b(m.ChannelBTransaction(write=True, target_id=i, address=i, data=i)))
-        for i in range(5):
-            tx.enqueue("C", m.encode_channel_c_request(m.ChannelCRequest(target_mask=1 << i)))
-        stream.append(tx.produce_cycles(244))
-        return np.concatenate(stream)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        rows=st.integers(1, 5),
-        chunks=st.lists(st.tuples(st.integers(1, 200), st.booleans()), min_size=1, max_size=25),
-        flips=st.lists(st.tuples(st.integers(0, 1999), st.just(31) | st.integers(1, 31)), max_size=12),
-        late=st.tuples(st.integers(0, 4), st.integers(0, 40)),
-    )
-    def test_shared_decode_matches_one_receiver_per_row(self, rows, chunks, flips, late):
-        # Each chunk is one stream that every row receives (row 0's line),
-        # or every row's own line: the fanout stream with the symbol flips
-        # whose row mask holds the row, one row possibly listening late. A
-        # flip in every row keeps the rows in step.
-        stream = self._fanout_stream()
-        lines = np.array([stream] * rows)
-        late_row, late_by = late
-        if late_row < rows and late_by:
-            lines[late_row] = np.concatenate([stream[late_by:], np.zeros(late_by, np.uint8)])
-        for pos, mask in flips:
-            for row in range(rows):
-                lines[row, pos] ^= mask >> row & 1
-        many = DownstreamReceiver(rows)
-        one = [DownstreamReceiver(1) for _ in range(rows)]
-        in_step, pos = True, 0
-        for n, shared in chunks:
-            chunk = lines[:, pos : pos + n]
-            if shared:
-                ev = many.feed(chunk[0])
-                fed = [chunk[0]] * rows
-            else:
-                ev = many.feed(chunk)
-                fed = list(chunk)
-                in_step = in_step and (chunk == chunk[0]).all()
-            got = [[], [], []]
-            for row, rx in enumerate(one):
-                part = rx.feed(fed[row])
-                for dest, events in zip(got, (part.a, part.b, part.c)):
-                    dest.extend((row,) + e[1:] for e in events)
-            assert (ev.a, ev.b, ev.c) == tuple(got)
-            assert many.in_step == in_step
-            assert many.locked.tolist() == [rx.locked[0] for rx in one]
-            assert many.sync.tolist() == [rx.sync[0] for rx in one]
-            assert many.coding_violations.tolist() == [rx.coding_violations[0] for rx in one]
-            for ch in "ABC":
-                assert many.parity_errors[ch].tolist() == [rx.parity_errors[ch][0] for rx in one]
-                assert many.scanners[ch].faults.tolist() == [rx.scanners[ch].faults[0] for rx in one]
-            pos += n
-
 
 class ReferenceLink:
     """One return link built from the public bit-array codec: its own
@@ -829,6 +688,59 @@ class ReferenceLink:
         return events
 
 
+class ReferenceFanout:
+    """One fanout receiver built from the public bit-array codec: it keeps
+    the last 64 symbols while it searches for lock with `wire.bit_slip_sync`,
+    then decodes whole cycles from the lock point with `wire.downstream_rx`
+    and scans each channel with a per-bit `ReferenceScanner`."""
+
+    DECODE = {"A": m.decode_channel_a_down, "B": m.decode_channel_b, "C": m.decode_channel_c_request}
+    KEEP = 2 * len(wire.DOWNSTREAM_IDLE_SYMBOLS) * wire.DEFAULT_LOCK_THRESHOLD
+
+    def __init__(self):
+        self.search, self.dropped = [], 0
+        self.sync, self.base_tick = None, 0
+        self.held, self.skip = [], 0  # symbols from the lock point on not yet decoded; symbols owed before it
+        self.scanners = {"A": ReferenceScanner(1, m.CHANNEL_A_FRAME_BITS),
+                         "B": ReferenceScanner(1, m.CHANNEL_B_FRAME_BITS),
+                         "C": ReferenceScanner(1, m.CHANNEL_C_REQUEST_BITS)}
+        self.coding_violations = 0
+        self.parity_errors = {"A": 0, "B": 0, "C": 0}
+
+    def feed(self, symbols):
+        """Returns the channel A messages with their arrival ticks, and the
+        B and C messages, None for a frame that does not decode."""
+        symbols = list(symbols)
+        if self.sync is None:
+            pending = self.search + symbols
+            state = wire.bit_slip_sync(np.array(pending, dtype=np.uint8))
+            if not state.locked:
+                self.dropped += max(len(pending) - self.KEEP, 0)
+                self.search = pending[-self.KEEP :]
+                return {"A": [], "B": [], "C": []}
+            self.sync, self.search = state, []
+            self.base_tick = timebase.TICKS_PER_DOWN_SYMBOL * (self.dropped + state.aligned_index)
+            self.skip = max(state.aligned_index - len(pending), 0)
+            symbols = pending[state.aligned_index :]
+        skipped = min(self.skip, len(symbols))
+        self.skip -= skipped
+        self.held += symbols[skipped:]
+        whole = len(self.held) - len(self.held) % 8
+        chunk, self.held = np.array(self.held[:whole], dtype=np.uint8), self.held[whole:]
+        self.coding_violations += len(wire.manchester_violations(chunk))
+        events = {"A": [], "B": [], "C": []}
+        for channel, bits in zip("ABC", wire.downstream_rx(chunk)):
+            for _, frame, end in self.scanners[channel].feed([(0, bits.tolist())]):
+                try:
+                    msg = self.DECODE[channel](np.array(frame, dtype=np.uint8))
+                except m.MessageFormatError:
+                    msg = None
+                    self.parity_errors[channel] += 1
+                tick = self.base_tick + timebase.down_a_bit_end_tick(end)
+                events[channel].append((msg, tick) if channel == "A" else msg)
+        return events
+
+
 def random_up_frame(rng, bad=0.1):
     """A channel and the bits of a random frame on it, a share `bad` of
     them damaged."""
@@ -850,9 +762,76 @@ def random_up_frame(rng, bad=0.1):
     return channel, bits.astype(np.uint8)
 
 
+def random_fanout(rng, cycles):
+    """A fanout stream of `cycles` cycles: an idle preamble, then random
+    frames on every channel with idle gaps."""
+    tx = DownstreamTransmitter()
+    stream = [tx.produce_cycles(int(rng.integers(0, 12)))]
+    while sum(map(len, stream)) < 8 * cycles:
+        channel = "ABC"[int(rng.integers(3))]
+        if channel == "A":
+            frame = m.encode_channel_a(m.ChannelAMessageDown(sampling_stop=True, event_type=int(rng.integers(4))))
+        elif channel == "B":
+            frame = m.encode_channel_b(m.ChannelBTransaction(
+                write=True, target_id=int(rng.integers(32)), address=int(rng.integers(1 << 16)),
+                data=int(rng.integers(1 << 32))))
+        else:
+            frame = m.encode_channel_c_request(m.ChannelCRequest(target_mask=int(rng.integers(1, 1 << 32))))
+        tx.enqueue(channel, frame)
+        stream.append(tx.produce_cycles(int(rng.integers(1, 40))))
+    return np.concatenate(stream)[: 8 * cycles]
+
+
 class TestLanes:
-    """The return links as bit lanes against one reference link per lane
+    """Both directions as bit lanes against one reference link per lane
     built from the public bit-array codec."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        links=st.integers(1, 32),
+        seed=st.integers(0, 2**32 - 1),
+        chunks=st.lists(st.integers(1, 300), min_size=1, max_size=6),
+        late=st.lists(st.sampled_from([0, 0, 0, 1, 5, 37]) | st.integers(0, 700), min_size=1, max_size=32),
+        flips=st.integers(0, 12),
+    )
+    # Lanes that lock inside traffic: one on symbols fed before the last 8
+    # words, one at a lock point past the end of its chunk.
+    @example(links=4, seed=2312389529, chunks=[12, 3, 14], late=[166, 383, 503, 549], flips=2)
+    @example(links=3, seed=1992110457, chunks=[14, 21, 38, 39, 7], late=[113, 484, 588], flips=7)
+    def test_fanout_lanes_match_one_reference_receiver_each(self, links, seed, chunks, late, flips):
+        # One fanout stream in every lane. A lane listens late by its
+        # entry of `late` (cycling), so it locks at another offset or only
+        # inside traffic, and a few symbols flip in random lanes. The lane
+        # words are fed in chunks of any length, cycling through `chunks`.
+        rng = np.random.default_rng(seed)
+        stream = random_fanout(rng, 300)
+        lines = np.zeros((links, len(stream)), dtype=np.uint8)
+        for link in range(links):
+            by = late[link % len(late)]
+            lines[link, : len(stream) - by] = stream[by:]
+        for _ in range(flips):
+            lines[int(rng.integers(links)), int(rng.integers(len(stream)))] ^= 1
+        words = to_lanes(lines)
+        rx, refs = DownstreamReceiver(links), [ReferenceFanout() for _ in range(links)]
+        pos, step = 0, 0
+        while pos < len(stream):
+            n = chunks[step % len(chunks)]
+            ev = rx.feed(words[pos : pos + n])
+            for link, ref in enumerate(refs):
+                want = ref.feed(lines[link, pos : pos + n])
+                assert [(msg, tick) for row, msg, tick in ev.a if row == link] == want["A"]
+                assert [msg for row, msg in ev.b if row == link] == want["B"]
+                assert [msg for row, msg in ev.c if row == link] == want["C"]
+            for part in (ev.a, ev.b, ev.c):
+                assert [row for row, *_ in part] == sorted(row for row, *_ in part)
+            assert rx.locked.tolist() == [ref.sync is not None for ref in refs]
+            pos, step = pos + n, step + 1
+        assert rx.sync.tolist() == [ref.sync for ref in refs]
+        assert rx.coding_violations.tolist() == [ref.coding_violations for ref in refs]
+        for channel in "ABC":
+            assert rx.parity_errors[channel].tolist() == [ref.parity_errors[channel] for ref in refs]
+            assert rx.scanners[channel].faults.tolist() == [
+                ref.scanners[channel].rows[0]["faults"] for ref in refs]
 
     @settings(max_examples=60, deadline=None)
     @given(
