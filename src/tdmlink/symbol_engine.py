@@ -68,7 +68,6 @@ class SymbolEngine(System):
         # return transmitters, and the back-end's return receivers.
         links = len(self.cards)
         self.down_rx = DownstreamReceiver(links)
-        self._fanout_lanes = np.uint32((1 << links) - 1)  # every card's lane
         self.up_tx = UpstreamTransmitter(links)
         self.backend_rx = UpstreamReceiver(links)
         # Each link draws its line errors from its own two streams.
@@ -127,7 +126,7 @@ class SymbolEngine(System):
 
         # Downstream: one fanout stream in every card's lane.
         symbols = self.down_tx.produce_cycles((t1 - t0) // timebase.TICKS_PER_DOWN_CYCLE)
-        words = symbols * self._fanout_lanes
+        words = np.multiply(symbols, self.down_rx._ones, dtype=np.uint32)
         self._handle_down_events(self.down_rx.feed(self._corrupt_lanes(words, "down", flips["down"])))
 
         # Upstream: one independent stream per link, one lane each.

@@ -362,7 +362,7 @@ def idle_scrambler_register(register: np.ndarray, nbits: int, ones=1) -> np.ndar
     idle cycle's inverted B bit is `ones`, in the register's dtype: 1 for a
     bit register, the lane mask for a register of lane words."""
     n = nbits % IDLE_SCRAMBLER_PERIOD
-    idle = np.resize(IDLE_CYCLE_BITS * register.dtype.type(ones), n)
+    idle = np.resize(np.multiply(IDLE_CYCLE_BITS, ones, dtype=register.dtype), n)
     return _scramble(np.broadcast_to(idle, register.shape[:-1] + (n,)), register)[1]
 
 

@@ -13,4 +13,7 @@ import warnings
 
 with warnings.catch_warnings():
     warnings.filterwarnings("ignore", "mypy_extensions.TypedDict is deprecated", DeprecationWarning)
-    import hypothesis.extra._patching  # noqa: F401
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # no libcst: hypothesis skips the explanation too
+        pass

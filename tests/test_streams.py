@@ -400,9 +400,9 @@ class TestDownstreamChain:
         for bad in (np.ones(40, dtype=np.uint8), np.ones(40, dtype=np.int64), np.ones((2, 40), dtype=np.uint32)):
             with pytest.raises(ValueError, match="1-D uint32"):
                 rx.feed(bad)
-        rx.feed(DownstreamTransmitter().produce_cycles(8) * np.uint32(0b11))
+        rx.feed(DownstreamTransmitter().produce_cycles(8).astype(np.uint32) * np.uint32(0b11))
         fresh = DownstreamReceiver(2)
-        fresh.feed(DownstreamTransmitter().produce_cycles(8) * np.uint32(0b11))
+        fresh.feed(DownstreamTransmitter().produce_cycles(8).astype(np.uint32) * np.uint32(0b11))
         assert rx.locked.all() and rx.sync.tolist() == fresh.sync.tolist()  # lock points included
 
     def test_trigger_latency_has_zero_jitter_over_1e5_triggers(self):
