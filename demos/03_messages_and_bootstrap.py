@@ -15,10 +15,10 @@ from tdmlink.sim import make_serials
 
 print("=== Frames on the three channels ===")
 trigger = m.ChannelAMessageDown(sampling_stop=True, event_type=2)
-print(f"A trigger frame ({m.CHANNEL_A_FRAME_BITS} bits): {bits_to_str(m.encode_channel_a(trigger))}")
+print(f"A trigger frame ({m.CHANNEL_A_FRAME_BITS} bits): {bits_to_str(trigger.encode())}")
 
 txn = m.ChannelBTransaction(write=True, target_id=5, address=0x0010, data=0xDEADBEEF)
-frame = m.encode_channel_b(txn)
+frame = txn.encode()
 print(f"B write frame  ({m.CHANNEL_B_FRAME_BITS} bits): {bits_to_hex(frame)}0 (hex, padded)")
 
 req = m.ChannelCRequest(target_mask=0xFFFFFFFF)
@@ -26,7 +26,7 @@ print(f"C request      ({m.CHANNEL_C_REQUEST_BITS} bits): one frame triggers all
 
 pkt = m.FragmentPacket.build(
     soe=True, eoe=True,
-    payload_words=m.FragmentPacket.event_header_bytes(event_number=7, timestamp=123456),
+    payload_words=m.event_header_bytes(event_number=7, timestamp=123456),
 )
 print(f"fragment packet: {pkt.serialize().hex()}  (SOE+EOE, event 7, CRC-32)")
 

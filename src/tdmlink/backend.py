@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .messages import FragmentPacket, check_fragment, fragment_bytes, soe_fields
+from .messages import check_fragment, event_header_bytes, fragment_bytes, soe_fields
 
 __all__ = [
     "FE_FIFO_BYTES",
@@ -390,7 +390,7 @@ class EventBuilder:
         if self.phase == self.AWAIT_SOE:
             number = self.current_event_number if self.current_event_number is not None else 0xFFFFFFFF
             ts = self.current_timestamp if self.current_timestamp is not None else 0
-            header = fragment_bytes(True, False, FragmentPacket.event_header_bytes(number, ts))
+            header = fragment_bytes(True, False, event_header_bytes(number, ts))
             self._emit(RECORD_EVENT_HEADER, header)
             for link, rec in self._soe_records:
                 self._emit(RECORD_FRAGMENT_BASE + link, rec)

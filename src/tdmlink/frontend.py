@@ -20,7 +20,7 @@ Register map (word addresses):
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,8 +33,8 @@ from .messages import (
     ChannelAMessageUp,
     ChannelBTransaction,
     ChannelCRequest,
-    FragmentPacket,
     data_start,
+    event_header_bytes,
     fragment_bytes,
 )
 from .wire import PrbsGenerator
@@ -244,9 +244,10 @@ class FrontEndCard:
         """Execute a register transaction; every request addressed to this
         card is echoed by exactly one response on the card's own link. A
         request that is not exactly one of read and write is counted in
-        `request_errors` and answered with a bus error. A write that succeeds
-        is answered with the request itself when no response flag is set on
-        it, as it equals the response field by field."""
+        `request_errors` and answered with a bus error. The answer is the
+        request with its data and response flags replaced; a write that
+        succeeds is answered with the request itself when no response flag
+        is set on it, as it equals that answer field by field."""
         if not self._addressed(txn):
             return None
         if txn.read == txn.write:
@@ -258,16 +259,7 @@ class FrontEndCard:
             data, ok = txn.data, self._write_register(txn.address, txn.data, txn.byte_enable)
             if ok and not (txn.bus_error or txn.parity_error):
                 return txn
-        return ChannelBTransaction(
-            broadcast=txn.broadcast,
-            target_id=txn.target_id,
-            read=txn.read,
-            write=txn.write,
-            byte_enable=txn.byte_enable,
-            address=txn.address,
-            data=data,
-            bus_error=not ok,
-        )
+        return replace(txn, data=data, parity_error=False, bus_error=not ok)
 
     def on_channel_b_parity_error(self) -> ChannelBTransaction:
         """A corrupted request must not act; indicate PE in the response."""
@@ -334,7 +326,7 @@ class FrontEndCard:
         if channel:
             data = fragment_bytes(False, eoe, payload)
         else:
-            header = FragmentPacket.event_header_bytes(ev.event_number, ev.timestamp)
+            header = event_header_bytes(ev.event_number, ev.timestamp)
             data = fragment_bytes(True, eoe, header + payload)
         if self.corrupt_fragments and (ev.event_number, channel) in self.corrupt_fragments:
             corrupted = bytearray(data)

@@ -4,8 +4,9 @@ Framing on channels A, B and C-down is a start bit (1), a fixed payload,
 and one even-parity bit; an idle channel carries zeros, so no start bit
 means no message. Frame lengths are exactly 10 (A), 64 (B) and 42
 (C request) bits. Each message class lists its fields once, in its
-`LAYOUT`; one codec and one range check follow every layout, and
-docs/wire-format.md section 2 documents the same bit tables.
+`LAYOUT`, and is its own codec: a message's `encode()` gives its frame
+and the class's `decode(bits)` reads one back, with one range check for
+every layout. docs/wire-format.md section 2 documents the same bit tables.
 
 Event fragments ride upstream on channel C as 16-bit words (MSB first):
 a header word with SOE/EOE flags and the byte size, an even number of
@@ -14,8 +15,9 @@ is framed by one start bit; its header word alone fixes its length
 (`fragment_length`). Every hop handles a packet as its wire bytes:
 `fragment_bytes` makes them and `check_fragment` applies the length rule
 and the CRC check (`fragment_crc_ok`, which a hop that has already
-applied the length rule calls alone); `soe_fields` and `data_start` read
-the SOE event header. The `FragmentPacket` codec delegates to them.
+applied the length rule calls alone). `event_header_bytes` writes the
+SOE event header, and `soe_fields` and `data_start` read it. The
+`FragmentPacket` codec delegates to them.
 """
 
 from __future__ import annotations
@@ -47,19 +49,13 @@ __all__ = [
     "check_fragment",
     "fragment_crc_ok",
     "fragment_bytes",
+    "event_header_bytes",
     "soe_fields",
     "data_start",
     "frame_fragment",
     "FRAGMENT_HEAD_BITS",
     "fragment_frame_bits",
     "crc32",
-    "encode_channel_a",
-    "decode_channel_a_down",
-    "decode_channel_a_up",
-    "encode_channel_b",
-    "decode_channel_b",
-    "encode_channel_c_request",
-    "decode_channel_c_request",
 ]
 
 OPCODE_SEND_NEXT_PACKET = 0x01
@@ -183,21 +179,6 @@ class ChannelAMessageUp(_Frame):
             raise MessageFormatError("set_busy and clear_busy both set")
 
 
-def encode_channel_a(msg) -> BitArray:
-    """10-bit frame for either direction of channel A."""
-    if not isinstance(msg, (ChannelAMessageDown, ChannelAMessageUp)):
-        raise TypeError(f"not a channel A message: {type(msg).__name__}")
-    return msg.encode()
-
-
-def decode_channel_a_down(bits) -> ChannelAMessageDown:
-    return ChannelAMessageDown.decode(bits)
-
-
-def decode_channel_a_up(bits) -> ChannelAMessageUp:
-    return ChannelAMessageUp.decode(bits)
-
-
 # ---------------------------------------------------------------------------
 # Channel B: register transactions
 
@@ -221,14 +202,6 @@ class ChannelBTransaction(_Frame):
     )
 
 
-def encode_channel_b(txn: ChannelBTransaction) -> BitArray:
-    return txn.encode()
-
-
-def decode_channel_b(bits) -> ChannelBTransaction:
-    return ChannelBTransaction.decode(bits)
-
-
 # ---------------------------------------------------------------------------
 # Channel C: data requests (downstream)
 
@@ -244,14 +217,6 @@ class ChannelCRequest(_Frame):
         if self.target_mask == 0:
             raise MessageFormatError("request addresses no front-end")
         return super().encode()
-
-
-def encode_channel_c_request(req: ChannelCRequest) -> BitArray:
-    return req.encode()
-
-
-def decode_channel_c_request(bits) -> ChannelCRequest:
-    return ChannelCRequest.decode(bits)
 
 
 # Frame lengths on the line, start and parity bits included; a channel A
@@ -312,6 +277,16 @@ def fragment_bytes(soe: bool, eoe: bool, payload: bytes) -> bytes:
         )
     body = header.to_bytes(2, "big") + payload
     return body + zlib.crc32(body).to_bytes(4, "big")
+
+
+def event_header_bytes(event_number: int, timestamp: int) -> bytes:
+    """Leading payload bytes of a SOE packet: 32-bit event number,
+    48-bit timestamp, one reserved word."""
+    if not 0 <= event_number <= 0xFFFFFFFF:
+        raise MessageFormatError("event number outside 32 bits")
+    if not 0 <= timestamp <= 0xFFFFFFFFFFFF:
+        raise MessageFormatError("timestamp outside 48 bits")
+    return struct.pack(">IHIH", event_number, timestamp >> 32, timestamp & 0xFFFFFFFF, 0)
 
 
 def soe_fields(data: bytes) -> tuple[int, int] | None:
@@ -404,16 +379,6 @@ class FragmentPacket:
                 raise MessageFormatError("payload word outside 16 bits")
             payload = words.astype(">u2").tobytes()
         return cls(fragment_bytes(soe, eoe, payload), True)
-
-    @staticmethod
-    def event_header_bytes(event_number: int, timestamp: int) -> bytes:
-        """Leading payload bytes of a SOE packet: 32-bit event number,
-        48-bit timestamp, one reserved word."""
-        if not 0 <= event_number <= 0xFFFFFFFF:
-            raise MessageFormatError("event number outside 32 bits")
-        if not 0 <= timestamp <= 0xFFFFFFFFFFFF:
-            raise MessageFormatError("timestamp outside 48 bits")
-        return struct.pack(">IHIH", event_number, timestamp >> 32, timestamp & 0xFFFFFFFF, 0)
 
     @property
     def event_number(self) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -51,6 +52,13 @@ def _us_to_cycle_ticks(us: float) -> int:
 # not a bool or a float.
 _WHOLE_FIELDS = ("num_frontends", "seed", "trigger_count", "channels_per_event", "words_per_channel",
                  "constant_word", "buffering_depth", "credit", "mtu", "buffer_pool")
+# The SimConfig fields that hold real numbers, finite and not a bool;
+# run_ms may also be None.
+_REAL_FIELDS = ("trigger_period_us", "trigger_start_us", "request_rtt_us", "ber", "run_ms", "warmup_ms")
+
+
+def _is_whole(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -90,7 +98,7 @@ class SimConfig:
     def __post_init__(self):
         for name in _WHOLE_FIELDS:
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not _is_whole(value):
                 raise ValueError(f"{name} must be a whole number, not {value!r}")
             setattr(self, name, int(value))
         if not 1 <= self.num_frontends <= 32:
@@ -99,9 +107,18 @@ class SimConfig:
             raise ValueError(f"abstraction must be one of {_ABSTRACTIONS}")
         if self.trigger_mode not in ("gated", "periodic"):
             raise ValueError("trigger_mode must be 'gated' or 'periodic'")
-        for name in ("trigger_period_us", "trigger_start_us", "request_rtt_us", "ber", "run_ms", "warmup_ms"):
-            if not math.isfinite(getattr(self, name) or 0.0):  # run_ms may be None
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if value is None and name == "run_ms":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, not {value!r}")
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
+        if not isinstance(self.verify_provenance, bool):
+            raise ValueError(f"verify_provenance must be true or false, not {self.verify_provenance!r}")
+        if self.keep_client_events is not None and not isinstance(self.keep_client_events, bool):
+            raise ValueError(f"keep_client_events must be true, false or null, not {self.keep_client_events!r}")
         if self.trigger_mode == "periodic" and self.trigger_period_us <= 0:
             raise ValueError("a periodic trigger needs trigger_period_us > 0")
         if not 0.0 <= self.ber <= 1.0:
@@ -131,7 +148,11 @@ class SimConfig:
             raise ValueError(f"mtu must be >= {FRAME_OVERHEAD_BYTES + record} to hold a {record}-byte packet record")
         check_card_settings(self.buffering_depth, self.clear_busy_on)
         if self.serials is not None:
-            serials = {int(serial) for serial in self.serials[: self.num_frontends]}
+            bad = [serial for serial in self.serials if not _is_whole(serial)]
+            if bad:
+                raise ValueError(f"serials must be whole numbers, not {bad[0]!r}")
+            self.serials = [int(serial) for serial in self.serials]
+            serials = set(self.serials[: self.num_frontends])
             if len(serials) < self.num_frontends:
                 raise ValueError("serials must give each of num_frontends cards a distinct one")
             if not all(0 <= serial < 1 << SERIAL_BITS for serial in serials):

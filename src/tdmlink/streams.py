@@ -37,11 +37,11 @@ from .messages import (
     CHANNEL_B_FRAME_BITS,
     CHANNEL_C_REQUEST_BITS,
     FRAGMENT_HEAD_BITS,
+    ChannelAMessageDown,
+    ChannelAMessageUp,
+    ChannelBTransaction,
+    ChannelCRequest,
     MessageFormatError,
-    decode_channel_a_down,
-    decode_channel_a_up,
-    decode_channel_b,
-    decode_channel_c_request,
     fragment_frame_bits,
 )
 from .wire import (
@@ -465,11 +465,11 @@ class DownstreamReceiver(_Lanes):
         if np.count_nonzero(broken):
             self.coding_violations[lanes] += np.count_nonzero(_unpack(broken, lanes), axis=1)
         scan, errors = self.scanners, self.parity_errors
-        for row, msg, end in _decode_frames(_scan_lanes(scan["A"], a, rows), decode_channel_a_down, errors["A"]):
+        for row, msg, end in _decode_frames(_scan_lanes(scan["A"], a, rows), ChannelAMessageDown.decode, errors["A"]):
             events.a.append((row, msg, self.a_bit_arrival_tick(row, end)))
-        for row, msg, _ in _decode_frames(_scan_lanes(scan["B"], b, rows), decode_channel_b, errors["B"]):
+        for row, msg, _ in _decode_frames(_scan_lanes(scan["B"], b, rows), ChannelBTransaction.decode, errors["B"]):
             events.b.append((row, msg))
-        for row, msg, _ in _decode_frames(_scan_lanes(scan["C"], c, rows), decode_channel_c_request, errors["C"]):
+        for row, msg, _ in _decode_frames(_scan_lanes(scan["C"], c, rows), ChannelCRequest.decode, errors["C"]):
             events.c.append((row, msg))
 
 
@@ -626,9 +626,9 @@ class UpstreamReceiver(_LaneLinks):
             a, b, c, register = _upstream_channels(words[start:], self._register, mask)
             self._keep_register(register, mask)
             scan, errors = self.scanners, self.parity_errors
-            for row, msg, _ in _decode_frames(_scan_lanes(scan["A"], a, rows), decode_channel_a_up, errors["A"]):
+            for row, msg, _ in _decode_frames(_scan_lanes(scan["A"], a, rows), ChannelAMessageUp.decode, errors["A"]):
                 events.a.append((row, msg))
-            for row, msg, _ in _decode_frames(_scan_lanes(scan["B"], b, rows), decode_channel_b, errors["B"]):
+            for row, msg, _ in _decode_frames(_scan_lanes(scan["B"], b, rows), ChannelBTransaction.decode, errors["B"]):
                 events.b.append((row, msg))
             for row, frame, _ in _scan_lanes(scan["C"], c, rows):
                 events.packets.append((row, np.packbits(frame[1:]).tobytes()))

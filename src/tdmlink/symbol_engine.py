@@ -34,9 +34,6 @@ from .messages import (
     CHANNEL_B_FRAME_BITS,
     ChannelAMessageDown,
     ChannelCRequest,
-    encode_channel_a,
-    encode_channel_b,
-    encode_channel_c_request,
     frame_fragment,
 )
 from .streams import DownstreamReceiver, DownstreamTransmitter, UpstreamReceiver, UpstreamTransmitter
@@ -218,7 +215,7 @@ class SymbolEngine(System):
             resp = card.on_channel_b_parity_error() if txn is None else card.on_channel_b(txn)
             if resp is not None:
                 if resp is not last:
-                    last, bits = resp, encode_channel_b(resp).tobytes()
+                    last, bits = resp, resp.encode().tobytes()
                 self.up_tx.enqueue(port, "B", bits)
         for port, req in events.c:
             if req is not None:
@@ -226,7 +223,7 @@ class SymbolEngine(System):
 
     def _emit_card_output(self, port, out):
         for reply in out.a_replies:
-            self.up_tx.enqueue(port, "A", encode_channel_a(reply))
+            self.up_tx.enqueue(port, "A", reply.encode())
         for data in out.packets:
             self.up_tx.enqueue(port, "C", frame_fragment(data))
 
@@ -250,7 +247,7 @@ class SymbolEngine(System):
     def _backend_logic(self):
         mask = self._request_mask()
         if mask:
-            self.down_tx.enqueue("C", encode_channel_c_request(ChannelCRequest(target_mask=mask)))
+            self.down_tx.enqueue("C", ChannelCRequest(target_mask=mask).encode())
         self._build()
         # Transport: the Ethernet side is not symbol-timed; frames leave as
         # soon as credit allows and grants renew immediately.
@@ -266,7 +263,7 @@ class SymbolEngine(System):
             self._build()
 
     def _issue_trigger(self):
-        self.down_tx.enqueue("A", encode_channel_a(ChannelAMessageDown(sampling_stop=True)))
+        self.down_tx.enqueue("A", ChannelAMessageDown(sampling_stop=True).encode())
         self.trigger_unit.on_issued()
 
     # -- bootstrap --------------------------------------------------------------------
@@ -287,7 +284,7 @@ class SymbolEngine(System):
         expected = list(self.cards) if txn.broadcast else [txn.target_id]
         self._b_request = txn
         self._b_answers = {}
-        self.down_tx.enqueue("B", encode_channel_b(txn))
+        self.down_tx.enqueue("B", txn.encode())
         deadline = self.now + EXCHANGE_TIMEOUT_TICKS
         while self.now < deadline and not all(p in self._b_answers for p in expected):
             self._advance_one_slice()

@@ -166,7 +166,7 @@ def default_frame_vectors() -> list[dict]:
     # Fragment packets: byte oriented, checked through serialize/deserialize.
     for soe, eoe, payload in (
         (False, True, ()),
-        (True, False, msg.FragmentPacket.event_header_bytes(0x01020304, 0xAABBCCDDEEFF)),
+        (True, False, msg.event_header_bytes(0x01020304, 0xAABBCCDDEEFF)),
         (False, False, (0x1111, 0x2222, 0x3333, 0x4444)),
     ):
         pkt = msg.FragmentPacket.build(soe=soe, eoe=eoe, payload_words=payload)

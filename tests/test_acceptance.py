@@ -53,7 +53,7 @@ def test_criterion_1_idle_pattern_golden_and_lock():
         assert rx.locked[0], f"fanout receiver not locked from offset {offset}"
         assert rx.sync[0].bit_slip_offset == offset
         assert rx.sync[0].half_bit_phase == offset % 2
-        first_bit = tx.enqueue("A", m.encode_channel_a(trigger))
+        first_bit = tx.enqueue("A", trigger.encode())
         (row, msg, tick), = rx.feed(tx.produce_cycles(16).astype(np.uint32)).a
         assert (row, msg) == (0, trigger)
         assert tick + timebase.TICKS_PER_DOWN_SYMBOL * offset == timebase.down_a_frame_arrival_tick(first_bit)
@@ -74,18 +74,18 @@ def test_criterion_2_codec_round_trip_suite():
             clear_timestamp=bool(rng.integers(2)),
             sync_sampling_clock=bool(rng.integers(2)),
         )
-        frame = m.encode_channel_a(msg)
+        frame = msg.encode()
         assert len(frame) == 10
-        assert m.decode_channel_a_down(frame) == msg
+        assert m.ChannelAMessageDown.decode(frame) == msg
 
         busy = int(rng.integers(3))
         up = m.ChannelAMessageUp(
             set_busy=busy == 1, clear_busy=busy == 2,
             trigger_primitives=int(rng.integers(16)),
         )
-        frame = m.encode_channel_a(up)
+        frame = up.encode()
         assert len(frame) == 10
-        assert m.decode_channel_a_up(frame) == up
+        assert m.ChannelAMessageUp.decode(frame) == up
 
         rd = bool(rng.integers(2))
         txn = m.ChannelBTransaction(
@@ -93,16 +93,16 @@ def test_criterion_2_codec_round_trip_suite():
             read=rd, write=not rd, byte_enable=int(rng.integers(16)),
             address=int(rng.integers(1 << 16)), data=int(rng.integers(1 << 32)),
         )
-        frame = m.encode_channel_b(txn)
+        frame = txn.encode()
         assert len(frame) == 64
-        assert m.decode_channel_b(frame) == txn
+        assert m.ChannelBTransaction.decode(frame) == txn
 
         req = m.ChannelCRequest(
             opcode=int(rng.integers(256)), target_mask=int(rng.integers(1, 1 << 32))
         )
-        frame = m.encode_channel_c_request(req)
+        frame = req.encode()
         assert len(frame) == 42
-        assert m.decode_channel_c_request(frame) == req
+        assert m.ChannelCRequest.decode(frame) == req
 
         words = tuple(int(w) for w in rng.integers(0, 1 << 16, size=2 * int(rng.integers(0, 8))))
         pkt = m.FragmentPacket.build(soe=False, eoe=bool(rng.integers(2)), payload_words=words)
@@ -110,20 +110,18 @@ def test_criterion_2_codec_round_trip_suite():
         assert back.crc_ok and back.payload_words == words and back.eoe == pkt.eoe
 
     # Exhaustive single-bit parity detection, A and B frames.
-    a_frame = m.encode_channel_a(m.ChannelAMessageDown(sampling_stop=True, event_type=3))
+    a_frame = m.ChannelAMessageDown(sampling_stop=True, event_type=3).encode()
     for i in range(1, 9):
         bad = a_frame.copy()
         bad[i] ^= 1
         with pytest.raises(m.ParityError):
-            m.decode_channel_a_down(bad)
-    b_frame = m.encode_channel_b(
-        m.ChannelBTransaction(write=True, target_id=21, address=0xBEEF, data=0x13579BDF)
-    )
+            m.ChannelAMessageDown.decode(bad)
+    b_frame = m.ChannelBTransaction(write=True, target_id=21, address=0xBEEF, data=0x13579BDF).encode()
     for i in range(1, 63):
         bad = b_frame.copy()
         bad[i] ^= 1
         with pytest.raises(m.ParityError):
-            m.decode_channel_b(bad)
+            m.ChannelBTransaction.decode(bad)
 
     # Exhaustive single-bit CRC detection over a 64-byte-class packet.
     pkt = m.FragmentPacket.build(soe=False, eoe=False, payload_words=tuple(range(30)))

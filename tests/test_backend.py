@@ -395,7 +395,7 @@ def link_streams(draw):
                     soe = fault != 0
                     number = event + (fault == 1)
                     timestamp = 250 * event + (fault == 2)
-                    payload = m.FragmentPacket.event_header_bytes(number, timestamp) + payload
+                    payload = m.event_header_bytes(number, timestamp) + payload
                 data = m.FragmentPacket.build(soe, i == count - 1, payload).serialize()
                 if draw(st.integers(0, 5)) == 0:
                     data = data[:-1] + bytes([data[-1] ^ 1])  # the CRC no longer holds
@@ -450,7 +450,7 @@ def reference_build(streams):
                 flagged = True
             if not packet.eoe:
                 body.append(link)
-        header = m.FragmentPacket.event_header_bytes(
+        header = m.event_header_bytes(
             0xFFFFFFFF if number is None else number, timestamp or 0)
         records.append((be.RECORD_EVENT_HEADER, m.FragmentPacket.build(True, False, header).serialize()))
         records.extend(soe_records)

@@ -77,6 +77,7 @@ def test_run_rejects_invalid_config(tmp_path, capsys):
         ('{"num_frontends": 40}', "num_frontends must be 1..32"),
         ('{"num_frontends": "two"}', "num_frontends must be a whole number"),
         ('{"num_frontends": 2.5}', "num_frontends must be a whole number"),
+        ('{"verify_provenance": "no"}', "verify_provenance must be true or false"),
         ('{"cards": 4}', "unknown config keys"),
         ('{"run_ms": Infinity}', "run_ms must be finite"),
         ('{"trigger_mode": "periodic", "trigger_period_us": NaN}', "trigger_period_us must be finite"),

@@ -218,6 +218,12 @@ class TestRegisterBus:
             flagged = m.ChannelBTransaction(write=True, target_id=0, address=0x0100, data=5, **{flag: True})
             resp = card.on_channel_b(flagged)
             assert resp == dataclasses.replace(flagged, **{flag: False})
+            # A read is answered with the data read (scratch word 0x0100 holds
+            # 5, 0x0300 is unmapped); bus_error is set only when it fails.
+            for address, data, ok in ((0x0100, 5, True), (0x0300, 0, False)):
+                read = m.ChannelBTransaction(read=True, target_id=0, address=address, data=0x77, **{flag: True})
+                resp = card.on_channel_b(read)
+                assert resp == dataclasses.replace(read, data=data, parity_error=False, bus_error=not ok)
 
 
 class TestBootstrapCapture:

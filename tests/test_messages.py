@@ -57,7 +57,7 @@ B_LAYOUT = {
 class TestChannelA:
     def test_trigger_frame_layout(self):
         msg = m.ChannelAMessageDown(sampling_stop=True, event_type=2)
-        frame = m.encode_channel_a(msg)
+        frame = msg.encode()
         assert len(frame) == m.CHANNEL_A_FRAME_BITS == 10
         assert frame[0] == 1  # start bit
         payload = frame[1:9]
@@ -65,7 +65,7 @@ class TestChannelA:
         assert payload[A_DOWN_LAYOUT["event_type_hi"]] == 1
         assert payload[A_DOWN_LAYOUT["event_type_lo"]] == 0
         assert int(payload.sum()) % 2 == int(frame[9])  # even parity
-        assert m.decode_channel_a_down(frame) == msg
+        assert m.ChannelAMessageDown.decode(frame) == msg
 
     def test_round_trip_randomized(self):
         rng = np.random.default_rng(1)
@@ -78,7 +78,7 @@ class TestChannelA:
                 clear_timestamp=bool(rng.integers(2)),
                 sync_sampling_clock=bool(rng.integers(2)),
             )
-            assert m.decode_channel_a_down(m.encode_channel_a(msg)) == msg
+            assert m.ChannelAMessageDown.decode(msg.encode()) == msg
 
     def test_upstream_round_trip(self):
         rng = np.random.default_rng(2)
@@ -89,15 +89,15 @@ class TestChannelA:
                 clear_busy=busy == 2,
                 trigger_primitives=int(rng.integers(16)),
             )
-            assert m.decode_channel_a_up(m.encode_channel_a(msg)) == msg
+            assert m.ChannelAMessageUp.decode(msg.encode()) == msg
 
     def test_parity_catches_every_payload_flip(self):
-        frame = m.encode_channel_a(m.ChannelAMessageDown(sampling_stop=True))
+        frame = m.ChannelAMessageDown(sampling_stop=True).encode()
         for i in range(1, 9):
             bad = frame.copy()
             bad[i] ^= 1
             with pytest.raises(m.ParityError):
-                m.decode_channel_a_down(bad)
+                m.ChannelAMessageDown.decode(bad)
 
     def test_stop_and_start_exclusive(self):
         with pytest.raises(m.MessageFormatError):
@@ -107,7 +107,7 @@ class TestChannelA:
 class TestChannelB:
     def test_frame_is_64_bits_field_widths_sum(self):
         txn = m.ChannelBTransaction(write=True, target_id=5, address=0x10, data=0xDEADBEEF)
-        frame = m.encode_channel_b(txn)
+        frame = txn.encode()
         assert len(frame) == m.CHANNEL_B_FRAME_BITS == 64
         # 62 payload bits: BC1 TID5 RD1 WR1 BE4 PE1 FE1 ADDR16 DATA32
         assert 1 + 5 + 1 + 1 + 4 + 1 + 1 + 16 + 32 == 62
@@ -116,7 +116,7 @@ class TestChannelB:
         txn = m.ChannelBTransaction(
             write=True, target_id=5, byte_enable=0xF, address=0x0010, data=0xDEADBEEF
         )
-        frame = m.encode_channel_b(txn)
+        frame = txn.encode()
         payload = frame[1:63]
         assert payload[B_LAYOUT["broadcast"]] == 0
         start, width = B_LAYOUT["target_id"]
@@ -126,11 +126,11 @@ class TestChannelB:
         assert bits_to_str(payload[start : start + width]) == f"{0x0010:016b}"
         start, width = B_LAYOUT["data"]
         assert bits_to_str(payload[start : start + width]) == f"{0xDEADBEEF:032b}"
-        assert m.decode_channel_b(frame) == txn
+        assert m.ChannelBTransaction.decode(frame) == txn
 
     def test_broadcast_read(self):
         txn = m.ChannelBTransaction(broadcast=True, read=True, address=0x0000)
-        decoded = m.decode_channel_b(m.encode_channel_b(txn))
+        decoded = m.ChannelBTransaction.decode(txn.encode())
         assert decoded.broadcast and decoded.read and not decoded.write
 
     def test_round_trip_randomized(self):
@@ -146,31 +146,31 @@ class TestChannelB:
                 address=int(rng.integers(1 << 16)),
                 data=int(rng.integers(1 << 32)),
             )
-            assert m.decode_channel_b(m.encode_channel_b(txn)) == txn
+            assert m.ChannelBTransaction.decode(txn.encode()) == txn
 
     def test_parity_catches_every_payload_flip(self):
         rng = np.random.default_rng(4)
         txn = m.ChannelBTransaction(
             read=True, target_id=int(rng.integers(32)), address=0x1234, data=0xCAFEF00D
         )
-        frame = m.encode_channel_b(txn)
+        frame = txn.encode()
         for i in range(1, 63):
             bad = frame.copy()
             bad[i] ^= 1
             with pytest.raises(m.ParityError):
-                m.decode_channel_b(bad)
+                m.ChannelBTransaction.decode(bad)
 
 
 class TestChannelC:
     def test_all_cards_one_frame(self):
         req = m.ChannelCRequest(target_mask=0xFFFFFFFF)
-        frame = m.encode_channel_c_request(req)
+        frame = req.encode()
         assert len(frame) == m.CHANNEL_C_REQUEST_BITS == 42
-        assert m.decode_channel_c_request(frame) == req
+        assert m.ChannelCRequest.decode(frame) == req
 
     def test_single_target(self):
         req = m.ChannelCRequest(target_mask=1 << 7)
-        assert m.decode_channel_c_request(m.encode_channel_c_request(req)).target_mask == 1 << 7
+        assert m.ChannelCRequest.decode(req.encode()).target_mask == 1 << 7
 
     def test_round_trip_randomized(self):
         rng = np.random.default_rng(5)
@@ -179,11 +179,11 @@ class TestChannelC:
                 opcode=int(rng.integers(256)),
                 target_mask=int(rng.integers(1, 1 << 32)),
             )
-            assert m.decode_channel_c_request(m.encode_channel_c_request(req)) == req
+            assert m.ChannelCRequest.decode(req.encode()) == req
 
     def test_empty_mask_rejected(self):
         with pytest.raises(m.MessageFormatError):
-            m.encode_channel_c_request(m.ChannelCRequest(target_mask=0))
+            m.ChannelCRequest(target_mask=0).encode()
 
 
 FRAME_TYPES = [
@@ -348,7 +348,7 @@ class TestFragmentPacket:
             words = tuple(int(w) for w in rng.integers(0, 1 << 16, size=2 * int(rng.integers(0, 40))))
             if soe:
                 number, ts = int(rng.integers(1 << 32)), int(rng.integers(1 << 48))
-                words = struct.unpack(">6H", m.FragmentPacket.event_header_bytes(number, ts)) + words
+                words = struct.unpack(">6H", m.event_header_bytes(number, ts)) + words
             cases.append((soe, eoe, words))
         for soe, eoe, words in cases:
             data = m.FragmentPacket.build(soe=soe, eoe=eoe, payload_words=words).serialize()
@@ -389,7 +389,7 @@ class TestFragmentPacket:
         assert back.payload_words == ()
 
     def test_soe_header_fields(self):
-        payload = m.FragmentPacket.event_header_bytes(0x01020304, 0xAABBCCDDEEFF)
+        payload = m.event_header_bytes(0x01020304, 0xAABBCCDDEEFF)
         pkt = m.FragmentPacket.build(soe=True, eoe=False, payload_words=payload)
         assert pkt.event_number == 0x01020304
         assert pkt.timestamp == 0xAABBCCDDEEFF
@@ -398,7 +398,7 @@ class TestFragmentPacket:
     @pytest.mark.parametrize("number, ts", [(-1, 0), (1 << 32, 0), (0, -1), (0, 1 << 48)])
     def test_event_header_fields_range_checked(self, number, ts):
         with pytest.raises(m.MessageFormatError, match="outside"):
-            m.FragmentPacket.event_header_bytes(number, ts)
+            m.event_header_bytes(number, ts)
 
     def test_max_packet_fits_2048(self):
         words = tuple(range(m.MAX_PAYLOAD_WORDS))

@@ -15,7 +15,7 @@ from tdmlink import message_engine, sim, timebase, wire
 from tdmlink.bits import bits_from_int
 from tdmlink.frontend import REG_LOST_TRIGGERS, REG_SERIAL_LO
 from tdmlink.message_engine import MessageEngine
-from tdmlink.messages import ChannelAMessageUp, ChannelBTransaction, encode_channel_a, encode_channel_b
+from tdmlink.messages import ChannelAMessageUp, ChannelBTransaction
 from tdmlink.sim import SimConfig, ber_test, make_serials, run_scenario
 from tdmlink.streams import FrameScanner
 from tdmlink.symbol_engine import SLICE_TICKS, SymbolEngine
@@ -133,6 +133,44 @@ class TestConfig:
                 small_scenario("message_level", **{name: bad})
         cfg = small_scenario("message_level", **{name: np.int64(good)})
         assert type(getattr(cfg, name)) is int and getattr(cfg, name) == good
+
+    @pytest.mark.parametrize(
+        "name, good",
+        [("trigger_period_us", 150.0), ("trigger_start_us", 500.0), ("request_rtt_us", 100.0),
+         ("ber", 1e-5), ("run_ms", 2.0), ("warmup_ms", 0.5)],
+    )
+    def test_real_number_fields_reject_a_bool(self, name, good):
+        # A bool would run as 1 or 0: BER 1, a 1 ms run.
+        overrides = {"run_ms": 5.0} if name == "warmup_ms" else {}
+        abstraction = "symbol_level" if name == "ber" else "message_level"
+        for bad in (True, False, np.bool_(True), str(good)):
+            with pytest.raises(ValueError, match=f"{name} must be a real number"):
+                small_scenario(abstraction, **overrides, **{name: bad})
+        for fine in (good, np.float64(good), int(good) or 1):
+            assert getattr(small_scenario(abstraction, **overrides, **{name: fine}), name) == fine
+
+    @pytest.mark.parametrize("name, none_ok", [("verify_provenance", False), ("keep_client_events", True)])
+    def test_flag_fields_take_only_bools(self, name, none_ok):
+        # A non-empty string such as "no" would read as true.
+        for bad in ("no", "", 0, 1, np.bool_(False)) + (() if none_ok else (None,)):
+            with pytest.raises(ValueError, match=f"{name} must be true"):
+                small_scenario("message_level", **{name: bad})
+        for fine in (True, False) + ((None,) if none_ok else ()):
+            small_scenario("message_level", **{name: fine})
+
+    @pytest.mark.parametrize("serials", [[1.5, 2.7], [1, 2.0], [True, 2], ["7", 8], [1, 2, 3.5], [1, None]])
+    def test_serials_take_only_whole_numbers(self, serials):
+        # A float would be truncated to a serial nobody gave; entries past
+        # the cards are checked too.
+        with pytest.raises(ValueError, match="serials must be whole numbers"):
+            small_scenario("message_level", serials=serials)
+
+    def test_serials_held_as_a_list_of_ints(self):
+        # So a numpy array of serials runs and round-trips through JSON.
+        cfg = small_scenario("message_level", serials=np.array([1, 2, 3]), trigger_count=2)
+        assert cfg.serials == [1, 2, 3] and all(type(serial) is int for serial in cfg.serials)
+        assert SimConfig.from_json(json.dumps(cfg.to_dict())) == cfg
+        assert run_scenario(cfg).metrics.client["events"] == 2
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
@@ -854,7 +892,7 @@ class TestQuietSlices:
         assert engine._quiet_slices(None) > 0
         # Not while a frame is queued, nor after the slice that sent it,
         # although that frame was received whole.
-        engine.up_tx.enqueue(0, "A", encode_channel_a(ChannelAMessageUp()))
+        engine.up_tx.enqueue(0, "A", ChannelAMessageUp().encode())
         assert engine._quiet_slices(None) == 0
         engine._advance_one_slice()
         assert engine._quiet_slices(None) == 0
@@ -988,7 +1026,7 @@ class TestLineErrors:
         engine = SymbolEngine(line_error_scenario(num_frontends=1))
         engine._wait_links_ready()
         stray = ChannelBTransaction(read=True, address=REG_LOST_TRIGGERS, data=7)
-        engine.up_tx.enqueue(0, "B", encode_channel_b(stray))
+        engine.up_tx.enqueue(0, "B", stray.encode())
         request = ChannelBTransaction(broadcast=True, read=True, address=REG_SERIAL_LO)
         answer = engine._exchange(request)[0]
         assert answer.address == REG_SERIAL_LO

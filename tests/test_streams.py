@@ -118,14 +118,14 @@ def random_frames(rng, frame_bits, nbits):
         if kind < 0.15:  # a start bit and random bits
             frame = np.concatenate([[1], rng.integers(0, 2, int(rng.integers(1, 80)))]).astype(np.uint8)
         elif frame_bits == 10:
-            frame = m.encode_channel_a(m.ChannelAMessageUp(
-                set_busy=bool(rng.integers(2)), trigger_primitives=int(rng.integers(16))))
+            frame = m.ChannelAMessageUp(
+                set_busy=bool(rng.integers(2)), trigger_primitives=int(rng.integers(16))).encode()
         elif frame_bits == 42:
-            frame = m.encode_channel_c_request(m.ChannelCRequest(target_mask=int(rng.integers(1, 1 << 32))))
+            frame = m.ChannelCRequest(target_mask=int(rng.integers(1, 1 << 32))).encode()
         elif frame_bits == 64:
-            frame = m.encode_channel_b(m.ChannelBTransaction(
+            frame = m.ChannelBTransaction(
                 read=True, target_id=int(rng.integers(32)), address=int(rng.integers(1 << 16)),
-                data=int(rng.integers(1 << 32))))
+                data=int(rng.integers(1 << 32))).encode()
         else:
             soe = bool(rng.integers(2))
             words = rng.integers(0, 1 << 16, 2 * int(rng.integers(3 if soe else 0, 12))).tolist()
@@ -200,7 +200,7 @@ class TestBitQueue:
 
 class TestScanners:
     def test_frames_across_chunk_boundaries(self):
-        frame = m.encode_channel_a(m.ChannelAMessageDown(sampling_stop=True))
+        frame = m.ChannelAMessageDown(sampling_stop=True).encode()
         stream = np.concatenate([np.zeros(7, dtype=np.uint8), frame, np.zeros(3, dtype=np.uint8), frame])
         sc = FrameScanner(1, 10)
         got = []
@@ -331,9 +331,9 @@ class TestDownstreamChain:
         a_msg = m.ChannelAMessageDown(sampling_stop=True, event_type=1)
         b_txn = m.ChannelBTransaction(write=True, target_id=9, address=0x20, data=0x1234ABCD)
         c_req = m.ChannelCRequest(target_mask=0x3)
-        tx.enqueue("A", m.encode_channel_a(a_msg))
-        tx.enqueue("B", m.encode_channel_b(b_txn))
-        tx.enqueue("C", m.encode_channel_c_request(c_req))
+        tx.enqueue("A", a_msg.encode())
+        tx.enqueue("B", b_txn.encode())
+        tx.enqueue("C", c_req.encode())
 
         got_a, got_b, got_c = [], [], []
         stream = tx.produce_cycles(64)
@@ -351,7 +351,7 @@ class TestDownstreamChain:
         tx = DownstreamTransmitter()
         stream = tx.produce_cycles(40)
         msg = m.ChannelAMessageDown(sampling_stop=True)
-        tx.enqueue("A", m.encode_channel_a(msg))
+        tx.enqueue("A", msg.encode())
         stream = np.concatenate([stream, tx.produce_cycles(10)])
 
         rx = DownstreamReceiver(1)
@@ -366,7 +366,7 @@ class TestDownstreamChain:
     def test_b_saturation_does_not_delay_channel_a(self):
         # Slots are fixed: A bits flow every cycle no matter how much B
         # traffic is queued, so trigger latency is unchanged.
-        b_txn = m.encode_channel_b(m.ChannelBTransaction(read=True, target_id=1, address=0))
+        b_txn = m.ChannelBTransaction(read=True, target_id=1, address=0).encode()
         arrivals = {}
         for saturate_b in (False, True):
             tx = DownstreamTransmitter()
@@ -375,7 +375,7 @@ class TestDownstreamChain:
             if saturate_b:
                 for _ in range(50):
                     tx.enqueue("B", b_txn)
-            tx.enqueue("A", m.encode_channel_a(m.ChannelAMessageDown(sampling_stop=True)))
+            tx.enqueue("A", m.ChannelAMessageDown(sampling_stop=True).encode())
             ev = rx.feed(one_lane(tx.produce_cycles(64)))
             arrivals[saturate_b] = ev.a[0][2]
         assert arrivals[True] == arrivals[False]
@@ -385,7 +385,7 @@ class TestDownstreamChain:
         rx = DownstreamReceiver(1)
         rx.feed(one_lane(tx.produce_cycles(8)))
         msg = m.ChannelAMessageDown(sampling_stop=True)
-        first_bit = tx.enqueue("A", m.encode_channel_a(msg))
+        first_bit = tx.enqueue("A", msg.encode())
         ev = rx.feed(one_lane(tx.produce_cycles(8)))
         (_, decoded, tick), = ev.a
         assert decoded == msg
@@ -412,7 +412,7 @@ class TestDownstreamChain:
         tx = DownstreamTransmitter()
         rx = DownstreamReceiver(1)
         rx.feed(one_lane(tx.produce_cycles(8)))
-        frame = m.encode_channel_a(m.ChannelAMessageDown(sampling_stop=True))
+        frame = m.ChannelAMessageDown(sampling_stop=True).encode()
         starts = [tx.enqueue("A", frame) for _ in range(n)]
         arrivals = []
         remaining = 5 * n + 16
@@ -436,8 +436,8 @@ class TestUpstreamChain:
         reply = m.ChannelAMessageUp(set_busy=True)
         resp = m.ChannelBTransaction(read=True, target_id=3, address=0x0, data=0xFEED)
         pkt = m.FragmentPacket.build(soe=False, eoe=True, payload_words=(10, 20))
-        tx.enqueue(0, "A", m.encode_channel_a(reply))
-        tx.enqueue(0, "B", m.encode_channel_b(resp))
+        tx.enqueue(0, "A", reply.encode())
+        tx.enqueue(0, "B", resp.encode())
         tx.enqueue(0, "C", m.frame_fragment(pkt.serialize()))
 
         got_a, got_b, got_p = [], [], []
@@ -455,12 +455,12 @@ class TestUpstreamChain:
         # SET_BUSY and CLEAR_BUSY both set, with valid parity.
         frame = np.array([1, 1, 1, 0, 0, 0, 0, 0, 0, 0], dtype=np.uint8)
         with pytest.raises(m.MessageFormatError):
-            m.decode_channel_a_up(frame)
+            m.ChannelAMessageUp.decode(frame)
         tx = UpstreamTransmitter(1)
         rx = UpstreamReceiver(1)
         rx.feed(tx.produce(TRAINING_BITS))
         tx.enqueue(0, "A", frame)
-        tx.enqueue(0, "A", m.encode_channel_a(m.ChannelAMessageUp(clear_busy=True)))
+        tx.enqueue(0, "A", m.ChannelAMessageUp(clear_busy=True).encode())
         ev = rx.feed(tx.produce(200))
         assert ev.a == [(0, None), (0, m.ChannelAMessageUp(clear_busy=True))]
         assert {ch: errors.tolist() for ch, errors in rx.parity_errors.items()} == {"A": [1], "B": [0]}
@@ -483,7 +483,7 @@ class TestUpstreamChain:
         tx.reset(0)
         rx.reset(0)
         pkt = m.FragmentPacket.build(soe=True, eoe=True,
-                                     payload_words=m.FragmentPacket.event_header_bytes(7, 1000))
+                                     payload_words=m.event_header_bytes(7, 1000))
         tx.enqueue(0, "C", m.frame_fragment(pkt.serialize()))
         got = []
         for _ in range(14):  # the training again, then the packet
@@ -530,10 +530,10 @@ class TestWholeCycles:
     def queue_frames(rng, txs, row):
         for _ in range(int(rng.integers(0, 3))):
             frames = [
-                ("A", m.encode_channel_a(m.ChannelAMessageUp(set_busy=bool(rng.integers(2)), clear_busy=False,
-                                                             trigger_primitives=int(rng.integers(16))))),
-                ("B", m.encode_channel_b(m.ChannelBTransaction(read=True, target_id=int(rng.integers(32)),
-                                                               address=int(rng.integers(1 << 16))))),
+                ("A", m.ChannelAMessageUp(set_busy=bool(rng.integers(2)), clear_busy=False,
+                                          trigger_primitives=int(rng.integers(16))).encode()),
+                ("B", m.ChannelBTransaction(read=True, target_id=int(rng.integers(32)),
+                                            address=int(rng.integers(1 << 16))).encode()),
                 ("C", m.frame_fragment(m.FragmentPacket.build(
                     soe=False, eoe=bool(rng.integers(2)),
                     payload_words=rng.integers(0, 1 << 16, 2 * int(rng.integers(0, 8))).tolist()).serialize())),
@@ -597,10 +597,10 @@ class TestRows:
         # Three links with different traffic in uneven chunks of whole
         # cycles, link 1 reset and retrained half way.
         frames = {
-            0: [("A", m.encode_channel_a(m.ChannelAMessageUp(set_busy=True))),
+            0: [("A", m.ChannelAMessageUp(set_busy=True).encode()),
                 ("C", m.frame_fragment(m.FragmentPacket.build(
                     soe=False, eoe=True, payload_words=(1, 2, 3, 4)).serialize()))],
-            1: [("B", m.encode_channel_b(m.ChannelBTransaction(read=True, address=0x10, data=5)))],
+            1: [("B", m.ChannelBTransaction(read=True, address=0x10, data=5).encode())],
             2: [],
         }
         many_tx, many_rx = UpstreamTransmitter(3), UpstreamReceiver(3)
@@ -642,7 +642,7 @@ class ReferenceLink:
     side, and its own `wire.Descrambler`, training count and per-bit
     scanners on the receive side."""
 
-    DECODE = {"A": m.decode_channel_a_up, "B": m.decode_channel_b}
+    DECODE = {"A": m.ChannelAMessageUp.decode, "B": m.ChannelBTransaction.decode}
 
     def __init__(self):
         self.reset()
@@ -694,7 +694,7 @@ class ReferenceFanout:
     then decodes whole cycles from the lock point with `wire.downstream_rx`
     and scans each channel with a per-bit `ReferenceScanner`."""
 
-    DECODE = {"A": m.decode_channel_a_down, "B": m.decode_channel_b, "C": m.decode_channel_c_request}
+    DECODE = {"A": m.ChannelAMessageDown.decode, "B": m.ChannelBTransaction.decode, "C": m.ChannelCRequest.decode}
     KEEP = 2 * len(wire.DOWNSTREAM_IDLE_SYMBOLS) * wire.DEFAULT_LOCK_THRESHOLD
 
     def __init__(self):
@@ -746,12 +746,12 @@ def random_up_frame(rng, bad=0.1):
     them damaged."""
     channel = "ABC"[int(rng.integers(3))]
     if channel == "A":
-        bits = m.encode_channel_a(m.ChannelAMessageUp(set_busy=bool(rng.integers(2)),
-                                                      trigger_primitives=int(rng.integers(16))))
+        bits = m.ChannelAMessageUp(set_busy=bool(rng.integers(2)),
+                                   trigger_primitives=int(rng.integers(16))).encode()
     elif channel == "B":
-        bits = m.encode_channel_b(m.ChannelBTransaction(read=True, target_id=int(rng.integers(32)),
-                                                        address=int(rng.integers(1 << 16)),
-                                                        data=int(rng.integers(1 << 32))))
+        bits = m.ChannelBTransaction(read=True, target_id=int(rng.integers(32)),
+                                     address=int(rng.integers(1 << 16)),
+                                     data=int(rng.integers(1 << 32))).encode()
     else:
         words = rng.integers(0, 1 << 16, 2 * int(rng.integers(0, 6))).tolist()
         bits = m.frame_fragment(m.FragmentPacket.build(soe=False, eoe=bool(rng.integers(2)),
@@ -770,13 +770,13 @@ def random_fanout(rng, cycles):
     while sum(map(len, stream)) < 8 * cycles:
         channel = "ABC"[int(rng.integers(3))]
         if channel == "A":
-            frame = m.encode_channel_a(m.ChannelAMessageDown(sampling_stop=True, event_type=int(rng.integers(4))))
+            frame = m.ChannelAMessageDown(sampling_stop=True, event_type=int(rng.integers(4))).encode()
         elif channel == "B":
-            frame = m.encode_channel_b(m.ChannelBTransaction(
+            frame = m.ChannelBTransaction(
                 write=True, target_id=int(rng.integers(32)), address=int(rng.integers(1 << 16)),
-                data=int(rng.integers(1 << 32))))
+                data=int(rng.integers(1 << 32))).encode()
         else:
-            frame = m.encode_channel_c_request(m.ChannelCRequest(target_mask=int(rng.integers(1, 1 << 32))))
+            frame = m.ChannelCRequest(target_mask=int(rng.integers(1, 1 << 32))).encode()
         tx.enqueue(channel, frame)
         stream.append(tx.produce_cycles(int(rng.integers(1, 40))))
     return np.concatenate(stream)[: 8 * cycles]

@@ -208,7 +208,7 @@ class TestClientReassembly:
     def test_one_flipped_data_word_is_one_provenance_error(self, flip, errors):
         """Three counter-fill fragments of link 1; `flip` = (channel, word)
         gets one bit flipped under a valid CRC."""
-        head = struct.unpack(">6H", m.FragmentPacket.event_header_bytes(5, 1000))
+        head = struct.unpack(">6H", m.event_header_bytes(5, 1000))
         payload = record(be.RECORD_EVENT_HEADER, True, False, head)
         for channel in range(3):
             words = [generator_word(1, channel, k) for k in range(8)]
@@ -285,11 +285,11 @@ class TestClientReassembly:
         assert [ev.gap_affected for ev in client.events] == [False, True, False]
 
     def test_event_header_without_soe_is_counted_and_taken_as_lost(self):
-        head = struct.unpack(">6H", m.FragmentPacket.event_header_bytes(6, 2000))
+        head = struct.unpack(">6H", m.event_header_bytes(6, 2000))
         fragment = record(be.RECORD_FRAGMENT_BASE + 1, True, True, head + (1, 2))
         bad = record(be.RECORD_EVENT_HEADER, False, False, (1, 2)) + fragment + record(be.RECORD_GLOBAL_EOE, False, True, ())
         good = record(be.RECORD_EVENT_HEADER, True, False, head) + fragment + record(be.RECORD_GLOBAL_EOE, False, True, ())
-        open_head = struct.unpack(">6H", m.FragmentPacket.event_header_bytes(5, 1000))
+        open_head = struct.unpack(">6H", m.event_header_bytes(5, 1000))
         unended = record(be.RECORD_EVENT_HEADER, True, False, open_head) + fragment
         client = tp.TransportClient()
         client.receive(tp.TransportFrame(0, 0, unended).serialize())
