@@ -120,6 +120,26 @@ class TestConfig:
             small_scenario(abstraction, **overrides)
 
     @pytest.mark.parametrize(
+        "abstraction, bad, edge, match",
+        [
+            ("message_level", {"words_per_channel": 3}, {"words_per_channel": 2}, "even"),
+            ("message_level", {"words_per_channel": 1016}, {"words_per_channel": 1014}, "does not fit one packet"),
+            ("message_level", {"channels_per_event": 0}, {"channels_per_event": 1}, "channels_per_event"),
+            ("message_level", {"fill_pattern": "random"}, {"fill_pattern": "prbs"}, "fill pattern"),
+            ("message_level", {"trigger_mode": "burst"}, {"trigger_mode": "gated"}, "trigger_mode"),
+            ("message_level", {"credit": 0}, {"credit": 1}, "credit"),
+            ("message_level", {"ber": 1e-9}, {"ber": 0.0}, "symbol-level feature"),
+            ("symbol_level", {"warmup_ms": 0.5, "run_ms": 2.0}, {"warmup_ms": 0.0, "run_ms": 2.0},
+             "message-level feature"),
+        ],
+    )
+    def test_each_rule_rejects_with_its_message_and_takes_its_edge(self, abstraction, bad, edge, match):
+        with pytest.raises(ValueError, match=match):
+            small_scenario(abstraction, **bad)
+        cfg = small_scenario(abstraction, **edge)
+        assert all(getattr(cfg, name) == value for name, value in edge.items())
+
+    @pytest.mark.parametrize(
         "name, good",
         [("num_frontends", 3), ("seed", 5), ("trigger_count", 2), ("channels_per_event", 2),
          ("words_per_channel", 4), ("constant_word", 0x1234), ("buffering_depth", 2), ("credit", 2),
