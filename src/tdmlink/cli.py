@@ -58,7 +58,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_ber(args) -> int:
-    _before_run(check_ber_test, args.pattern, args.bits, args.ber, args.window, args.inject)
+    _before_run(check_ber_test, args.pattern, args.bits, args.ber, args.window, args.inject, args.seed)
     result = ber_test(
         pattern=args.pattern,
         duration_bits=args.bits,
@@ -96,14 +96,6 @@ def _count(text: str) -> int:
     n = int(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"{n} is below 1")
-    return n
-
-
-def _card_count(text: str) -> int:
-    """A card count, 1..32: the 5-bit ID space."""
-    n = _count(text)
-    if n > 32:
-        raise argparse.ArgumentTypeError(f"{n} cards exceed the 5-bit ID space (1..32)")
     return n
 
 
@@ -161,17 +153,21 @@ def _cmd_sweep(args) -> int:
     return 0 if ok else 1
 
 
+def _bootstrap_configs(args) -> list[SimConfig]:
+    return [SimConfig(num_frontends=args.cards, seed=args.seed + rep) for rep in range(args.repetitions)]
+
+
 def _cmd_bootstrap_check(args) -> int:
     from .backend import untimed_exchange
     from .system import System
 
     failures = 0
-    for rep in range(args.repetitions):
-        system = System(SimConfig(num_frontends=args.cards, seed=args.seed + rep))
+    for rep, config in enumerate(_before_run(_bootstrap_configs, args)):
+        system = System(config)
         system.bootstrap(untimed_exchange(system.cards))
         result = system.bootstrap_result
         failures += not result.verified
-        record = {"repetition": rep, "seed": args.seed + rep, "cards": args.cards, "pass": result.verified,
+        record = {"repetition": rep, "seed": config.seed, "cards": args.cards, "pass": result.verified,
                   "verified_ids": len(result.id_map) if result.verified else 0}
         print(json.dumps(record, sort_keys=True))
     print(f"bootstrap-check: {args.repetitions - failures}/{args.repetitions} repetitions passed")
@@ -227,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="credit sweep, Fig.-13-style CSV")
     p.add_argument("--credit", type=_parse_range, default="1..8", help="range like 1..8 or list 1,2,4")
     p.add_argument("--mtu", type=_parse_range, default="8192", help="range or list of MTUs in bytes")
-    p.add_argument("--cards", type=_card_count, default=32)
+    p.add_argument("--cards", type=int, default=32)
     p.add_argument("--channels", type=int, default=256)
     p.add_argument("--words", type=int, default=128)
     p.add_argument("--run-ms", type=float, default=30.0)
@@ -237,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("bootstrap-check", help="ID assignment verification")
-    p.add_argument("-n", "--cards", type=_card_count, default=32)
+    p.add_argument("-n", "--cards", type=int, default=32)
     p.add_argument("--repetitions", type=_count, default=1)
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(fn=_cmd_bootstrap_check)

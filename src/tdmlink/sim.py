@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .frontend import SERIAL_BITS, EventGeneratorConfig, check_card_settings, ge
 from .messages import EVENT_HEADER_WORDS
 from .message_engine import MessageEngine
 from .symbol_engine import SymbolEngine
-from .system import check_fault
+from .system import _is_whole, check_fault
 from .transport import FRAME_OVERHEAD_BYTES
 from .wire import PRBS_TAPS, PrbsGenerator, prbs_verify_words
 
@@ -39,7 +39,6 @@ __all__ = [
 TICKS_PER_US = timebase.TICKS_PER_SECOND // 1_000_000
 
 _ENGINES = {"message_level": MessageEngine, "symbol_level": SymbolEngine}
-_ABSTRACTIONS = tuple(_ENGINES)
 
 
 def _us_to_cycle_ticks(us: float) -> int:
@@ -48,17 +47,17 @@ def _us_to_cycle_ticks(us: float) -> int:
     return -(-ticks // cycle) * cycle
 
 
-# The SimConfig fields that hold whole numbers: an int or a numpy integer,
-# not a bool or a float.
-_WHOLE_FIELDS = ("num_frontends", "seed", "trigger_count", "channels_per_event", "words_per_channel",
-                 "constant_word", "buffering_depth", "credit", "mtu", "buffer_pool")
-# The SimConfig fields that hold real numbers, finite and not a bool;
-# run_ms may also be None.
-_REAL_FIELDS = ("trigger_period_us", "trigger_start_us", "request_rtt_us", "ber", "run_ms", "warmup_ms")
-
-
-def _is_whole(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+# Each SimConfig field's kind is its annotation: int a whole number, float a
+# finite real, bool a flag, and "X | None" also None. These are the bounds
+# (low, high) or the choices of the fields SimConfig owns; the generator and
+# card fields are checked by frontend (EventGeneratorConfig, check_card_settings).
+BOUNDS = {
+    "num_frontends": (1, 32),  # the 5-bit ID space
+    "seed": (0, math.inf), "trigger_count": (0, math.inf), "trigger_start_us": (0, math.inf),
+    "request_rtt_us": (0, math.inf), "warmup_ms": (0, math.inf), "ber": (0, 1),
+    "credit": (1, math.inf), "buffer_pool": (1, math.inf),
+    "abstraction": tuple(_ENGINES), "trigger_mode": ("gated", "periodic"),
+}
 
 
 @dataclass
@@ -96,42 +95,31 @@ class SimConfig:
     serials: list | None = None
 
     def __post_init__(self):
-        for name in _WHOLE_FIELDS:
-            value = getattr(self, name)
-            if not _is_whole(value):
-                raise ValueError(f"{name} must be a whole number, not {value!r}")
-            setattr(self, name, int(value))
-        if not 1 <= self.num_frontends <= 32:
-            raise ValueError("num_frontends must be 1..32 (5-bit ID space)")
-        if self.abstraction not in _ABSTRACTIONS:
-            raise ValueError(f"abstraction must be one of {_ABSTRACTIONS}")
-        if self.trigger_mode not in ("gated", "periodic"):
-            raise ValueError("trigger_mode must be 'gated' or 'periodic'")
-        for name in _REAL_FIELDS:
-            value = getattr(self, name)
-            if value is None and name == "run_ms":
+        for spec in fields(self):
+            name, value, rule = spec.name, getattr(self, spec.name), BOUNDS.get(spec.name)
+            kind, nullable = spec.type.removesuffix(" | None"), spec.type.endswith(" | None")
+            if value is None and nullable:
                 continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            if kind == "int" and not _is_whole(value):
+                raise ValueError(f"{name} must be a whole number, not {value!r}")
+            if kind == "float" and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
                 raise ValueError(f"{name} must be a real number, not {value!r}")
-            if not math.isfinite(value):
+            if kind == "float" and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
-        if not isinstance(self.verify_provenance, bool):
-            raise ValueError(f"verify_provenance must be true or false, not {self.verify_provenance!r}")
-        if self.keep_client_events is not None and not isinstance(self.keep_client_events, bool):
-            raise ValueError(f"keep_client_events must be true, false or null, not {self.keep_client_events!r}")
+            if kind == "bool" and not isinstance(value, bool):
+                flag = "true, false or null" if nullable else "true or false"
+                raise ValueError(f"{name} must be {flag}, not {value!r}")
+            if kind == "int":
+                setattr(self, name, int(value))
+            if kind == "str" and rule and value not in rule:
+                raise ValueError(f"{name} must be one of {rule}")
+            if kind != "str" and rule and not rule[0] <= value <= rule[1]:
+                low, high = rule
+                raise ValueError(f"{name} must be " + (f">= {low}" if high == math.inf else f"{low}..{high}"))
         if self.trigger_mode == "periodic" and self.trigger_period_us <= 0:
             raise ValueError("a periodic trigger needs trigger_period_us > 0")
-        if not 0.0 <= self.ber <= 1.0:
-            raise ValueError("ber must be within [0, 1]")
         if self.ber and self.abstraction != "symbol_level":
             raise ValueError("bit errors are a symbol-level feature")
-        if self.credit < 1:
-            raise ValueError("credit must be >= 1")
-        for name in ("trigger_count", "trigger_start_us", "request_rtt_us", "warmup_ms"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.buffer_pool < 1:
-            raise ValueError("buffer_pool must be >= 1")
         if self.trigger_count == 0 and self.run_ms is None:
             raise ValueError("trigger_count must be >= 1 in an event-count run (run_ms unset)")
         if self.run_ms is not None and self.run_ms <= self.warmup_ms:
@@ -360,7 +348,7 @@ class BerResult:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def check_ber_test(pattern: str, duration_bits: float, ber: float, window_bits: int, inject: tuple):
+def check_ber_test(pattern: str, duration_bits: float, ber: float, window_bits: int, inject: tuple, seed: int = 0):
     """Check the inputs of `ber_test`; returns the PRBS order, the duration
     and the materialized window in bits, or raises ValueError."""
     suffix = pattern.removeprefix("prbs")
@@ -369,6 +357,8 @@ def check_ber_test(pattern: str, duration_bits: float, ber: float, window_bits: 
     order = int(suffix)
     if not 0.0 <= ber <= 1.0:
         raise ValueError("ber must be within [0, 1]")
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     if not math.isfinite(duration_bits):
         raise ValueError("duration must be finite")
     duration = int(duration_bits)
@@ -404,7 +394,7 @@ def ber_test(
     reports the rule-of-three 95% confidence bound 3/N on the BER. The
     inputs are checked by `check_ber_test` before anything is generated.
     """
-    order, duration, window = check_ber_test(pattern, duration_bits, ber, window_bits, inject)
+    order, duration, window = check_ber_test(pattern, duration_bits, ber, window_bits, inject, seed)
     rng = np.random.default_rng(seed)
 
     words = PrbsGenerator(order, seed=1).stream_words(window)

@@ -11,6 +11,8 @@ and how time advances.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .backend import BufferPool, DataPump, EventBuilder, PacketMover, TriggerUnit, bootstrap_sequence
 from .frontend import FrontEndCard
 from .transport import FRAME_OVERHEAD_BYTES, TransportClient, TransportServer
@@ -26,6 +28,11 @@ FAULTS = {
     "line_flip": ("symbol_level", {"link": None, "direction": None, "tick": None}),
     "link_reset": ("symbol_level", {"link": None, "tick": None}),
 }
+
+
+def _is_whole(value) -> bool:
+    """The rule of every whole-number config value: an int or a numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def check_fault(fault, config) -> dict:
@@ -45,9 +52,10 @@ def check_fault(fault, config) -> dict:
     checked = {"type": kind, **{key: fault.get(key, default) for key, default in keys.items()}}
     if checked.get("direction", "up") not in ("up", "down"):
         raise ValueError(f"line_flip direction {checked['direction']!r} is not 'up' or 'down'")
-    odd = [key for key in keys if key != "direction" and type(checked[key]) is not int]
+    odd = [key for key in keys if key != "direction" and not _is_whole(checked[key])]
     if odd:
         raise ValueError(f"{kind} fault values {odd} are not whole numbers: {checked}")
+    checked.update((key, int(checked[key])) for key in keys if key != "direction")
     if not 0 <= checked["link"] < config.num_frontends:
         raise ValueError(f"{kind} fault names link {checked['link']}, outside the cards")
     if not 0 <= checked.get("channel", 0) < config.channels_per_event:
@@ -73,7 +81,7 @@ class System:
         serials = config.serials or make_serials(config.seed, config.num_frontends)
         self.cards = {
             port: FrontEndCard(
-                serial_number=int(serials[port]),
+                serial_number=serials[port],
                 generator=gen,
                 buffering_depth=config.buffering_depth,
                 clear_busy_on=config.clear_busy_on,

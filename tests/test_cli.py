@@ -81,6 +81,7 @@ def test_run_rejects_invalid_config(tmp_path, capsys):
         ('{"cards": 4}', "unknown config keys"),
         ('{"run_ms": Infinity}', "run_ms must be finite"),
         ('{"trigger_mode": "periodic", "trigger_period_us": NaN}', "trigger_period_us must be finite"),
+        ('{"seed": -1}', "seed must be >= 0"),
     ],
 )
 def test_run_inputs_rejected_before_the_run_are_usage_errors(tmp_path, capsys, text, message):
@@ -128,9 +129,9 @@ def test_sweep_small_grid(tmp_path, capsys):
         (["sweep", "--mtu", "0..8192"], "value below 1"),
         (["sweep", "--credit", "1..x"], "invalid"),
         (["sweep", "--cards", "40"], "1..32"),
-        (["sweep", "--cards", "0"], "below 1"),
+        (["sweep", "--cards", "0"], "num_frontends must be 1..32"),
         (["bootstrap-check", "-n", "40"], "1..32"),
-        (["bootstrap-check", "-n", "0"], "below 1"),
+        (["bootstrap-check", "-n", "0"], "num_frontends must be 1..32"),
         (["bootstrap-check", "--repetitions", "0"], "below 1"),
         (["ber", "--bits", "5"], "duration too short"),
         (["ber", "--pattern", "prbs31", "--bits", "10"], "duration too short"),
@@ -143,6 +144,11 @@ def test_sweep_small_grid(tmp_path, capsys):
         (["sweep", "--run-ms", "inf"], "run_ms must be finite"),
         (["ber", "--bits", "inf"], "duration must be finite"),
         (["ber", "--bits", "nan"], "duration must be finite"),
+        # A negative seed used to pass the checks and crash in numpy mid-run.
+        (["sweep", "--seed", "-1", "--credit", "1"], "seed must be >= 0"),
+        (["bootstrap-check", "--seed", "-1"], "seed must be >= 0"),
+        (["bootstrap-check", "--seed", "-3", "--repetitions", "3"], "seed must be >= 0"),
+        (["ber", "--seed", "-1"], "seed must be >= 0"),
     ],
 )
 def test_inputs_that_run_nothing_or_crash_are_usage_errors(argv, message, capsys):

@@ -113,6 +113,7 @@ class TestConfig:
             ("message_level", {"warmup_ms": 5.0, "run_ms": 1.0}, "warmup_ms"),
             ("message_level", {"warmup_ms": 1.0, "run_ms": 1.0}, "warmup_ms"),
             ("message_level", {"trigger_start_us": -10.0}, "trigger_start_us"),
+            ("message_level", {"seed": -1}, "seed must be >= 0"),  # numpy rejects it mid-run
         ],
     )
     def test_config_that_fails_only_once_run_rejected(self, abstraction, overrides, match):
@@ -208,6 +209,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="duration must be finite"):
             sim.ber_test("prbs7", duration_bits=value, window_bits=1000)
 
+    def test_ber_test_rejects_a_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            sim.check_ber_test("prbs7", 1000, 0.0, 1000, (), seed=-1)
+        assert sim.check_ber_test("prbs7", 1000, 0.0, 1000, (), seed=0) == (7, 1000, 1000)
+
     def test_rules_at_their_edges_accepted(self):
         small_scenario("message_level", serials=[0, (1 << 53) - 1, 7, 7])  # only two cards use a serial
         small_scenario("symbol_level", ber=1.0)
@@ -216,6 +222,7 @@ class TestConfig:
         small_scenario("message_level", request_rtt_us=0.0)
         small_scenario("message_level", warmup_ms=0.0, run_ms=1.0)
         small_scenario("message_level", trigger_start_us=0.0)
+        small_scenario("message_level", seed=0)
 
     def test_json_round_trip(self):
         cfg = small_scenario("message_level")
@@ -319,6 +326,14 @@ class TestConfig:
     def test_faults_that_override_or_cancel_each_other_rejected(self, abstraction, faults):
         with pytest.raises(ValueError, match="override or cancel"):
             small_scenario(abstraction, faults=faults)
+
+    def test_fault_values_take_numpy_integers_held_as_ints(self):
+        # One whole-number rule for fields, serials and fault values.
+        faults = [{"type": "soe_skew", "link": np.int64(0), "delta": np.int32(2)},
+                  {"type": "corrupt_fragment", "link": np.uint8(1), "event": np.int16(2), "channel": 1}]
+        cfg = small_scenario("message_level", faults=faults)
+        assert [type(value) for fault in cfg.faults for key, value in fault.items() if key != "type"] == [int] * 5
+        assert SimConfig.from_json(json.dumps(cfg.to_dict())) == cfg
 
     def test_faults_that_neither_override_nor_cancel_accepted(self):
         small_scenario("symbol_level", faults=[
