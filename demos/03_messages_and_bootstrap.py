@@ -4,7 +4,8 @@
 A fanout link cannot address cards individually before they have IDs, so
 bootstrap runs over broadcast: read every card's hardwired 53-bit serial
 (each answers on its own return link), broadcast the serial-to-port map,
-then verify with targeted reads.
+then verify with one broadcast read of the ID registers, whose answer on
+each return link must carry that link's port number.
 """
 
 from tdmlink import backend as be
@@ -45,11 +46,12 @@ print("\n=== Register bus after bootstrap ===")
 
 def targeted_read(port, address):
     # The response must arrive on the addressed card's own return link.
-    return exchange(m.ChannelBTransaction(read=True, target_id=port, address=address)).get(port)
+    txn = m.ChannelBTransaction(read=True, target_id=port, address=address)
+    return exchange(txn, [port]).get(port)
 
 
 resp = targeted_read(3, fe.REG_ASSIGNED_ID)
 print(f"targeted read of card 3's ID register -> {resp.data}")
 w = m.ChannelBTransaction(write=True, target_id=3, address=0x0100, data=0xCAFE0003)
-exchange(w)
+exchange(w, [3])
 print(f"scratch write/read on card 3 -> {targeted_read(3, 0x0100).data:#010x}")

@@ -477,9 +477,9 @@ class BootstrapResult:
 
 def untimed_exchange(cards: dict) -> Callable:
     """Channel B exchange without line timing, for `bootstrap_sequence`:
-    every card sees the request at once and answers on its own port."""
+    every card answers at once on its own port, so it ignores `ports`."""
 
-    def exchange(txn):
+    def exchange(txn, ports):
         return {
             port: resp for port, card in cards.items() if (resp := card.on_channel_b(txn)) is not None
         }
@@ -487,44 +487,44 @@ def untimed_exchange(cards: dict) -> Callable:
     return exchange
 
 
-# Times bootstrap sends one transaction while an addressed card has not
+# Times bootstrap sends one transaction while a port it waits for has not
 # answered it, or answered with the parity-error flag, i.e. the request or
 # the answer was lost or reached its end corrupted. A card answers every
 # request it receives corrupted, since it cannot tell whom it addressed, so
-# only the addressed ports' answers count.
+# only the awaited ports' answers count.
 BOOTSTRAP_ATTEMPTS = 3
 
 
 def bootstrap_sequence(send, ports: list[int]) -> BootstrapResult:
-    """ID assignment at system start.
+    """ID assignment at system start, over broadcast requests only.
 
-    `send(txn)` sends one channel B transaction down the fanout and returns
-    {port: response} gathered from the per-port return links. A transaction
-    is resent until every addressed port has given an answer that flags no
-    parity error, up to BOOTSTRAP_ATTEMPTS sends; answers that flag one are
-    dropped. Step 1 learns serial <-> port from the broadcast serial reads;
-    step 2 broadcasts the mapping; step 3 verifies every card's ID register
-    with a targeted read, whose response must come back on the card's own
-    port.
-    The result is verified only when every port got its ID and step 3
-    confirmed each one; a port that never answered leaves it unverified.
+    `send(txn, awaited)` sends one channel B transaction down the fanout and
+    returns {port: response} from the per-port return links once every
+    awaited port answered or it gave up. A transaction is resent until
+    every awaited port has given an answer that flags no parity error, up
+    to BOOTSTRAP_ATTEMPTS sends; answers that flag one are dropped. Step 1
+    reads the serials, awaiting every port; step 2 writes the mapping for
+    each port p, awaiting p alone, since only its card acts on it; step 3
+    reads every ID register at once, and the answer on each mapped port
+    must carry that port. The result is verified only when every port got
+    its ID and step 3 confirmed each one.
     """
     from .frontend import REG_ASSIGNED_ID, REG_MAP_PORT, REG_MAP_SERIAL_HI, REG_MAP_SERIAL_LO
     from .frontend import REG_SERIAL_HI, REG_SERIAL_LO
     from .messages import ChannelBTransaction
 
-    def exchange(txn):
-        addressed = ports if txn.broadcast else [txn.target_id]
+    def exchange(awaited, **fields):
+        txn = ChannelBTransaction(broadcast=True, **fields)
         answers = {}
         for _ in range(BOOTSTRAP_ATTEMPTS):
-            replies = send(txn)
+            replies = send(txn, awaited)
             answers.update({port: r for port, r in replies.items() if not r.parity_error})
-            if all(p in answers for p in addressed):
+            if all(p in answers for p in awaited):
                 break
         return answers
 
-    hi = exchange(ChannelBTransaction(broadcast=True, read=True, address=REG_SERIAL_HI))
-    lo = exchange(ChannelBTransaction(broadcast=True, read=True, address=REG_SERIAL_LO))
+    hi = exchange(ports, read=True, address=REG_SERIAL_HI)
+    lo = exchange(ports, read=True, address=REG_SERIAL_LO)
     serials: dict[int, int] = {}
     absent = []
     for port in ports:
@@ -536,15 +536,9 @@ def bootstrap_sequence(send, ports: list[int]) -> BootstrapResult:
     if len(set(values)) != len(values):
         raise RuntimeError("duplicate front-end serial numbers detected")
     for port, serial in serials.items():
-        exchange(ChannelBTransaction(
-            broadcast=True, write=True, address=REG_MAP_SERIAL_HI, data=(serial >> 32) & 0x1FFFFF))
-        exchange(ChannelBTransaction(
-            broadcast=True, write=True, address=REG_MAP_SERIAL_LO, data=serial & 0xFFFFFFFF))
-        exchange(ChannelBTransaction(
-            broadcast=True, write=True, address=REG_MAP_PORT, data=port))
-    verified = not absent
-    for port in serials:
-        resp = exchange(ChannelBTransaction(read=True, target_id=port, address=REG_ASSIGNED_ID)).get(port)
-        if resp is None or resp.data != port:
-            verified = False
+        exchange([port], write=True, address=REG_MAP_SERIAL_HI, data=(serial >> 32) & 0x1FFFFF)
+        exchange([port], write=True, address=REG_MAP_SERIAL_LO, data=serial & 0xFFFFFFFF)
+        exchange([port], write=True, address=REG_MAP_PORT, data=port)
+    ids = exchange(list(serials), read=True, address=REG_ASSIGNED_ID)
+    verified = not absent and all(port in ids and ids[port].data == port for port in serials)
     return BootstrapResult(id_map=serials, absent_ports=absent, verified=verified)

@@ -13,7 +13,8 @@ Register map (word addresses):
     0x0030  bootstrap mapping window: serial high latch (write)
     0x0031  bootstrap mapping window: serial low latch (write)
     0x0032  bootstrap mapping window: port ID (write; captures the ID when
-            the latched serial matches the card's own)
+            the latched serial matches the card's own, and clears both
+            latches)
     0x0100-0x01FF  scratch / configuration RAM (read/write)
 """
 
@@ -234,6 +235,7 @@ class FrontEndCard:
             latched = ((self._map_serial_hi & 0x1FFFFF) << 32) | self._map_serial_lo
             if latched == self.serial_number:
                 self.assigned_id = merge(0) & 0x1F
+                self._map_serial_hi = self._map_serial_lo = 0
             return True
         if SCRATCH_BASE <= addr < SCRATCH_BASE + SCRATCH_WORDS:
             self._scratch[addr] = merge(self._scratch.get(addr, 0))

@@ -278,15 +278,14 @@ class SymbolEngine(System):
             self._advance_one_slice()
         raise RuntimeError("links failed to train and lock")
 
-    def _exchange(self, txn):
+    def _exchange(self, txn, ports):
         """Send one channel B request down the fanout and advance until every
-        addressed port answered (or a timeout); returns {port: response}."""
-        expected = list(self.cards) if txn.broadcast else [txn.target_id]
+        port in `ports` answered (or a timeout); returns {port: response}."""
         self._b_request = txn
         self._b_answers = {}
         self.down_tx.enqueue("B", txn.encode())
         deadline = self.now + EXCHANGE_TIMEOUT_TICKS
-        while self.now < deadline and not all(p in self._b_answers for p in expected):
+        while self.now < deadline and not all(p in self._b_answers for p in ports):
             self._advance_one_slice()
         return self._b_answers
 
@@ -314,7 +313,9 @@ class SymbolEngine(System):
                 continue
             if self._plan_delivered() or self.builder.halt_reason is not None:
                 break
-            idle_slices = idle_slices + slices if self._progress_state() == before else 0
+            # Slices before a due trigger are waiting, not stalled.
+            stalled = self._progress_state() == before and self._next_issue_tick() is None
+            idle_slices = idle_slices + slices if stalled else 0
             if idle_slices > 2000:
                 break  # stalled; the audit reports the undelivered plan
         self._audit()

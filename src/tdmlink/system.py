@@ -122,8 +122,8 @@ class System:
         self._client_payload_snapshot = 0
 
     def bootstrap(self, exchange):
-        """ID assignment over `exchange(txn) -> {port: response}`; enables the
-        pump of every card that received its ID."""
+        """ID assignment over `exchange(txn, ports) -> {port: response}`;
+        enables the pump of every card that received its ID."""
         self.bootstrap_result = bootstrap_sequence(exchange, list(self.ports))
         for port in self.bootstrap_result.id_map:
             self.pumps[port].enabled = True

@@ -180,7 +180,8 @@ def test_criterion_4_ber_reproduction():
 
 def test_criterion_5_bootstrap_100_seeded_repetitions():
     """32 cards with random 53-bit serials all receive IDs equal to their
-    physical ports, verified by targeted reads; 100 seeded repetitions."""
+    physical ports, verified by one broadcast read of the ID registers whose
+    answer on each port must carry that port; 100 seeded repetitions."""
     for rep in range(100):
         serials = make_serials(1000 + rep, 32)
         cards = {port: fe.FrontEndCard(serials[port]) for port in range(32)}

@@ -552,8 +552,8 @@ class TestBootstrap:
         cards = {port: fe.FrontEndCard(port + 1) for port in range(3)}
         exchange = be.untimed_exchange(cards)
 
-        def lossy(txn):
-            return {port: r for port, r in exchange(txn).items() if port != 1}
+        def lossy(txn, ports):
+            return {port: r for port, r in exchange(txn, ports).items() if port != 1}
 
         result = be.bootstrap_sequence(lossy, ports=[0, 1, 2])
         assert result.absent_ports == [1]
@@ -568,8 +568,8 @@ class TestBootstrap:
         exchange = be.untimed_exchange(cards)
         sent = [None]
 
-        def lossy_once(txn):
-            out = exchange(txn)
+        def lossy_once(txn, ports):
+            out = exchange(txn, ports)
             if txn is not sent[-1]:
                 out.pop(1, None)
             sent.append(txn)
@@ -580,14 +580,17 @@ class TestBootstrap:
         assert result.absent_ports == []
         assert sorted(result.id_map) == [0, 1, 2]
 
-    def test_targeted_reply_must_arrive_on_the_cards_own_port(self):
+    def test_id_answer_on_another_port_leaves_bootstrap_unverified(self):
         cards = {port: fe.FrontEndCard(port + 1) for port in range(3)}
         exchange = be.untimed_exchange(cards)
 
-        def crossed(txn):
-            # Targeted replies come back on the neighbouring port.
-            out = exchange(txn)
-            return out if txn.broadcast else {(p + 1) % 3: r for p, r in out.items()}
+        def crossed(txn, ports):
+            # The answers to the ID register read come back on the
+            # neighbouring port.
+            out = exchange(txn, ports)
+            if txn.address != fe.REG_ASSIGNED_ID:
+                return out
+            return {(p + 1) % 3: r for p, r in out.items()}
 
         assert not be.bootstrap_sequence(crossed, ports=[0, 1, 2]).verified
         assert be.bootstrap_sequence(be.untimed_exchange(cards), ports=[0, 1, 2]).verified

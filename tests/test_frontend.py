@@ -243,6 +243,22 @@ class TestBootstrapCapture:
         )
         assert r.data == 12
 
+    def test_capture_clears_the_latches(self):
+        # A card that misses the next port's two serial writes must not
+        # match its own serial again when that port's ID is written.
+        card = fe.FrontEndCard(serial_number=0xABCDE0000F)
+
+        def write(addr, value):
+            card.on_channel_b(m.ChannelBTransaction(broadcast=True, write=True, address=addr, data=value))
+
+        write(fe.REG_MAP_SERIAL_HI, card.serial_number >> 32)
+        write(fe.REG_MAP_SERIAL_LO, card.serial_number & 0xFFFFFFFF)
+        write(fe.REG_MAP_PORT, 12)
+        write(fe.REG_MAP_PORT, 13)
+        assert card.assigned_id == 12
+        for addr in (fe.REG_MAP_SERIAL_HI, fe.REG_MAP_SERIAL_LO):
+            assert card.on_channel_b(m.ChannelBTransaction(broadcast=True, read=True, address=addr)).data == 0
+
     def test_foreign_serial_leaves_card_unassigned(self):
         card = fe.FrontEndCard(serial_number=5)
         for addr, value in (

@@ -994,8 +994,44 @@ class TestRunLength:
         engine.bootstrap(engine._exchange)
         res = run_scenario(cfg)
         assert cfg.run_ticks == 4_000
-        assert res.metrics.elapsed_ticks == engine.now == 12_192
+        assert res.metrics.elapsed_ticks == engine.now == 11_168
         assert res.metrics.triggers_issued == 0
+
+
+class TestSymbolBootstrap:
+    """Each bootstrap exchange waits only for the ports whose answers it
+    needs, so at BER 0 it takes one slice, and N cards take 3N + 3."""
+
+    @pytest.mark.parametrize("cards", [1, 2, 8, 32])
+    def test_bootstrap_takes_one_slice_per_exchange(self, cards):
+        engine = SymbolEngine(small_scenario("symbol_level", num_frontends=cards))
+        sent, exchange = [], engine._exchange
+
+        def counted(txn, ports):
+            sent.append(txn)
+            return exchange(txn, ports)
+
+        engine._wait_links_ready()
+        engine.bootstrap(counted)
+        assert engine.bootstrap_result.verified
+        assert len(sent) == 3 * cards + 3
+        assert engine.now == 1_024 + (3 * cards + 3) * 1_024
+
+
+class TestStallLimit:
+    """Slices before a due trigger are waiting, not stalled: only a run
+    with no trigger due ends after 2,000 slices without progress."""
+
+    @pytest.mark.parametrize("mode", ["gated", "periodic"])
+    @pytest.mark.parametrize("abstraction", ["message_level", "symbol_level"])
+    def test_first_trigger_past_the_stall_limit_is_waited_for(self, mode, abstraction):
+        # 6 ms is about 2,340 slices of 1,024 ticks.
+        res = run_scenario(SimConfig(
+            abstraction=abstraction, trigger_mode=mode, trigger_count=2, trigger_start_us=6000.0,
+            channels_per_event=2, words_per_channel=4,
+        ))
+        assert res.metrics.client["events"] == 2
+        assert res.metrics.violations == []
 
 
 def line_error_scenario(**overrides):
@@ -1063,7 +1099,7 @@ class TestLineErrors:
         stray = ChannelBTransaction(read=True, address=REG_LOST_TRIGGERS, data=7)
         engine.up_tx.enqueue(0, "B", stray.encode())
         request = ChannelBTransaction(broadcast=True, read=True, address=REG_SERIAL_LO)
-        answer = engine._exchange(request)[0]
+        answer = engine._exchange(request, [0])[0]
         assert answer.address == REG_SERIAL_LO
         assert answer.data == engine.cards[0].serial_number & 0xFFFFFFFF
 
@@ -1133,8 +1169,8 @@ class TestLineErrors:
         # Each card takes its own line errors in its own fanout lane, so the
         # lanes' counters part, the five without a coding violation too.
         res = self.run_and_audit(line_error_scenario(**self.SPLIT_AT_SCALE))
-        assert res.client_digest() == "9cb4901018c3460997d7495f8ac7ca061087110e4d66517769a2ce864a78a682"
-        assert (res.metrics.client["events"], res.metrics.client["frames"]) == (3, 29)
+        assert res.client_digest() == "0923ac79fae11b08fdab30b8b7925ec91605a55b6f2f5cc5b594292c78957e51"
+        assert (res.metrics.client["events"], res.metrics.client["frames"]) == (3, 30)
         assert res.metrics.bootstrap["verified"]
         down, up = res.engine.down_rx, res.engine.backend_rx
         zeros = [0] * 32
@@ -1142,11 +1178,11 @@ class TestLineErrors:
             2, 1, 2, 1, 1, 1, 3, 4, 1, 3, 3, 2, 1, 0, 2, 3, 5, 0, 2, 2, 0, 1, 0, 3, 2, 2, 5, 0, 1, 1, 2, 3,
         ]
         assert down.parity_errors["A"].tolist() == zeros
-        assert down.parity_errors["B"].tolist() == [int(row in (6, 14, 16, 26)) for row in range(32)]
+        assert down.parity_errors["B"].tolist() == [int(row in (2, 3, 14, 16, 26)) for row in range(32)]
         assert down.parity_errors["C"].tolist() == [int(row == 6) for row in range(32)]
         assert up.parity_errors["A"].tolist() == zeros
         assert up.parity_errors["B"].tolist() == [
-            0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 2, 3, 0, 0, 1, 0, 0, 0, 2, 1, 0, 0, 0, 0, 3, 0, 1, 1, 1, 0,
+            0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 2, 3, 0, 0, 1, 0, 0, 0, 2, 1, 0, 0, 0, 0, 1, 0, 1, 1, 1, 0,
         ]
         assert up.training_errors.tolist() == [int(row == 11) for row in range(32)]
         assert up.scanners["C"].faults.tolist() == [9 * (row == 5) for row in range(32)]
@@ -1165,7 +1201,31 @@ class TestLineErrors:
             patch.setattr(FrameScanner, "feed", counted)
             res = run_scenario(line_error_scenario(**self.SPLIT_AT_SCALE))
         fanout = [id(scanner) for scanner in res.engine.down_rx.scanners.values()]
-        assert sum(rows for scanner, rows in fed if id(scanner) in fanout) == 393
+        assert sum(rows for scanner, rows in fed if id(scanner) in fanout) == 344
+
+    @pytest.mark.parametrize(("seed", "end_tick"), [(1, 112_640), (7, 107_520)])
+    def test_32_card_bootstrap_at_ber_1e4_ends_before_data_taking(self, seed, end_tick):
+        # Line errors on 32 links cost resends and timeouts, but each map
+        # write waits for one card and one read checks every ID, so
+        # bootstrap ends verified before the data-taking start at 600 us.
+        cfg = line_error_scenario(**{**self.SPLIT_AT_SCALE, "ber": 1e-4, "seed": seed})
+        engine = SymbolEngine(cfg)
+        engine._wait_links_ready()
+        engine.bootstrap(engine._exchange)
+        assert engine.bootstrap_result.verified
+        assert engine.now == end_tick < cfg.trigger_start_tick == 240_000
+        assert self.run_and_audit(cfg).metrics.bootstrap["verified"]
+
+    def test_card_missing_another_ports_map_writes_keeps_its_id(self):
+        # Card 0 takes parity errors on both serial writes that map port 1,
+        # which wait for port 1's answer alone, so no resend brings them.
+        # Its latches must not still hold its own serial when port 1's ID
+        # is written.
+        engine = SymbolEngine(line_error_scenario(num_frontends=4, ber=1e-3, seed=43))
+        engine._wait_links_ready()
+        engine.bootstrap(engine._exchange)
+        assert [card.assigned_id for card in engine.cards.values()] == [0, 1, 2, 3]
+        assert engine.bootstrap_result.verified
 
     # A fixed 0.6 ms window covers bootstrap, the four triggers and their
     # readout (the plan completes at 0.56 ms at BER 0), and it bounds each
