@@ -4,6 +4,8 @@ A card owns 64 KB of register space on a 16-bit-address / 32-bit-data
 virtual bus, a hardwired 53-bit serial number, an event queue, and the
 partner side of the back-end's request-token protocol: one fragment packet
 is returned for every SEND_NEXT_PACKET request that targets the card.
+Counter payloads are made a block of consecutive channels at a time, and
+each packet's payload is sliced from its block.
 
 Register map (word addresses):
     0x0000  serial number bits 52..32 (read only)
@@ -79,13 +81,26 @@ SERIAL_BITS = 53
 _WORD_BE = np.arange(1 << 16, dtype=">u2").view(np.uint16)
 _WORD_BE.flags.writeable = False
 
+# A card makes counter payloads a block of consecutive channels at a time:
+# at most this many channels, halved while the block would exceed this
+# many bytes, so one block holds at most 8 KiB.
+_FILL_BLOCK_CHANNELS = 16
+_FILL_BLOCK_BYTES = 8192
+
+
+def _counter_block(port_id: int, first: int, count: int, nwords: int) -> bytes:
+    """Counter payloads of channels first..first+count-1, one after another:
+    see `generator_bytes`. The channels must lie in one aligned run of 512,
+    where the stamps step by 4, so they are one strided slice."""
+    stamp = ((port_id << 11) ^ (first << 2)) & 0xFFFF
+    return (_WORD_BE[stamp : stamp + 4 * count : 4, None] ^ _WORD_BE[:nwords]).tobytes()
+
 
 def generator_bytes(port_id: int, channel: int, nwords: int) -> bytes:
     """Big-endian counter fill words 0..nwords-1 (nwords <= MAX_PAYLOAD_WORDS):
     word k is ((port_id << 11) ^ (channel << 2) ^ k) & 0xFFFF, stamped with
     card and channel so the DAQ client can verify provenance bit-exactly."""
-    stamp = ((port_id << 11) ^ (channel << 2)) & 0xFFFF
-    return (_WORD_BE[:nwords] ^ _WORD_BE[stamp]).tobytes()
+    return _counter_block(port_id, channel, 1, nwords)
 
 
 @dataclass
@@ -165,6 +180,9 @@ class FrontEndCard:
         # consistency fault injection.
         self.corrupt_fragments: set[tuple[int, int]] = set()
         self.event_number_offset = 0
+        # The last counter block made: its channels first..stop-1, the
+        # (port, words) it was made for, and its bytes.
+        self._fill = (0, 0, None, b"")
 
     # -- channel A ----------------------------------------------------------
 
@@ -313,8 +331,20 @@ class FrontEndCard:
         cfg = self.generator
         n = cfg.words_per_channel
         if cfg.fill_pattern == "counter":
+            # Sliced from the block of channels that holds `channel`, made
+            # when the card keeps no such block for this port and length. A
+            # block starts at a multiple of its channel count, a power of two.
             port = self.assigned_id if self.assigned_id is not None else 0
-            return generator_bytes(port, channel, n)
+            first, stop, made_for, block = self._fill
+            if not (first <= channel < stop and made_for == (port, n)):
+                count = _FILL_BLOCK_CHANNELS
+                while count > 1 and 2 * n * count > _FILL_BLOCK_BYTES:
+                    count //= 2
+                first = channel - channel % count
+                block = _counter_block(port, first, count, n)
+                self._fill = first, first + count, (port, n), block
+            start = 2 * n * (channel - first)
+            return block[start : start + 2 * n]
         if cfg.fill_pattern == "constant":
             return cfg.constant_word.to_bytes(2, "big") * n
         if n == 0:

@@ -270,7 +270,7 @@ def fragment_bytes(soe: bool, eoe: bool, payload: bytes) -> bytes:
     """Wire bytes of the packet with the given flags and big-endian payload
     bytes: header word, payload, CRC-32 over both."""
     size = len(payload)
-    header = (int(soe) << 15) | (int(eoe) << 14) | size
+    header = soe << 15 | eoe << 14 | size
     if size > 2 * MAX_PAYLOAD_WORDS or fragment_length(header) is None:
         raise MessageFormatError(
             f"{'SOE ' if soe else ''}packet of {size} payload bytes breaks the length rule"

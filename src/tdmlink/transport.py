@@ -2,8 +2,10 @@
 
 Wire format (big-endian): magic 0xAA55 (16 bits), frame sequence number
 (32 bits), flags (16 bits: bit 0 = incomplete_event, bit 1 =
-last_of_event), then the buffer payload. The sender places the header in
-the buffer's reserved head room, so payload bytes are never copied.
+last_of_event), then the buffer payload. A buffer keeps the frame
+overhead (FRAME_OVERHEAD_BYTES, this header included) back from its
+capacity. The server copies the buffer's payload into the frame, and
+`TransportFrame.serialize` joins header and payload into new bytes.
 
 Flow control is frames-per-request: the client grants the server an
 absolute allowance of N frames; the server sends while allowance remains
@@ -20,11 +22,11 @@ from dataclasses import dataclass, field
 
 from .backend import (
     RECORD_EVENT_HEADER,
+    RECORD_FRAGMENT_BASE,
     RECORD_GLOBAL_EOE,
     RECORD_GLOBAL_EOE_INCOMPLETE,
     BufferDescriptor,
     BufferPool,
-    record_tag_link,
 )
 from .messages import data_start, fragment_crc_ok, fragment_length, soe_fields
 
@@ -220,71 +222,69 @@ class TransportClient:
         self._frag_index: dict[int, int] = {}
 
     def receive(self, data: bytes):
+        """Take one frame: a frame whose records all parse is handled in one
+        walk over them, fragment records first; one that does not is lost
+        whole."""
         try:
             frame = TransportFrame.parse(data)
         except TransportError:
             self.stats.magic_errors += 1
             return
+        stats = self.stats
         if self._next_sequence is not None and frame.sequence != self._next_sequence:
-            self.stats.gaps += 1
+            stats.gaps += 1
             self._gap_pending = True
         self._next_sequence = (frame.sequence + 1) & 0xFFFFFFFF  # the wire's 32-bit counter wraps
-        self.stats.frames += 1
-        self.stats.payload_bytes += len(frame.payload)
+        stats.frames += 1
+        stats.payload_bytes += len(frame.payload)
         try:
             records = parse_records(frame.payload)
         except TransportError:
             self._lost()
             return
+        expected_bytes_fn = self.expected_bytes_fn
         for tag, packet in records:
-            self._on_record(tag, packet)
+            event = self._open
+            link = tag - RECORD_FRAGMENT_BASE
+            if 0 <= link < 32 and event is not None:
+                # `parse_records` applied the length rule; only the CRC is left.
+                if not fragment_crc_ok(packet):
+                    stats.crc_failures += 1
+                if expected_bytes_fn is not None:
+                    channel = self._frag_index.get(link, 0)
+                    self._frag_index[link] = channel + 1
+                    payload = packet[data_start(packet) : -4]
+                    if payload != expected_bytes_fn(link, channel, len(payload) // 2):
+                        stats.provenance_errors += 1
+                event.fragments.append((link, packet))
+            elif tag == RECORD_EVENT_HEADER:
+                if event is not None:  # the open event never ended
+                    stats.structure_errors += 1
+                    self._close(event)
+                fields = soe_fields(packet)
+                if fields is None:  # no event number or timestamp to open it with
+                    self._open = None
+                    self._lost()
+                    continue
+                event = self._open = ClientEvent(*fields)
+                self._frag_index = {}
+            elif event is not None and tag in (RECORD_GLOBAL_EOE, RECORD_GLOBAL_EOE_INCOMPLETE):
+                event.incomplete = tag == RECORD_GLOBAL_EOE_INCOMPLETE
+                self._open = None
+            else:
+                stats.structure_errors += 1
+                continue
+            if self._gap_pending:
+                event.gap_affected = True
+                self._gap_pending = False
+            if self._open is None:  # an end-of-event record ended it
+                self._close(event)
 
     def _lost(self):
         """Count input that does not parse and take it as lost, as a
         sequence gap is: the next open event is gap-affected."""
         self.stats.structure_errors += 1
         self._gap_pending = True
-
-    def _on_record(self, tag: int, data: bytes):
-        link = record_tag_link(tag)
-        ends = tag in (RECORD_GLOBAL_EOE, RECORD_GLOBAL_EOE_INCOMPLETE)
-        if tag == RECORD_EVENT_HEADER:
-            if self._open is not None:
-                self.stats.structure_errors += 1
-                self._close(self._open)
-                self._open = None
-            fields = soe_fields(data)
-            if fields is None:  # no event number or timestamp to open it with
-                self._lost()
-                return
-            self._open = ClientEvent(*fields)
-            self._frag_index = {}
-        elif self._open is None or (link is None and not ends):
-            self.stats.structure_errors += 1
-            return
-        if self._gap_pending:
-            self._open.gap_affected = True
-            self._gap_pending = False
-        if ends:
-            self._open.incomplete = tag == RECORD_GLOBAL_EOE_INCOMPLETE
-            self._close(self._open)
-            self._open = None
-        elif link is not None:
-            # `parse_records` applied the length rule; only the CRC is left.
-            if not fragment_crc_ok(data):
-                self.stats.crc_failures += 1
-            if self.expected_bytes_fn is not None:
-                self._verify_provenance(link, data)
-            self._open.fragments.append((link, data))
-
-    def _verify_provenance(self, link: int, data: bytes):
-        """Compare the payload of fragment packet `data`, past any SOE
-        event header, with the expected bytes."""
-        channel = self._frag_index.get(link, 0)
-        self._frag_index[link] = channel + 1
-        payload = data[data_start(data) : -4]
-        if payload != self.expected_bytes_fn(link, channel, len(payload) // 2):
-            self.stats.provenance_errors += 1
 
     def _close(self, event: ClientEvent):
         self.stats.events += 1

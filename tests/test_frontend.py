@@ -319,17 +319,23 @@ class TestDataRequests:
         card = make_card()
         card.corrupt_fragments.add((0, 1))
         card.on_channel_a(TRIGGER, 0)
+        card.on_channel_a(TRIGGER, 1)
         req = m.ChannelCRequest(target_mask=1)
-        pkts = [card.on_channel_c(req).packets[0] for _ in range(3)]
+        pkts = [card.on_channel_c(req).packets[0] for _ in range(6)]
         parsed = [m.FragmentPacket.deserialize(p) for p in pkts]
-        assert [p.crc_ok for p in parsed] == [True, False, True]
+        assert [p.crc_ok for p in parsed] == [True, False, True, True, True, True]
         assert parsed[1].eoe is False  # header flags untouched
+        # Both events' channel 1 come from one kept counter block: the
+        # corruption of event 0 must not reach event 1.
+        assert list(parsed[4].data_words) == reference_words(card, 1, 1)
 
     def test_fill_patterns_match_per_word_reference(self):
         card = assign(make_card(serial_number=0x1F2E3D4C5B6A7), 5)
-        for pattern in ("counter", "prbs", "constant"):
+        # The last generator's payloads are shorter than the counter block
+        # the card keeps from the first.
+        for pattern, words in (("counter", 16), ("prbs", 16), ("constant", 16), ("counter", 6)):
             card.generator = fe.EventGeneratorConfig(
-                channels_per_event=2, words_per_channel=16, fill_pattern=pattern, constant_word=0x1234
+                channels_per_event=2, words_per_channel=words, fill_pattern=pattern, constant_word=0x1234
             )
             for event_number, channel in ((0, 0), (3, 1), (70000, 1)):
                 expected = reference_words(card, event_number, channel)
@@ -364,27 +370,38 @@ class TestPayloadBytes:
     """Each packet a card makes from bytes equals the packet built from the
     same payload as a list of words."""
 
-    LAST = 2**14 + 1  # the EOE channel; channels from 2**14 need the stamp masked
+    # Both sides of every counter block edge that 4-, 8- and 16-channel
+    # blocks have, and of the 512-channel runs that blocks never cross.
+    EDGES = (3, 4, 7, 8, 15, 16, 511, 512)
 
+    # The EOE channel: 16 gives 17 channels, one past a 16-channel block, and
+    # channels from 2**14 need the stamp masked.
+    @pytest.mark.parametrize("last", [16, 2**14 + 1])
     @pytest.mark.parametrize("pattern", ["counter", "constant", "prbs"])
-    @pytest.mark.parametrize("words", [0, 2, m.MAX_PAYLOAD_WORDS - m.EVENT_HEADER_WORDS])
-    def test_packet_bytes_match_word_built_packet(self, pattern, words):
+    @pytest.mark.parametrize("words", [0, 2, 256, m.MAX_PAYLOAD_WORDS - m.EVENT_HEADER_WORDS])
+    def test_packet_bytes_match_word_built_packet(self, pattern, words, last):
         gen = fe.EventGeneratorConfig(
-            channels_per_event=self.LAST + 1, words_per_channel=words,
+            channels_per_event=last + 1, words_per_channel=words,
             fill_pattern=pattern, constant_word=0xC35A,
         )
+        # In order, so a kept block serves the channels after its first; and
+        # `last` first too, whose block the card keeps from the port before.
+        channels = [last] + [c for c in (0, 1, *self.EDGES, 2**14) if c < last] + [last]
+        card = make_card(generator=gen)
         for port in (None, 0, 5, 31):
-            card = assign(make_card(serial_number=0x1F2E3D4C5B6A7 ^ (port or 0), generator=gen), port)
+            card.serial_number = 0x1F2E3D4C5B6A7 ^ (port or 0)
+            assign(card, port)
             for number, ts in ((0, 0), (70000, 0x123456789ABC), (0xFFFFFFFF, 0xFFFFFFFFFFFF)):
                 ev = fe._QueuedEvent(number, ts)
-                for channel in (0, 1, 2**14, self.LAST):
-                    soe, eoe = channel == 0, channel == self.LAST
+                for channel in channels:
+                    soe, eoe = channel == 0, channel == last
                     head = [number >> 16, number & 0xFFFF, ts >> 32, (ts >> 16) & 0xFFFF, ts & 0xFFFF, 0]
                     expected = m.FragmentPacket.build(
                         soe=soe, eoe=eoe,
                         payload_words=(head if soe else []) + reference_words(card, number, channel),
                     ).serialize()
                     assert card._fragment_bytes(ev, channel) == expected
+                    assert len(card._fill[-1]) <= fe._FILL_BLOCK_BYTES
 
     @pytest.mark.parametrize("word", [-1, 0x10000])
     def test_constant_word_outside_16_bits_rejected(self, word):

@@ -7,7 +7,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tdmlink import backend as be
@@ -330,54 +330,150 @@ class TestClientReassembly:
         assert client.stats.frames == 0
 
 
-class DeserializingClient(tp.TransportClient):
-    """The client with every record parsed into a FragmentPacket, header and
-    end-of-event records included, and provenance read from the packet: the
-    reference for the client that checks fragment bytes in place."""
+class RecordAtATimeClient:
+    """The client's rules applied one record at a time, with every record
+    parsed into a FragmentPacket (header and end-of-event records included)
+    and provenance read from the packet: the reference for
+    `TransportClient`, which handles each record as bytes in one walk."""
 
-    def _on_record(self, tag, data):
+    def __init__(self, expected_bytes_fn=None):
+        self.stats = tp.ClientStats()
+        self.events = []
+        self.expected_bytes_fn = expected_bytes_fn
+        self.next_sequence = None
+        self.open = None
+        self.gap_pending = False
+        self.frag_index = {}
+
+    def receive(self, data):
+        try:
+            frame = tp.TransportFrame.parse(data)
+        except tp.TransportError:
+            self.stats.magic_errors += 1
+            return
+        if self.next_sequence is not None and frame.sequence != self.next_sequence:
+            self.stats.gaps += 1
+            self.gap_pending = True
+        self.next_sequence = (frame.sequence + 1) & 0xFFFFFFFF
+        self.stats.frames += 1
+        self.stats.payload_bytes += len(frame.payload)
+        try:
+            records = tp.parse_records(frame.payload)
+        except tp.TransportError:
+            self.lost()
+            return
+        for tag, data in records:
+            self.on_record(tag, data)
+
+    def lost(self):
+        self.stats.structure_errors += 1
+        self.gap_pending = True
+
+    def on_record(self, tag, data):
         packet = m.FragmentPacket.deserialize(data)
         link = be.record_tag_link(tag)
         ends = tag in (be.RECORD_GLOBAL_EOE, be.RECORD_GLOBAL_EOE_INCOMPLETE)
         if tag == be.RECORD_EVENT_HEADER:
-            if self._open is not None:
+            if self.open is not None:
                 self.stats.structure_errors += 1
-                self._close(self._open)
-                self._open = None
+                self.close(self.open)
+                self.open = None
             if not packet.soe:
-                self._lost()
+                self.lost()
                 return
-            self._open = tp.ClientEvent(packet.event_number, packet.timestamp)
-            self._frag_index = {}
-        elif self._open is None or (link is None and not ends):
+            self.open = tp.ClientEvent(packet.event_number, packet.timestamp)
+            self.frag_index = {}
+        elif self.open is None or (link is None and not ends):
             self.stats.structure_errors += 1
             return
-        if self._gap_pending:
-            self._open.gap_affected = True
-            self._gap_pending = False
+        if self.gap_pending:
+            self.open.gap_affected = True
+            self.gap_pending = False
         if ends:
-            self._open.incomplete = tag == be.RECORD_GLOBAL_EOE_INCOMPLETE
-            self._close(self._open)
-            self._open = None
+            self.open.incomplete = tag == be.RECORD_GLOBAL_EOE_INCOMPLETE
+            self.close(self.open)
+            self.open = None
         elif link is not None:
             if not packet.crc_ok:
                 self.stats.crc_failures += 1
             if self.expected_bytes_fn is not None:
-                channel = self._frag_index.get(link, 0)
-                self._frag_index[link] = channel + 1
+                channel = self.frag_index.get(link, 0)
+                self.frag_index[link] = channel + 1
                 if packet.data_bytes != self.expected_bytes_fn(link, channel, len(packet.data_bytes) // 2):
                     self.stats.provenance_errors += 1
-            self._open.fragments.append((link, data))
+            self.open.fragments.append((link, data))
+
+    def close(self, event):
+        self.stats.events += 1
+        self.stats.incomplete_events += event.incomplete
+        self.stats.gap_events += event.gap_affected
+        self.events.append(event)
 
 
-def client_outcome(client_class, frames):
-    """Statistics, events and event digest of a provenance-checking client
-    of `client_class` that received `frames`."""
-    client = client_class(expected_bytes_fn=fe.generator_bytes)
+def client_outcome(client_class, frames, expected_bytes_fn=fe.generator_bytes):
+    """Statistics, events (with their gap marks) and event digest of a
+    client of `client_class` that received `frames`."""
+    client = client_class(expected_bytes_fn=expected_bytes_fn)
     for data in frames:
         client.receive(data)
     digest = hashlib.sha256(b"".join(repr(ev.key()).encode() for ev in client.events)).hexdigest()
-    return client.stats, client.events, digest
+    return client.stats, [(ev.key(), ev.gap_affected) for ev in client.events], digest
+
+
+def stream_record(kind, link, channel, number):
+    """One record of a random stream: `link` picks the fragment's link or
+    the unknown tag, `channel` the counter payload a fragment carries, so
+    a fragment out of its link's order breaks provenance."""
+    payload = fe.generator_bytes(link, channel, 2)
+    tag = be.RECORD_FRAGMENT_BASE + link
+    if kind == "fragment":
+        packet = m.fragment_bytes(False, number == 0, payload)
+    elif kind == "soe_fragment":
+        packet = m.fragment_bytes(True, False, m.event_header_bytes(number, 5) + payload)
+    elif kind == "bad_crc":
+        packet = m.fragment_bytes(False, False, payload)
+        packet = packet[:-1] + bytes([packet[-1] ^ 1 << channel])
+    elif kind == "header":
+        tag, packet = be.RECORD_EVENT_HEADER, m.fragment_bytes(True, False, m.event_header_bytes(number, 10 * number))
+    elif kind == "header_no_soe":
+        tag, packet = be.RECORD_EVENT_HEADER, m.fragment_bytes(False, False, payload)
+    elif kind == "eoe":
+        tag, packet = be.RECORD_GLOBAL_EOE, be.EOE_TRAILER
+    elif kind == "eoe_incomplete":
+        tag, packet = be.RECORD_GLOBAL_EOE_INCOMPLETE, be.EOE_TRAILER
+    else:  # a tag no record has: below, between and above the known ones
+        tag, packet = (0x0000, 0xE502, be.RECORD_FRAGMENT_BASE - 1, be.RECORD_FRAGMENT_BASE + 32)[link], payload
+        packet = m.fragment_bytes(False, False, packet)
+    return tag.to_bytes(2, "big") + packet
+
+
+RECORD_KINDS = [
+    "fragment", "fragment", "fragment", "soe_fragment", "bad_crc", "header", "header",
+    "header_no_soe", "eoe", "eoe", "eoe_incomplete", "unknown", "unknown", "unknown",
+]
+
+
+@st.composite
+def record_streams(draw):
+    """Frames of random records, each frame sent whole, cut short (so it
+    does not parse), sent after a sequence gap or with a bad magic."""
+    frames = []
+    sequence = draw(st.sampled_from([0, 0xFFFFFFFE]), label="first sequence")
+    for _ in range(draw(st.integers(1, 10), label="frames")):
+        records = draw(st.lists(
+            st.tuples(st.sampled_from(RECORD_KINDS), st.integers(0, 3), st.integers(0, 2), st.integers(0, 2)),
+            max_size=6,
+        ), label="records")
+        payload = b"".join(stream_record(*r) for r in records)
+        fate = draw(st.sampled_from(["sent", "sent", "sent", "cut", "gap", "gap", "magic"]), label="fate")
+        if fate == "cut" and payload:
+            payload = payload[: draw(st.integers(0, len(payload) - 1), label="cut at")]
+        elif fate == "gap":
+            sequence += draw(st.integers(1, 3), label="frames lost")
+        frame = tp.TransportFrame(sequence & 0xFFFFFFFF, 0, payload).serialize()
+        frames.append(b"\x00" + frame[1:] if fate == "magic" else frame)
+        sequence += 1
+    return frames
 
 
 class FrameRecorder(MessageEngine):
@@ -421,14 +517,31 @@ def faulty_runs(draw):
 
 
 class TestClientOracle:
-    """The client that checks fragment records as bytes against one that
-    parses every record into a FragmentPacket."""
+    """The client that handles fragment records as bytes in one walk against
+    one that applies its rules a record at a time to parsed packets."""
 
     @settings(max_examples=150, deadline=None)
     @given(inputs=FRAME_DAMAGE)
     def test_damaged_frames(self, inputs):
         frames = list(damaged_frames(inputs))
-        assert client_outcome(tp.TransportClient, frames) == client_outcome(DeserializingClient, frames)
+        assert client_outcome(tp.TransportClient, frames) == client_outcome(RecordAtATimeClient, frames)
+
+    @settings(max_examples=200, deadline=None)
+    @given(frames=record_streams())
+    # The first tag past the fragment range while an event is open, and an
+    # end-of-event record as the first record after a sequence gap.
+    @example(frames=[
+        tp.TransportFrame(0, 0, stream_record("header", 0, 0, 1) + stream_record("unknown", 3, 0, 0)).serialize(),
+        tp.TransportFrame(2, 0, stream_record("eoe", 0, 0, 0)).serialize(),
+    ])
+    def test_random_record_streams(self, frames):
+        """Fragments in and out of order, with and without SOE and with bad
+        CRCs; headers with and without SOE; complete and incomplete ends;
+        unknown tags; frames that do not parse, follow a gap or carry a bad
+        magic: with provenance checked and not."""
+        for expected_bytes_fn in (fe.generator_bytes, None):
+            want = client_outcome(RecordAtATimeClient, frames, expected_bytes_fn)
+            assert client_outcome(tp.TransportClient, frames, expected_bytes_fn) == want
 
     @settings(max_examples=40, deadline=None)
     @given(cfg=faulty_runs())
@@ -437,7 +550,7 @@ class TestClientOracle:
             patch.setitem(sim._ENGINES, "message_level", FrameRecorder)
             res = sim.run_scenario(cfg)
         frames = res.engine.frames
-        want = client_outcome(DeserializingClient, frames)
+        want = client_outcome(RecordAtATimeClient, frames)
         assert client_outcome(tp.TransportClient, frames) == want
         assert want[2] == res.client_digest()
 
