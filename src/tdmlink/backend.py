@@ -25,6 +25,7 @@ from .messages import check_fragment, event_header_bytes, fragment_bytes, soe_fi
 
 __all__ = [
     "FE_FIFO_BYTES",
+    "MAX_LINKS",
     "RECORD_EVENT_HEADER",
     "RECORD_GLOBAL_EOE",
     "RECORD_GLOBAL_EOE_INCOMPLETE",
@@ -44,6 +45,8 @@ __all__ = [
 
 FE_FIFO_BYTES = 2048
 
+MAX_LINKS = 32  # the 5-bit card ID space, and so the fragment record tags
+
 RECORD_EVENT_HEADER = 0xE501
 RECORD_GLOBAL_EOE = 0xE503
 RECORD_GLOBAL_EOE_INCOMPLETE = 0xE507
@@ -55,7 +58,7 @@ EOE_TRAILER = fragment_bytes(False, True, b"")
 
 def record_tag_link(tag: int) -> int | None:
     """Link ID of a fragment record tag, else None."""
-    if RECORD_FRAGMENT_BASE <= tag < RECORD_FRAGMENT_BASE + 32:
+    if RECORD_FRAGMENT_BASE <= tag < RECORD_FRAGMENT_BASE + MAX_LINKS:
         return tag - RECORD_FRAGMENT_BASE
     return None
 

@@ -7,9 +7,9 @@ for per-symbol work. Channel A latency accounting is bit-exact (the same
 arithmetic the symbol-level chain performs), which keeps front-end
 timestamps identical across the two abstraction levels.
 
-Packets that one delivery sends up and that finish on the same tick arrive
-as one batch event: each goes to its pump in port order, then the builder
-runs once. The token and trigger checks follow only when the builder moved,
+Packets that finish on the same tick arrive as one batch event: each goes
+to its pump in the order sent, then the builder runs once. The token and
+trigger checks follow only when the builder moved or a packet was dropped,
 since nothing else frees a FIFO or builds an event; the server is kicked
 after every batch and every send completion.
 """
@@ -20,7 +20,7 @@ import heapq
 
 from . import timebase
 from .backend import untimed_exchange
-from .messages import CHANNEL_A_FRAME_BITS, CHANNEL_C_REQUEST_BITS, ChannelAMessageDown, ChannelCRequest
+from .messages import CHANNEL_A_FRAME_BITS, CHANNEL_C_REQUEST_BITS
 from .system import System
 from .transport import ETHERNET_BPS, FLAG_FIRST_OF_BURST, FRAME_OVERHEAD_BYTES, CreditGrant
 
@@ -60,12 +60,8 @@ class MessageEngine(System):
         self._token_check_scheduled = False
         self._trigger_check_scheduled = False
         self._trigger_wakeup_tick = None
-        # Scripted packet loss: {link: set of arrival indices to drop}. Only
-        # the arrivals of links in the plan are counted.
-        self._drop_plan: dict[int, set[int]] = {}
-        for fault in self.link_faults:
-            self._drop_plan.setdefault(fault["link"], set()).add(fault["index"])
-        self._arrival_index: dict[int, int] = {port: 0 for port in self.cards}
+        # The packets in flight up the return links, by the tick they land.
+        self._arrivals: dict[int, list] = {}
 
     # -- scheduling -----------------------------------------------------------
 
@@ -78,7 +74,7 @@ class MessageEngine(System):
         # exchanged directly (not timed) and is not part of any measurement.
         self.bootstrap(untimed_exchange(self.cards))
         self._schedule_token_check()
-        self.client_grant()
+        self._at(self.now + self.rtt_ticks // 2, self._grant_arrives)
         self._schedule_trigger_check()
         if self.config.measure_warmup_ticks:
             self._at(self.config.measure_warmup_ticks, self._snapshot_measurement)
@@ -116,66 +112,56 @@ class MessageEngine(System):
                 self._at(tick, self._schedule_trigger_check)
             return
         self._issue_trigger()
-
-    def _issue_trigger(self):
-        # Align to the TDM cycle: the frame starts after the A queue, at or after the cycle's first A bit.
-        issue = -(-self.now // timebase.TICKS_PER_DOWN_CYCLE) * timebase.TICKS_PER_DOWN_CYCLE
-        k_start = max(self._next_a_bit, issue // timebase.DOWN_TICKS_PER_CHANNEL_BIT["A"])
-        self._next_a_bit = k_start + CHANNEL_A_FRAME_BITS
-        arrival = timebase.down_a_frame_arrival_tick(k_start)
-        self.trigger_unit.on_issued()
-        msg = ChannelAMessageDown(sampling_stop=True)
-        self._at(arrival, self._deliver_trigger, msg)
         self._schedule_trigger_check()
-
-    def _deliver_trigger(self, msg):
-        batches = {}
-        for port in self.ports:
-            out = self.cards[port].on_channel_a(msg, self.now)
-            self._emit_card_output(port, out, batches)
-        self._schedule_token_check()
-
-    def _emit_card_output(self, port, out, batches):
-        """Send a card's answers up its return link. `batches` maps a finish
-        tick to the arrival batch of this delivery that lands on it."""
-        for reply in out.a_replies:
-            start = max(self.now, self._up_a_busy[port])
-            finish = start + UP_A_FRAME_TICKS
-            self._up_a_busy[port] = finish
-            self._at(finish, self._on_ack, reply)
-        for data in out.packets:
-            self._send_packet_up(port, data, batches)
 
     def _on_ack(self, reply):
         self.trigger_unit.on_ack(reply)
         self._schedule_trigger_check()
 
-    def _send_packet_up(self, port, data: bytes, batches):
-        start = max(self.now, self._up_c_busy[port])
-        finish = start + (8 * len(data) + 1) * UP_C_TICKS_PER_BIT
+    # -- links ------------------------------------------------------------------------
+
+    def _send_down(self, channel, msg):
+        if channel == "A":
+            # Align to the TDM cycle: the frame starts after the A queue, at
+            # or after the cycle's first A bit, and reaches every card.
+            issue = -(-self.now // timebase.TICKS_PER_DOWN_CYCLE) * timebase.TICKS_PER_DOWN_CYCLE
+            k_start = max(self._next_a_bit, issue // timebase.DOWN_TICKS_PER_CHANNEL_BIT["A"])
+            self._next_a_bit = k_start + CHANNEL_A_FRAME_BITS
+            self._at(timebase.down_a_frame_arrival_tick(k_start), self._deliver_trigger, msg)
+        else:
+            self._down_c_busy = max(self.now, self._down_c_busy) + DOWN_C_FRAME_TICKS
+            self._at(self._down_c_busy, self._deliver_request, msg)
+
+    def _deliver_trigger(self, msg):
+        for port in self.ports:
+            self._card_receives(port, msg, self.now)
+
+    def _deliver_request(self, req):
+        # Only the cards the request names act on it.
+        mask = req.target_mask
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            self._card_receives(low.bit_length() - 1, req, self.now)
+
+    def _send_up(self, port, channel, item):
+        if channel == "A":
+            self._up_a_busy[port] = finish = max(self.now, self._up_a_busy[port]) + UP_A_FRAME_TICKS
+            self._at(finish, self._on_ack, item)
+            return
+        finish = max(self.now, self._up_c_busy[port]) + (8 * len(item) + 1) * UP_C_TICKS_PER_BIT
         self._up_c_busy[port] = finish
-        batch = batches.get(finish)
+        batch = self._arrivals.get(finish)
         if batch is None:
             # Scheduled when its first packet is sent, so the batch keeps that
             # packet's place among the events of its tick.
-            batch = batches[finish] = []
-            self._at(finish, self._packets_arrived, batch)
-        batch.append((port, data))
+            batch = self._arrivals[finish] = []
+            self._at(finish, self._packets_land, finish)
+        batch.append((port, item))
 
-    def _packets_arrived(self, batch):
-        drop_plan = self._drop_plan
-        for port, data in batch:
-            if port in drop_plan:
-                index = self._arrival_index[port]
-                self._arrival_index[port] = index + 1
-                if index in drop_plan[port]:
-                    # Scripted transit loss. Clearing the token lets the pump
-                    # request again, so the builder faces the stream minus
-                    # this packet.
-                    self.pumps[port].request_outstanding = False
-                    self._schedule_token_check()
-                    continue
-            self.pumps[port].on_packet(data)
+    def _packets_land(self, tick):
+        if self._packets_arrive(self._arrivals.pop(tick)):
+            self._schedule_token_check()
         self._progress()
 
     # -- request tokens -----------------------------------------------------------
@@ -187,24 +173,7 @@ class MessageEngine(System):
 
     def _token_check(self):
         self._token_check_scheduled = False
-        mask = self._request_mask()
-        if mask == 0:
-            return
-        start = max(self.now, self._down_c_busy)
-        finish = start + DOWN_C_FRAME_TICKS
-        self._down_c_busy = finish
-        req = ChannelCRequest(target_mask=mask)
-        self._at(finish, self._deliver_request, req)
-
-    def _deliver_request(self, req):
-        batches = {}
-        mask = req.target_mask
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            port = low.bit_length() - 1
-            out = self.cards[port].on_channel_c(req)
-            self._emit_card_output(port, out, batches)
+        self._post_requests()
 
     # -- builder / transport ---------------------------------------------------------
 
@@ -238,9 +207,6 @@ class MessageEngine(System):
             # Grant renewal pipelines against the burst in flight.
             self._at(self.now + self.rtt_ticks // 2, self._grant_arrives)
         self._stop_if_done()
-
-    def client_grant(self):
-        self._at(self.now + self.rtt_ticks // 2, self._grant_arrives)
 
     def _grant_arrives(self):
         self.server.on_grant(CreditGrant(self.config.credit))

@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import timebase
+from .backend import MAX_LINKS
 from .frontend import SERIAL_BITS, EventGeneratorConfig, check_card_settings, generator_bytes
 from .messages import EVENT_HEADER_WORDS
 from .message_engine import MessageEngine
@@ -52,7 +53,7 @@ def _us_to_cycle_ticks(us: float) -> int:
 # (low, high) or the choices of the fields SimConfig owns; the generator and
 # card fields are checked by frontend (EventGeneratorConfig, check_card_settings).
 BOUNDS = {
-    "num_frontends": (1, 32),  # the 5-bit ID space
+    "num_frontends": (1, MAX_LINKS),
     "seed": (0, math.inf), "trigger_count": (0, math.inf), "trigger_start_us": (0, math.inf),
     "request_rtt_us": (0, math.inf), "warmup_ms": (0, math.inf), "ber": (0, 1),
     "credit": (1, math.inf), "buffer_pool": (1, math.inf),

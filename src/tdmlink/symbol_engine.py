@@ -30,12 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import timebase
-from .messages import (
-    CHANNEL_B_FRAME_BITS,
-    ChannelAMessageDown,
-    ChannelCRequest,
-    frame_fragment,
-)
+from .messages import CHANNEL_B_FRAME_BITS, frame_fragment
 from .streams import DownstreamReceiver, DownstreamTransmitter, UpstreamReceiver, UpstreamTransmitter
 from .system import System
 from .transport import CreditGrant
@@ -85,7 +80,8 @@ class SymbolEngine(System):
         self._b_answers: dict = {}
         # The timed link faults, line flips and resets, latest first: each
         # slice pops those that fall in it, and the last is the next one due.
-        self._timed_faults = sorted(self.link_faults, key=lambda fault: fault["tick"])[::-1]
+        timed = [fault for fault in config.faults if fault["type"] in ("line_flip", "link_reset")]
+        self._timed_faults = sorted(timed, key=lambda fault: fault["tick"])[::-1]
         self._queues = (*self.down_tx.queues.values(), *self.up_tx.queues.values())
         self._scanners = (*self.down_rx.scanners.values(), *self.backend_rx.scanners.values())
         # Whether the last slice was whole and carried only idle cycles: every
@@ -204,7 +200,7 @@ class SymbolEngine(System):
         # channel by channel; within a card, A before B before C as received.
         for port, msg, arrival_tick in events.a:
             if msg is not None:
-                self._emit_card_output(port, self.cards[port].on_channel_a(msg, arrival_tick))
+                self._card_receives(port, msg, arrival_tick)
         # Cards in step receive one request object, and a broadcast write
         # is answered with the request itself: an answer is encoded, as the
         # bytes a return queue holds, once for the run of cards that give
@@ -219,13 +215,13 @@ class SymbolEngine(System):
                 self.up_tx.enqueue(port, "B", bits)
         for port, req in events.c:
             if req is not None:
-                self._emit_card_output(port, self.cards[port].on_channel_c(req))
+                self._card_receives(port, req, None)
 
-    def _emit_card_output(self, port, out):
-        for reply in out.a_replies:
-            self.up_tx.enqueue(port, "A", reply.encode())
-        for data in out.packets:
-            self.up_tx.enqueue(port, "C", frame_fragment(data))
+    def _send_up(self, port, channel, item):
+        self.up_tx.enqueue(port, channel, item.encode() if channel == "A" else frame_fragment(item))
+
+    def _send_down(self, channel, msg):
+        self.down_tx.enqueue(channel, msg.encode())
 
     # -- backend side ---------------------------------------------------------------
 
@@ -241,13 +237,10 @@ class SymbolEngine(System):
                 req.address, req.read, req.write
             ):
                 self._b_answers[port] = txn
-        for port, data in events.packets:
-            self.pumps[port].on_packet(data)
+        self._packets_arrive(events.packets)
 
     def _backend_logic(self):
-        mask = self._request_mask()
-        if mask:
-            self.down_tx.enqueue("C", ChannelCRequest(target_mask=mask).encode())
+        self._post_requests()
         self._build()
         # Transport: the Ethernet side is not symbol-timed; frames leave as
         # soon as credit allows and grants renew immediately.
@@ -261,10 +254,6 @@ class SymbolEngine(System):
             self.client.receive(frame.serialize())
             self.pool.release(desc)
             self._build()
-
-    def _issue_trigger(self):
-        self.down_tx.enqueue("A", ChannelAMessageDown(sampling_stop=True).encode())
-        self.trigger_unit.on_issued()
 
     # -- bootstrap --------------------------------------------------------------------
 

@@ -5,8 +5,11 @@ links are made of. `System` builds them once and owns the rules that do not
 depend on the link model: the fault table (`check_fault` checks each fault
 once, when `SimConfig` is built) and fault application, request tokens, the
 event-count flush, the stop test, the end-of-run audit and the measurement
-window. The engines subclass it and supply only how a frame crosses a link
-and how time advances.
+window. It also sends triggers and data requests, has a card act on each
+channel A or C frame, and hands packets to the pumps, `drop_packet` applied
+there. The engines subclass it and supply only `_send_down(channel, msg)` and
+`_send_up(port, channel, item)`: when a frame lands (they hand it to
+`_card_receives` or `_packets_arrive`) and how time advances.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import numpy as np
 
 from .backend import BufferPool, DataPump, EventBuilder, PacketMover, TriggerUnit, bootstrap_sequence
 from .frontend import FrontEndCard
+from .messages import ChannelAMessageDown, ChannelCRequest
 from .transport import FRAME_OVERHEAD_BYTES, TransportClient, TransportServer
 
 __all__ = ["FAULTS", "System", "check_fault"]
@@ -24,7 +28,7 @@ __all__ = ["FAULTS", "System", "check_fault"]
 FAULTS = {
     "corrupt_fragment": ("both", {"link": None, "event": None, "channel": None}),
     "soe_skew": ("both", {"link": None, "delta": 1}),
-    "drop_packet": ("message_level", {"link": None, "index": None}),
+    "drop_packet": ("both", {"link": None, "index": None}),
     "line_flip": ("symbol_level", {"link": None, "direction": None, "tick": None}),
     "link_reset": ("symbol_level", {"link": None, "tick": None}),
 }
@@ -108,14 +112,16 @@ class System:
             max_in_flight=config.buffering_depth,
         )
 
-        self.link_faults = []
+        # Scripted packet loss: {link: indices of the arrivals to drop}.
+        self._drops: dict[int, set[int]] = {}
         for fault in config.faults:
             if fault["type"] == "corrupt_fragment":
                 self.cards[fault["link"]].corrupt_fragments.add((fault["event"], fault["channel"]))
             elif fault["type"] == "soe_skew":
                 self.cards[fault["link"]].event_number_offset = fault["delta"]
-            else:
-                self.link_faults.append(fault)
+            elif fault["type"] == "drop_packet":
+                self._drops.setdefault(fault["link"], set()).add(fault["index"])
+        self._arrival_index = dict.fromkeys(self._drops, 0)
 
         self.measure_start_tick = 0
         self._payload_snapshot = {}
@@ -133,16 +139,52 @@ class System:
         `TriggerUnit.next_issue_tick`)."""
         return self.trigger_unit.next_issue_tick(self.now, self.builder.events_built, len(self.cards))
 
-    def _request_mask(self) -> int:
-        """Post a data request for every pump with room for a packet; returns
-        the channel C target mask, 0 when no pump wants one."""
+    # -- frames --------------------------------------------------------------------
+
+    def _issue_trigger(self):
+        self.trigger_unit.on_issued()
+        self._send_down("A", ChannelAMessageDown(sampling_stop=True))
+
+    def _post_requests(self):
+        """Post a data request for every pump with room for a packet, and
+        send their channel C request down when any does."""
         mask = 0
         for port in self.ports:
             pump = self.pumps[port]
             if pump.wants_request():
                 mask |= 1 << port
                 pump.request_posted()
-        return mask
+        if mask:
+            self._send_down("C", ChannelCRequest(target_mask=mask))
+
+    def _card_receives(self, port, msg, tick):
+        """Card `port` receives a channel A message that landed at `tick`,
+        or a channel C request; its answers go up its return link."""
+        card = self.cards[port]
+        out = card.on_channel_c(msg) if type(msg) is ChannelCRequest else card.on_channel_a(msg, tick)
+        for reply in out.a_replies:
+            self._send_up(port, "A", reply)
+        for data in out.packets:
+            self._send_up(port, "C", data)
+
+    def _packets_arrive(self, packets) -> bool:
+        """Hand each (port, packet bytes) of a batch to its pump, in order,
+        except those the drop plan loses in transit; returns whether one was."""
+        drops = self._drops
+        pumps = self.pumps
+        dropped = False
+        for port, data in packets:
+            if port in drops:
+                index = self._arrival_index[port]
+                self._arrival_index[port] = index + 1
+                if index in drops[port]:
+                    # Clearing the token lets the pump request again, so the
+                    # builder faces the stream minus this packet.
+                    pumps[port].request_outstanding = False
+                    dropped = True
+                    continue
+            pumps[port].on_packet(data)
+        return dropped
 
     def _build(self) -> bool:
         """Run the event builder; returns whether it moved (`EventBuilder.run`).

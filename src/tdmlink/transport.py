@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 from .backend import (
+    MAX_LINKS,
     RECORD_EVENT_HEADER,
     RECORD_FRAGMENT_BASE,
     RECORD_GLOBAL_EOE,
@@ -246,7 +247,7 @@ class TransportClient:
         for tag, packet in records:
             event = self._open
             link = tag - RECORD_FRAGMENT_BASE
-            if 0 <= link < 32 and event is not None:
+            if 0 <= link < MAX_LINKS and event is not None:
                 # `parse_records` applied the length rule; only the CRC is left.
                 if not fragment_crc_ok(packet):
                     stats.crc_failures += 1

@@ -355,6 +355,7 @@ class TestConfig:
             {"type": "soe_skew", "link": 1, "delta": -1},
             {"type": "line_flip", "link": 0, "direction": "down", "tick": 600_000},
             {"type": "link_reset", "link": 1, "tick": 700_000},
+            {"type": "drop_packet", "link": 0, "index": 3},
         ]),
     ])
     def test_json_round_trip_with_every_fault_type(self, abstraction, faults):
@@ -463,20 +464,30 @@ class TestAbstractionEquivalence:
         channels=st.sampled_from([1, 2, 3, 4, 17]),
         words=st.sampled_from([2, 4, 6, 8]),
         triggers=st.integers(2, 4),
+        drop=st.none() | st.tuples(st.integers(0, 7), st.integers(0, 12)),
     )
-    @example(cards=3, seed=1, channels=17, words=8, triggers=2)
-    def test_equivalence_over_random_scenarios(self, cards, seed, channels, words, triggers):
+    @example(cards=3, seed=1, channels=17, words=8, triggers=2, drop=None)
+    @example(cards=4, seed=5, channels=3, words=8, triggers=4, drop=(1, 9))
+    def test_equivalence_over_random_scenarios(self, cards, seed, channels, words, triggers, drop):
+        # A dropped packet is lost at both levels at the same index of its
+        # link's arrivals, so the runs halt or stall alike.
+        faults = [] if drop is None else [{"type": "drop_packet", "link": drop[0] % cards, "index": drop[1]}]
         kw = dict(
             num_frontends=cards, seed=seed, channels_per_event=channels,
             words_per_channel=words, trigger_count=triggers,
-            trigger_start_us=360.0, trigger_period_us=100.0,
+            trigger_start_us=360.0, trigger_period_us=100.0, faults=faults,
         )
         res_m = run_scenario(small_scenario("message_level", **kw))
         res_s = run_scenario(small_scenario("symbol_level", **kw))
-        assert res_m.metrics.violations == []
-        assert res_s.metrics.violations == []
+        if drop is None:
+            assert res_m.metrics.violations == []
+        assert res_s.metrics.violations == res_m.metrics.violations
+        assert res_s.metrics.halt_reason == res_m.metrics.halt_reason
         assert [ev.key() for ev in res_m.client.events] == [ev.key() for ev in res_s.client.events]
         assert res_m.client_digest() == res_s.client_digest()
+        assert [asdict(c) for c in res_s.engine.builder.counters.values()] == [
+            asdict(c) for c in res_m.engine.builder.counters.values()
+        ]
 
 
 class TestReadoutMode:
@@ -505,7 +516,7 @@ class TestReadoutMode:
 FAULT_KEYS = {
     "corrupt_fragment": (("link", "event", "channel"), ("message_level", "symbol_level")),
     "soe_skew": (("link", "delta"), ("message_level", "symbol_level")),
-    "drop_packet": (("link", "index"), ("message_level",)),
+    "drop_packet": (("link", "index"), ("message_level", "symbol_level")),
     "line_flip": (("link", "direction", "tick"), ("symbol_level",)),
     "link_reset": (("link", "tick"), ("symbol_level",)),
 }
@@ -621,14 +632,15 @@ class TestFaultInjection:
         res = run_scenario(cfg)
         assert res.metrics.client["events"] == 10
 
+    @pytest.mark.parametrize("abstraction", ["message_level", "symbol_level"])
     @pytest.mark.parametrize("index, halted", [(1, True), (3, False)])
-    def test_plan_left_undelivered_without_a_halt_is_a_violation(self, index, halted):
+    def test_plan_left_undelivered_without_a_halt_is_a_violation(self, abstraction, index, halted):
         # Two packets per event and link: index 1 and 3 are the EOE packets
         # of events 0 and 1. Losing the first halts the builder at event 1's
         # start; losing the second lets it build event 1 from event 2's
         # packets and then wait for a start-of-event that never comes.
         cfg = small_scenario(
-            "message_level",
+            abstraction,
             trigger_count=3,
             channels_per_event=2,
             faults=[{"type": "drop_packet", "link": 1, "index": index}],
@@ -645,7 +657,7 @@ class TestFaultInjection:
             ("message_level", "meteor_strike"),
             ("symbol_level", "meteor_strike"),
             ("message_level", "line_flip"),
-            ("symbol_level", "drop_packet"),
+            ("message_level", "link_reset"),
         ],
     )
     def test_unknown_fault_type_rejected(self, abstraction, kind):
@@ -663,6 +675,7 @@ class TestFaultInjection:
             {"type": "soe_skew", "link": 1},
             {"type": "line_flip", "link": 0, "direction": "up", "tick": 441_000},
             {"type": "link_reset", "link": 1, "tick": 440_000},
+            {"type": "drop_packet", "link": 0, "index": 2},
         ]),
     ])
     def test_run_leaves_a_config_with_every_fault_type_unchanged(self, abstraction, faults):
@@ -695,21 +708,22 @@ class TestFaultInjection:
 
 class PerPacketEngine(MessageEngine):
     """The message-level engine without arrival batches: one event per
-    packet, and every follow-up after every arrival, moved or not."""
+    packet, and every follow-up after every arrival, moved or not. A
+    dropped packet is followed by a token check alone."""
 
-    def _send_packet_up(self, port, data, batches):
-        super()._send_packet_up(port, data, {})
+    def _send_up(self, port, channel, item):
+        if channel == "A":
+            return super()._send_up(port, channel, item)
+        start = max(self.now, self._up_c_busy[port])
+        finish = start + (8 * len(item) + 1) * message_engine.UP_C_TICKS_PER_BIT
+        self._up_c_busy[port] = finish
+        self._at(finish, self._packet_lands, port, item)
 
-    def _packets_arrived(self, batch):
-        [(port, data)] = batch
-        index = self._arrival_index[port]
-        self._arrival_index[port] = index + 1
-        if index in self._drop_plan.get(port, ()):
-            self.pumps[port].request_outstanding = False
+    def _packet_lands(self, port, data):
+        if self._packets_arrive([(port, data)]):
             self._schedule_token_check()
-            return
-        self.pumps[port].on_packet(data)
-        self._progress()
+        else:
+            self._progress()
 
     def _progress(self):
         self._build()
@@ -784,8 +798,8 @@ HALT_ON_DROP = dict(
 
 
 class TestArrivalBatches:
-    """Packets of one delivery that land on one tick arrive as one event,
-    and the token and trigger checks follow only a builder move. Against
+    """Packets that land on one tick arrive as one event, and the token
+    and trigger checks follow only a builder move or a drop. Against
     the per-packet engine, nothing a run leaves behind may differ."""
 
     @settings(max_examples=30, deadline=None)
