@@ -357,7 +357,11 @@ class EventBuilder:
             if first:
                 self._soe_records.append((link, data))
             else:
-                self._emit(RECORD_FRAGMENT_BASE + link, data)
+                # No record is held (drained above), so the record goes
+                # straight to the mover, or is the first held.
+                tag = RECORD_FRAGMENT_BASE + link
+                if not self.mover.write_record(tag, data, self._event_incomplete):
+                    self._pending.append((tag, data, self._event_incomplete))
         return True
 
     def run(self, pumps: dict[int, DataPump]) -> bool:

@@ -4,8 +4,15 @@ A card owns 64 KB of register space on a 16-bit-address / 32-bit-data
 virtual bus, a hardwired 53-bit serial number, an event queue, and the
 partner side of the back-end's request-token protocol: one fragment packet
 is returned for every SEND_NEXT_PACKET request that targets the card.
-Counter payloads are made a block of consecutive channels at a time, and
-each packet's payload is sliced from its block.
+
+A request is answered with the card's next ready packet. The packets of
+the head event are made ahead into a ready queue: with counter fill, a
+block of consecutive channels at a time (`fragment_run_bytes` over the
+block's payloads, one `generator_bytes` call), so most requests only pop a
+packet; the SOE packet of channel 0 and every packet of the prbs and
+constant fills are made one at a time (`fragment_bytes`). A block holds at
+most 16 channels and 8 KiB of payload, so the ready queue never holds
+more, and it never crosses a run of 512 channels.
 
 Register map (word addresses):
     0x0000  serial number bits 52..32 (read only)
@@ -23,7 +30,7 @@ Register map (word addresses):
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,6 +46,7 @@ from .messages import (
     data_start,
     event_header_bytes,
     fragment_bytes,
+    fragment_run_bytes,
 )
 from .wire import PrbsGenerator
 
@@ -72,6 +80,12 @@ SCRATCH_WORDS = 256
 
 ID_UNASSIGNED = 0xFFFFFFFF
 
+# A channel B write's 4-bit byte enable as the mask of the data bits it
+# writes; byte 0 is the least significant.
+_BYTE_MASKS = tuple(
+    sum(0xFF << 8 * byte for byte in range(4) if enable >> byte & 1) for enable in range(16)
+)
+
 SERIAL_BITS = 53
 
 
@@ -81,26 +95,26 @@ SERIAL_BITS = 53
 _WORD_BE = np.arange(1 << 16, dtype=">u2").view(np.uint16)
 _WORD_BE.flags.writeable = False
 
-# A card makes counter payloads a block of consecutive channels at a time:
-# at most this many channels, halved while the block would exceed this
-# many bytes, so one block holds at most 8 KiB.
+# A card makes counter packets a block of consecutive channels at a time: at
+# most this many channels, halved while their payloads would exceed this
+# many bytes, so one block holds at most 8 KiB of payload. A block starts at
+# a multiple of its channel count, a power of two, so it never crosses a
+# run of 512 channels.
 _FILL_BLOCK_CHANNELS = 16
 _FILL_BLOCK_BYTES = 8192
 
 
-def _counter_block(port_id: int, first: int, count: int, nwords: int) -> bytes:
-    """Counter payloads of channels first..first+count-1, one after another:
-    see `generator_bytes`. The channels must lie in one aligned run of 512,
-    where the stamps step by 4, so they are one strided slice."""
-    stamp = ((port_id << 11) ^ (first << 2)) & 0xFFFF
+def generator_bytes(port_id: int, channel: int, nwords: int, count: int = 1) -> bytes:
+    """Big-endian counter fill words 0..nwords-1 (nwords <= MAX_PAYLOAD_WORDS)
+    of channels channel..channel+count-1, one channel after another: word k
+    is ((port_id << 11) ^ (channel << 2) ^ k) & 0xFFFF, stamped with card and
+    channel so the DAQ client can verify provenance bit-exactly. The
+    channels must lie in one aligned run of 512, where the stamps step by 4,
+    so they are one strided slice."""
+    stamp = ((port_id << 11) ^ (channel << 2)) & 0xFFFF
+    if count == 1:
+        return (_WORD_BE[:nwords] ^ _WORD_BE[stamp]).tobytes()
     return (_WORD_BE[stamp : stamp + 4 * count : 4, None] ^ _WORD_BE[:nwords]).tobytes()
-
-
-def generator_bytes(port_id: int, channel: int, nwords: int) -> bytes:
-    """Big-endian counter fill words 0..nwords-1 (nwords <= MAX_PAYLOAD_WORDS):
-    word k is ((port_id << 11) ^ (channel << 2) ^ k) & 0xFFFF, stamped with
-    card and channel so the DAQ client can verify provenance bit-exactly."""
-    return _counter_block(port_id, channel, 1, nwords)
 
 
 @dataclass
@@ -135,15 +149,17 @@ def check_card_settings(buffering_depth: int, clear_busy_on: str):
 class _QueuedEvent:
     event_number: int
     timestamp: int
-    next_channel: int = 0
+    next_channel: int = 0  # the next channel to make a packet of
 
 
-@dataclass
 class CardOutput:
     """What a card wants to transmit as a result of one input."""
 
-    a_replies: list[ChannelAMessageUp] = field(default_factory=list)
-    packets: list[bytes] = field(default_factory=list)
+    __slots__ = ("a_replies", "packets")
+
+    def __init__(self):
+        self.a_replies: list[ChannelAMessageUp] = []
+        self.packets: list[bytes] = []
 
 
 class FrontEndCard:
@@ -180,9 +196,8 @@ class FrontEndCard:
         # consistency fault injection.
         self.corrupt_fragments: set[tuple[int, int]] = set()
         self.event_number_offset = 0
-        # The last counter block made: its channels first..stop-1, the
-        # (port, words) it was made for, and its bytes.
-        self._fill = (0, 0, None, b"")
+        # Packets of the head event made and not yet sent, in channel order.
+        self._ready: deque[bytes] = deque()
 
     # -- channel A ----------------------------------------------------------
 
@@ -235,28 +250,24 @@ class FrontEndCard:
         return 0, False
 
     def _write_register(self, addr: int, data: int, byte_enable: int) -> bool:
-        def merge(old: int) -> int:
-            value = old
-            for byte in range(4):
-                if byte_enable & (1 << byte):
-                    mask = 0xFF << (8 * byte)
-                    value = (value & ~mask) | (data & mask)
-            return value & 0xFFFFFFFF
-
+        # The enabled bytes come from `data`, the others stay as they were.
+        mask = _BYTE_MASKS[byte_enable]
+        data &= mask
+        keep = ~mask
         if addr == REG_MAP_SERIAL_HI:
-            self._map_serial_hi = merge(self._map_serial_hi)
+            self._map_serial_hi = self._map_serial_hi & keep | data
             return True
         if addr == REG_MAP_SERIAL_LO:
-            self._map_serial_lo = merge(self._map_serial_lo)
+            self._map_serial_lo = self._map_serial_lo & keep | data
             return True
         if addr == REG_MAP_PORT:
             latched = ((self._map_serial_hi & 0x1FFFFF) << 32) | self._map_serial_lo
             if latched == self.serial_number:
-                self.assigned_id = merge(0) & 0x1F
+                self.assigned_id = data & 0x1F
                 self._map_serial_hi = self._map_serial_lo = 0
             return True
         if SCRATCH_BASE <= addr < SCRATCH_BASE + SCRATCH_WORDS:
-            self._scratch[addr] = merge(self._scratch.get(addr, 0))
+            self._scratch[addr] = self._scratch.get(addr, 0) & keep | data
             return True
         return False  # read-only or unmapped
 
@@ -294,6 +305,10 @@ class FrontEndCard:
         if req.opcode != OPCODE_SEND_NEXT_PACKET:
             self.request_errors += 1
             return out
+        ready = self._ready
+        if len(ready) > 1:  # a packet stays ready, so the event goes on
+            out.packets.append(ready.popleft())
+            return out
         packet = self._take_packet(out)
         if packet is None:
             self.pending_requests += 1
@@ -312,12 +327,13 @@ class FrontEndCard:
             out.packets.append(packet)
 
     def _take_packet(self, out: CardOutput) -> bytes | None:
-        if not self.event_queue:
-            return None
-        ev = self.event_queue[0]
-        data = self._fragment_bytes(ev, ev.next_channel)
-        ev.next_channel += 1
-        if ev.next_channel == self.generator.channels_per_event:
+        ready = self._ready
+        if not ready:
+            if not self.event_queue:
+                return None
+            self._make_packets(self.event_queue[0])
+        data = ready.popleft()
+        if not ready and self.event_queue[0].next_channel == self.generator.channels_per_event:
             self.event_queue.popleft()
             if self.clear_busy_on == "readout":
                 self.busy = bool(self.event_queue)
@@ -326,42 +342,47 @@ class FrontEndCard:
 
     # -- event payload generation -------------------------------------------
 
+    def _make_packets(self, ev: _QueuedEvent):
+        """Make the next packets of head event `ev` into the ready queue: with
+        counter fill, the channels from `ev.next_channel` to the end of their
+        block; else, and for the SOE packet of channel 0, one packet."""
+        cfg = self.generator
+        first = ev.next_channel
+        end = cfg.channels_per_event
+        n = cfg.words_per_channel
+        counter = cfg.fill_pattern == "counter"
+        port = self.assigned_id if self.assigned_id is not None else 0
+        if counter and first:
+            count = _FILL_BLOCK_CHANNELS
+            while count > 1 and 2 * n * count > _FILL_BLOCK_BYTES:
+                count //= 2
+            stop = min(first - first % count + count, end)
+            payload = generator_bytes(port, first, n, stop - first)
+            packets = fragment_run_bytes(False, stop == end, payload, stop - first)
+        else:
+            stop = first + 1
+            payload = generator_bytes(port, first, n) if counter else self._channel_bytes(ev.event_number, first)
+            if not first:
+                payload = event_header_bytes(ev.event_number, ev.timestamp) + payload
+            packets = [fragment_bytes(not first, stop == end, payload)]
+        if self.corrupt_fragments:
+            for channel in range(first, stop):
+                if (ev.event_number, channel) in self.corrupt_fragments:
+                    data = packets[channel - first]
+                    corrupted = bytearray(data)
+                    corrupted[data_start(data)] ^= 0x01
+                    packets[channel - first] = bytes(corrupted)
+        self._ready.extend(packets)
+        ev.next_channel = stop
+
     def _channel_bytes(self, event_number: int, channel: int) -> bytes:
-        """Big-endian payload bytes of one channel, event header excluded."""
+        """Big-endian payload bytes of one channel of the prbs or constant
+        fill, event header excluded."""
         cfg = self.generator
         n = cfg.words_per_channel
-        if cfg.fill_pattern == "counter":
-            # Sliced from the block of channels that holds `channel`, made
-            # when the card keeps no such block for this port and length. A
-            # block starts at a multiple of its channel count, a power of two.
-            port = self.assigned_id if self.assigned_id is not None else 0
-            first, stop, made_for, block = self._fill
-            if not (first <= channel < stop and made_for == (port, n)):
-                count = _FILL_BLOCK_CHANNELS
-                while count > 1 and 2 * n * count > _FILL_BLOCK_BYTES:
-                    count //= 2
-                first = channel - channel % count
-                block = _counter_block(port, first, count, n)
-                self._fill = first, first + count, (port, n), block
-            start = 2 * n * (channel - first)
-            return block[start : start + 2 * n]
         if cfg.fill_pattern == "constant":
             return cfg.constant_word.to_bytes(2, "big") * n
         if n == 0:
             return b""
         seed = ((self.serial_number ^ (event_number * 2654435761) ^ channel) % 32766) + 1
         return PrbsGenerator(15, seed=seed).stream_words(16 * n).view(np.uint8)[: 2 * n].tobytes()
-
-    def _fragment_bytes(self, ev: _QueuedEvent, channel: int) -> bytes:
-        eoe = channel == self.generator.channels_per_event - 1
-        payload = self._channel_bytes(ev.event_number, channel)
-        if channel:
-            data = fragment_bytes(False, eoe, payload)
-        else:
-            header = event_header_bytes(ev.event_number, ev.timestamp)
-            data = fragment_bytes(True, eoe, header + payload)
-        if self.corrupt_fragments and (ev.event_number, channel) in self.corrupt_fragments:
-            corrupted = bytearray(data)
-            corrupted[data_start(data)] ^= 0x01
-            data = bytes(corrupted)
-        return data

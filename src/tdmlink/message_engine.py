@@ -145,12 +145,14 @@ class MessageEngine(System):
             self._card_receives(low.bit_length() - 1, req, self.now)
 
     def _send_up(self, port, channel, item):
+        now = self.now
         if channel == "A":
-            self._up_a_busy[port] = finish = max(self.now, self._up_a_busy[port]) + UP_A_FRAME_TICKS
+            busy = self._up_a_busy
+            busy[port] = finish = max(now, busy[port]) + UP_A_FRAME_TICKS
             self._at(finish, self._on_ack, item)
             return
-        finish = max(self.now, self._up_c_busy[port]) + (8 * len(item) + 1) * UP_C_TICKS_PER_BIT
-        self._up_c_busy[port] = finish
+        busy = self._up_c_busy
+        busy[port] = finish = max(now, busy[port]) + (8 * len(item) + 1) * UP_C_TICKS_PER_BIT
         batch = self._arrivals.get(finish)
         if batch is None:
             # Scheduled when its first packet is sent, so the batch keeps that

@@ -13,11 +13,12 @@ a header word with SOE/EOE flags and the byte size, an even number of
 payload words, and CRC-32 over header plus payload. On the link a packet
 is framed by one start bit; its header word alone fixes its length
 (`fragment_length`). Every hop handles a packet as its wire bytes:
-`fragment_bytes` makes them and `check_fragment` applies the length rule
-and the CRC check (`fragment_crc_ok`, which a hop that has already
-applied the length rule calls alone). `event_header_bytes` writes the
-SOE event header, and `soe_fields` and `data_start` read it. The
-`FragmentPacket` codec delegates to them.
+`fragment_run_bytes` makes them for a run of packets of one size, with
+`fragment_bytes` its one-packet case, and `check_fragment` applies the
+length rule and the CRC check (`fragment_crc_ok`, which a hop that has
+already applied the length rule calls alone). `event_header_bytes`
+writes the SOE event header, and `soe_fields` and `data_start` read it.
+The `FragmentPacket` codec delegates to them.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ __all__ = [
     "check_fragment",
     "fragment_crc_ok",
     "fragment_bytes",
+    "fragment_run_bytes",
     "event_header_bytes",
     "soe_fields",
     "data_start",
@@ -266,17 +268,47 @@ def fragment_crc_ok(data: bytes) -> bool:
     return int.from_bytes(data[-4:], "big") == zlib.crc32(data[:-4])
 
 
-def fragment_bytes(soe: bool, eoe: bool, payload: bytes) -> bytes:
-    """Wire bytes of the packet with the given flags and big-endian payload
-    bytes: header word, payload, CRC-32 over both."""
-    size = len(payload)
-    header = soe << 15 | eoe << 14 | size
-    if size > 2 * MAX_PAYLOAD_WORDS or fragment_length(header) is None:
+def fragment_run_bytes(soe: bool, eoe: bool, payload: bytes, count: int) -> list[bytes]:
+    """Wire bytes of a run of `count` packets of one size, in order: their
+    payloads cut the big-endian bytes `payload` into `count` equal parts.
+    The first packet carries SOE when `soe`, the last EOE when `eoe`. The
+    length rule is applied once, to the first header, which covers the
+    others (the same size, and SOE only adds a bound). Each packet's CRC-32
+    is one `zlib.crc32` over its payload, continued from its header's, so
+    header and payload are not joined first; a header's CRC is taken once
+    per run."""
+    size, rest = divmod(len(payload), count)
+    if rest:
+        raise MessageFormatError(f"{len(payload)} payload bytes do not cut into {count} packets")
+    if size > 2 * MAX_PAYLOAD_WORDS or fragment_length(soe << 15 | size) is None:
         raise MessageFormatError(
             f"{'SOE ' if soe else ''}packet of {size} payload bytes breaks the length rule"
         )
-    body = header.to_bytes(2, "big") + payload
-    return body + zlib.crc32(body).to_bytes(4, "big")
+    words = [size] * count
+    if soe:
+        words[0] |= 0x8000
+    if eoe:
+        words[-1] |= 0x4000
+    crc32 = zlib.crc32
+    body = memoryview(payload)
+    packets = []
+    stop = 0
+    made = None  # the header word whose bytes and CRC are at hand
+    for word in words:
+        if word != made:
+            made, head = word, word.to_bytes(2, "big")
+            seed = crc32(head)
+        start, stop = stop, stop + size
+        chunk = body[start:stop]
+        packets.append(head + chunk + crc32(chunk, seed).to_bytes(4, "big"))
+    return packets
+
+
+def fragment_bytes(soe: bool, eoe: bool, payload: bytes) -> bytes:
+    """Wire bytes of the packet with the given flags and big-endian payload
+    bytes (header word, payload, CRC-32 over both): the one-packet run of
+    `fragment_run_bytes`."""
+    return fragment_run_bytes(soe, eoe, payload, 1)[0]
 
 
 def event_header_bytes(event_number: int, timestamp: int) -> bytes:

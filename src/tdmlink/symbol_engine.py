@@ -206,13 +206,14 @@ class SymbolEngine(System):
         # bytes a return queue holds, once for the run of cards that give
         # that same object (messages are immutable).
         last = bits = None
+        cards, queue = self.cards, self.up_tx.queues["B"]
         for port, txn in events.b:
-            card = self.cards[port]
+            card = cards[port]
             resp = card.on_channel_b_parity_error() if txn is None else card.on_channel_b(txn)
             if resp is not None:
                 if resp is not last:
                     last, bits = resp, resp.encode().tobytes()
-                self.up_tx.enqueue(port, "B", bits)
+                queue.push(port, bits)
         for port, req in events.c:
             if req is not None:
                 self._card_receives(port, req, None)

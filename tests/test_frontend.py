@@ -147,6 +147,25 @@ class TestRegisterBus:
         r = card.on_channel_b(m.ChannelBTransaction(read=True, target_id=0, address=0x0100))
         assert r.data == 0x112233AB
 
+    @pytest.mark.parametrize("byte_enable", range(16))
+    def test_every_byte_enable_merges_like_a_per_byte_reference(self, byte_enable):
+        old, data = 0x89ABCDEF, 0x12345678
+        want = old
+        for byte in range(4):
+            if byte_enable >> byte & 1:
+                mask = 0xFF << 8 * byte
+                want = want & ~mask | data & mask
+        for address in (0x0100, fe.REG_MAP_SERIAL_LO):
+            card = make_card()
+            card.on_channel_b(m.ChannelBTransaction(write=True, target_id=0, address=address, data=old))
+            card.on_channel_b(
+                m.ChannelBTransaction(
+                    write=True, target_id=0, address=address, data=data, byte_enable=byte_enable
+                )
+            )
+            r = card.on_channel_b(m.ChannelBTransaction(read=True, target_id=0, address=address))
+            assert r.data == want and not r.bus_error
+
     def test_unmapped_address_bus_error(self):
         card = make_card()
         r = card.on_channel_b(m.ChannelBTransaction(read=True, target_id=0, address=0x5000))
@@ -325,22 +344,25 @@ class TestDataRequests:
         parsed = [m.FragmentPacket.deserialize(p) for p in pkts]
         assert [p.crc_ok for p in parsed] == [True, False, True, True, True, True]
         assert parsed[1].eoe is False  # header flags untouched
-        # Both events' channel 1 come from one kept counter block: the
+        # Both events' channel 1 have the same counter payload: the
         # corruption of event 0 must not reach event 1.
         assert list(parsed[4].data_words) == reference_words(card, 1, 1)
 
     def test_fill_patterns_match_per_word_reference(self):
         card = assign(make_card(serial_number=0x1F2E3D4C5B6A7), 5)
-        # The last generator's payloads are shorter than the counter block
-        # the card keeps from the first.
+        req = m.ChannelCRequest(target_mask=1 << 5)
+        # The last generator's payloads are shorter than the first's.
         for pattern, words in (("counter", 16), ("prbs", 16), ("constant", 16), ("counter", 6)):
             card.generator = fe.EventGeneratorConfig(
                 channels_per_event=2, words_per_channel=words, fill_pattern=pattern, constant_word=0x1234
             )
-            for event_number, channel in ((0, 0), (3, 1), (70000, 1)):
-                expected = reference_words(card, event_number, channel)
-                data = card._channel_bytes(event_number, channel)
-                assert data == b"".join(w.to_bytes(2, "big") for w in expected)
+            for event_number in (0, 3, 70000):
+                card.event_queue.append(fe._QueuedEvent(event_number, 0))
+                for channel in (0, 1):
+                    expected = reference_words(card, event_number, channel)
+                    [data] = card.on_channel_c(req).packets
+                    assert m.FragmentPacket(data, True).data_words == tuple(expected)
+                assert not card.event_queue
 
     def test_prbs_fill_words_pinned(self):
         card = fe.FrontEndCard(
@@ -367,12 +389,34 @@ class TestDataRequests:
 
 
 class TestPayloadBytes:
-    """Each packet a card makes from bytes equals the packet built from the
-    same payload as a list of words."""
+    """Each packet a card sends, taken in order through `on_channel_c`,
+    equals the packet built from the same payload as a list of words."""
 
     # Both sides of every counter block edge that 4-, 8- and 16-channel
     # blocks have, and of the 512-channel runs that blocks never cross.
     EDGES = (3, 4, 7, 8, 15, 16, 511, 512)
+
+    @staticmethod
+    def expected_packet(card, number, ts, channel, last):
+        soe, eoe = channel == 0, channel == last
+        head = [number >> 16, number & 0xFFFF, ts >> 32, (ts >> 16) & 0xFFFF, ts & 0xFFFF, 0]
+        return m.FragmentPacket.build(
+            soe=soe, eoe=eoe,
+            payload_words=(head if soe else []) + reference_words(card, number, channel),
+        ).serialize()
+
+    @staticmethod
+    def take(card, port, channels):
+        """The packets of `channels` consecutive channels, one request each,
+        checking that the card never keeps more than one block ready."""
+        req = m.ChannelCRequest(target_mask=1 << (port or 0))
+        packets = []
+        for _ in range(channels):
+            [data] = card.on_channel_c(req).packets
+            packets.append(data)
+            assert len(card._ready) < fe._FILL_BLOCK_CHANNELS
+            assert sum(len(p) - 6 for p in card._ready) <= fe._FILL_BLOCK_BYTES
+        return packets
 
     # The EOE channel: 16 gives 17 channels, one past a 16-channel block, and
     # channels from 2**14 need the stamp masked.
@@ -384,24 +428,75 @@ class TestPayloadBytes:
             channels_per_event=last + 1, words_per_channel=words,
             fill_pattern=pattern, constant_word=0xC35A,
         )
-        # In order, so a kept block serves the channels after its first; and
-        # `last` first too, whose block the card keeps from the port before.
-        channels = [last] + [c for c in (0, 1, *self.EDGES, 2**14) if c < last] + [last]
-        card = make_card(generator=gen)
+        # Runs of channels taken in order, each from a fresh card whose head
+        # event starts at the run's first channel: the whole event when it is
+        # short, else runs across EDGES, 2**14 and the EOE channel.
+        runs = [(0, last + 1)] if last < 512 else [(0, 18), (504, 520), (2**14 - 6, last + 1)]
         for port in (None, 0, 5, 31):
-            card.serial_number = 0x1F2E3D4C5B6A7 ^ (port or 0)
-            assign(card, port)
             for number, ts in ((0, 0), (70000, 0x123456789ABC), (0xFFFFFFFF, 0xFFFFFFFFFFFF)):
-                ev = fe._QueuedEvent(number, ts)
-                for channel in channels:
-                    soe, eoe = channel == 0, channel == last
-                    head = [number >> 16, number & 0xFFFF, ts >> 32, (ts >> 16) & 0xFFFF, ts & 0xFFFF, 0]
-                    expected = m.FragmentPacket.build(
-                        soe=soe, eoe=eoe,
-                        payload_words=(head if soe else []) + reference_words(card, number, channel),
-                    ).serialize()
-                    assert card._fragment_bytes(ev, channel) == expected
-                    assert len(card._fill[-1]) <= fe._FILL_BLOCK_BYTES
+                for start, stop in runs:
+                    card = assign(make_card(generator=gen), port)
+                    card.serial_number = 0x1F2E3D4C5B6A7 ^ (port or 0)
+                    card.event_queue.append(fe._QueuedEvent(number, ts, next_channel=start))
+                    if port is None:
+                        # An unassigned card sends nothing; its packets are
+                        # those of port 0 (the stamp's port when unassigned).
+                        assert card.on_channel_c(m.ChannelCRequest(target_mask=1)).packets == []
+                        packets = [card._take_packet(fe.CardOutput()) for _ in range(stop - start)]
+                    else:
+                        packets = self.take(card, port, stop - start)
+                    for channel, data in zip(range(start, stop), packets):
+                        assert data == self.expected_packet(card, number, ts, channel, last)
+                        assert len(data) == 2 * words + (18 if channel == 0 else 6)
+                    # The EOE packet ends the event.
+                    assert bool(card.event_queue) == (stop <= last)
+
+    @pytest.mark.parametrize("pattern", ["counter", "prbs"])
+    def test_one_channel_events(self, pattern):
+        gen = fe.EventGeneratorConfig(channels_per_event=1, words_per_channel=8, fill_pattern=pattern)
+        card = assign(make_card(generator=gen), 3)
+        for k in range(3):
+            card.on_channel_a(TRIGGER, 400 * k)
+        packets = self.take(card, 3, 3)
+        for k, data in enumerate(packets):
+            assert data == self.expected_packet(card, k, 100 * k, 0, 0)
+        assert not card.event_queue and not card._ready
+
+    def test_eoe_packet_alone_in_its_block(self):
+        # 17 channels of 64 words: channel 0 alone (SOE), channels 1..15 to
+        # the end of the first 16-channel block, channel 16 (EOE) alone in
+        # the next.
+        gen = fe.EventGeneratorConfig(channels_per_event=17, words_per_channel=64)
+        card = assign(make_card(generator=gen), 9)
+        card.on_channel_a(TRIGGER, 0)
+        req = m.ChannelCRequest(target_mask=1 << 9)
+        ready = []
+        for channel in range(17):
+            [data] = card.on_channel_c(req).packets
+            assert data == self.expected_packet(card, 0, 0, channel, 16)
+            ready.append(len(card._ready))
+        assert ready == [0, *range(14, -1, -1), 0]
+        assert not card.event_queue
+
+    def test_corrupt_fragment_on_block_edges(self):
+        # 40 channels of 64 words: blocks 1..15, 16..31 and 32..39. The
+        # first and last channel of each block and the event's first and
+        # last packet are corrupted in event 1 only; event 0 is intact.
+        gen = fe.EventGeneratorConfig(channels_per_event=40, words_per_channel=64)
+        card = assign(make_card(generator=gen), 2)
+        corrupt = {0, 1, 15, 16, 31, 32, 39}
+        card.corrupt_fragments.update((1, channel) for channel in corrupt)
+        card.on_channel_a(TRIGGER, 0)
+        card.on_channel_a(TRIGGER, 4)
+        packets = self.take(card, 2, 80)
+        for k, data in enumerate(packets):
+            number, channel = divmod(k, 40)
+            expected = self.expected_packet(card, number, number, channel, 39)
+            broken = number == 1 and channel in corrupt
+            assert m.check_fragment(data) is not broken
+            flipped = bytearray(expected)
+            flipped[m.data_start(expected)] ^= 0x01
+            assert data == (bytes(flipped) if broken else expected)
 
     @pytest.mark.parametrize("word", [-1, 0x10000])
     def test_constant_word_outside_16_bits_rejected(self, word):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import itertools
 import pkgutil
 import re
 import struct
@@ -422,6 +423,28 @@ class TestFragmentPacket:
                 == m.FragmentPacket.build(soe, eoe, words).serialize()
             )
 
+    def test_run_writer_matches_one_packet_writer(self):
+        # Runs of 1, 2 and 16 packets of 0, 4 and 2028 payload bytes, with
+        # each flag on or off: packet k is the one-packet writer's packet of
+        # the k-th part, SOE on the first only and EOE on the last only.
+        rng = np.random.default_rng(35)
+        for count in (1, 2, 16):
+            for size in (0, 4, 2 * m.MAX_PAYLOAD_WORDS):
+                payload = rng.integers(0, 256, size=count * size, dtype=np.uint8).tobytes()
+                for soe, eoe in itertools.product((False, True), repeat=2):
+                    if soe and size < 2 * m.EVENT_HEADER_WORDS:
+                        with pytest.raises(m.MessageFormatError, match="breaks the length rule"):
+                            m.fragment_run_bytes(soe, eoe, payload, count)
+                        continue
+                    run = m.fragment_run_bytes(soe, eoe, payload, count)
+                    assert run == [
+                        m.fragment_bytes(soe and k == 0, eoe and k == count - 1, payload[k * size : (k + 1) * size])
+                        for k in range(count)
+                    ]
+                    assert all(m.check_fragment(data) for data in run)
+        with pytest.raises(m.MessageFormatError, match="do not cut into 3 packets"):
+            m.fragment_run_bytes(False, False, bytes(8), 3)
+
     @pytest.mark.parametrize(
         "soe, nbytes",
         [(False, 1), (False, 5), (False, 6), (True, 8),
@@ -586,11 +609,16 @@ class TestOnePacketRule:
 
     def test_checked_once_per_hop(self, monkeypatch):
         """On a message-level run, each fragment packet meets the length rule
-        three times (made by its card, unloaded by the builder, walked by the
-        client) and the CRC three times (made, checked by the builder, checked
-        by the client). Each event adds its header record (made, walked,
-        the client reads its event number and timestamp from the bytes) and
-        its end-of-event record (walked)."""
+        twice (unloaded by the builder, walked by the client) and the CRC
+        three times (made, checked by the builder, checked by the client).
+        A card makes its packets in runs (`fragment_run_bytes`) and applies
+        the length rule once per run, and takes each distinct header word's
+        CRC once per run. With 16 channels of 64 words, each event has two
+        runs per card: channel 0 alone (SOE, one header word) and channels
+        1..15, one 16-channel block (a plain and an EOE header word). Each
+        event adds its header record (made: its header's CRC and its own;
+        walked; the client reads its event number and timestamp from the
+        bytes) and its end-of-event record (walked)."""
         calls = {"fragment_length": 0, "crc32": 0}
 
         def counted(name, fn):
@@ -622,9 +650,10 @@ class TestOnePacketRule:
         fragments = sum(c.packets for c in res.engine.builder.counters.values())
         events = res.metrics.client["events"]
         assert (fragments, events) == (192, 3)
+        card_events = cfg.num_frontends * events
         assert calls == {
-            "fragment_length": 3 * fragments + 3 * events,
-            "crc32": 3 * fragments + 1 * events,
+            "fragment_length": 2 * fragments + 2 * card_events + 3 * events,
+            "crc32": 3 * fragments + 3 * card_events + 2 * events,
         }
 
     @pytest.mark.parametrize("abstraction", ["message_level", "symbol_level"])
